@@ -48,6 +48,9 @@ DEMO_ROOT = bytes.fromhex(
 
 _MODE_BY_FLAG = {"auth": Mode.AUTH_ONLY, "aead": Mode.AEAD}
 
+# seconds either endpoint waits on a silent peer before it gives up
+IO_TIMEOUT_S = 30.0
+
 
 def _setup_logging() -> None:
     level_name = os.environ.get("KISS_LOG", "error").lower()
@@ -113,6 +116,7 @@ def cmd_server(args) -> int:
         bound_port = listener.getsockname()[1]
         print(f"listening {host}:{bound_port}", file=sys.stderr, flush=True)
         conn, peer = listener.accept()
+        conn.settimeout(IO_TIMEOUT_S)
         log.info("connection from %s", peer)
         with conn:
             endpoint = ChannelEndpoint(load_association(pf), conn)
@@ -137,8 +141,7 @@ def cmd_client(args) -> int:
         payloads = [args.send.encode("utf-8")]
     else:
         payloads = [b"msg-%08d" % i for i in range(args.count)]
-    with socket.create_connection((host, port), timeout=30.0) as conn:
-        conn.settimeout(30.0)
+    with socket.create_connection((host, port), timeout=IO_TIMEOUT_S) as conn:
         endpoint = ChannelEndpoint(load_association(pf), conn)
         endpoint.handshake()
         log.info("handshake complete")

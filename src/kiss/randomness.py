@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError
-from .idvv import Root, Seed, idvv_init, idvv_next
+from .idvv import idvv_init, idvv_next
 
 MIN_STREAM_BITS = 100
 
@@ -82,22 +82,13 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
         raise InvalidParameterError(
             f"stream must be at least {MIN_STREAM_BITS} bits, got {n_bits}"
         )
-    state = idvv_init(_as_seed(seed), _as_root(root), label)
-    steps = -(-n_bits // 256)
+    state = idvv_init(seed, root, label)
     out = bytearray()
-    for _ in range(steps):
+    for _ in range(-(-n_bits // 256)):
         value = idvv_next(state)
         out += value.bytes
         value.wipe()
-    return BitStream.from_bytes(bytes(out), n_bits)
-
-
-def _as_seed(seed) -> Seed:
-    return seed if isinstance(seed, Seed) else Seed(seed)
-
-
-def _as_root(root) -> Root:
-    return root if isinstance(root, Root) else Root(root)
+    return BitStream.from_bytes(out, n_bits)
 
 
 def _bit_array(bits) -> np.ndarray:
@@ -174,13 +165,15 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     else:
         raise InvalidParameterError(f"longest-run test needs >= 128 bits, got {n}")
     n_blocks = n // block_size
-    blocks = b[: n_blocks * block_size].reshape(n_blocks, block_size)
-    # longest run of ones per row: running count of ones that resets at
-    # each zero, computed as cumsum minus its most recent value at a zero
-    csum = np.cumsum(blocks, axis=1, dtype=np.int32)
-    at_zero = np.where(blocks == 0, csum, 0)
-    run_len = csum - np.maximum.accumulate(at_zero, axis=1)
-    longest = run_len.max(axis=1)
+    # each block gets a 0 terminator, so every run of ones ends at a zero
+    # in its own block: a run is the gap between consecutive zeros, and a
+    # block's longest run is the maximum over the runs ending in it
+    padded = np.zeros((n_blocks, block_size + 1), dtype=np.uint8)
+    padded[:, :block_size] = b[: n_blocks * block_size].reshape(n_blocks, block_size)
+    zeros = np.flatnonzero(padded.ravel() == 0)
+    runs = np.diff(zeros, prepend=-1) - 1
+    first = np.searchsorted(zeros, np.arange(n_blocks) * (block_size + 1))
+    longest = np.maximum.reduceat(runs, first)
     cats = np.clip(longest, lo, hi) - lo
     counts = np.bincount(cats, minlength=len(ref)).astype(np.float64)
     expected = n_blocks * np.asarray(ref)
@@ -204,10 +197,11 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
 def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> TestResult:
     b = _bit_array(bits)
     n = b.size
-    x = b.astype(np.int64) * 2 - 1
+    x = b.astype(np.int8) * 2 - 1
     if not forward:
         x = x[::-1]
-    z = int(np.max(np.abs(np.cumsum(x))))
+    walk = np.cumsum(x, dtype=np.int32 if n < 1 << 31 else np.int64)
+    z = int(max(walk.max(), -walk.min()))
     sqrt_n = math.sqrt(n)
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
@@ -235,7 +229,8 @@ def approximate_entropy_test(
         raise InvalidParameterError(
             f"pattern length {pattern_len} too large for {n} bits"
         )
-    ap_en = _phi(b, pattern_len) - _phi(b, pattern_len + 1)
+    counts = _pattern_counts(b, pattern_len + 1)
+    ap_en = _phi(_fold(counts), n) - _phi(counts, n)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     p = float(special.gammaincc(2.0 ** (pattern_len - 1), chi_sq / 2.0))
     return TestResult(
@@ -255,9 +250,11 @@ def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> Te
         raise InvalidParameterError(
             f"pattern length {pattern_len} too large for {n} bits"
         )
-    psi_m = _psi_sq(b, pattern_len)
-    psi_m1 = _psi_sq(b, pattern_len - 1)
-    psi_m2 = _psi_sq(b, pattern_len - 2)
+    counts = _pattern_counts(b, pattern_len)
+    counts1 = _fold(counts)
+    psi_m = _psi_sq(counts, n)
+    psi_m1 = _psi_sq(counts1, n)
+    psi_m2 = _psi_sq(_fold(counts1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = float(special.gammaincc(2.0 ** (pattern_len - 2), d1 / 2.0))
@@ -271,26 +268,39 @@ def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> Te
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all overlapping m-bit patterns, sequence wrapped around."""
+    """Counts of all overlapping m-bit patterns, sequence wrapped around.
+
+    The wrapped stream is packed to bytes. The window starting at bit
+    8k + r lies inside the big-endian word made of bytes k .. k+w-1, so
+    one shift and mask per bit offset r reads every window.
+    """
     n = b.size
-    ext = np.concatenate([b, b[: m - 1]]) if m > 1 else b
-    v = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        v = (v << 1) | ext[j : j + n]
-    return np.bincount(v, minlength=1 << m)
+    w = (m + 14) // 8  # bytes that cover a window starting at offset 7
+    packed = np.pad(np.packbits(np.resize(b, n + m - 1)), (0, w - 1)).astype(np.int64)
+    k = packed.size - w + 1
+    word = packed[:k]
+    for j in range(1, w):
+        word = (word << 8) | packed[j : j + k]
+    shifts = 8 * w - m - np.arange(8)
+    windows = (word[:, None] >> shifts) & ((1 << m) - 1)
+    return np.bincount(windows.ravel()[:n], minlength=1 << m)
 
 
-def _phi(b: np.ndarray, m: int) -> float:
-    counts = _pattern_counts(b, m)
-    freq = counts[counts > 0] / b.size
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """Cyclic (m-1)-bit counts from cyclic m-bit counts: sum out the last bit."""
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _phi(counts: np.ndarray, n: int) -> float:
+    freq = counts[counts > 0] / n
     return float(np.sum(freq * np.log(freq)))
 
 
-def _psi_sq(b: np.ndarray, m: int) -> float:
-    if m < 1:
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    if counts.size == 1:  # psi-squared of 0-bit patterns is 0 by definition
         return 0.0
-    counts = _pattern_counts(b, m).astype(np.float64)
-    return float((1 << m) / b.size * np.sum(counts * counts) - b.size)
+    counts = counts.astype(np.float64)
+    return float(counts.size / n * np.sum(counts * counts) - n)
 
 
 ALL_TESTS = {

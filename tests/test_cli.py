@@ -4,11 +4,14 @@ import os
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from oracles import chain_values_ref
 
+from kiss import cli
 from kiss.association import Mode, ProvisionFile, Role, read_provision_file
 
 CLI = [sys.executable, "-m", "kiss.cli"]
@@ -223,6 +226,32 @@ def test_server_refuses_occupied_port(tmp_path):
         assert "error" in result.stderr
     finally:
         blocker.close()
+
+
+def test_server_times_out_silent_client(tmp_path, monkeypatch, capsys):
+    # a client that connects and never sends must not hang the server
+    assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
+    monkeypatch.setattr(cli, "IO_TIMEOUT_S", 0.5)
+    exit_codes = []
+    server = threading.Thread(
+        target=lambda: exit_codes.append(cli.main(
+            ["server", "--provision", str(tmp_path / "responder.prov")]
+        )),
+        daemon=True,
+    )
+    server.start()
+    err = ""
+    deadline = time.monotonic() + 30
+    while "listening " not in err:
+        assert time.monotonic() < deadline, "server never reported its port"
+        time.sleep(0.01)
+        err += capsys.readouterr().err
+    port = int(err.split("listening ", 1)[1].split()[0].rpartition(":")[2])
+    with socket.create_connection(("127.0.0.1", port), timeout=5):
+        server.join(timeout=30)
+        assert not server.is_alive(), "server still waiting on a silent client"
+    assert exit_codes == [1]
+    assert "timed out" in capsys.readouterr().err
 
 
 def test_client_bad_address_exits_one(tmp_path):

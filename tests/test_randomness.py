@@ -1,5 +1,7 @@
 """Statistical battery: formula fidelity against independent oracles."""
 
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -19,11 +21,14 @@ from oracles import (
     stream_bits_ref,
 )
 
+from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import InvalidParameterError
 from kiss.randomness import (
     ALL_TESTS,
     BitStream,
     RandomnessReport,
+    _fold,
+    _pattern_counts,
     approximate_entropy_test,
     block_frequency_test,
     cusum_test,
@@ -60,6 +65,30 @@ def _fidelity_vectors(n: int = 2048) -> list[np.ndarray]:
 VECTORS = _fidelity_vectors()
 PI_BITS = np.array([int(c) for c in PI_100_BITS], dtype=np.uint8)
 
+# Longer vectors, built on first use. No length is a whole number of
+# bytes or of longest-run blocks (8, 128 and 10,000 bits).
+LONG_VECTORS = {
+    "keystream-131075": lambda: _chain_bits(b"long", 131_075),
+    "periodic-131075": lambda: np.resize(
+        np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8), 131_075
+    ),
+    "biased-131075": lambda: np.maximum(
+        _chain_bits(b"lb-a", 131_075), _chain_bits(b"lb-b", 131_075)
+    ),
+    "keystream-1003": lambda: _chain_bits(b"lr8", 1003),
+    "keystream-6401": lambda: _chain_bits(b"lr128", 6401),
+    "keystream-750017": lambda: _chain_bits(b"lr10k", 750_017),
+}
+
+
+@functools.cache
+def _long_vector(name: str) -> np.ndarray:
+    return LONG_VECTORS[name]()
+
+
+def _vector(idx) -> np.ndarray:
+    return VECTORS[idx] if isinstance(idx, int) else _long_vector(idx)
+
 
 # -- formula fidelity --------------------------------------------------
 
@@ -83,9 +112,13 @@ def test_runs_matches_oracle(idx):
     assert abs(runs_test(bits).p_value - runs_p_ref(bits.tolist())) <= TOL
 
 
-@pytest.mark.parametrize("idx", range(len(VECTORS)))
+@pytest.mark.parametrize(
+    "idx",
+    # one long keystream per tier: 8-, 128- and 10,000-bit blocks
+    [*range(len(VECTORS)), "keystream-1003", "keystream-6401", "keystream-750017"],
+)
 def test_longest_run_matches_oracle(idx):
-    bits = VECTORS[idx]
+    bits = _vector(idx)
     assert abs(longest_run_test(bits).p_value - longest_run_p_ref(bits.tolist())) <= TOL
 
 
@@ -111,6 +144,43 @@ def test_serial_matches_oracle(idx):
     p1_ref, p2_ref = serial_p_ref(bits.tolist(), 5)
     assert abs(result.p_value - p1_ref) <= TOL
     assert abs(result.params["p2"] - p2_ref) <= TOL
+
+
+def test_approximate_entropy_default_width_matches_oracle():
+    bits = _long_vector("keystream-131075")
+    result = approximate_entropy_test(bits)
+    assert result.params["pattern_len"] == 10
+    assert abs(result.p_value - approximate_entropy_p_ref(bits.tolist(), 10)) <= TOL
+
+
+def test_serial_default_width_matches_oracle():
+    bits = _long_vector("keystream-131075")
+    result = serial_test(bits)
+    assert result.params["pattern_len"] == 16
+    p1_ref, p2_ref = serial_p_ref(bits.tolist(), 16)
+    assert abs(result.p_value - p1_ref) <= TOL
+    assert abs(result.params["p2"] - p2_ref) <= TOL
+
+
+def _direct_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Wrapped overlapping m-bit pattern counts, one m-bit index per position."""
+    n = bits.size
+    ext = np.concatenate([bits, bits[: m - 1]])
+    index = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        index = 2 * index + ext[j : j + n]
+    return np.bincount(index, minlength=1 << m)
+
+
+@pytest.mark.parametrize("name", ["keystream-131075", "periodic-131075", "biased-131075"])
+def test_folded_pattern_counts_match_direct_counts(name):
+    bits = _long_vector(name)
+    folded = _pattern_counts(bits, 16)
+    for m in range(16, 0, -1):
+        direct = _direct_counts(bits, m)
+        assert np.array_equal(_pattern_counts(bits, m), direct), m
+        assert np.array_equal(folded, direct), m
+        folded = _fold(folded)
 
 
 def test_monobit_published_worked_example():
@@ -316,6 +386,18 @@ def test_battery_full_suite_small_scale():
     table = report.format_table()
     assert "verdict:" in table
     assert report.passed  # keystreams at this scale sail through
+
+
+# sha256 of to_csv() for the call below, recorded before the pattern
+# count, longest-run and cusum kernels were vectorised; any change to a
+# p-value's tenth significant digit or to a verdict changes it
+BATTERY_200K_CSV_SHA256 = "54be0b70f4650360e9e1b3440e8b69cb93b4392c366ccc0d94c0fb852747116c"
+
+
+def test_battery_csv_is_pinned():
+    report = run_battery(DEMO_SEED, DEMO_ROOT, n_bits=200_000, trials=20)
+    digest = hashlib.sha256(report.to_csv().encode("ascii")).hexdigest()
+    assert digest == BATTERY_200K_CSV_SHA256
 
 
 def test_battery_flags_constant_source():
