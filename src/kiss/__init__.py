@@ -5,145 +5,8 @@ per-message secrets from shared seed/root material, so every record is
 protected by a fresh key with no per-message key exchange. The package
 bundles the chain core, provisioning, the authenticated record layer,
 a statistical randomness battery, and a benchmark harness behind one
-``kiss`` command-line tool.
+``kiss`` command-line tool. Import from the submodules: ``kiss.idvv``,
+``kiss.association``, ``kiss.channel``, ``kiss.randomness``, ``kiss.bench``.
 """
 
-from .association import (
-    Association,
-    Mode,
-    ProvisionFile,
-    Role,
-    accept_seq,
-    generate_provision,
-    load_association,
-    read_provision_file,
-    write_provision_file,
-)
-from .bench import (
-    BenchCase,
-    BenchConfig,
-    BenchReport,
-    bench_channel,
-    bench_primitive,
-    bench_primitives,
-    bench_tls_baseline,
-    compare_report,
-    headline_summary,
-)
-from .channel import (
-    ChannelEndpoint,
-    ChannelState,
-    MsgType,
-    Record,
-    decode_record,
-    encode_record,
-    open_record,
-    read_record,
-    seal,
-)
-from .errors import (
-    AssociationError,
-    AuthenticationError,
-    BenchError,
-    ChainExhaustedError,
-    ChannelAlert,
-    ChannelStateError,
-    FrameError,
-    HandshakeError,
-    InvalidParameterError,
-    KissError,
-    OutOfWindowError,
-    ProvisionError,
-    ReplayError,
-    TransportError,
-)
-from .idvv import (
-    IdvvState,
-    IdvvValue,
-    Root,
-    Seed,
-    derive_key,
-    idvv_fast_forward,
-    idvv_init,
-    idvv_next,
-)
-from .randomness import (
-    BitStream,
-    RandomnessReport,
-    TestResult,
-    approximate_entropy_test,
-    block_frequency_test,
-    cusum_test,
-    generate_stream,
-    longest_run_test,
-    monobit_test,
-    run_battery,
-    runs_test,
-    serial_test,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Association",
-    "AssociationError",
-    "AuthenticationError",
-    "BenchCase",
-    "BenchConfig",
-    "BenchError",
-    "BenchReport",
-    "BitStream",
-    "ChainExhaustedError",
-    "ChannelAlert",
-    "ChannelEndpoint",
-    "ChannelState",
-    "ChannelStateError",
-    "FrameError",
-    "HandshakeError",
-    "IdvvState",
-    "IdvvValue",
-    "InvalidParameterError",
-    "KissError",
-    "Mode",
-    "MsgType",
-    "OutOfWindowError",
-    "ProvisionError",
-    "ProvisionFile",
-    "RandomnessReport",
-    "Record",
-    "ReplayError",
-    "Role",
-    "Root",
-    "Seed",
-    "TestResult",
-    "TransportError",
-    "accept_seq",
-    "approximate_entropy_test",
-    "bench_channel",
-    "bench_primitive",
-    "bench_primitives",
-    "bench_tls_baseline",
-    "block_frequency_test",
-    "compare_report",
-    "cusum_test",
-    "decode_record",
-    "derive_key",
-    "encode_record",
-    "generate_provision",
-    "generate_stream",
-    "headline_summary",
-    "idvv_fast_forward",
-    "idvv_init",
-    "idvv_next",
-    "load_association",
-    "longest_run_test",
-    "monobit_test",
-    "open_record",
-    "read_provision_file",
-    "read_record",
-    "run_battery",
-    "runs_test",
-    "seal",
-    "serial_test",
-    "write_provision_file",
-]

@@ -72,13 +72,12 @@ class Association:
     """Live endpoint state for one provisioned pair.
 
     Single-owner mutation contract, same as the chains it holds: one
-    connection, one logical thread of control per direction.
+    connection, one logical thread of control per direction. The chains
+    hold the seed; the root only derives value_0 and is not kept.
     """
 
     assoc_id: bytes
     role: Role
-    seed: Seed
-    root: Root
     send_chain: IdvvState
     recv_chain: IdvvState
     mode: Mode
@@ -135,8 +134,6 @@ def load_association(pf: ProvisionFile) -> Association:
     return Association(
         assoc_id=pf.assoc_id,
         role=pf.role,
-        seed=seed,
-        root=root,
         send_chain=idvv_init(seed, root, send_label),
         recv_chain=idvv_init(seed, root, recv_label),
         mode=pf.mode,
@@ -191,9 +188,9 @@ def _parse_provision(text: str) -> ProvisionFile:
         if key not in seen:
             raise ProvisionError(f"missing field {key!r}", field=key)
 
-    assoc_id = _parse_hex("assoc_id", seen["assoc_id"], ASSOC_ID_LEN)
-    seed = _parse_hex("seed", seen["seed"], 32)
-    root = _parse_hex("root", seen["root"], 32)
+    assoc_id = parse_hex("assoc_id", seen["assoc_id"], ASSOC_ID_LEN)
+    seed = parse_hex("seed", seen["seed"], 32)
+    root = parse_hex("root", seen["root"], 32)
 
     try:
         role = Role(seen["role"])
@@ -221,7 +218,7 @@ def _parse_provision(text: str) -> ProvisionFile:
     return ProvisionFile(assoc_id, role, mode, seed, root, window)
 
 
-def _parse_hex(name: str, value: str, want_len: int) -> bytes:
+def parse_hex(name: str, value: str, want_len: int) -> bytes:
     try:
         data = bytes.fromhex(value)
     except ValueError:

@@ -2,15 +2,19 @@
 
 Three layers of measurement, all sharing one report shape:
 
-* ``bench_primitive`` times raw crypto operations (hashing, MAC, AEAD,
+* ``bench_primitives`` times raw crypto operations (hashing, MAC, AEAD,
   signatures, chain stepping, record sealing) over counter-filled
   buffers so runs are byte-comparable.
 * ``bench_channel`` drives a two-thread loopback pair and measures
   sustained record throughput, with a plaintext framing baseline that
-  isolates the cost of the cryptography.
+  reads through the endpoint's own framing reader, isolating the cost
+  of the cryptography.
 * ``bench_tls_baseline`` shells out to a locally installed TLS
   toolchain's speed facility and parses its output for side-by-side
   comparison. A missing tool degrades to skipped rows, never a failure.
+
+``compare_report`` merges reports into one ``BenchReport`` whose cases
+carry a throughput ratio against a named baseline case.
 
 Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
@@ -33,7 +37,7 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,8 +53,8 @@ from .association import (
     generate_provision,
     load_association,
 )
-from .channel import HEADER_LEN, ChannelEndpoint, MsgType, Record, TAG_LEN
-from .channel import decode_record, encode_record, seal
+from .channel import ChannelEndpoint, MsgType, Record, TAG_LEN
+from .channel import decode_record, encode_record, read_record, seal
 from .errors import BenchError, InvalidParameterError
 from .idvv import Root, Seed, idvv_init, idvv_next
 
@@ -67,6 +71,8 @@ PRIMITIVES = (
 )
 
 CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
+
+TLS_COMMAND = "openssl speed -evp aes-256-gcm -bytes {size} -seconds 1"
 
 CORE_MODULES = ("idvv.py", "association.py", "channel.py")
 
@@ -93,11 +99,7 @@ class BenchConfig:
     warmup: int = 1
 
     def validate(self) -> None:
-        if not self.sizes:
-            raise InvalidParameterError("at least one message size required")
-        for size in self.sizes:
-            if not isinstance(size, int) or size <= 0:
-                raise InvalidParameterError(f"message sizes must be > 0, got {size}")
+        _check_sizes(self.sizes)
         if self.iterations is not None and self.iterations <= 0:
             raise InvalidParameterError(
                 f"iterations must be positive, got {self.iterations}"
@@ -119,6 +121,14 @@ class BenchConfig:
             raise InvalidParameterError(f"warmup must be >= 0, got {self.warmup}")
 
 
+def _check_sizes(sizes) -> None:
+    if not sizes:
+        raise InvalidParameterError("at least one message size required")
+    for size in sizes:
+        if not isinstance(size, int) or size <= 0:
+            raise InvalidParameterError(f"message sizes must be > 0, got {size}")
+
+
 @dataclass(frozen=True)
 class BenchCase:
     case: str
@@ -130,45 +140,62 @@ class BenchCase:
     skipped: bool = False
     note: str = ""
     flags: tuple[str, ...] = ()
+    ratio: float | None = None  # ops/sec against the report's baseline case
 
 
 @dataclass(frozen=True)
 class BenchReport:
+    """Rows of one run; ``baseline`` names the case every ``ratio`` is
+    taken against, and only a report with one renders the ratio column."""
+
     suite: str
     cases: tuple[BenchCase, ...]
     environment: dict = field(default_factory=dict)
+    baseline: str | None = None
 
     def to_csv(self) -> str:
-        lines = ["case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"]
+        head = "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
+        lines = [head + (",ratio" if self.baseline is not None else "")]
         for c in self.cases:
-            lines.append(
+            line = (
                 f"{c.case},{c.size_bytes},{c.ops_per_sec:.2f},"
                 f"{c.mb_per_sec:.3f},{c.p50_us:.3f},{c.p99_us:.3f}"
             )
+            if self.baseline is not None:
+                line += "," + (f"{c.ratio:.4f}" if c.ratio is not None else "")
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
     def format_markdown(self) -> str:
+        with_ratio = self.baseline is not None
+        ratio_w = max(18, len(f"vs {self.baseline}"))
         head = (
             f"| {'case':24} | {'size':>6} | {'ops/sec':>12} | {'MB/sec':>9} "
-            f"| {'p50 us':>8} | {'p99 us':>8} | note |"
+            f"| {'p50 us':>8} | {'p99 us':>8} |"
         )
-        rule = f"|{'-' * 26}|{'-' * 8}|{'-' * 14}|{'-' * 11}|{'-' * 10}|{'-' * 10}|------|"
-        lines = [head, rule]
+        rule = f"|{'-' * 26}|{'-' * 8}|{'-' * 14}|{'-' * 11}|{'-' * 10}|{'-' * 10}|"
+        if with_ratio:
+            head += f" {'vs ' + self.baseline:>{ratio_w}} |"
+            rule += f"{'-' * (ratio_w + 2)}|"
+        lines = [head + " note |", rule + "------|"]
         for c in self.cases:
             note = c.note
             if c.flags:
                 note = (note + " " if note else "") + ",".join(c.flags)
             if c.skipped:
-                lines.append(
+                line = (
                     f"| {c.case:24} | {c.size_bytes:>6} | {'skipped':>12} "
-                    f"| {'-':>9} | {'-':>8} | {'-':>8} | {note} |"
+                    f"| {'-':>9} | {'-':>8} | {'-':>8} |"
                 )
             else:
-                lines.append(
+                line = (
                     f"| {c.case:24} | {c.size_bytes:>6} | {c.ops_per_sec:>12.1f} "
-                    f"| {c.mb_per_sec:>9.3f} | {c.p50_us:>8.3f} | {c.p99_us:>8.3f} "
-                    f"| {note} |"
+                    f"| {c.mb_per_sec:>9.3f} | {c.p50_us:>8.3f} | {c.p99_us:>8.3f} |"
                 )
+            if with_ratio:
+                ratio = f"{c.ratio:.2f}x" if c.ratio is not None else "-"
+                line += f" {ratio:>{ratio_w}} |"
+            lines.append(f"{line} {note} |")
         env = self.environment
         lines.append("")
         lines.append(
@@ -322,20 +349,8 @@ def _make_primitive_op(name: str, size: int):
     raise InvalidParameterError(f"unknown primitive {name!r}")
 
 
-def bench_primitive(name: str, cfg: BenchConfig | None = None) -> BenchReport:
-    """Measure one primitive across the configured message sizes."""
-    cfg = cfg or BenchConfig()
-    cfg.validate()
-    if name not in PRIMITIVES:
-        raise InvalidParameterError(f"unknown primitive {name!r}")
-    cases = tuple(
-        _measure(_make_primitive_op(name, size), cfg, name, size) for size in cfg.sizes
-    )
-    return BenchReport("primitives", cases, environment_fingerprint())
-
-
 def bench_primitives(cfg: BenchConfig | None = None, names=None) -> BenchReport:
-    """All primitives (or a subset) in one report."""
+    """All primitives (or a subset) across the configured sizes, in one report."""
     cfg = cfg or BenchConfig()
     cfg.validate()
     names = tuple(names) if names is not None else PRIMITIVES
@@ -356,7 +371,8 @@ def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> Ben
     """Sustained one-way record throughput over a loopback pair.
 
     ``plaintext-baseline`` ships identical frames with a zeroed tag and
-    no key derivation, isolating what the cryptography costs.
+    no key derivation, and reads them with the same framing reader as
+    the endpoint, isolating what the cryptography costs.
     """
     if mode not in CHANNEL_MODES:
         raise InvalidParameterError(f"unknown channel mode {mode!r}")
@@ -365,11 +381,7 @@ def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> Ben
     if duration <= 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration}")
 
-    if mode == "plaintext-baseline":
-        count, elapsed, deltas = _run_plaintext_loopback(msg_size, duration)
-    else:
-        count, elapsed, deltas = _run_channel_loopback(Mode[mode], msg_size, duration)
-
+    count, elapsed, deltas = _loopback_stats(_run_loopback(mode, msg_size, duration))
     rate = count / elapsed if elapsed > 0 else 0.0
     deltas_us = sorted(d * 1e6 for d in deltas)
     case = BenchCase(
@@ -383,80 +395,57 @@ def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> Ben
     return BenchReport("channel", (case,), environment_fingerprint())
 
 
-def _loopback_pair():
-    left, right = socket.socketpair()
-    return left, right
-
-
-def _run_channel_loopback(mode: Mode, msg_size: int, duration: float):
-    init_pf, resp_pf = generate_provision(mode=mode)
-    left, right = _loopback_pair()
+def _run_loopback(mode: str, msg_size: int, duration: float) -> list[float]:
+    """Send records one way over a socketpair for ``duration`` seconds;
+    return the time at which the receiver thread got each one."""
+    plaintext = mode == "plaintext-baseline"
+    if not plaintext:
+        init_pf, resp_pf = generate_provision(mode=Mode[mode])
+    msg = _counter_buffer(msg_size)
     result: dict = {}
+    left, right = socket.socketpair()
 
     def receiver():
-        endpoint = ChannelEndpoint(load_association(resp_pf), right)
-        endpoint.handshake()
+        if plaintext:
+            def receive():
+                wire = read_record(right.recv)
+                return decode_record(wire) if wire else None
+        else:
+            endpoint = ChannelEndpoint(load_association(resp_pf), right)
+            endpoint.handshake()
+            receive = endpoint.receive
         stamps = []
-        while True:
-            payload = endpoint.receive()
-            if payload is None:
-                break
+        while receive() is not None:
             stamps.append(time.perf_counter())
         result["stamps"] = stamps
 
-    thread = threading.Thread(target=receiver, daemon=True)
-    thread.start()
-    sender = ChannelEndpoint(load_association(init_pf), left)
-    sender.handshake()
-    msg = _counter_buffer(msg_size)
-    deadline = time.perf_counter() + duration
-    while time.perf_counter() < deadline:
-        sender.send(msg)
-    sender.close()
-    thread.join(timeout=60.0)
-    left.close()
-    right.close()
+    with left, right:
+        thread = threading.Thread(target=receiver, daemon=True)
+        thread.start()
+        if plaintext:
+            seq = itertools.count(1)
+            zero_tag = bytes(TAG_LEN[Mode.AUTH_ONLY])
+
+            def send():
+                record = Record(
+                    MsgType.DATA, Mode.AUTH_ONLY, bytes(8), next(seq), msg, zero_tag
+                )
+                left.sendall(encode_record(record))
+
+            def finish():
+                left.shutdown(socket.SHUT_WR)
+        else:
+            sender = ChannelEndpoint(load_association(init_pf), left)
+            sender.handshake()
+            send, finish = (lambda: sender.send(msg)), sender.close
+        deadline = time.perf_counter() + duration
+        while time.perf_counter() < deadline:
+            send()
+        finish()
+        thread.join(timeout=60.0)
     if thread.is_alive() or "stamps" not in result:
         raise BenchError("loopback receiver did not finish")
-    return _loopback_stats(result["stamps"])
-
-
-def _run_plaintext_loopback(msg_size: int, duration: float):
-    left, right = _loopback_pair()
-    assoc_id = bytes(8)
-    zero_tag = bytes(TAG_LEN[Mode.AUTH_ONLY])
-    result: dict = {}
-
-    def receiver():
-        stamps = []
-        buf = b""
-        want = HEADER_LEN + msg_size + len(zero_tag)
-        while True:
-            chunk = right.recv(65536)
-            if not chunk:
-                break
-            buf += chunk
-            while len(buf) >= want:
-                decode_record(buf[:want])
-                buf = buf[want:]
-                stamps.append(time.perf_counter())
-        result["stamps"] = stamps
-
-    thread = threading.Thread(target=receiver, daemon=True)
-    thread.start()
-    msg = _counter_buffer(msg_size)
-    deadline = time.perf_counter() + duration
-    seq = itertools.count(1)
-    while time.perf_counter() < deadline:
-        record = Record(MsgType.DATA, Mode.AUTH_ONLY, assoc_id, next(seq), msg, zero_tag)
-        left.sendall(encode_record(record))
-    left.shutdown(socket.SHUT_WR)
-    thread.join(timeout=60.0)
-    left.close()
-    right.close()
-    if thread.is_alive() or "stamps" not in result:
-        raise BenchError("loopback receiver did not finish")
-    return _loopback_stats(result["stamps"])
+    return result["stamps"]
 
 
 def _loopback_stats(stamps: list[float]):
@@ -515,19 +504,17 @@ def parse_speed_output(text: str) -> dict[str, dict[int, float]]:
 
 
 def bench_tls_baseline(
-    cfg: BenchConfig | None = None,
-    command_template: str = "openssl speed -evp aes-256-gcm -bytes {size} -seconds 1",
+    sizes: tuple[int, ...], command_template: str = TLS_COMMAND
 ) -> BenchReport:
     """Throughput of an external TLS toolchain for side-by-side reporting.
 
-    The template is formatted once per configured size with ``{size}``.
-    A missing tool yields skipped rows; output that cannot be parsed
-    raises a BenchError carrying the raw output.
+    The template is formatted once per size with ``{size}``. A missing
+    tool yields skipped rows; output that cannot be parsed raises a
+    BenchError carrying the raw output.
     """
-    cfg = cfg or BenchConfig()
-    cfg.validate()
+    _check_sizes(sizes)
     cases = []
-    for size in cfg.sizes:
+    for size in sizes:
         argv = shlex.split(command_template.format(size=size))
         try:
             proc = subprocess.run(
@@ -581,56 +568,9 @@ def bench_tls_baseline(
 # -- comparison and headline ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    case: str
-    size_bytes: int
-    ops_per_sec: float
-    mb_per_sec: float
-    p50_us: float
-    p99_us: float
-    ratio: float | None
-    skipped: bool
-
-
-@dataclass(frozen=True)
-class Comparison:
-    baseline: str
-    rows: tuple[CompareRow, ...]
-
-    def to_csv(self) -> str:
-        lines = ["case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"]
-        for r in self.rows:
-            ratio = f"{r.ratio:.4f}" if r.ratio is not None else ""
-            lines.append(
-                f"{r.case},{r.size_bytes},{r.ops_per_sec:.2f},{r.mb_per_sec:.3f},"
-                f"{r.p50_us:.3f},{r.p99_us:.3f},{ratio}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_markdown(self) -> str:
-        lines = [
-            f"| {'case':24} | {'size':>6} | {'ops/sec':>12} | {'MB/sec':>9} "
-            f"| {'vs ' + self.baseline:>18} |",
-            f"|{'-' * 26}|{'-' * 8}|{'-' * 14}|{'-' * 11}|{'-' * 20}|",
-        ]
-        for r in self.rows:
-            if r.skipped:
-                lines.append(
-                    f"| {r.case:24} | {r.size_bytes:>6} | {'skipped':>12} "
-                    f"| {'-':>9} | {'-':>18} |"
-                )
-            else:
-                ratio = f"{r.ratio:.2f}x" if r.ratio is not None else "-"
-                lines.append(
-                    f"| {r.case:24} | {r.size_bytes:>6} | {r.ops_per_sec:>12.1f} "
-                    f"| {r.mb_per_sec:>9.3f} | {ratio:>18} |"
-                )
-        return "\n".join(lines) + "\n"
-
-
-def compare_report(*reports: BenchReport, baseline: str | None = None) -> Comparison:
-    """Merge reports into one ratio table against a named baseline case."""
+def compare_report(*reports: BenchReport, baseline: str | None = None) -> BenchReport:
+    """Merge reports into one table whose cases carry a throughput ratio
+    against a named baseline case (by default the first measured one)."""
     if len(reports) < 2:
         raise InvalidParameterError("comparison needs at least two reports")
     all_cases = [c for r in reports for c in r.cases]
@@ -651,26 +591,16 @@ def compare_report(*reports: BenchReport, baseline: str | None = None) -> Compar
                 f"case {case!r} covers sizes {sorted(sizes)} but baseline "
                 f"{baseline!r} covers {sorted(axis)}"
             )
-    rows = []
+    cases = []
     for c in all_cases:
         base = base_sizes[c.size_bytes]
         if c.skipped or base.skipped or base.ops_per_sec == 0.0:
             ratio = None
         else:
             ratio = c.ops_per_sec / base.ops_per_sec
-        rows.append(
-            CompareRow(
-                c.case,
-                c.size_bytes,
-                c.ops_per_sec,
-                c.mb_per_sec,
-                c.p50_us,
-                c.p99_us,
-                ratio,
-                c.skipped,
-            )
-        )
-    return Comparison(baseline, tuple(rows))
+        cases.append(replace(c, ratio=ratio))
+    suite = "+".join(r.suite for r in reports)
+    return BenchReport(suite, tuple(cases), reports[0].environment, baseline=baseline)
 
 
 def core_line_count() -> int:

@@ -21,6 +21,7 @@ from .association import (
     Mode,
     generate_provision,
     load_association,
+    parse_hex,
     read_provision_file,
     write_provision_file,
 )
@@ -77,16 +78,6 @@ def _parse_addr(text: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise KissError(f"bad port in address {text!r}") from None
-
-
-def _parse_hex32(text: str, what: str) -> bytes:
-    try:
-        data = bytes.fromhex(text)
-    except ValueError:
-        raise KissError(f"{what} must be hex") from None
-    if len(data) != 32:
-        raise KissError(f"{what} must be 64 hex chars (32 bytes)")
-    return data
 
 
 # -- subcommands -------------------------------------------------------
@@ -170,48 +161,41 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes) if args.sizes else bench_mod.DEFAULT_SIZES
-    cfg = bench_mod.BenchConfig(
-        sizes=sizes, iterations=args.iterations, duration=args.duration
-    )
     if args.suite == "primitives":
+        cfg = bench_mod.BenchConfig(
+            sizes=sizes, iterations=args.iterations, duration=args.duration
+        )
         report = bench_mod.bench_primitives(cfg)
-        csv_text = report.to_csv()
-        print(report.format_markdown())
     elif args.suite == "channel":
         cases = []
         for mode in bench_mod.CHANNEL_MODES:
             part = bench_mod.bench_channel(
-                mode, msg_size=args.msg_size, duration=args.duration or 1.0
+                mode, msg_size=args.msg_size, duration=args.duration
             )
             cases.extend(part.cases)
         report = bench_mod.BenchReport(
             "channel", tuple(cases), bench_mod.environment_fingerprint()
         )
-        csv_text = report.to_csv()
-        print(report.format_markdown())
     else:  # tls
         kiss_report = bench_mod.bench_channel(
-            "AUTH_ONLY", msg_size=args.msg_size, duration=args.duration or 1.0
+            "AUTH_ONLY", msg_size=args.msg_size, duration=args.duration
         )
-        tls_cfg = bench_mod.BenchConfig(
-            sizes=(args.msg_size,), duration=max(args.duration or 1.0, 1.0)
-        )
-        tls_report = bench_mod.bench_tls_baseline(tls_cfg, args.tls_command)
-        comparison = bench_mod.compare_report(
+        tls_report = bench_mod.bench_tls_baseline((args.msg_size,), args.tls_command)
+        report = bench_mod.compare_report(
             kiss_report, tls_report, baseline=kiss_report.cases[0].case
         )
-        csv_text = comparison.to_csv()
-        print(comparison.to_markdown())
+    print(report.format_markdown())
+    if args.suite == "tls":
         print(bench_mod.headline_summary(kiss_report, tls_report))
     if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
+        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
         log.info("wrote CSV to %s", args.csv)
     return 0
 
 
 def cmd_randomness(args) -> int:
-    seed = _parse_hex32(args.seed, "--seed") if args.seed else DEMO_SEED
-    root = _parse_hex32(args.root, "--root") if args.root else DEMO_ROOT
+    seed = parse_hex("--seed", args.seed, 32) if args.seed else DEMO_SEED
+    root = parse_hex("--root", args.root, 32) if args.root else DEMO_ROOT
     report = run_battery(
         seed, root, n_bits=args.bits, trials=args.trials, alpha=args.alpha
     )
@@ -223,8 +207,8 @@ def cmd_randomness(args) -> int:
 
 
 def cmd_vectors(args) -> int:
-    seed = _parse_hex32(args.seed, "--seed") if args.seed else bytes(32)
-    root = _parse_hex32(args.root, "--root") if args.root else bytes(32)
+    seed = parse_hex("--seed", args.seed, 32) if args.seed else bytes(32)
+    root = parse_hex("--root", args.root, 32) if args.root else bytes(32)
     label = args.label.encode("utf-8")
     state = idvv_init(Seed(seed), Root(root), label)
     print(f"seed = {seed.hex()}")
@@ -279,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tls-command",
-        default="openssl speed -evp aes-256-gcm -bytes {size} -seconds 1",
+        default=bench_mod.TLS_COMMAND,
         help="external speed command template ({size} placeholder)",
     )
     p.set_defaults(func=cmd_bench)

@@ -20,7 +20,7 @@ from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import (
     BenchConfig,
     bench_channel,
-    bench_primitive,
+    bench_primitives,
     bench_tls_baseline,
     compare_report,
     core_line_count,
@@ -209,16 +209,17 @@ def test_acceptance_5_randomness_battery(capsys):
 
 def test_acceptance_6_primitive_ordering(capsys):
     cfg = BenchConfig(sizes=(64,), duration=1.0)
-    rates = {
-        name: bench_primitive(name, cfg).cases[0].ops_per_sec
-        for name in (
+    report = bench_primitives(
+        cfg,
+        names=(
             "hmac-sha256",
             "aead-aes256gcm",
             "sign-ecdsa-p256",
             "sign-rsa2048",
             "idvv-step",
-        )
-    }
+        ),
+    )
+    rates = {case.case: case.ops_per_sec for case in report.cases}
     ordered = (
         rates["hmac-sha256"]
         > rates["aead-aes256gcm"]
@@ -244,7 +245,7 @@ def test_acceptance_6_primitive_ordering(capsys):
 
 def test_acceptance_7_headline_reporting(capsys):
     kiss_report = bench_channel("AUTH_ONLY", msg_size=1500, duration=1.0)
-    tls_report = bench_tls_baseline(BenchConfig(sizes=(1500,)))
+    tls_report = bench_tls_baseline((1500,))
     comparison = compare_report(
         kiss_report, tls_report, baseline=kiss_report.cases[0].case
     )
@@ -255,7 +256,7 @@ def test_acceptance_7_headline_reporting(capsys):
         f"{lines}" in summary
         and "source lines" in summary
         and ("ratio" in summary or "not available" in summary)
-        and len(comparison.rows) >= 2
+        and len(comparison.cases) >= 2
     )
     unjudged = all(
         word not in summary.lower() for word in ("pass", "fail", "threshold")

@@ -1,5 +1,7 @@
 """Provisioning format, loading, and the anti-replay gate."""
 
+import dataclasses
+
 import pytest
 
 from kiss.association import (
@@ -22,6 +24,7 @@ from kiss.errors import (
     ProvisionError,
     ReplayError,
 )
+from kiss.idvv import Root
 
 
 def test_generate_pair_shares_material():
@@ -164,6 +167,17 @@ def test_load_twice_bit_identical():
     assert a.send_chain.value == b.send_chain.value
     assert a.recv_chain.value == b.recv_chain.value
     assert a.send_chain.counter == b.send_chain.counter == 0
+
+
+def test_loaded_association_keeps_no_root():
+    # the chains need only value_0; a root kept in live state would let
+    # whoever captures it recompute value_0 and every past key
+    init_pf, _ = generate_provision()
+    assoc = load_association(init_pf)
+    for f in dataclasses.fields(assoc):
+        held = getattr(assoc, f.name)
+        assert not isinstance(held, Root), f.name
+        assert held != init_pf.root, f.name
 
 
 def test_loaded_pair_chains_mirror():

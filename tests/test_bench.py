@@ -5,13 +5,13 @@ import platform
 import pytest
 
 import kiss.bench as bench_mod
+import kiss.channel as channel_mod
 from kiss.bench import (
     PRIMITIVES,
     BenchCase,
     BenchConfig,
     BenchReport,
     bench_channel,
-    bench_primitive,
     bench_primitives,
     bench_tls_baseline,
     compare_report,
@@ -116,7 +116,7 @@ def test_unknown_primitive_rejected():
     with pytest.raises(InvalidParameterError):
         _make_primitive_op("sign-dsa1024", 64)
     with pytest.raises(InvalidParameterError):
-        bench_primitive("sign-dsa1024")
+        bench_primitives(names=("sign-dsa1024",))
 
 
 def test_seal_op_produces_framed_records():
@@ -142,7 +142,7 @@ def test_bench_primitives_report_shape():
 def test_hash_latency_grows_with_size():
     cfg = BenchConfig(sizes=(64, 65536), iterations=2000, duration=None,
                       samples=5, warmup=1)
-    report = bench_primitive("hash-sha256", cfg)
+    report = bench_primitives(cfg, names=("hash-sha256",))
     small, big = report.cases
     assert small.size_bytes == 64 and big.size_bytes == 65536
     assert small.p50_us < big.p50_us
@@ -161,7 +161,17 @@ def test_bench_channel_validates_arguments():
         bench_channel("AEAD", duration=0.0)
 
 
-def test_bench_channel_plaintext_baseline_runs():
+def test_bench_channel_plaintext_baseline_runs(monkeypatch):
+    # the baseline must frame with the endpoint's own reader, so that its
+    # gap to the channel modes is the cryptography alone
+    reads = []
+
+    def counting_read_record(read):
+        wire = channel_mod.read_record(read)
+        reads.append(len(wire))
+        return wire
+
+    monkeypatch.setattr(bench_mod, "read_record", counting_read_record)
     report = bench_channel("plaintext-baseline", msg_size=256, duration=0.3)
     assert report.suite == "channel"
     (case,) = report.cases
@@ -169,6 +179,9 @@ def test_bench_channel_plaintext_baseline_runs():
     assert case.size_bytes == 256
     assert case.ops_per_sec > 0
     assert case.p50_us <= case.p99_us
+    # one call per record, then the clean EOF
+    assert reads[-1] == 0
+    assert len(reads) >= 16 and set(reads[:-1]) == {25 + 256 + 32}
 
 
 # -- external tool parsing ----------------------------------------------
@@ -221,7 +234,7 @@ def test_parse_rejects_malformed_output(text):
 
 def test_tls_baseline_missing_tool_degrades_to_skipped():
     report = bench_tls_baseline(
-        BenchConfig(sizes=(64, 256)),
+        (64, 256),
         command_template="definitely-not-installed-xyz speed -bytes {size}",
     )
     assert [c.size_bytes for c in report.cases] == [64, 256]
@@ -229,10 +242,16 @@ def test_tls_baseline_missing_tool_degrades_to_skipped():
     assert all("not found" in c.note for c in report.cases)
 
 
+@pytest.mark.parametrize("sizes", [(), (0,), (64, -5)])
+def test_tls_baseline_rejects_bad_sizes(sizes):
+    with pytest.raises(InvalidParameterError):
+        bench_tls_baseline(sizes, command_template="/bin/echo {size}")
+
+
 def test_tls_baseline_garbage_output_raises_with_raw():
     with pytest.raises(BenchError) as err:
         bench_tls_baseline(
-            BenchConfig(sizes=(64,)),
+            (64,),
             command_template="/bin/echo pretend speed table {size}",
         )
     assert "pretend speed table 64" in err.value.raw_output
@@ -241,7 +260,7 @@ def test_tls_baseline_garbage_output_raises_with_raw():
 def test_tls_baseline_nonzero_exit_raises():
     with pytest.raises(BenchError, match="exited 3"):
         bench_tls_baseline(
-            BenchConfig(sizes=(64,)),
+            (64,),
             command_template="sh -c 'exit 3'",
         )
 
@@ -262,7 +281,9 @@ def test_compare_identical_reports_ratio_one():
     b = _report("two", _case("beta", 64, 1000.0), _case("beta", 512, 500.0))
     cmp = compare_report(a, b, baseline="alpha")
     assert cmp.baseline == "alpha"
-    assert [r.ratio for r in cmp.rows] == [1.0, 1.0, 1.0, 1.0]
+    assert [c.ratio for c in cmp.cases] == [1.0, 1.0, 1.0, 1.0]
+    assert "vs alpha" in cmp.format_markdown()
+    assert "vs " not in a.format_markdown()
 
 
 def test_compare_ratio_arithmetic_and_default_baseline():
@@ -270,7 +291,7 @@ def test_compare_ratio_arithmetic_and_default_baseline():
     b = _report("two", _case("beta", 64, 500.0))
     cmp = compare_report(a, b)  # first non-skipped case is the baseline
     assert cmp.baseline == "alpha"
-    by_name = {r.case: r for r in cmp.rows}
+    by_name = {c.case: c for c in cmp.cases}
     assert by_name["beta"].ratio == pytest.approx(0.25)
     assert by_name["alpha"].ratio == pytest.approx(1.0)
 
@@ -299,7 +320,7 @@ def test_compare_skipped_rows_have_no_ratio():
     a = _report("one", _case("alpha", 64, 1000.0))
     b = _report("two", _case("beta", 64, 0.0, skipped=True))
     cmp = compare_report(a, b, baseline="alpha")
-    by_name = {r.case: r for r in cmp.rows}
+    by_name = {c.case: c for c in cmp.cases}
     assert by_name["beta"].ratio is None
     assert by_name["beta"].skipped
     csv = cmp.to_csv()
@@ -307,7 +328,7 @@ def test_compare_skipped_rows_have_no_ratio():
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"
     )
     assert csv.splitlines()[2].endswith(",")  # empty ratio cell
-    assert "skipped" in cmp.to_markdown()
+    assert "skipped" in cmp.format_markdown()
 
 
 def test_report_csv_shape():
@@ -316,6 +337,46 @@ def test_report_csv_shape():
     assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
     assert len(lines) == 3
     assert lines[1].startswith("alpha,64,1234.50,")
+
+
+# fixed reports whose CSV text is pinned byte for byte: a noisy row, a
+# skipped row, and (in the comparison) an empty ratio cell
+_PIN_KISS = BenchReport(
+    "channel",
+    (BenchCase("channel-AUTH_ONLY", 1500, 6543.21, 9.814815, 120.5, 410.25,
+               flags=("noisy",)),),
+    {"cpu": "test", "python": "x"},
+)
+_PIN_TLS = BenchReport(
+    "tls",
+    (
+        BenchCase("tls-aes-256-gcm", 1500, 150000.0, 225.0, 0.0, 0.0,
+                  note="latency not reported by external tool"),
+        BenchCase("tls-external", 1500, 0.0, 0.0, 0.0, 0.0, skipped=True,
+                  note="external tool not found: openssl"),
+    ),
+    {"cpu": "test", "python": "x"},
+)
+
+
+def test_report_csv_text_is_pinned():
+    merged = BenchReport("channel", _PIN_KISS.cases + _PIN_TLS.cases)
+    assert merged.to_csv() == (
+        "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us\n"
+        "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250\n"
+        "tls-aes-256-gcm,1500,150000.00,225.000,0.000,0.000\n"
+        "tls-external,1500,0.00,0.000,0.000,0.000\n"
+    )
+
+
+def test_compare_csv_text_is_pinned():
+    cmp = compare_report(_PIN_KISS, _PIN_TLS, baseline="channel-AUTH_ONLY")
+    assert cmp.to_csv() == (
+        "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio\n"
+        "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250,1.0000\n"
+        "tls-aes-256-gcm,1500,150000.00,225.000,0.000,0.000,22.9245\n"
+        "tls-external,1500,0.00,0.000,0.000,0.000,\n"
+    )
 
 
 def test_report_markdown_mentions_environment():

@@ -308,6 +308,34 @@ def test_bench_primitives_cli(tmp_path):
     assert len(lines) == 1 + 7
 
 
+def test_bench_channel_cli(tmp_path):
+    csv_path = tmp_path / "channel.csv"
+    result = run_cli(
+        "bench", "--suite", "channel",
+        "--msg-size", "256", "--duration", "0.3",
+        "--csv", str(csv_path),
+    )
+    assert result.returncode == 0, result.stderr
+    lines = csv_path.read_text().strip().split("\n")
+    assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["channel-AUTH_ONLY", "256"],
+        ["channel-AEAD", "256"],
+        ["channel-plaintext-baseline", "256"],
+    ]
+    assert "channel-plaintext-baseline" in result.stdout
+
+
+@pytest.mark.parametrize("suite", ["channel", "tls"])
+def test_bench_zero_duration_exits_one(suite):
+    result = run_cli(
+        "bench", "--suite", suite, "--msg-size", "256", "--duration", "0",
+        "--tls-command", "definitely-not-installed-xyz speed {size}",
+    )
+    assert result.returncode == 1
+    assert "duration" in result.stderr
+
+
 def test_bench_tls_with_missing_tool_still_reports(tmp_path):
     csv_path = tmp_path / "tls.csv"
     result = run_cli(
