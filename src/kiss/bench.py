@@ -20,15 +20,15 @@ Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
 
 All timing uses the monotonic clock and batched loops, with warmup
-excluded. Throughput and percentiles come from the same samples.
-Per-batch op cost feeds the percentiles, so p50/p99 describe batch
-means, not single-op tails.
+excluded. The primitives of one call are timed in round-robin batches.
+Throughput and percentiles come from the same samples. Per-batch op
+cost feeds the percentiles, so p50/p99 describe batch means, not
+single-op tails.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import itertools
 import platform
 import re
@@ -56,7 +56,7 @@ from .association import (
 from .channel import ChannelEndpoint, MsgType, Record, TAG_LEN
 from .channel import decode_record, encode_record, read_record, seal
 from .errors import BenchError, InvalidParameterError
-from .idvv import Root, Seed, idvv_init, idvv_next
+from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_next
 
 DEFAULT_SIZES = (64, 512, 1500, 16384)
 
@@ -243,25 +243,39 @@ def _calibrate_batch(op, target: float = 0.02) -> int:
     return max(1, int(n * target / max(dt, 1e-9)))
 
 
-def _measure(op, cfg: BenchConfig, case: str, size: int) -> BenchCase:
-    if cfg.iterations is not None:
-        batch = cfg.iterations
-    else:
-        batch = _calibrate_batch(op)
-    for _ in range(cfg.warmup):
-        _run_batch(op, batch)
-
-    times: list[float] = []
+def _case_done(times: list[float], cfg: BenchConfig) -> bool:
     if cfg.duration is not None:
-        spent = 0.0
-        while spent < cfg.duration or len(times) < 3:
-            dt = _run_batch(op, batch)
-            times.append(dt)
-            spent += dt
-    else:
-        for _ in range(cfg.samples):
-            times.append(_run_batch(op, batch))
+        return sum(times) >= cfg.duration and len(times) >= 3
+    return len(times) >= cfg.samples
 
+
+def _measure_cases(cases, cfg: BenchConfig) -> list[BenchCase]:
+    """Time ``(case, size, op)`` triples, one batch of each per round.
+
+    The host's speed drifts over seconds. Timing the cases in turn rather
+    than one after another lets that drift touch every case alike, so the
+    ratios between cases measure the ops and not the moment each was timed.
+    """
+    if cfg.iterations is not None:
+        batches = [cfg.iterations] * len(cases)
+    else:
+        batches = [_calibrate_batch(op) for _, _, op in cases]
+    for _ in range(cfg.warmup):
+        for (_, _, op), batch in zip(cases, batches):
+            _run_batch(op, batch)
+
+    times: list[list[float]] = [[] for _ in cases]
+    while not all(_case_done(t, cfg) for t in times):
+        for (_, _, op), batch, t in zip(cases, batches, times):
+            if not _case_done(t, cfg):
+                t.append(_run_batch(op, batch))
+    return [
+        _summarise(case, size, batch, t)
+        for (case, size, _), batch, t in zip(cases, batches, times)
+    ]
+
+
+def _summarise(case: str, size: int, batch: int, times: list[float]) -> BenchCase:
     total = sum(times)
     ops = len(times) * batch
     per_op_us = sorted(t / batch * 1e6 for t in times)
@@ -315,7 +329,7 @@ def _make_primitive_op(name: str, size: int):
         return lambda: hashlib.sha256(msg).digest()
     if name == "hmac-sha256":
         key = bytes(range(32))
-        return lambda: hmac.digest(key, msg, "sha256")
+        return lambda: hmac_sha256(key, msg)
     if name == "aead-aes256gcm":
         # the record layer never reuses a key, so the schedule setup is
         # part of the honest per-message cost; key varies per op
@@ -357,11 +371,14 @@ def bench_primitives(cfg: BenchConfig | None = None, names=None) -> BenchReport:
     for name in names:
         if name not in PRIMITIVES:
             raise InvalidParameterError(f"unknown primitive {name!r}")
-    cases = []
-    for name in names:
-        for size in cfg.sizes:
-            cases.append(_measure(_make_primitive_op(name, size), cfg, name, size))
-    return BenchReport("primitives", tuple(cases), environment_fingerprint())
+    cases = [
+        (name, size, _make_primitive_op(name, size))
+        for name in names
+        for size in cfg.sizes
+    ]
+    return BenchReport(
+        "primitives", tuple(_measure_cases(cases, cfg)), environment_fingerprint()
+    )
 
 
 # -- channel benchmarks -----------------------------------------------

@@ -46,6 +46,7 @@ from .idvv import (
     KEY_LABEL_NONCE,
     IdvvValue,
     derive_key,
+    hmac_sha256,
     idvv_fast_forward,
     idvv_next,
 )
@@ -191,7 +192,7 @@ def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
         stub = Record(msg_type, assoc.mode, assoc.assoc_id, value.counter, payload, b"")
         header = stub.header()
         if assoc.mode is Mode.AUTH_ONLY:
-            tag = hmac.digest(k_mac, header + payload, "sha256")
+            tag = hmac_sha256(k_mac, header + payload)
             return Record(
                 msg_type, assoc.mode, assoc.assoc_id, value.counter, payload, tag
             )
@@ -227,7 +228,7 @@ def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
         k_mac, k_enc, nonce = _record_keys(value, assoc.mode, "open")
         header = wire[:HEADER_LEN]
         if assoc.mode is Mode.AUTH_ONLY:
-            want = hmac.digest(k_mac, header + record.payload, "sha256")
+            want = hmac_sha256(k_mac, header + record.payload)
             if not hmac.compare_digest(want, record.tag):
                 raise AuthenticationError("record tag verification failed")
             plaintext = record.payload

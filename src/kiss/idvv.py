@@ -24,6 +24,8 @@ from __future__ import annotations
 import hmac
 import struct
 
+from _hashlib import hmac_new as _hmac_new
+
 from .errors import (
     ChainExhaustedError,
     InvalidParameterError,
@@ -46,8 +48,14 @@ _KEY_LABELS = frozenset((KEY_LABEL_MAC, KEY_LABEL_ENC, KEY_LABEL_NONCE))
 _U64 = struct.Struct(">Q")
 
 
-def _prf(key: bytes, message: bytes) -> bytes:
-    return hmac.digest(key, message, "sha256")
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA-256 through an OpenSSL HMAC context.
+
+    ``hmac.digest`` takes OpenSSL 3's one-shot ``HMAC()``, which fetches
+    the MAC implementation on every call; at 64 B that doubles the cost.
+    Like ``hmac.digest``, this reads the key buffer without copying it.
+    """
+    return _hmac_new(key, message, "sha256").digest()
 
 
 class _Secret:
@@ -221,7 +229,7 @@ def idvv_init(seed: Seed | bytes, root: Root | bytes, direction_label: bytes) ->
     seed = _as_secret(seed, Seed)
     root = _as_secret(root, Root)
     _check_label(direction_label)
-    value = _prf(seed.bytes, root.bytes + bytes(direction_label))
+    value = hmac_sha256(seed.bytes, root.bytes + bytes(direction_label))
     return IdvvState(seed, value, 0, bytes(direction_label))
 
 
@@ -234,8 +242,8 @@ def idvv_next(state: IdvvState) -> IdvvValue:
     """
     if state._counter >= MAX_COUNTER:
         raise ChainExhaustedError("chain counter exhausted; re-provision the association")
-    # hmac.digest takes the live buffers directly; no secret copies made here
-    new = _prf(state._value, state._seed._buf + _U64.pack(state._counter))
+    # the PRF takes the live buffers directly; no secret copies made here
+    new = hmac_sha256(state._value, state._seed._buf + _U64.pack(state._counter))
     state._value[:] = new
     state._counter += 1
     return IdvvValue(new, state._counter)
@@ -254,7 +262,7 @@ def idvv_fast_forward(state: IdvvState, target_counter: int, max_steps: int) -> 
     gap = target_counter - state.counter
     if gap > max_steps:
         raise OutOfWindowError(f"gap {gap} exceeds window {max_steps}")
-    pack, prf = _U64.pack, _prf
+    pack, prf = _U64.pack, hmac_sha256
     for _ in range(gap - 1):
         state._value[:] = prf(state._value, state._seed._buf + pack(state._counter))
         state._counter += 1
@@ -271,4 +279,4 @@ def derive_key(value: IdvvValue, label: bytes, out_len: int) -> bytes:
         raise InvalidParameterError(f"unknown key derivation label {label!r}")
     if not 0 <= out_len <= SECRET_LEN:
         raise InvalidParameterError(f"out_len must be 0..{SECRET_LEN}, got {out_len}")
-    return _prf(value.bytes, bytes(label))[:out_len]
+    return hmac_sha256(value.bytes, bytes(label))[:out_len]

@@ -20,7 +20,7 @@ from kiss.bench import (
     headline_summary,
     parse_speed_output,
     _make_primitive_op,
-    _measure,
+    _measure_cases,
     _percentile,
 )
 from kiss.errors import BenchError, InvalidParameterError
@@ -74,7 +74,7 @@ def _scripted_measure(monkeypatch, script, size=64):
     monkeypatch.setattr(bench_mod, "_run_batch", lambda op, n: script.pop(0))
     cfg = BenchConfig(sizes=(size,), iterations=1000, duration=None,
                       samples=10, warmup=0)
-    return _measure(lambda: None, cfg, "scripted", size)
+    return _measure_cases([("scripted", size, lambda: None)], cfg)[0]
 
 
 def test_measure_arithmetic(monkeypatch):
@@ -92,6 +92,23 @@ def test_measure_flags_noise_without_failing(monkeypatch):
     assert not case.skipped
     assert case.p50_us == pytest.approx(10.0, rel=1e-9)
     assert case.p99_us == pytest.approx(19.1, rel=1e-9)
+
+
+def test_measure_cases_interleaves_batches(monkeypatch):
+    order = []
+
+    def run_batch(op, n):
+        order.append(op())
+        return 0.010
+
+    monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
+    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None,
+                      samples=3, warmup=1)
+    cases = _measure_cases(
+        [("a", 64, lambda: "a"), ("b", 64, lambda: "b")], cfg
+    )
+    assert [c.case for c in cases] == ["a", "b"]
+    assert order == ["a", "b"] * 4  # warmup round, then three timed rounds
 
 
 def test_percentile_interpolation():
