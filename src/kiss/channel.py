@@ -13,8 +13,10 @@ AES-256-GCM ciphertext and the tag field its 16-byte GCM tag, with the
 header as associated data.
 
 Receive-side rule: nothing is committed until the tag verifies. The
-fast-forward happens on a scratch clone of the chain, so a flood of
-garbage cannot desynchronize the endpoint or burn window state.
+receiver computes the record's chain value from its live chain without
+moving it (``idvv_peek``), and overwrites the chain in place only once
+the tag is good, so a flood of garbage cannot desynchronize the endpoint
+or burn window state.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import enum
 import hmac
 import os
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -44,11 +46,9 @@ from .idvv import (
     KEY_LABEL_ENC,
     KEY_LABEL_MAC,
     KEY_LABEL_NONCE,
-    IdvvValue,
-    derive_key,
     hmac_sha256,
-    idvv_fast_forward,
-    idvv_next,
+    idvv_peek,
+    idvv_step,
 )
 
 MAGIC = b"KI"
@@ -78,6 +78,9 @@ class MsgType(enum.IntEnum):
     ALERT = 0x05
 
 
+_MSG_TYPES = {int(t): t for t in MsgType}
+
+
 class ChannelState(enum.Enum):
     NEW = "new"
     HANDSHAKING = "handshaking"
@@ -85,8 +88,7 @@ class ChannelState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     msg_type: MsgType
     mode: Mode
     assoc_id: bytes
@@ -98,7 +100,7 @@ class Record:
         return _HEADER.pack(
             MAGIC,
             VERSION,
-            int(self.msg_type),
+            self.msg_type,
             _MODE_WIRE[self.mode],
             self.assoc_id,
             self.seq,
@@ -117,7 +119,7 @@ def encode_record(record: Record) -> bytes:
             f"tag must be {TAG_LEN[record.mode]} bytes in {record.mode.value} mode",
             field="tag",
         )
-    return record.header() + record.payload + record.tag
+    return b"".join((record.header(), record.payload, record.tag))
 
 
 def decode_header(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
@@ -131,10 +133,9 @@ def decode_header(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
         raise FrameError(f"bad magic {magic!r}", field="magic")
     if version != VERSION:
         raise FrameError(f"unsupported version {version:#04x}", field="version")
-    try:
-        msg_type = MsgType(mt_raw)
-    except ValueError:
-        raise FrameError(f"unknown msg_type {mt_raw:#04x}", field="msg_type") from None
+    msg_type = _MSG_TYPES.get(mt_raw)
+    if msg_type is None:
+        raise FrameError(f"unknown msg_type {mt_raw:#04x}", field="msg_type")
     mode = _WIRE_MODE.get(mode_raw)
     if mode is None:
         raise FrameError(f"unknown mode {mode_raw:#04x}", field="mode")
@@ -145,33 +146,36 @@ def decode_header(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
     return msg_type, mode, assoc_id, seq, payload_len
 
 
-def decode_record(buf: bytes) -> Record:
+def _decode_frame(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
+    """:func:`decode_header` plus the exact-length check; the last field
+    is where the payload ends and the tag begins."""
     msg_type, mode, assoc_id, seq, payload_len = decode_header(buf)
-    want = HEADER_LEN + payload_len + TAG_LEN[mode]
-    if len(buf) != want:
+    end = HEADER_LEN + payload_len
+    if len(buf) != end + TAG_LEN[mode]:
         raise FrameError(
-            f"record length {len(buf)} does not match header (want {want})",
+            f"record length {len(buf)} does not match header "
+            f"(want {end + TAG_LEN[mode]})",
             field="payload_len",
         )
-    payload = buf[HEADER_LEN : HEADER_LEN + payload_len]
-    tag = buf[HEADER_LEN + payload_len :]
-    return Record(msg_type, mode, assoc_id, seq, payload, tag)
+    return msg_type, mode, assoc_id, seq, end
 
 
-def _record_keys(value: IdvvValue, mode: Mode, op: str):
-    """Derive this record's key material from one chain value."""
-    k_mac = k_enc = nonce = None
+def decode_record(buf: bytes) -> Record:
+    msg_type, mode, assoc_id, seq, end = _decode_frame(buf)
+    return Record(msg_type, mode, assoc_id, seq, buf[HEADER_LEN:end], buf[end:])
+
+
+def _record_keys(value: bytes, seq: int, mode: Mode, op: str):
+    """This record's key and nonce (None in auth-only mode) from one chain
+    value: the ``derive_key`` prefixes, without its checks and copies."""
     if mode is Mode.AUTH_ONLY:
-        k_mac = derive_key(value, KEY_LABEL_MAC, 32)
+        label, nonce = KEY_LABEL_MAC, None
     else:
-        k_enc = derive_key(value, KEY_LABEL_ENC, 32)
-        nonce = derive_key(value, KEY_LABEL_NONCE, 12)
+        label, nonce = KEY_LABEL_ENC, hmac_sha256(value, KEY_LABEL_NONCE)[:12]
+    key = hmac_sha256(value, label)
     if _key_trace_hook is not None:
-        if k_mac is not None:
-            _key_trace_hook(op, value.counter, KEY_LABEL_MAC, k_mac)
-        if k_enc is not None:
-            _key_trace_hook(op, value.counter, KEY_LABEL_ENC, k_enc)
-    return k_mac, k_enc, nonce
+        _key_trace_hook(op, seq, label, key)
+    return key, nonce
 
 
 def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
@@ -184,67 +188,53 @@ def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
         raise InvalidParameterError(
             f"payload {len(payload)} exceeds cap {MAX_PAYLOAD}"
         )
-    value = idvv_next(assoc.send_chain)
-    try:
-        k_mac, k_enc, nonce = _record_keys(value, assoc.mode, "seal")
-        # Ciphertext length equals plaintext length in GCM, so the header
-        # (which doubles as the AAD) can be built before protecting.
-        stub = Record(msg_type, assoc.mode, assoc.assoc_id, value.counter, payload, b"")
-        header = stub.header()
-        if assoc.mode is Mode.AUTH_ONLY:
-            tag = hmac_sha256(k_mac, header + payload)
-            return Record(
-                msg_type, assoc.mode, assoc.assoc_id, value.counter, payload, tag
-            )
-        ct_and_tag = AESGCM(k_enc).encrypt(nonce, payload, header)
-        return Record(
-            msg_type,
-            assoc.mode,
-            assoc.assoc_id,
-            value.counter,
-            ct_and_tag[:-16],
-            ct_and_tag[-16:],
-        )
-    finally:
-        value.wipe()
+    mode, assoc_id, chain = assoc.mode, assoc.assoc_id, assoc.send_chain
+    value = idvv_step(chain)
+    seq = chain.counter
+    key, nonce = _record_keys(value, seq, mode, "seal")
+    # Ciphertext length equals plaintext length in GCM, so the header
+    # (which doubles as the AAD) can be built before protecting.
+    header = _HEADER.pack(
+        MAGIC, VERSION, msg_type, _MODE_WIRE[mode], assoc_id, seq, len(payload)
+    )
+    if mode is Mode.AUTH_ONLY:
+        tag = hmac_sha256(key, header + payload)
+        return Record(msg_type, mode, assoc_id, seq, payload, tag)
+    sealed = AESGCM(key).encrypt(nonce, payload, header)
+    return Record(msg_type, mode, assoc_id, seq, sealed[:-16], sealed[-16:])
 
 
 def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
     """Verify and decode one incoming record; commit state only on success."""
-    record = decode_record(wire)
-    if record.assoc_id != assoc.assoc_id:
+    msg_type, mode, assoc_id, seq, end = _decode_frame(wire)
+    if assoc_id != assoc.assoc_id:
         raise AssociationError("record addressed to a different association")
-    if record.mode is not assoc.mode:
+    if mode is not assoc.mode:
         raise FrameError(
-            f"record mode {record.mode.value} does not match association "
+            f"record mode {mode.value} does not match association "
             f"{assoc.mode.value}",
             field="mode",
         )
-    accept_seq(assoc, record.seq)
+    accept_seq(assoc, seq)
 
-    scratch = assoc.recv_chain.clone()
-    value = idvv_fast_forward(scratch, record.seq, assoc.resync_window)
-    try:
-        k_mac, k_enc, nonce = _record_keys(value, assoc.mode, "open")
-        header = wire[:HEADER_LEN]
-        if assoc.mode is Mode.AUTH_ONLY:
-            want = hmac_sha256(k_mac, header + record.payload)
-            if not hmac.compare_digest(want, record.tag):
-                raise AuthenticationError("record tag verification failed")
-            plaintext = record.payload
-        else:
-            try:
-                plaintext = AESGCM(k_enc).decrypt(
-                    nonce, record.payload + record.tag, header
-                )
-            except InvalidTag:
-                raise AuthenticationError("record tag verification failed") from None
-    finally:
-        value.wipe()
+    chain = assoc.recv_chain
+    value = idvv_peek(chain, seq, assoc.resync_window)
+    key, nonce = _record_keys(value, seq, mode, "open")
+    if mode is Mode.AUTH_ONLY:
+        if not hmac.compare_digest(hmac_sha256(key, wire[:end]), wire[end:]):
+            raise AuthenticationError("record tag verification failed")
+        plaintext = wire[HEADER_LEN:end]
+    else:
+        try:
+            plaintext = AESGCM(key).decrypt(
+                nonce, wire[HEADER_LEN:], wire[:HEADER_LEN]
+            )
+        except InvalidTag:
+            raise AuthenticationError("record tag verification failed") from None
 
-    assoc.recv_chain = scratch
-    assoc.highest_accepted_seq = record.seq
-    return record.msg_type, plaintext
+    chain.commit(value, seq)
+    assoc.highest_accepted_seq = seq
+    return msg_type, plaintext
 
 
 def read_record(read) -> bytes:
@@ -262,17 +252,21 @@ def read_record(read) -> bytes:
 
 
 def _read_exact(read, n: int, allow_eof: bool = False) -> bytes:
+    chunk = read(n)
+    if len(chunk) == n:  # the usual case: one recv delivers it all
+        return chunk
     chunks = []
     got = 0
-    while got < n:
-        chunk = read(n - got)
+    while True:
         if not chunk:
             if allow_eof and got == 0:
                 return b""
             raise TransportError(f"connection closed mid-record ({got}/{n} bytes)")
         chunks.append(chunk)
         got += len(chunk)
-    return b"".join(chunks)
+        if got >= n:
+            return b"".join(chunks)
+        chunk = read(n - got)
 
 
 class ChannelEndpoint:

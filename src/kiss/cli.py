@@ -160,6 +160,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_bench(args) -> int:
+    flags = (("--sizes", args.sizes), ("--iterations", args.iterations))
+    given = [flag for flag, value in flags if value is not None]
+    if given and args.suite != "primitives":
+        raise KissError(
+            f"the {args.suite} suite does not use {' or '.join(given)}; "
+            "it takes --msg-size"
+        )
     sizes = _parse_sizes(args.sizes) if args.sizes else bench_mod.DEFAULT_SIZES
     if args.suite == "primitives":
         cfg = bench_mod.BenchConfig(

@@ -110,37 +110,17 @@ class Root(_Secret):
     """Second bootstrap secret; independent of the seed."""
 
 
-class IdvvValue:
+class IdvvValue(_Secret):
     """One chain output: 32 value bytes plus the step index that produced them.
 
-    Immutable once produced; ``wipe()`` when done with it.
+    ``wipe()`` when done with it.
     """
 
-    __slots__ = ("_buf", "_counter")
+    __slots__ = ("counter",)
 
     def __init__(self, value: bytes, counter: int):
-        self._buf = bytearray(value)
-        self._counter = counter
-
-    @property
-    def bytes(self) -> bytes:
-        return bytes(self._buf)
-
-    @property
-    def counter(self) -> int:
-        return self._counter
-
-    def wipe(self) -> None:
-        self._buf[:] = _ZEROS
-
-    def __del__(self):
-        try:
-            self.wipe()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        return f"IdvvValue(counter={self._counter}, <32 bytes>)"
+        super().__init__(value)
+        self.counter = counter
 
 
 class IdvvState:
@@ -174,10 +154,18 @@ class IdvvState:
     def clone(self) -> "IdvvState":
         """Independent copy sharing the seed reference.
 
-        Used to trial-advance a receive chain; commit by replacing the
-        original, discard on verification failure.
+        Nothing in the package calls it: the record layer looks ahead
+        with :func:`idvv_peek` and commits in place.
         """
         return IdvvState(self._seed, bytes(self._value), self._counter, self._label)
+
+    def commit(self, value: bytes, counter: int) -> None:
+        """Move forward to a position computed by :func:`idvv_peek`,
+        overwriting the value buffer in place."""
+        if counter <= self._counter:
+            raise ReplayError(f"counter {counter} not beyond current {self._counter}")
+        self._value[:] = value
+        self._counter = counter
 
     def snapshot(self) -> dict:
         """Persistable position. Excludes the seed, which the caller must
@@ -233,12 +221,11 @@ def idvv_init(seed: Seed | bytes, root: Root | bytes, direction_label: bytes) ->
     return IdvvState(seed, value, 0, bytes(direction_label))
 
 
-def idvv_next(state: IdvvState) -> IdvvValue:
-    """Advance the chain one step and return the new value.
+def idvv_step(state: IdvvState) -> bytes:
+    """Advance the chain one step and return the new value's bytes.
 
     The step from counter i keys the PRF with value_i over seed || BE64(i);
-    value_i is destroyed by overwriting the state buffer in place. The
-    returned value carries the post-increment counter i+1.
+    value_i is destroyed by overwriting the state buffer in place.
     """
     if state._counter >= MAX_COUNTER:
         raise ChainExhaustedError("chain counter exhausted; re-provision the association")
@@ -246,27 +233,42 @@ def idvv_next(state: IdvvState) -> IdvvValue:
     new = hmac_sha256(state._value, state._seed._buf + _U64.pack(state._counter))
     state._value[:] = new
     state._counter += 1
-    return IdvvValue(new, state._counter)
+    return new
+
+
+def idvv_next(state: IdvvState) -> IdvvValue:
+    """:func:`idvv_step` as an :class:`IdvvValue` carrying the new counter."""
+    return IdvvValue(idvv_step(state), state._counter)
+
+
+def idvv_peek(state: IdvvState, target_counter: int, max_steps: int) -> bytes:
+    """The value at ``target_counter``, computed without changing ``state``.
+
+    Refuses to go backwards or sideways (replay) and refuses gaps beyond
+    ``max_steps`` (out of window). Commit with :meth:`IdvvState.commit`.
+    """
+    counter = state._counter
+    if target_counter <= counter:
+        raise ReplayError(f"target counter {target_counter} not beyond current {counter}")
+    gap = target_counter - counter
+    if gap > max_steps:
+        raise OutOfWindowError(f"gap {gap} exceeds window {max_steps}")
+    if target_counter > MAX_COUNTER:
+        raise ChainExhaustedError("chain counter exhausted; re-provision the association")
+    value, seed, pack = state._value, state._seed._buf, _U64.pack
+    for i in range(counter, target_counter):
+        value = hmac_sha256(value, seed + pack(i))
+    return value
 
 
 def idvv_fast_forward(state: IdvvState, target_counter: int, max_steps: int) -> IdvvValue:
     """Advance to ``target_counter``, discarding intermediate values.
 
-    Refuses to go backwards or sideways (replay) and refuses gaps beyond
-    ``max_steps`` (out of window) before touching the state.
+    Checks as :func:`idvv_peek` does, before touching the state.
     """
-    if target_counter <= state.counter:
-        raise ReplayError(
-            f"target counter {target_counter} not beyond current {state.counter}"
-        )
-    gap = target_counter - state.counter
-    if gap > max_steps:
-        raise OutOfWindowError(f"gap {gap} exceeds window {max_steps}")
-    pack, prf = _U64.pack, hmac_sha256
-    for _ in range(gap - 1):
-        state._value[:] = prf(state._value, state._seed._buf + pack(state._counter))
-        state._counter += 1
-    return idvv_next(state)
+    value = idvv_peek(state, target_counter, max_steps)
+    state.commit(value, target_counter)
+    return IdvvValue(value, target_counter)
 
 
 def derive_key(value: IdvvValue, label: bytes, out_len: int) -> bytes:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError
-from .idvv import idvv_init, idvv_next
+from .idvv import idvv_init, idvv_step
 
 MIN_STREAM_BITS = 100
 
@@ -83,11 +83,7 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
             f"stream must be at least {MIN_STREAM_BITS} bits, got {n_bits}"
         )
     state = idvv_init(seed, root, label)
-    out = bytearray()
-    for _ in range(-(-n_bits // 256)):
-        value = idvv_next(state)
-        out += value.bytes
-        value.wipe()
+    out = b"".join([idvv_step(state) for _ in range(-(-n_bits // 256))])
     return BitStream.from_bytes(out, n_bits)
 
 

@@ -407,6 +407,20 @@ def test_report_markdown_mentions_environment():
     assert "Example CPU" in text
 
 
+@pytest.mark.parametrize("compared", [False, True])
+def test_markdown_rows_line_up_with_header(compared):
+    report = BenchReport("channel", _PIN_KISS.cases + (
+        BenchCase("channel-plaintext-baseline", 1500, 98765.4, 148.1, 8.5, 30.25),
+    ))
+    if compared:
+        report = compare_report(report, _PIN_TLS, baseline="channel-AUTH_ONLY")
+    table = report.format_markdown().split("\n\n")[0].splitlines()
+    assert len(table) == 2 + len(report.cases)
+    bars = [[i for i, ch in enumerate(line) if ch == "|"] for line in table]
+    assert all(len(line) == len(table[0]) for line in table)
+    assert all(b == bars[0] for b in bars)
+
+
 # -- headline -----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Record layer: framing, seal/open, tamper rejection, endpoints."""
 
+import hashlib
 import io
 import socket
 import threading
@@ -210,6 +211,57 @@ def test_tamper_rejected_without_burning_state(mode):
     assert open_record(receiver, wire) == (MsgType.DATA, b"genuine-payload")
 
 
+def _chain_position(assoc):
+    return assoc.recv_chain.value, assoc.recv_chain.counter, assoc.highest_accepted_seq
+
+
+def _bad_tag(wire):
+    return wire[:-1] + bytes([wire[-1] ^ 0x01])
+
+
+def _header_bit(offset):
+    return lambda wire: wire[:offset] + bytes([wire[offset] ^ 0x01]) + wire[offset + 1 :]
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+@pytest.mark.parametrize("gap", [1, 5])
+@pytest.mark.parametrize(
+    "mutate",
+    [_bad_tag, _header_bit(0), _header_bit(3), _header_bit(20), lambda w: w[:-1]],
+    ids=["bad-tag", "magic-bit", "msg-type-bit", "seq-bit", "truncated"],
+)
+def test_reject_leaves_chain_bytes_unchanged(mode, gap, mutate):
+    sender, receiver = _pair(mode)
+    wires = _sealed(sender, 1 + gap)
+    open_record(receiver, wires[0])
+    before = _chain_position(receiver)
+    with pytest.raises(KissError):
+        open_record(receiver, mutate(wires[gap]))
+    assert _chain_position(receiver) == before
+    assert open_record(receiver, wires[gap])[1] == b"payload-%02d" % gap
+
+
+# sha256 of encode_record(seal(...)) for seq 1..64 from _pair(mode), payload
+# i of 0, 64 or 1500 bytes in turn; recorded before the one-pass record layer
+WIRE_PINS = {
+    Mode.AUTH_ONLY: "394dac4d473411bc4e1f264f61c2eaab1518f9b815658a67bd55a1731b7e5624",
+    Mode.AEAD: "5f4152e73d1880ddb713b2f3dc0a707918c4cead5ddc56e65b001a9930fb20c0",
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_sealed_wire_bytes_are_pinned(mode):
+    sender, receiver = _pair(mode)
+    digest = hashlib.sha256()
+    for i in range(64):
+        payload = bytes((i + j) & 0xFF for j in range((0, 64, 1500)[i % 3]))
+        wire = encode_record(seal(sender, MsgType.DATA, payload))
+        assert open_record(receiver, wire) == (MsgType.DATA, payload)
+        digest.update(wire)
+    assert sender.send_chain.counter == 64
+    assert digest.hexdigest() == WIRE_PINS[mode]
+
+
 def test_wrong_assoc_id():
     sender, _ = _pair()
     other_pf = ProvisionFile(
@@ -293,6 +345,22 @@ def test_read_record_handles_dribble():
     wire = encode_record(seal(sender, MsgType.DATA, b"slow network"))
     stream = io.BytesIO(wire)
     assert read_record(lambda n: stream.read(min(n, 1))) == wire
+
+
+def test_read_record_whole_record_in_one_recv_then_eof():
+    sender, _ = _pair()
+    wire = encode_record(seal(sender, MsgType.DATA, b"all at once"))
+    stream = io.BytesIO(wire)
+    asked = []
+
+    def read(n):
+        asked.append(n)
+        return stream.read(n)
+
+    got = read_record(read)
+    assert got == wire and type(got) is bytes
+    assert asked == [HEADER_LEN, len(wire) - HEADER_LEN]
+    assert read_record(read) == b""
 
 
 def test_read_record_mid_record_eof():

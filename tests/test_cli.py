@@ -336,6 +336,18 @@ def test_bench_zero_duration_exits_one(suite):
     assert "duration" in result.stderr
 
 
+@pytest.mark.parametrize("suite", ["channel", "tls"])
+@pytest.mark.parametrize("flag,value", [("--sizes", "64"), ("--iterations", "5000")])
+def test_bench_suite_refuses_flag_it_does_not_use(suite, flag, value):
+    result = run_cli(
+        "bench", "--suite", suite, flag, value, "--msg-size", "256", "--duration", "0.2",
+        "--tls-command", "definitely-not-installed-xyz speed {size}",
+    )
+    assert result.returncode == 1
+    assert flag in result.stderr
+    assert "|" not in result.stdout  # refused before measuring anything
+
+
 def test_bench_tls_with_missing_tool_still_reports(tmp_path):
     csv_path = tmp_path / "tls.csv"
     result = run_cli(

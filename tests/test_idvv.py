@@ -22,6 +22,8 @@ from kiss.idvv import (
     idvv_fast_forward,
     idvv_init,
     idvv_next,
+    idvv_peek,
+    idvv_step,
 )
 
 from oracles import (
@@ -142,6 +144,50 @@ def test_fast_forward_refuses_wide_gap():
     # refusal must not move the state
     assert state.counter == 0
     assert state.value == idvv_init(SEED, ROOT, b"c2s").value
+
+
+def test_step_is_next_without_the_wrapper():
+    a = idvv_init(SEED, ROOT, b"c2s")
+    b = idvv_init(SEED, ROOT, b"c2s")
+    for want in chain_values_ref(SEED, ROOT, b"c2s", 3)[1:]:
+        assert idvv_step(a) == want == idvv_next(b).bytes
+    assert a.counter == b.counter == 3
+
+
+@pytest.mark.parametrize("gap", [1, 5])
+def test_peek_leaves_state_and_commit_lands_it(gap):
+    state = idvv_init(SEED, ROOT, b"s2c")
+    idvv_next(state)
+    before = state.value
+    value = idvv_peek(state, 1 + gap, 1024)
+    assert (state.value, state.counter) == (before, 1)
+    assert value == chain_values_ref(SEED, ROOT, b"s2c", 1 + gap)[-1]
+    state.commit(value, 1 + gap)
+    assert (state.value, state.counter) == (value, 1 + gap)
+    with pytest.raises(ReplayError):
+        state.commit(value, 1 + gap)
+    with pytest.raises(ReplayError):
+        idvv_peek(state, 1 + gap, 1024)
+    with pytest.raises(OutOfWindowError):
+        idvv_peek(state, 2 + gap + 1024, 1024)
+    assert (state.value, state.counter) == (value, 1 + gap)
+
+
+def test_peek_refuses_past_the_last_counter():
+    state = IdvvState.from_snapshot(
+        SEED, {"counter": MAX_COUNTER - 1, "value": "00" * 32, "label": b"c2s".hex()}
+    )
+    with pytest.raises(ChainExhaustedError):
+        idvv_peek(state, MAX_COUNTER + 1, 1024)
+    assert state.counter == MAX_COUNTER - 1
+
+
+def test_value_is_a_redacted_secret():
+    value = idvv_next(idvv_init(SEED, ROOT, b"c2s"))
+    assert value.counter == 1
+    assert value.bytes.hex() not in repr(value)
+    with pytest.raises(TypeError):
+        hash(value)
 
 
 @pytest.mark.parametrize(
