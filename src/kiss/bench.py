@@ -56,7 +56,7 @@ from .association import (
 from .channel import ChannelEndpoint, MsgType, Record, TAG_LEN
 from .channel import decode_record, encode_record, read_record, seal
 from .errors import BenchError, InvalidParameterError
-from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_next
+from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_step
 
 DEFAULT_SIZES = (64, 512, 1500, 16384)
 
@@ -352,11 +352,7 @@ def _make_primitive_op(name: str, size: int):
         return lambda: key.sign(msg, algo)
     if name == "idvv-step":
         state = idvv_init(Seed(bytes(range(32))), Root(bytes(range(32, 64))), b"bench")
-
-        def step_op():
-            idvv_next(state).wipe()
-
-        return step_op
+        return lambda: idvv_step(state)
     if name == "idvv-seal-authonly":
         assoc = _bench_assoc()
         return lambda: encode_record(seal(assoc, MsgType.DATA, msg))

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .association import Association, Mode, Role, accept_seq
+from .association import Association, Mode, Role
 from .errors import (
     AssociationError,
     AuthenticationError,
@@ -42,14 +42,7 @@ from .errors import (
     KissError,
     TransportError,
 )
-from .idvv import (
-    KEY_LABEL_ENC,
-    KEY_LABEL_MAC,
-    KEY_LABEL_NONCE,
-    hmac_sha256,
-    idvv_peek,
-    idvv_step,
-)
+from .idvv import hmac_sha256, idvv_peek, idvv_step
 
 MAGIC = b"KI"
 VERSION = 0x01
@@ -64,6 +57,11 @@ _MODE_WIRE = {Mode.AUTH_ONLY: 0x01, Mode.AEAD: 0x02}
 _WIRE_MODE = {v: k for k, v in _MODE_WIRE.items()}
 
 HELLO_NONCE_LEN = 16
+
+# record key derivation labels (domain separation)
+KEY_LABEL_MAC = b"kiss-mac"
+KEY_LABEL_ENC = b"kiss-enc"
+KEY_LABEL_NONCE = b"kiss-nonce"
 
 # Test hook: called as hook(op, seq, label, key) for every derived record
 # key. Left at None in production; never part of the public API.
@@ -166,8 +164,7 @@ def decode_record(buf: bytes) -> Record:
 
 
 def _record_keys(value: bytes, seq: int, mode: Mode, op: str):
-    """This record's key and nonce (None in auth-only mode) from one chain
-    value: the ``derive_key`` prefixes, without its checks and copies."""
+    """This record's key and nonce (None in auth-only mode) from its chain value."""
     if mode is Mode.AUTH_ONLY:
         label, nonce = KEY_LABEL_MAC, None
     else:
@@ -215,8 +212,7 @@ def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
             f"{assoc.mode.value}",
             field="mode",
         )
-    accept_seq(assoc, seq)
-
+    # refuses replays (seq <= counter) and gaps beyond the window
     chain = assoc.recv_chain
     value = idvv_peek(chain, seq, assoc.resync_window)
     key, nonce = _record_keys(value, seq, mode, "open")

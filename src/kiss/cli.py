@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .association import (
+    MAX_RESYNC_WINDOW,
     Mode,
     generate_provision,
     load_association,
@@ -27,8 +28,7 @@ from .association import (
 )
 from .channel import ChannelEndpoint
 from .errors import KissError
-from .idvv import idvv_init, idvv_next
-from .idvv import Root, Seed
+from .idvv import Root, Seed, idvv_init, idvv_step
 from .randomness import (
     DEFAULT_ALPHA,
     DEFAULT_STREAM_BITS,
@@ -48,6 +48,16 @@ DEMO_ROOT = bytes.fromhex(
 )
 
 _MODE_BY_FLAG = {"auth": Mode.AUTH_ONLY, "aead": Mode.AEAD}
+
+# each suite-specific bench flag and the suites that use it; the flags
+# default to None so that a flag a suite would ignore is refused instead
+_BENCH_FLAG_SUITES = {
+    "--sizes": ("primitives",),
+    "--iterations": ("primitives",),
+    "--msg-size": ("channel", "tls"),
+    "--tls-command": ("tls",),
+}
+DEFAULT_MSG_SIZE = 1500
 
 # seconds either endpoint waits on a silent peer before it gives up
 IO_TIMEOUT_S = 30.0
@@ -160,14 +170,17 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_bench(args) -> int:
-    flags = (("--sizes", args.sizes), ("--iterations", args.iterations))
-    given = [flag for flag, value in flags if value is not None]
-    if given and args.suite != "primitives":
+    given = [f for f in _BENCH_FLAG_SUITES if getattr(args, f[2:].replace("-", "_")) is not None]
+    ignored = [f for f in given if args.suite not in _BENCH_FLAG_SUITES[f]]
+    if ignored:
+        takes = [f for f, suites in _BENCH_FLAG_SUITES.items() if args.suite in suites]
         raise KissError(
-            f"the {args.suite} suite does not use {' or '.join(given)}; "
-            "it takes --msg-size"
+            f"the {args.suite} suite does not use {' or '.join(ignored)}; "
+            f"it takes {' and '.join(takes)}"
         )
     sizes = _parse_sizes(args.sizes) if args.sizes else bench_mod.DEFAULT_SIZES
+    msg_size = DEFAULT_MSG_SIZE if args.msg_size is None else args.msg_size
+    tls_command = bench_mod.TLS_COMMAND if args.tls_command is None else args.tls_command
     if args.suite == "primitives":
         cfg = bench_mod.BenchConfig(
             sizes=sizes, iterations=args.iterations, duration=args.duration
@@ -176,18 +189,16 @@ def cmd_bench(args) -> int:
     elif args.suite == "channel":
         cases = []
         for mode in bench_mod.CHANNEL_MODES:
-            part = bench_mod.bench_channel(
-                mode, msg_size=args.msg_size, duration=args.duration
-            )
+            part = bench_mod.bench_channel(mode, msg_size=msg_size, duration=args.duration)
             cases.extend(part.cases)
         report = bench_mod.BenchReport(
             "channel", tuple(cases), bench_mod.environment_fingerprint()
         )
     else:  # tls
         kiss_report = bench_mod.bench_channel(
-            "AUTH_ONLY", msg_size=args.msg_size, duration=args.duration
+            "AUTH_ONLY", msg_size=msg_size, duration=args.duration
         )
-        tls_report = bench_mod.bench_tls_baseline((args.msg_size,), args.tls_command)
+        tls_report = bench_mod.bench_tls_baseline((msg_size,), tls_command)
         report = bench_mod.compare_report(
             kiss_report, tls_report, baseline=kiss_report.cases[0].case
         )
@@ -216,6 +227,8 @@ def cmd_randomness(args) -> int:
 def cmd_vectors(args) -> int:
     seed = parse_hex("--seed", args.seed, 32) if args.seed else bytes(32)
     root = parse_hex("--root", args.root, 32) if args.root else bytes(32)
+    if args.count < 1:
+        raise KissError(f"--count must be at least 1, got {args.count}")
     label = args.label.encode("utf-8")
     state = idvv_init(Seed(seed), Root(root), label)
     print(f"seed = {seed.hex()}")
@@ -223,8 +236,7 @@ def cmd_vectors(args) -> int:
     print(f"label = {args.label}")
     print(f"v0 = {state.value.hex()}")
     for i in range(1, args.count):
-        value = idvv_next(state)
-        print(f"v{i} = {value.bytes.hex()}")
+        print(f"v{i} = {idvv_step(state).hex()}")
     return 0
 
 
@@ -241,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("provision", help="generate an association file pair")
     p.add_argument("--out-dir", default=".", help="directory for the two files")
     p.add_argument("--mode", choices=("auth", "aead"), default="auth")
-    p.add_argument("--window", type=int, default=1024, help="resync window")
+    p.add_argument(
+        "--window", type=int, default=1024, help=f"resync window, 1..{MAX_RESYNC_WINDOW}"
+    )
     p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("server", help="run the demo echo-acknowledging endpoint")
@@ -260,18 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("--suite", choices=("primitives", "channel", "tls"), required=True)
     p.add_argument("--csv", help="also write machine-readable CSV here")
-    p.add_argument("--sizes", help="comma-separated message sizes")
+    p.add_argument("--sizes", help="primitives: comma-separated message sizes")
     p.add_argument("--duration", type=float, default=1.0, help="seconds per case")
+    p.add_argument("--iterations", type=int, help="primitives: fixed ops per timed batch")
     p.add_argument(
-        "--iterations", type=int, default=None, help="fixed ops per timed batch"
+        "--msg-size", type=int, help=f"channel, tls: record size (default {DEFAULT_MSG_SIZE})"
     )
     p.add_argument(
-        "--msg-size", type=int, default=1500, help="record size for channel/tls suites"
-    )
-    p.add_argument(
-        "--tls-command",
-        default=bench_mod.TLS_COMMAND,
-        help="external speed command template ({size} placeholder)",
+        "--tls-command", help="tls: external speed command template ({size} placeholder)"
     )
     p.set_defaults(func=cmd_bench)
 

@@ -14,6 +14,11 @@ Chaining through the value makes earlier values unrecoverable from a
 captured state (forward secrecy); mixing the seed every step ties the
 chain to the long-term secret; the explicit counter rules out cycles.
 
+Four calls make the chain: ``idvv_init`` starts it, the sender advances
+it with ``idvv_step``, and the receiver computes a later value with
+``idvv_peek`` and lands it with ``IdvvState.commit``. Record keys are
+derived from chain values in ``kiss.channel``, and nowhere else.
+
 Ownership contract: a state is single-owner. Exactly one logical thread
 of control may step it at a time; hand states off between threads, never
 share them. Nothing here locks.
@@ -37,13 +42,7 @@ SECRET_LEN = 32
 MAX_LABEL_LEN = 16
 MAX_COUNTER = 2**64 - 1
 
-# Per-message key derivation labels (domain separation).
-KEY_LABEL_MAC = b"kiss-mac"
-KEY_LABEL_ENC = b"kiss-enc"
-KEY_LABEL_NONCE = b"kiss-nonce"
-
 _ZEROS = bytes(SECRET_LEN)
-_KEY_LABELS = frozenset((KEY_LABEL_MAC, KEY_LABEL_ENC, KEY_LABEL_NONCE))
 
 _U64 = struct.Struct(">Q")
 
@@ -110,19 +109,6 @@ class Root(_Secret):
     """Second bootstrap secret; independent of the seed."""
 
 
-class IdvvValue(_Secret):
-    """One chain output: 32 value bytes plus the step index that produced them.
-
-    ``wipe()`` when done with it.
-    """
-
-    __slots__ = ("counter",)
-
-    def __init__(self, value: bytes, counter: int):
-        super().__init__(value)
-        self.counter = counter
-
-
 class IdvvState:
     """One direction's chain position: current value plus step counter.
 
@@ -150,14 +136,6 @@ class IdvvState:
     @property
     def direction_label(self) -> bytes:
         return self._label
-
-    def clone(self) -> "IdvvState":
-        """Independent copy sharing the seed reference.
-
-        Nothing in the package calls it: the record layer looks ahead
-        with :func:`idvv_peek` and commits in place.
-        """
-        return IdvvState(self._seed, bytes(self._value), self._counter, self._label)
 
     def commit(self, value: bytes, counter: int) -> None:
         """Move forward to a position computed by :func:`idvv_peek`,
@@ -236,11 +214,6 @@ def idvv_step(state: IdvvState) -> bytes:
     return new
 
 
-def idvv_next(state: IdvvState) -> IdvvValue:
-    """:func:`idvv_step` as an :class:`IdvvValue` carrying the new counter."""
-    return IdvvValue(idvv_step(state), state._counter)
-
-
 def idvv_peek(state: IdvvState, target_counter: int, max_steps: int) -> bytes:
     """The value at ``target_counter``, computed without changing ``state``.
 
@@ -260,25 +233,3 @@ def idvv_peek(state: IdvvState, target_counter: int, max_steps: int) -> bytes:
         value = hmac_sha256(value, seed + pack(i))
     return value
 
-
-def idvv_fast_forward(state: IdvvState, target_counter: int, max_steps: int) -> IdvvValue:
-    """Advance to ``target_counter``, discarding intermediate values.
-
-    Checks as :func:`idvv_peek` does, before touching the state.
-    """
-    value = idvv_peek(state, target_counter, max_steps)
-    state.commit(value, target_counter)
-    return IdvvValue(value, target_counter)
-
-
-def derive_key(value: IdvvValue, label: bytes, out_len: int) -> bytes:
-    """Derive a use-specific key from one chain value.
-
-    Only the fixed labels are accepted; output is the PRF prefix, at most
-    32 bytes. Deterministic.
-    """
-    if bytes(label) not in _KEY_LABELS:
-        raise InvalidParameterError(f"unknown key derivation label {label!r}")
-    if not 0 <= out_len <= SECRET_LEN:
-        raise InvalidParameterError(f"out_len must be 0..{SECRET_LEN}, got {out_len}")
-    return hmac_sha256(value.bytes, bytes(label))[:out_len]

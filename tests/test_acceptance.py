@@ -29,7 +29,7 @@ from kiss.bench import (
 from kiss.channel import MsgType, encode_record, open_record, seal
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import KissError, OutOfWindowError
-from kiss.idvv import idvv_init, idvv_next
+from kiss.idvv import idvv_init, idvv_step
 from kiss.randomness import ALL_TESTS, generate_stream, run_battery
 
 CLI = [sys.executable, "-m", "kiss.cli"]
@@ -65,9 +65,9 @@ def test_acceptance_1_chain_synchronization(capsys):
         (initiator.recv_chain, responder.send_chain),
     ):
         for _ in range(steps):
-            va = idvv_next(a_chain)
-            vb = idvv_next(b_chain)
-            if va.bytes != vb.bytes or va.counter != vb.counter:
+            va = idvv_step(a_chain)
+            vb = idvv_step(b_chain)
+            if va != vb or a_chain.counter != b_chain.counter:
                 mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 1.0
@@ -98,8 +98,8 @@ def test_acceptance_2_oracle_equivalence(capsys):
         if state.value != ref[0]:
             mismatches += 1
         for i in range(1, steps + 1):
-            value = idvv_next(state)
-            if value.bytes != ref[i] or value.counter != i:
+            value = idvv_step(state)
+            if value != ref[i] or state.counter != i:
                 mismatches += 1
     ok = mismatches == 0
     _verdict(

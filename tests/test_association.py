@@ -8,10 +8,10 @@ from kiss.association import (
     DEFAULT_RESYNC_WINDOW,
     LABEL_C2S,
     LABEL_S2C,
+    MAX_RESYNC_WINDOW,
     Mode,
     ProvisionFile,
     Role,
-    accept_seq,
     generate_provision,
     load_association,
     read_provision_file,
@@ -70,6 +70,20 @@ def test_generate_bad_window():
         generate_provision(resync_window=0)
     with pytest.raises(InvalidParameterError):
         generate_provision(resync_window=2**32)
+
+
+def test_window_cap_is_two_to_the_sixteen():
+    # the cap bounds the chain walk one forged record can cost a receiver
+    assert MAX_RESYNC_WINDOW == 2**16
+    assert generate_provision(resync_window=2**16)[0].resync_window == 2**16
+    with pytest.raises(InvalidParameterError):
+        generate_provision(resync_window=2**16 + 1)
+    text = generate_provision()[0].to_text()
+    at_cap = text.replace("resync_window = 1024", "resync_window = 65536")
+    assert ProvisionFile.from_text(at_cap).resync_window == 2**16
+    with pytest.raises(ProvisionError) as err:
+        ProvisionFile.from_text(text.replace("resync_window = 1024", "resync_window = 65537"))
+    assert err.value.field == "resync_window"
 
 
 def test_provision_text_canonical_layout():
@@ -201,30 +215,34 @@ def test_generated_pair_survives_traffic_both_directions():
         assert open_record(init_assoc, wire) == (MsgType.DATA, reply)
 
 
-def test_accept_seq_gap_arithmetic():
-    assoc = load_association(generate_provision()[0])
-    assoc.highest_accepted_seq = 10
-    assert accept_seq(assoc, 11) == 1
-    assert accept_seq(assoc, 13) == 3
-    # gate must not commit anything
-    assert assoc.highest_accepted_seq == 10
+def _sealed_by_seq(window, n):
+    """A linked pair and the wire of each seq 1..n, indexed by seq."""
+    init_pf, resp_pf = generate_provision(resync_window=window)
+    sender, receiver = load_association(init_pf), load_association(resp_pf)
+    wires = [b""] + [
+        encode_record(seal(sender, MsgType.DATA, b"seq-%d" % seq)) for seq in range(1, n + 1)
+    ]
+    return receiver, wires
 
 
 def test_accept_seq_replay_boundary():
-    assoc = load_association(generate_provision()[0])
-    assoc.highest_accepted_seq = 10
-    with pytest.raises(ReplayError):
-        accept_seq(assoc, 10)
-    with pytest.raises(ReplayError):
-        accept_seq(assoc, 1)
+    receiver, wires = _sealed_by_seq(DEFAULT_RESYNC_WINDOW, 10)
+    assert open_record(receiver, wires[10]) == (MsgType.DATA, b"seq-10")
+    for seq in (10, 1):
+        with pytest.raises(ReplayError):
+            open_record(receiver, wires[seq])
+    assert receiver.highest_accepted_seq == receiver.recv_chain.counter == 10
 
 
 def test_accept_seq_window_boundary():
-    assoc = load_association(generate_provision()[0])
-    assoc.highest_accepted_seq = 10
-    assert accept_seq(assoc, 10 + assoc.resync_window) == assoc.resync_window
+    window = 16
+    receiver, wires = _sealed_by_seq(window, 10 + window + 1)
+    open_record(receiver, wires[10])
     with pytest.raises(OutOfWindowError):
-        accept_seq(assoc, 10 + assoc.resync_window + 1)
+        open_record(receiver, wires[10 + window + 1])
+    assert receiver.highest_accepted_seq == receiver.recv_chain.counter == 10
+    assert open_record(receiver, wires[10 + window])[1] == b"seq-%d" % (10 + window)
+    assert receiver.highest_accepted_seq == receiver.recv_chain.counter == 10 + window
 
 
 def test_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import socket
 import threading
 
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kiss.channel as channel_mod
-from kiss.association import Mode, ProvisionFile, Role, load_association
+import kiss.idvv as idvv_mod
+from kiss.association import (
+    MAX_RESYNC_WINDOW,
+    Mode,
+    ProvisionFile,
+    Role,
+    load_association,
+)
 from kiss.channel import (
     HEADER_LEN,
     MAX_PAYLOAD,
@@ -307,6 +315,63 @@ def test_gap_beyond_window_then_recovery():
         open_record(receiver, wires[6])  # gap 6 > 4
     # the failed attempt burned nothing: a gap of 4 still lands
     assert open_record(receiver, wires[4])[1] == b"payload-04"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_seq_gate_follows_highest_accepted(data):
+    # the replay and window rules, stated against highest_accepted_seq,
+    # are exactly the receive chain's position
+    window = data.draw(st.integers(min_value=1, max_value=64), label="window")
+    gaps = data.draw(st.lists(st.integers(1, window), max_size=5), label="prefix gaps")
+    accepted = list(itertools.accumulate(gaps))
+    highest = accepted[-1] if accepted else 0
+    seq = data.draw(st.integers(1, highest + window + 3), label="target seq")
+    sender, receiver = _pair(window=window)
+    wires = _sealed(sender, max(highest, seq))
+    for s in accepted:
+        assert open_record(receiver, wires[s - 1])[1] == b"payload-%02d" % (s - 1)
+        assert receiver.highest_accepted_seq == receiver.recv_chain.counter == s
+    before = _chain_position(receiver)
+    if seq <= highest:
+        with pytest.raises(ReplayError):
+            open_record(receiver, wires[seq - 1])
+        assert _chain_position(receiver) == before
+    elif seq - highest > window:
+        with pytest.raises(OutOfWindowError):
+            open_record(receiver, wires[seq - 1])
+        assert _chain_position(receiver) == before
+    else:
+        assert open_record(receiver, wires[seq - 1])[1] == b"payload-%02d" % (seq - 1)
+    assert receiver.highest_accepted_seq == receiver.recv_chain.counter
+
+
+def test_forged_record_at_the_window_cap_costs_one_chain_walk(monkeypatch):
+    window = MAX_RESYNC_WINDOW
+    sender, receiver = _pair(window=window)
+    genuine = encode_record(seal(sender, MsgType.DATA, b"genuine"))
+    calls = [0]
+    real = idvv_mod.hmac_sha256
+
+    def counted(key, message):
+        calls[0] += 1
+        return real(key, message)
+
+    for mod in (idvv_mod, channel_mod):
+        monkeypatch.setattr(mod, "hmac_sha256", counted)
+    # a forger with no key copies a header, picks the seq, guesses a tag;
+    # the receiver is at counter 0, so the seq is the gap
+    cases = [(window, AuthenticationError, window + 3), (window + 1, OutOfWindowError, 0)]
+    for seq, error, most in cases:
+        forged = bytearray(_bad_tag(genuine))
+        forged[13:21] = seq.to_bytes(8, "big")
+        before = _chain_position(receiver)
+        calls[0] = 0
+        with pytest.raises(error):
+            open_record(receiver, bytes(forged))
+        assert calls[0] <= most
+        assert _chain_position(receiver) == before
+    assert open_record(receiver, genuine) == (MsgType.DATA, b"genuine")
 
 
 def test_key_freshness_and_agreement(monkeypatch):

@@ -127,6 +127,14 @@ def test_vectors_custom_inputs():
     assert "v2" not in got
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_vectors_count_below_one_exits_one(count):
+    result = run_cli("vectors", "--count", count)
+    assert result.returncode == 1
+    assert "--count" in result.stderr
+    assert result.stdout == ""
+
+
 def test_vectors_rejects_bad_hex():
     result = run_cli("vectors", "--seed", "xyz")
     assert result.returncode == 1
@@ -326,23 +334,39 @@ def test_bench_channel_cli(tmp_path):
     assert "channel-plaintext-baseline" in result.stdout
 
 
+_MISSING_TOOL = ("--tls-command", "definitely-not-installed-xyz speed {size}")
+
+
 @pytest.mark.parametrize("suite", ["channel", "tls"])
 def test_bench_zero_duration_exits_one(suite):
+    tool = _MISSING_TOOL if suite == "tls" else ()
     result = run_cli(
-        "bench", "--suite", suite, "--msg-size", "256", "--duration", "0",
-        "--tls-command", "definitely-not-installed-xyz speed {size}",
+        "bench", "--suite", suite, "--msg-size", "256", "--duration", "0", *tool
     )
     assert result.returncode == 1
     assert "duration" in result.stderr
 
 
-@pytest.mark.parametrize("suite", ["channel", "tls"])
-@pytest.mark.parametrize("flag,value", [("--sizes", "64"), ("--iterations", "5000")])
-def test_bench_suite_refuses_flag_it_does_not_use(suite, flag, value):
-    result = run_cli(
-        "bench", "--suite", suite, flag, value, "--msg-size", "256", "--duration", "0.2",
-        "--tls-command", "definitely-not-installed-xyz speed {size}",
-    )
+@pytest.mark.parametrize(
+    "flag,value,suite",
+    [
+        (flag, value, suite)
+        for suite in ("channel", "tls")
+        for flag, value in (("--sizes", "64"), ("--iterations", "5000"))
+    ]
+    + [
+        ("--msg-size", "99999", "primitives"),
+        pytest.param(*_MISSING_TOOL, "primitives", id="--tls-command-primitives"),
+        pytest.param(*_MISSING_TOOL, "channel", id="--tls-command-channel"),
+    ],
+)
+def test_bench_suite_refuses_flag_it_does_not_use(flag, value, suite):
+    own = {
+        "primitives": ("--sizes", "64", "--iterations", "1000"),
+        "channel": ("--msg-size", "256"),
+        "tls": ("--msg-size", "256", *_MISSING_TOOL),
+    }[suite]
+    result = run_cli("bench", "--suite", suite, flag, value, *own, "--duration", "0.2")
     assert result.returncode == 1
     assert flag in result.stderr
     assert "|" not in result.stdout  # refused before measuring anything

@@ -1,9 +1,23 @@
-"""Chain core: known answers, oracle equivalence, state hygiene."""
+"""Chain core: known answers, oracle equivalence, state hygiene, and the
+record keys the channel derives from chain values."""
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kiss.channel as channel_mod
+from kiss.association import LABEL_C2S, Mode, ProvisionFile, Role, load_association
+from kiss.channel import (
+    HEADER_LEN,
+    KEY_LABEL_ENC,
+    KEY_LABEL_MAC,
+    KEY_LABEL_NONCE,
+    MsgType,
+    encode_record,
+    open_record,
+    seal,
+)
 from kiss.errors import (
     ChainExhaustedError,
     InvalidParameterError,
@@ -11,17 +25,11 @@ from kiss.errors import (
     ReplayError,
 )
 from kiss.idvv import (
-    KEY_LABEL_ENC,
-    KEY_LABEL_MAC,
-    KEY_LABEL_NONCE,
     MAX_COUNTER,
     IdvvState,
     Root,
     Seed,
-    derive_key,
-    idvv_fast_forward,
     idvv_init,
-    idvv_next,
     idvv_peek,
     idvv_step,
 )
@@ -75,23 +83,21 @@ def test_next_matches_oracle_chain():
     state = idvv_init(SEED, ROOT, b"c2s")
     assert state.value == ref[0]
     for i in (1, 2, 3):
-        value = idvv_next(state)
-        assert value.bytes == ref[i]
-        assert value.counter == i
-    assert state.counter == 3
+        assert idvv_step(state) == ref[i]
+        assert state.counter == i
 
 
 def test_successive_values_differ():
     state = idvv_init(SEED, ROOT, b"c2s")
-    a = idvv_next(state).bytes
-    b = idvv_next(state).bytes
+    a = idvv_step(state)
+    b = idvv_step(state)
     assert a != b
 
 
 def test_state_does_not_retain_previous_value():
     state = idvv_init(SEED, ROOT, b"c2s")
     old = state.value
-    idvv_next(state)
+    idvv_step(state)
     assert state.value != old
     snap = state.snapshot()
     assert old.hex() not in snap.values()
@@ -103,61 +109,65 @@ def test_counter_exhaustion():
     snap["counter"] = MAX_COUNTER
     worn = IdvvState.from_snapshot(SEED, snap)
     with pytest.raises(ChainExhaustedError):
-        idvv_next(worn)
+        idvv_step(worn)
 
 
 def test_snapshot_restore_continues_sequence():
     a = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
-        idvv_next(a)
+        idvv_step(a)
     b = IdvvState.from_snapshot(SEED, a.snapshot())
-    assert idvv_next(a).bytes == idvv_next(b).bytes
+    assert idvv_step(a) == idvv_step(b)
 
 
 def test_fast_forward_equals_manual_steps():
     state = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
-        idvv_next(state)
-    manual = state.clone()
-    expected = [idvv_next(manual) for _ in range(3)][-1]
-    got = idvv_fast_forward(state, 8, 1024)
-    assert got.bytes == expected.bytes
-    assert got.counter == 8
-    assert state.counter == 8
+        idvv_step(state)
+    manual = IdvvState.from_snapshot(SEED, state.snapshot())
+    expected = [idvv_step(manual) for _ in range(3)][-1]
+    got = idvv_peek(state, 8, 1024)
+    state.commit(got, 8)
+    assert got == expected
+    assert (state.value, state.counter) == (manual.value, manual.counter) == (expected, 8)
 
 
 def test_fast_forward_refuses_replay():
     state = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
-        idvv_next(state)
+        idvv_step(state)
+    value = state.value
     with pytest.raises(ReplayError):
-        idvv_fast_forward(state, 5, 1024)
+        idvv_peek(state, 5, 1024)
     with pytest.raises(ReplayError):
-        idvv_fast_forward(state, 3, 1024)
-    assert state.counter == 5
+        idvv_peek(state, 3, 1024)
+    with pytest.raises(ReplayError):
+        state.commit(value, 3)
+    assert (state.value, state.counter) == (value, 5)
 
 
 def test_fast_forward_refuses_wide_gap():
     state = idvv_init(SEED, ROOT, b"c2s")
     with pytest.raises(OutOfWindowError):
-        idvv_fast_forward(state, 2000, 1024)
+        idvv_peek(state, 2000, 1024)
     # refusal must not move the state
     assert state.counter == 0
     assert state.value == idvv_init(SEED, ROOT, b"c2s").value
 
 
 def test_step_is_next_without_the_wrapper():
-    a = idvv_init(SEED, ROOT, b"c2s")
-    b = idvv_init(SEED, ROOT, b"c2s")
-    for want in chain_values_ref(SEED, ROOT, b"c2s", 3)[1:]:
-        assert idvv_step(a) == want == idvv_next(b).bytes
-    assert a.counter == b.counter == 3
+    # the step returns exactly the value it leaves in the state
+    state = idvv_init(SEED, ROOT, b"c2s")
+    for i, want in enumerate(chain_values_ref(SEED, ROOT, b"c2s", 3)[1:], start=1):
+        assert idvv_step(state) == want == state.value
+        assert state.counter == i
 
 
-@pytest.mark.parametrize("gap", [1, 5])
+# gap 1024 is the exact window edge: accepted, and 1025 refused below
+@pytest.mark.parametrize("gap", [1, 5, 1024])
 def test_peek_leaves_state_and_commit_lands_it(gap):
     state = idvv_init(SEED, ROOT, b"s2c")
-    idvv_next(state)
+    idvv_step(state)
     before = state.value
     value = idvv_peek(state, 1 + gap, 1024)
     assert (state.value, state.counter) == (before, 1)
@@ -182,14 +192,6 @@ def test_peek_refuses_past_the_last_counter():
     assert state.counter == MAX_COUNTER - 1
 
 
-def test_value_is_a_redacted_secret():
-    value = idvv_next(idvv_init(SEED, ROOT, b"c2s"))
-    assert value.counter == 1
-    assert value.bytes.hex() not in repr(value)
-    with pytest.raises(TypeError):
-        hash(value)
-
-
 @pytest.mark.parametrize(
     "seed,root,label",
     [
@@ -204,33 +206,61 @@ def test_init_rejects_bad_lengths(seed, root, label):
         idvv_init(seed, root, label)
 
 
-def test_derive_key_known_labels_only():
-    value = idvv_next(idvv_init(SEED, ROOT, b"c2s"))
-    with pytest.raises(InvalidParameterError):
-        derive_key(value, b"kiss-other", 32)
-    with pytest.raises(InvalidParameterError):
-        derive_key(value, KEY_LABEL_MAC, 33)
+def _record_pair(mode):
+    common = dict(assoc_id=bytes(8), mode=mode, seed=SEED, root=ROOT)
+    return (
+        load_association(ProvisionFile(role=Role.INITIATOR, **common)),
+        load_association(ProvisionFile(role=Role.RESPONDER, **common)),
+    )
 
 
-def test_derive_key_matches_oracle():
-    value = idvv_next(idvv_init(SEED, ROOT, b"c2s"))
-    for label in (KEY_LABEL_MAC, KEY_LABEL_ENC, KEY_LABEL_NONCE):
-        for out_len in (12, 16, 32):
-            assert derive_key(value, label, out_len) == derive_key_ref(
-                value.bytes, label, out_len
-            )
+def _traced_record_keys(monkeypatch, mode, records):
+    """Seal and open ``records`` records; the wires and {(op, seq): (label, key)}."""
+    trace = {}
+    monkeypatch.setattr(
+        channel_mod,
+        "_key_trace_hook",
+        lambda op, seq, label, key: trace.__setitem__((op, seq), (label, key)),
+    )
+    sender, receiver = _record_pair(mode)
+    wires = []
+    for i in range(records):
+        wire = encode_record(seal(sender, MsgType.DATA, b"record-%d" % i))
+        assert open_record(receiver, wire) == (MsgType.DATA, b"record-%d" % i)
+        wires.append(wire)
+    return wires, trace
 
 
-def test_derive_key_deterministic_and_separated():
-    value = idvv_next(idvv_init(SEED, ROOT, b"c2s"))
-    assert derive_key(value, KEY_LABEL_MAC, 32) == derive_key(value, KEY_LABEL_MAC, 32)
-    assert derive_key(value, KEY_LABEL_MAC, 32) != derive_key(value, KEY_LABEL_ENC, 32)
+def test_derive_key_matches_oracle(monkeypatch):
+    # each record key is the PRF of the record's chain value under a fixed
+    # label; the AEAD nonce is the 12-byte prefix under the nonce label
+    values = chain_values_ref(SEED, ROOT, LABEL_C2S, 3)
+    for mode, label in ((Mode.AUTH_ONLY, KEY_LABEL_MAC), (Mode.AEAD, KEY_LABEL_ENC)):
+        wires, trace = _traced_record_keys(monkeypatch, mode, 3)
+        for seq, wire in enumerate(wires, start=1):
+            key = derive_key_ref(values[seq], label, 32)
+            assert trace["seal", seq] == trace["open", seq] == (label, key)
+            if mode is Mode.AUTH_ONLY:
+                assert wire[-32:] == hmac_sha256_ref(key, wire[:-32])
+            else:
+                nonce = derive_key_ref(values[seq], KEY_LABEL_NONCE, 12)
+                plain = AESGCM(key).decrypt(nonce, wire[HEADER_LEN:], wire[:HEADER_LEN])
+                assert plain == b"record-%d" % (seq - 1)
+
+
+def test_derive_key_deterministic_and_separated(monkeypatch):
+    mac_a = _traced_record_keys(monkeypatch, Mode.AUTH_ONLY, 1)[1]["seal", 1]
+    mac_b = _traced_record_keys(monkeypatch, Mode.AUTH_ONLY, 1)[1]["seal", 1]
+    enc = _traced_record_keys(monkeypatch, Mode.AEAD, 1)[1]["seal", 1]
+    # the same chain value, seq 1 on c2s, under two labels
+    assert mac_a == mac_b
+    assert mac_a[1] != enc[1]
 
 
 def test_value_wipe_zeroes_buffer():
-    value = idvv_next(idvv_init(SEED, ROOT, b"c2s"))
-    value.wipe()
-    assert value.bytes == bytes(32)
+    seed = Seed(SEED)
+    seed.wipe()
+    assert seed.bytes == bytes(32)
 
 
 def test_secret_repr_redacted():
@@ -247,15 +277,6 @@ def test_secret_equality():
     assert Root(ROOT) == Root(ROOT)
 
 
-def test_clone_is_independent():
-    state = idvv_init(SEED, ROOT, b"c2s")
-    twin = state.clone()
-    idvv_next(state)
-    assert twin.counter == 0
-    assert twin.value != state.value
-    assert idvv_next(twin).bytes == state.value
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.binary(min_size=32, max_size=32),
@@ -268,7 +289,7 @@ def test_property_chain_matches_oracle(seed, root, label, steps):
     state = idvv_init(seed, root, label)
     assert state.value == ref[0]
     for i in range(1, steps + 1):
-        assert idvv_next(state).bytes == ref[i]
+        assert idvv_step(state) == ref[i]
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,9 +300,10 @@ def test_property_chain_matches_oracle(seed, root, label, steps):
 def test_property_fast_forward_is_n_steps(skip, window):
     a = idvv_init(SEED, ROOT, b"s2c")
     b = idvv_init(SEED, ROOT, b"s2c")
-    got = idvv_fast_forward(a, skip, window)
+    got = idvv_peek(a, skip, window)
+    a.commit(got, skip)
     last = None
     for _ in range(skip):
-        last = idvv_next(b)
-    assert got.bytes == last.bytes
-    assert got.counter == last.counter == skip
+        last = idvv_step(b)
+    assert got == last == a.value
+    assert a.counter == b.counter == skip
