@@ -9,9 +9,10 @@ Three layers of measurement, all sharing one report shape:
   sustained record throughput, with a plaintext framing baseline that
   reads through the endpoint's own framing reader, isolating the cost
   of the cryptography.
-* ``bench_tls_baseline`` shells out to a locally installed TLS
-  toolchain's speed facility and parses its output for side-by-side
-  comparison. A missing tool degrades to skipped rows, never a failure.
+* ``bench_tls_baseline`` runs the same loopback pair over in-process
+  TLS 1.3 (stdlib ``ssl``, a fresh self-signed P-256 certificate that
+  the client verifies), so both sides of the channel-vs-TLS ratio come
+  from one harness.
 
 ``compare_report`` merges reports into one ``BenchReport`` whose cases
 carry a throughput ratio against a named baseline case.
@@ -28,22 +29,29 @@ single-op tails.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import platform
-import re
-import shlex
 import socket
-import subprocess
+import ssl
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.serialization import (
+    Encoding,
+    NoEncryption,
+    PrivateFormat,
+)
+from cryptography.x509.oid import NameOID
 
 from .association import (
     Association,
@@ -53,8 +61,8 @@ from .association import (
     generate_provision,
     load_association,
 )
-from .channel import ChannelEndpoint, MsgType, Record, TAG_LEN
-from .channel import decode_record, encode_record, read_record, seal
+from .channel import MAX_PAYLOAD, ChannelEndpoint, MsgType, Record, TAG_LEN
+from .channel import _read_exact, decode_record, encode_record, read_record, seal
 from .errors import BenchError, InvalidParameterError
 from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_step
 
@@ -72,7 +80,9 @@ PRIMITIVES = (
 
 CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
 
-TLS_COMMAND = "openssl speed -evp aes-256-gcm -bytes {size} -seconds 1"
+# the TLS baseline's loopback mode and case name, and its certificate's host
+TLS_CASE = "tls1.3"
+_TLS_HOST = "kiss-bench.test"
 
 CORE_MODULES = ("idvv.py", "association.py", "channel.py")
 
@@ -377,7 +387,7 @@ def bench_primitives(cfg: BenchConfig | None = None, names=None) -> BenchReport:
     )
 
 
-# -- channel benchmarks -----------------------------------------------
+# -- loopback benchmarks ----------------------------------------------
 
 
 def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> BenchReport:
@@ -389,193 +399,184 @@ def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> Ben
     """
     if mode not in CHANNEL_MODES:
         raise InvalidParameterError(f"unknown channel mode {mode!r}")
-    if msg_size <= 0:
-        raise InvalidParameterError(f"msg_size must be > 0, got {msg_size}")
+    _check_loopback_args((msg_size,), duration)
+    case = _loopback_case(f"channel-{mode}", mode, msg_size, duration)
+    return BenchReport("channel", (case,), environment_fingerprint())
+
+
+def bench_tls_baseline(sizes: tuple[int, ...], duration: float = 1.0) -> BenchReport:
+    """One-way TLS 1.3 message throughput on the channel suite's loopback
+    runner, one case per size, for side-by-side reporting.
+
+    The client verifies the server's certificate and host name; each
+    case's note names the protocol and cipher suite negotiated.
+    """
+    _check_loopback_args(sizes, duration)
+    cases = tuple(_loopback_case(TLS_CASE, TLS_CASE, size, duration) for size in sizes)
+    return BenchReport("tls", cases, environment_fingerprint())
+
+
+def _check_loopback_args(sizes, duration: float) -> None:
+    # every mode is held to the record cap, so all share one size axis
+    _check_sizes(sizes)
+    for size in sizes:
+        if size > MAX_PAYLOAD:
+            raise InvalidParameterError(f"msg_size must be <= {MAX_PAYLOAD}, got {size}")
     if duration <= 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration}")
 
-    count, elapsed, deltas = _loopback_stats(_run_loopback(mode, msg_size, duration))
-    rate = count / elapsed if elapsed > 0 else 0.0
-    deltas_us = sorted(d * 1e6 for d in deltas)
-    case = BenchCase(
-        case=f"channel-{mode}",
+
+def _loopback_case(name: str, mode: str, msg_size: int, duration: float) -> BenchCase:
+    stamps, note = _run_loopback(mode, msg_size, duration)
+    if len(stamps) < 16:
+        raise BenchError(f"loopback produced too few records ({len(stamps)})")
+    # first chunk of records doubles as warmup
+    window = stamps[min(100, len(stamps) // 4) :]
+    elapsed = window[-1] - window[0]
+    rate = (len(window) - 1) / elapsed if elapsed > 0 else 0.0
+    deltas_us = sorted((b - a) * 1e6 for a, b in zip(window, window[1:]))
+    return BenchCase(
+        case=name,
         size_bytes=msg_size,
         ops_per_sec=rate,
         mb_per_sec=rate * msg_size / 1e6,
         p50_us=_percentile(deltas_us, 50.0),
         p99_us=_percentile(deltas_us, 99.0),
+        note=note,
     )
-    return BenchReport("channel", (case,), environment_fingerprint())
 
 
-def _run_loopback(mode: str, msg_size: int, duration: float) -> list[float]:
-    """Send records one way over a socketpair for ``duration`` seconds;
-    return the time at which the receiver thread got each one."""
-    plaintext = mode == "plaintext-baseline"
-    if not plaintext:
-        init_pf, resp_pf = generate_provision(mode=Mode[mode])
+def _run_loopback(mode: str, msg_size: int, duration: float) -> tuple[list[float], str]:
+    """Send messages one way over a socketpair for ``duration`` seconds.
+
+    Returns the time at which the receiver thread got each one, and for
+    ``TLS_CASE`` the protocol and cipher suite negotiated ("" otherwise).
+    A receiver that fails shuts its socket, so the sender fails instead
+    of blocking, and the receiver's exception is raised here.
+    """
     msg = _counter_buffer(msg_size)
+    if mode == TLS_CASE:
+        server_ctx, client_ctx = _tls_contexts()
+    elif mode != "plaintext-baseline":
+        init_pf, resp_pf = generate_provision(mode=Mode[mode])
     result: dict = {}
     left, right = socket.socketpair()
 
     def receiver():
-        if plaintext:
-            def receive():
-                wire = read_record(right.recv)
-                return decode_record(wire) if wire else None
-        else:
-            endpoint = ChannelEndpoint(load_association(resp_pf), right)
-            endpoint.handshake()
-            receive = endpoint.receive
-        stamps = []
-        while receive() is not None:
-            stamps.append(time.perf_counter())
-        result["stamps"] = stamps
-
-    with left, right:
-        thread = threading.Thread(target=receiver, daemon=True)
-        thread.start()
-        if plaintext:
-            seq = itertools.count(1)
-            zero_tag = bytes(TAG_LEN[Mode.AUTH_ONLY])
-
-            def send():
-                record = Record(
-                    MsgType.DATA, Mode.AUTH_ONLY, bytes(8), next(seq), msg, zero_tag
-                )
-                left.sendall(encode_record(record))
-
-            def finish():
-                left.shutdown(socket.SHUT_WR)
-        else:
-            sender = ChannelEndpoint(load_association(init_pf), left)
-            sender.handshake()
-            send, finish = (lambda: sender.send(msg)), sender.close
-        deadline = time.perf_counter() + duration
-        while time.perf_counter() < deadline:
-            send()
-        finish()
-        thread.join(timeout=60.0)
-    if thread.is_alive() or "stamps" not in result:
-        raise BenchError("loopback receiver did not finish")
-    return result["stamps"]
-
-
-def _loopback_stats(stamps: list[float]):
-    if len(stamps) < 16:
-        raise BenchError(f"loopback produced too few records ({len(stamps)})")
-    # first chunk of records doubles as warmup
-    skip = min(100, len(stamps) // 4)
-    window = stamps[skip:]
-    elapsed = window[-1] - window[0]
-    deltas = [b - a for a, b in zip(window, window[1:])]
-    return len(window) - 1, elapsed, deltas
-
-
-# -- external TLS baseline --------------------------------------------
-
-_SPEED_HEADER = re.compile(r"^type\s+(.*)$", re.MULTILINE)
-_SPEED_COL = re.compile(r"(\d+)\s+bytes")
-
-
-def parse_speed_output(text: str) -> dict[str, dict[int, float]]:
-    """Parse a TLS toolchain's throughput table.
-
-    Expects the classic layout: a ``type`` header row naming byte-size
-    columns, then one row per algorithm with throughput figures in
-    1000s of bytes per second (``123456.78k``). Returns
-    ``{algorithm: {size: bytes_per_sec}}``.
-    """
-    header = _SPEED_HEADER.search(text)
-    if header is None:
-        raise BenchError("no throughput table in external output", raw_output=text)
-    sizes = [int(m.group(1)) for m in _SPEED_COL.finditer(header.group(1))]
-    if not sizes:
-        raise BenchError("throughput header names no sizes", raw_output=text)
-    rows: dict[str, dict[int, float]] = {}
-    for line in text[header.end() :].splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        vals = []
-        for part in parts[len(parts) - len(sizes) :]:
-            if not part.endswith("k"):
-                break
-            try:
-                vals.append(float(part[:-1]) * 1000.0)
-            except ValueError:
-                break
-        if len(vals) != len(sizes):
-            continue
-        name = " ".join(parts[: len(parts) - len(sizes)])
-        if name:
-            rows[name] = dict(zip(sizes, vals))
-    if not rows:
-        raise BenchError("no throughput rows parsed", raw_output=text)
-    return rows
-
-
-def bench_tls_baseline(
-    sizes: tuple[int, ...], command_template: str = TLS_COMMAND
-) -> BenchReport:
-    """Throughput of an external TLS toolchain for side-by-side reporting.
-
-    The template is formatted once per size with ``{size}``. A missing
-    tool yields skipped rows; output that cannot be parsed raises a
-    BenchError carrying the raw output.
-    """
-    _check_sizes(sizes)
-    cases = []
-    for size in sizes:
-        argv = shlex.split(command_template.format(size=size))
+        rx = right
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=300.0
-            )
-        except FileNotFoundError:
-            cases.append(
-                BenchCase(
-                    case="tls-external",
-                    size_bytes=size,
-                    ops_per_sec=0.0,
-                    mb_per_sec=0.0,
-                    p50_us=0.0,
-                    p99_us=0.0,
-                    skipped=True,
-                    note=f"external tool not found: {argv[0]}",
+            if mode == TLS_CASE:
+                # a bare EOF raises: only the sender's close_notify ends the stream
+                rx = server_ctx.wrap_socket(
+                    right, server_side=True, suppress_ragged_eofs=False
                 )
-            )
-            continue
-        except subprocess.TimeoutExpired as exc:
-            raise BenchError(
-                f"external tool timed out: {argv[0]}", raw_output=str(exc)
-            ) from exc
-        output = proc.stdout + proc.stderr
-        if proc.returncode != 0:
-            raise BenchError(
-                f"external tool exited {proc.returncode}", raw_output=output
-            )
-        rows = parse_speed_output(output)
-        for name, by_size in rows.items():
-            if size not in by_size:
-                raise BenchError(
-                    f"external output lacks size {size} for {name!r}",
-                    raw_output=output,
-                )
-            bps = by_size[size]
-            cases.append(
-                BenchCase(
-                    case=f"tls-{name.lower().replace(' ', '-')}",
-                    size_bytes=size,
-                    ops_per_sec=bps / size,
-                    mb_per_sec=bps / 1e6,
-                    p50_us=0.0,
-                    p99_us=0.0,
-                    note="latency not reported by external tool",
-                )
-            )
-    return BenchReport("tls", tuple(cases), environment_fingerprint())
+
+                def receive():
+                    data = _read_exact(rx.recv, msg_size, allow_eof=True)
+                    if not data:
+                        rx.unwrap()  # answer the sender's close_notify
+                    return data or None
+            elif mode == "plaintext-baseline":
+                def receive():
+                    wire = read_record(right.recv)
+                    return decode_record(wire) if wire else None
+            else:
+                endpoint = ChannelEndpoint(load_association(resp_pf), right)
+                endpoint.handshake()
+                receive = endpoint.receive
+            stamps = []
+            while receive() is not None:
+                stamps.append(time.perf_counter())
+            result["stamps"] = stamps
+        except Exception as exc:  # raised again on the caller's thread
+            result["error"] = exc
+        finally:
+            _shut(rx)
+
+    thread = threading.Thread(target=receiver, daemon=True)
+    tx, note = left, ""
+    with left, right:
+        thread.start()
+        try:
+            if mode == TLS_CASE:
+                tx = client_ctx.wrap_socket(left, server_hostname=_TLS_HOST)
+                note = f"{tx.version()} {tx.cipher()[0]}"
+                send, finish = (lambda: tx.sendall(msg)), tx.unwrap
+            elif mode == "plaintext-baseline":
+                seq = itertools.count(1)
+                zero_tag = bytes(TAG_LEN[Mode.AUTH_ONLY])
+
+                def send():
+                    record = Record(
+                        MsgType.DATA, Mode.AUTH_ONLY, bytes(8), next(seq), msg, zero_tag
+                    )
+                    left.sendall(encode_record(record))
+
+                def finish():
+                    left.shutdown(socket.SHUT_WR)
+            else:
+                sender = ChannelEndpoint(load_association(init_pf), left)
+                sender.handshake()
+                send, finish = (lambda: sender.send(msg)), sender.close
+            deadline = time.perf_counter() + duration
+            while time.perf_counter() < deadline:
+                send()
+            finish()
+        except Exception:
+            # a receiver that failed first is what stopped the sender
+            if "error" in result:
+                raise result["error"]
+            raise
+        finally:
+            _shut(tx)
+            thread.join(timeout=60.0)
+    if thread.is_alive():
+        raise BenchError("loopback receiver did not finish")
+    if "error" in result:
+        raise result["error"]
+    return result["stamps"], note
+
+
+def _shut(sock) -> None:
+    with contextlib.suppress(OSError):  # already closed, or the peer is gone
+        sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
+
+
+def _tls_contexts() -> tuple[ssl.SSLContext, ssl.SSLContext]:
+    """Server and client TLS 1.3 contexts around a fresh self-signed P-256
+    certificate for ``_TLS_HOST``. The client trusts that certificate
+    alone and, as ``PROTOCOL_TLS_CLIENT`` sets, requires it and checks
+    the host name."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, _TLS_HOST)])
+    now = datetime.now(timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - timedelta(minutes=5))
+        .not_valid_after(now + timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName([x509.DNSName(_TLS_HOST)]), False)
+        .sign(key, hashes.SHA256())
+    )
+    cert_pem = cert.public_bytes(Encoding.PEM)
+    server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    # the ssl module reads a certificate chain from a file only
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "server.pem"
+        path.write_bytes(
+            key.private_bytes(Encoding.PEM, PrivateFormat.PKCS8, NoEncryption())
+            + cert_pem
+        )
+        server.load_cert_chain(path)
+    client = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    client.load_verify_locations(cadata=cert_pem.decode("ascii"))
+    for ctx in (server, client):
+        ctx.minimum_version = ssl.TLSVersion.TLSv1_3
+    return server, client
 
 
 # -- comparison and headline ------------------------------------------
@@ -650,6 +651,6 @@ def headline_summary(kiss: BenchReport, tls: BenchReport) -> str:
             f"{match.case} {match.mb_per_sec:.2f} MB/s (ratio {ratio:.3f})"
         )
     else:
-        lines.append("throughput ratio: not available (no comparable external row)")
+        lines.append("throughput ratio: not available (no TLS row at that size)")
     lines.append(f"protocol core: {core_line_count()} source lines")
     return "\n".join(lines) + "\n"

@@ -55,7 +55,6 @@ _BENCH_FLAG_SUITES = {
     "--sizes": ("primitives",),
     "--iterations": ("primitives",),
     "--msg-size": ("channel", "tls"),
-    "--tls-command": ("tls",),
 }
 DEFAULT_MSG_SIZE = 1500
 
@@ -180,31 +179,27 @@ def cmd_bench(args) -> int:
         )
     sizes = _parse_sizes(args.sizes) if args.sizes else bench_mod.DEFAULT_SIZES
     msg_size = DEFAULT_MSG_SIZE if args.msg_size is None else args.msg_size
-    tls_command = bench_mod.TLS_COMMAND if args.tls_command is None else args.tls_command
     if args.suite == "primitives":
         cfg = bench_mod.BenchConfig(
             sizes=sizes, iterations=args.iterations, duration=args.duration
         )
         report = bench_mod.bench_primitives(cfg)
-    elif args.suite == "channel":
+    else:
         cases = []
         for mode in bench_mod.CHANNEL_MODES:
             part = bench_mod.bench_channel(mode, msg_size=msg_size, duration=args.duration)
             cases.extend(part.cases)
-        report = bench_mod.BenchReport(
+        report = channel_report = bench_mod.BenchReport(
             "channel", tuple(cases), bench_mod.environment_fingerprint()
         )
-    else:  # tls
-        kiss_report = bench_mod.bench_channel(
-            "AUTH_ONLY", msg_size=msg_size, duration=args.duration
-        )
-        tls_report = bench_mod.bench_tls_baseline((msg_size,), tls_command)
+    if args.suite == "tls":
+        tls_report = bench_mod.bench_tls_baseline((msg_size,), duration=args.duration)
         report = bench_mod.compare_report(
-            kiss_report, tls_report, baseline=kiss_report.cases[0].case
+            channel_report, tls_report, baseline="channel-AUTH_ONLY"
         )
     print(report.format_markdown())
     if args.suite == "tls":
-        print(bench_mod.headline_summary(kiss_report, tls_report))
+        print(bench_mod.headline_summary(channel_report, tls_report))
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
         log.info("wrote CSV to %s", args.csv)
@@ -279,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, help="primitives: fixed ops per timed batch")
     p.add_argument(
         "--msg-size", type=int, help=f"channel, tls: record size (default {DEFAULT_MSG_SIZE})"
-    )
-    p.add_argument(
-        "--tls-command", help="tls: external speed command template ({size} placeholder)"
     )
     p.set_defaults(func=cmd_bench)
 

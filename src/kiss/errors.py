@@ -73,11 +73,4 @@ class TransportError(KissError):
 
 
 class BenchError(KissError):
-    """Benchmark harness failure.
-
-    ``raw_output`` carries the unparseable external tool output, if any.
-    """
-
-    def __init__(self, message: str, raw_output: str | None = None):
-        super().__init__(message)
-        self.raw_output = raw_output
+    """Benchmark harness failure."""

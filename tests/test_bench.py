@@ -1,6 +1,12 @@
-"""Benchmark harness: config, parsing, comparison, report plumbing."""
+"""Benchmark harness: config, loopback runner, comparison, report plumbing."""
 
+import contextlib
 import platform
+import socket
+import ssl
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -8,6 +14,7 @@ import kiss.bench as bench_mod
 import kiss.channel as channel_mod
 from kiss.bench import (
     PRIMITIVES,
+    TLS_CASE,
     BenchCase,
     BenchConfig,
     BenchReport,
@@ -18,12 +25,14 @@ from kiss.bench import (
     core_line_count,
     environment_fingerprint,
     headline_summary,
-    parse_speed_output,
+    _TLS_HOST,
     _make_primitive_op,
     _measure_cases,
     _percentile,
+    _tls_contexts,
 )
-from kiss.errors import BenchError, InvalidParameterError
+from kiss.channel import MAX_PAYLOAD
+from kiss.errors import InvalidParameterError
 
 
 # -- configuration -----------------------------------------------------
@@ -174,6 +183,8 @@ def test_bench_channel_validates_arguments():
         bench_channel("carrier-pigeon")
     with pytest.raises(InvalidParameterError):
         bench_channel("AEAD", msg_size=0)
+    with pytest.raises(InvalidParameterError, match="msg_size"):
+        bench_channel("AEAD", msg_size=MAX_PAYLOAD + 1)
     with pytest.raises(InvalidParameterError):
         bench_channel("AEAD", duration=0.0)
 
@@ -201,85 +212,100 @@ def test_bench_channel_plaintext_baseline_runs(monkeypatch):
     assert len(reads) >= 16 and set(reads[:-1]) == {25 + 256 + 32}
 
 
-# -- external tool parsing ----------------------------------------------
+# a receiver that dies mid-stream must not leave the sender blocked in
+# sendall; a hang would stall the suite, so each case runs in a child
+# process under a hard timeout
+_FAIL_51ST_CALL = """
+import importlib, sys
+from kiss.bench import _run_loopback
+from kiss.errors import AuthenticationError
+
+mode, target = sys.argv[1:]
+module_name, name = target.rsplit(".", 1)
+module = importlib.import_module(module_name)
+real, calls = getattr(module, name), []
 
 
-SINGLE_SIZE_OUTPUT = """\
-Doing AES-256-GCM ops for 1s on 256 size blocks: 1054836 AES-256-GCM ops in 0.99s
-version: 3.0.13
-built on: Wed Jan 31 00:00:00 2024 UTC
-options: bn(64,64)
-The 'numbers' are in 1000s of bytes per second processed.
-type            256 bytes
-AES-256-GCM    272856.27k
+def failing(*args, **kwargs):
+    calls.append(None)
+    if len(calls) == 51:
+        raise AuthenticationError("injected")
+    return real(*args, **kwargs)
+
+
+setattr(module, name, failing)
+try:
+    _run_loopback(mode, 16384, 1.0)
+except AuthenticationError as exc:
+    print("raised", exc)
 """
-
-MULTI_SIZE_OUTPUT = """\
-The 'numbers' are in 1000s of bytes per second processed.
-type             16 bytes     64 bytes    256 bytes   1024 bytes   8192 bytes
-aes-128-cbc     123456.78k   234567.89k  345678.90k  456789.01k   567890.12k
-aes-256-gcm      98765.43k   187654.32k  276543.21k  365432.10k   454321.09k
-"""
-
-
-def test_parse_single_size_table():
-    rows = parse_speed_output(SINGLE_SIZE_OUTPUT)
-    assert rows == {"AES-256-GCM": {256: pytest.approx(272_856_270.0)}}
-
-
-def test_parse_multi_size_table():
-    rows = parse_speed_output(MULTI_SIZE_OUTPUT)
-    assert set(rows) == {"aes-128-cbc", "aes-256-gcm"}
-    assert rows["aes-256-gcm"][64] == pytest.approx(187_654_320.0)
-    assert rows["aes-128-cbc"][8192] == pytest.approx(567_890_120.0)
-    assert set(rows["aes-256-gcm"]) == {16, 64, 256, 1024, 8192}
 
 
 @pytest.mark.parametrize(
-    "text",
+    "mode,target",
     [
-        "no table here at all\n",
-        "type    apples oranges\n",  # header without byte sizes
-        "type    256 bytes\nnothing that parses\n",
+        ("AUTH_ONLY", "kiss.channel.open_record"),
+        ("AEAD", "kiss.channel.open_record"),
+        ("plaintext-baseline", "kiss.bench.read_record"),
+        (TLS_CASE, "kiss.bench._read_exact"),
     ],
 )
-def test_parse_rejects_malformed_output(text):
-    with pytest.raises(BenchError) as err:
-        parse_speed_output(text)
-    assert err.value.raw_output == text
-
-
-def test_tls_baseline_missing_tool_degrades_to_skipped():
-    report = bench_tls_baseline(
-        (64, 256),
-        command_template="definitely-not-installed-xyz speed -bytes {size}",
+def test_failed_receiver_is_raised_instead_of_hanging(mode, target):
+    result = subprocess.run(
+        [sys.executable, "-c", _FAIL_51ST_CALL, mode, target],
+        capture_output=True, text=True, timeout=30,
     )
-    assert [c.size_bytes for c in report.cases] == [64, 256]
-    assert all(c.skipped for c in report.cases)
-    assert all("not found" in c.note for c in report.cases)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised injected"
+    assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("sizes", [(), (0,), (64, -5)])
+# -- TLS baseline ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "host,own_client", [("other.test", True), (_TLS_HOST, False)],
+    ids=["wrong-host-name", "untrusted-certificate"],
+)
+def test_tls_client_verifies_certificate_and_host_name(host, own_client):
+    # a baseline with verification off would be a cheaper, different program
+    server, client = _tls_contexts()
+    assert client.verify_mode is ssl.CERT_REQUIRED
+    assert client.check_hostname
+    assert server.minimum_version is ssl.TLSVersion.TLSv1_3
+    assert client.minimum_version is ssl.TLSVersion.TLSv1_3
+    if not own_client:
+        _, client = _tls_contexts()  # trusts a different certificate
+
+    left, right = socket.socketpair()
+
+    def serve():
+        with contextlib.suppress(OSError):  # the client aborts the handshake
+            server.wrap_socket(right, server_side=True).close()
+
+    with left, right:
+        thread = threading.Thread(target=serve)
+        thread.start()
+        with pytest.raises(ssl.SSLCertVerificationError):
+            client.wrap_socket(left, server_hostname=host)
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+def test_tls_baseline_negotiates_tls13_and_measures():
+    report = bench_tls_baseline((256,), duration=0.3)
+    assert report.suite == "tls"
+    (case,) = report.cases
+    assert (case.case, case.size_bytes) == (TLS_CASE, 256)
+    assert case.note == "TLSv1.3 TLS_AES_256_GCM_SHA384"
+    assert case.ops_per_sec > 0
+    assert case.p50_us <= case.p99_us
+
+
+@pytest.mark.parametrize("sizes", [(), (0,), (64, -5), (64, MAX_PAYLOAD + 1)])
 def test_tls_baseline_rejects_bad_sizes(sizes):
     with pytest.raises(InvalidParameterError):
-        bench_tls_baseline(sizes, command_template="/bin/echo {size}")
-
-
-def test_tls_baseline_garbage_output_raises_with_raw():
-    with pytest.raises(BenchError) as err:
-        bench_tls_baseline(
-            (64,),
-            command_template="/bin/echo pretend speed table {size}",
-        )
-    assert "pretend speed table 64" in err.value.raw_output
-
-
-def test_tls_baseline_nonzero_exit_raises():
-    with pytest.raises(BenchError, match="exited 3"):
-        bench_tls_baseline(
-            (64,),
-            command_template="sh -c 'exit 3'",
-        )
+        bench_tls_baseline(sizes)
 
 
 # -- comparison ---------------------------------------------------------

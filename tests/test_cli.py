@@ -84,6 +84,7 @@ def test_provision_unwritable_path_exits_one():
         ["client", "--provision", "x", "--connect", "y:1",
          "--send", "a", "--count", "2"],  # mutually exclusive
         ["provision", "--window", "soon"],
+        ["bench", "--suite", "tls", "--tls-command", "x"],  # no such flag
     ],
 )
 def test_usage_errors_exit_two(argv):
@@ -334,17 +335,20 @@ def test_bench_channel_cli(tmp_path):
     assert "channel-plaintext-baseline" in result.stdout
 
 
-_MISSING_TOOL = ("--tls-command", "definitely-not-installed-xyz speed {size}")
-
-
 @pytest.mark.parametrize("suite", ["channel", "tls"])
 def test_bench_zero_duration_exits_one(suite):
-    tool = _MISSING_TOOL if suite == "tls" else ()
-    result = run_cli(
-        "bench", "--suite", suite, "--msg-size", "256", "--duration", "0", *tool
-    )
+    result = run_cli("bench", "--suite", suite, "--msg-size", "256", "--duration", "0")
     assert result.returncode == 1
     assert "duration" in result.stderr
+
+
+def test_bench_msg_size_above_record_cap_exits_one():
+    result = run_cli(
+        "bench", "--suite", "channel", "--msg-size", "1048577", "--duration", "0.3"
+    )
+    assert result.returncode == 1
+    assert "msg_size" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -354,17 +358,13 @@ def test_bench_zero_duration_exits_one(suite):
         for suite in ("channel", "tls")
         for flag, value in (("--sizes", "64"), ("--iterations", "5000"))
     ]
-    + [
-        ("--msg-size", "99999", "primitives"),
-        pytest.param(*_MISSING_TOOL, "primitives", id="--tls-command-primitives"),
-        pytest.param(*_MISSING_TOOL, "channel", id="--tls-command-channel"),
-    ],
+    + [("--msg-size", "99999", "primitives")],
 )
 def test_bench_suite_refuses_flag_it_does_not_use(flag, value, suite):
     own = {
         "primitives": ("--sizes", "64", "--iterations", "1000"),
         "channel": ("--msg-size", "256"),
-        "tls": ("--msg-size", "256", *_MISSING_TOOL),
+        "tls": ("--msg-size", "256"),
     }[suite]
     result = run_cli("bench", "--suite", suite, flag, value, *own, "--duration", "0.2")
     assert result.returncode == 1
@@ -372,21 +372,26 @@ def test_bench_suite_refuses_flag_it_does_not_use(flag, value, suite):
     assert "|" not in result.stdout  # refused before measuring anything
 
 
-def test_bench_tls_with_missing_tool_still_reports(tmp_path):
+def test_bench_tls_cli(tmp_path):
     csv_path = tmp_path / "tls.csv"
     result = run_cli(
         "bench", "--suite", "tls",
-        "--msg-size", "256", "--duration", "1.0",
-        "--tls-command", "definitely-not-installed-xyz speed {size}",
+        "--msg-size", "256", "--duration", "0.3",
         "--csv", str(csv_path),
     )
     assert result.returncode == 0, result.stderr
-    assert "skipped" in result.stdout
-    assert "not available" in result.stdout
+    lines = csv_path.read_text().strip().split("\n")
+    assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["channel-AUTH_ONLY", "256"],
+        ["channel-AEAD", "256"],
+        ["channel-plaintext-baseline", "256"],
+        ["tls1.3", "256"],
+    ]
+    assert lines[1].endswith(",1.0000")  # every ratio is against this row
+    assert "vs channel-AUTH_ONLY" in result.stdout
+    assert "channel-AUTH_ONLY" in result.stdout.split("throughput at 256 B:")[1]
     assert "source lines" in result.stdout
-    assert csv_path.read_text().startswith(
-        "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"
-    )
 
 
 # -- logging contract -------------------------------------------------------
