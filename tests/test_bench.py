@@ -48,6 +48,7 @@ def test_config_defaults_are_valid():
         {"sizes": ()},
         {"sizes": (0,)},
         {"sizes": (-5,)},
+        {"sizes": (64, MAX_PAYLOAD + 1)},  # above the record cap
         {"iterations": 0, "duration": None},
         {"iterations": -10, "duration": None},
         {"iterations": 500, "duration": None},  # too short to measure
@@ -190,12 +191,13 @@ def test_bench_channel_validates_arguments():
 
 
 def test_bench_channel_plaintext_baseline_runs(monkeypatch):
-    # the baseline must frame with the endpoint's own reader, so that its
-    # gap to the channel modes is the cryptography alone
+    # the baseline must frame with the endpoint's own reader, keeping its
+    # read-ahead in a buffer as an endpoint does, so that its gap to the
+    # channel modes is the cryptography alone
     reads = []
 
-    def counting_read_record(read):
-        wire = channel_mod.read_record(read)
+    def counting_read_record(read, buf):
+        wire = channel_mod.read_record(read, buf)
         reads.append(len(wire))
         return wire
 
@@ -244,8 +246,8 @@ except AuthenticationError as exc:
 @pytest.mark.parametrize(
     "mode,target",
     [
-        ("AUTH_ONLY", "kiss.channel.open_record"),
-        ("AEAD", "kiss.channel.open_record"),
+        ("AUTH_ONLY", "kiss.channel._open_frame"),
+        ("AEAD", "kiss.channel._open_frame"),
         ("plaintext-baseline", "kiss.bench.read_record"),
         (TLS_CASE, "kiss.bench._read_exact"),
     ],

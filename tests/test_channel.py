@@ -22,6 +22,7 @@ from kiss.association import (
 from kiss.channel import (
     HEADER_LEN,
     MAX_PAYLOAD,
+    READ_SIZE,
     ChannelEndpoint,
     ChannelState,
     MsgType,
@@ -32,6 +33,7 @@ from kiss.channel import (
     open_record,
     read_record,
     seal,
+    seal_wire,
 )
 from kiss.errors import (
     AssociationError,
@@ -270,6 +272,18 @@ def test_sealed_wire_bytes_are_pinned(mode):
     assert digest.hexdigest() == WIRE_PINS[mode]
 
 
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_seal_wire_is_the_pinned_wire(mode):
+    (sender, _), (twin, _) = _pair(mode), _pair(mode)
+    digest = hashlib.sha256()
+    for i in range(64):
+        payload = bytes((i + j) & 0xFF for j in range((0, 64, 1500)[i % 3]))
+        wire = seal_wire(sender, MsgType.DATA, payload)
+        assert wire == encode_record(seal(twin, MsgType.DATA, payload))
+        digest.update(wire)
+    assert digest.hexdigest() == WIRE_PINS[mode]
+
+
 def test_wrong_assoc_id():
     sender, _ = _pair()
     other_pf = ProvisionFile(
@@ -442,6 +456,89 @@ def test_read_record_eof_inside_header():
         read_record(stream.read)
 
 
+# -- the endpoint's read buffer ----------------------------------------
+
+
+class _ScriptedTransport:
+    """Serves ``data`` to ``recv(n)`` in pieces no longer than the next of
+    ``cuts`` (cycled), logs every request and swallows what is sent."""
+
+    def __init__(self, data, cuts=(READ_SIZE,)):
+        self.data, self.pos, self.cuts = data, 0, itertools.cycle(cuts)
+        self.asked = []
+
+    def recv(self, n):
+        self.asked.append(n)
+        chunk = self.data[self.pos : self.pos + min(n, next(self.cuts))]
+        self.pos += len(chunk)
+        return chunk
+
+    def sendall(self, data):
+        pass
+
+
+def _established(assoc, transport):
+    ep = ChannelEndpoint(assoc, transport)
+    ep.state = ChannelState.ESTABLISHED  # the handshake is not under test
+    return ep
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from([Mode.AUTH_ONLY, Mode.AEAD]),
+    payloads=st.lists(st.binary(max_size=2000), min_size=1, max_size=12),
+    cuts=st.lists(
+        st.sampled_from([1, 2, 24, 25, 26, 57, 700, 4096]) | st.integers(1, 5000),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_endpoint_frames_any_cut_of_a_stream(mode, payloads, cuts):
+    sender, receiver = _pair(mode)
+    stream = b"".join(seal_wire(sender, MsgType.DATA, p) for p in payloads)
+    transport = _ScriptedTransport(stream, cuts)
+    ep = _established(receiver, transport)
+    for p in payloads:
+        assert ep.receive() == p
+        assert len(ep._buf) <= READ_SIZE  # read-ahead stays bounded
+    assert transport.pos == len(stream)
+    assert sender.send_chain.counter == receiver.recv_chain.counter == len(payloads)
+    assert receiver.highest_accepted_seq == len(payloads)
+
+
+def test_two_records_in_one_recv_survive_a_transport_swap():
+    sender, receiver = _pair()
+    first, second = (seal_wire(sender, MsgType.DATA, b"%d" % i) for i in range(2))
+    ep = _established(receiver, _ScriptedTransport(first + second))
+    assert ep.receive() == b"0"
+    swapped = ep.transport = _ScriptedTransport(b"")
+    assert ep.receive() == b"1"
+    assert swapped.asked == []  # served from the leftover alone
+
+
+def test_oversized_header_fails_before_any_body_read():
+    header = bytearray(_wire()[:HEADER_LEN])
+    header[21:25] = (MAX_PAYLOAD + 1).to_bytes(4, "big")
+    _, receiver = _pair()
+    transport = _ScriptedTransport(bytes(header) + b"\0" * 100, cuts=(HEADER_LEN,))
+    ep = _established(receiver, transport)
+    with pytest.raises(FrameError) as err:
+        ep.receive()
+    assert err.value.field == "payload_len"
+    assert transport.asked == [READ_SIZE]
+    assert ep.state is ChannelState.CLOSED
+
+
+@pytest.mark.parametrize("cut", [HEADER_LEN - 3, -3], ids=["in-header", "in-body"])
+def test_endpoint_eof_mid_record(cut):
+    sender, receiver = _pair()
+    wire = seal_wire(sender, MsgType.DATA, b"cut short")
+    ep = _established(receiver, _ScriptedTransport(wire[:cut]))
+    with pytest.raises(TransportError):
+        ep.receive()
+    assert receiver.recv_chain.counter == 0
+
+
 # -- endpoints over a live transport ------------------------------------
 
 
@@ -467,6 +564,34 @@ def _endpoint_pair(mode=Mode.AUTH_ONLY):
         t.join(timeout=5)
     assert not errors
     return init_ep, resp_ep, s_init, s_resp
+
+
+class _CountingTransport:
+    def __init__(self, sock):
+        self.sock, self.recvs = sock, 0
+
+    def sendall(self, data):
+        self.sock.sendall(data)
+
+    def recv(self, n):
+        self.recvs += 1
+        return self.sock.recv(n)
+
+
+def test_echo_costs_one_recv_per_record():
+    init_ep, resp_ep, s_init, s_resp = _endpoint_pair()
+    try:
+        init_ep.transport = _CountingTransport(s_init)
+        resp_ep.transport = _CountingTransport(s_resp)
+        for i in range(50):
+            payload = bytes([i]) * 64
+            init_ep.send(payload)
+            resp_ep.send(resp_ep.receive())
+            assert init_ep.receive() == payload
+        assert init_ep.transport.recvs == resp_ep.transport.recvs == 50
+    finally:
+        s_init.close()
+        s_resp.close()
 
 
 @pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])

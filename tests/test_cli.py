@@ -351,6 +351,17 @@ def test_bench_msg_size_above_record_cap_exits_one():
     assert "Traceback" not in result.stderr
 
 
+def test_bench_primitive_sizes_above_record_cap_exit_one_before_measuring():
+    result = run_cli(
+        "bench", "--suite", "primitives", "--sizes", "64,2000000",
+        "--iterations", "1000", "--duration", "0.1",
+    )
+    assert result.returncode == 1
+    # refused by the size check, not by seal() after the other primitives ran
+    assert "record cap" in result.stderr and "2000000" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize(
     "flag,value,suite",
     [
