@@ -7,7 +7,8 @@ Three layers of measurement, all sharing one report shape:
   buffers so runs are byte-comparable.
 * ``bench_channel`` drives a two-thread loopback pair and measures
   sustained record throughput, with a plaintext framing baseline that
-  reads through the endpoint's own framing reader, isolating the cost
+  packs the frames ``seal_wire`` would send, zero-tagged, and reads
+  them through the endpoint's own framing reader, isolating the cost
   of the cryptography.
 * ``bench_tls_baseline`` runs the same loopback pair over in-process
   TLS 1.3 (stdlib ``ssl``, a fresh self-signed P-256 certificate that
@@ -61,9 +62,9 @@ from .association import (
     generate_provision,
     load_association,
 )
-from .channel import MAX_PAYLOAD, ChannelEndpoint, MsgType, Record, TAG_LEN
-from .channel import _read_exact, encode_record, read_record, seal
-from .errors import BenchError, InvalidParameterError
+from .channel import MAX_PAYLOAD, ChannelEndpoint, MsgType, TAG_LEN
+from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, read_record, seal_wire
+from .errors import BenchError, InvalidParameterError, TransportError
 from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_step
 
 DEFAULT_SIZES = (64, 512, 1500, 16384)
@@ -153,7 +154,6 @@ class BenchCase:
     mb_per_sec: float
     p50_us: float
     p99_us: float
-    skipped: bool = False
     note: str = ""
     flags: tuple[str, ...] = ()
     ratio: float | None = None  # ops/sec against the report's baseline case
@@ -198,16 +198,10 @@ class BenchReport:
             rule += f"{'-' * (ratio_w + 2)}|"
         lines = [f"{head} {'note':{note_w}} |", f"{rule}{'-' * (note_w + 2)}|"]
         for c, note in zip(self.cases, notes):
-            if c.skipped:
-                line = (
-                    f"| {c.case:{case_w}} | {c.size_bytes:>6} | {'skipped':>12} "
-                    f"| {'-':>9} | {'-':>8} | {'-':>8} |"
-                )
-            else:
-                line = (
-                    f"| {c.case:{case_w}} | {c.size_bytes:>6} | {c.ops_per_sec:>12.1f} "
-                    f"| {c.mb_per_sec:>9.3f} | {c.p50_us:>8.3f} | {c.p99_us:>8.3f} |"
-                )
+            line = (
+                f"| {c.case:{case_w}} | {c.size_bytes:>6} | {c.ops_per_sec:>12.1f} "
+                f"| {c.mb_per_sec:>9.3f} | {c.p50_us:>8.3f} | {c.p99_us:>8.3f} |"
+            )
             if with_ratio:
                 ratio = f"{c.ratio:.2f}x" if c.ratio is not None else "-"
                 line += f" {ratio:>{ratio_w}} |"
@@ -370,8 +364,8 @@ def _make_primitive_op(name: str, size: int):
         state = idvv_init(Seed(bytes(range(32))), Root(bytes(range(32, 64))), b"bench")
         return lambda: idvv_step(state)
     if name == "idvv-seal-authonly":
-        assoc = _bench_assoc()
-        return lambda: encode_record(seal(assoc, MsgType.DATA, msg))
+        assoc, data = _bench_assoc(), MsgType.DATA
+        return lambda: seal_wire(assoc, data, msg)
     raise InvalidParameterError(f"unknown primitive {name!r}")
 
 
@@ -474,7 +468,7 @@ def _run_loopback(mode: str, msg_size: int, duration: float) -> tuple[list[float
                 )
 
                 def receive():
-                    data = _read_exact(rx.recv, msg_size, allow_eof=True)
+                    data = _read_exact(rx.recv, msg_size)
                     if not data:
                         rx.unwrap()  # answer the sender's close_notify
                     return data or None
@@ -506,14 +500,16 @@ def _run_loopback(mode: str, msg_size: int, duration: float) -> tuple[list[float
                 note = f"{tx.version()} {tx.cipher()[0]}"
                 send, finish = (lambda: tx.sendall(msg)), tx.unwrap
             elif mode == "plaintext-baseline":
-                seq = itertools.count(1)
-                zero_tag = bytes(TAG_LEN[Mode.AUTH_ONLY])
+                # the frames seal_wire would send, with a zeroed tag
+                pack, seq, data = _HEADER.pack, itertools.count(1), MsgType.DATA
+                assoc_id, zero_tag = bytes(8), bytes(TAG_LEN[Mode.AUTH_ONLY])
 
                 def send():
-                    record = Record(
-                        MsgType.DATA, Mode.AUTH_ONLY, bytes(8), next(seq), msg, zero_tag
+                    header = pack(
+                        MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq),
+                        msg_size,
                     )
-                    left.sendall(encode_record(record))
+                    left.sendall(b"".join((header, msg, zero_tag)))
 
                 def finish():
                     left.shutdown(socket.SHUT_WR)
@@ -538,6 +534,24 @@ def _run_loopback(mode: str, msg_size: int, duration: float) -> tuple[list[float
     if "error" in result:
         raise result["error"]
     return result["stamps"], note
+
+
+def _read_exact(read, n: int) -> bytes:
+    """Exactly ``n`` bytes from ``read(n) -> bytes``, or b"" on EOF before
+    the first byte; EOF after it raises TransportError."""
+    chunk = read(n)
+    if len(chunk) == n:  # the usual case: one recv delivers it all
+        return chunk
+    chunks, got = [], 0
+    while chunk:
+        chunks.append(chunk)
+        got += len(chunk)
+        if got >= n:
+            return b"".join(chunks)
+        chunk = read(n - got)
+    if got:
+        raise TransportError(f"connection closed mid-record ({got}/{n} bytes)")
+    return b""
 
 
 def _shut(sock) -> None:
@@ -585,19 +599,15 @@ def _tls_contexts() -> tuple[ssl.SSLContext, ssl.SSLContext]:
 # -- comparison and headline ------------------------------------------
 
 
-def compare_report(*reports: BenchReport, baseline: str | None = None) -> BenchReport:
+def compare_report(*reports: BenchReport, baseline: str) -> BenchReport:
     """Merge reports into one table whose cases carry a throughput ratio
-    against a named baseline case (by default the first measured one)."""
+    against the named baseline case."""
     if len(reports) < 2:
         raise InvalidParameterError("comparison needs at least two reports")
     all_cases = [c for r in reports for c in r.cases]
     by_case: dict[str, dict[int, BenchCase]] = {}
     for c in all_cases:
         by_case.setdefault(c.case, {})[c.size_bytes] = c
-    if baseline is None:
-        baseline = next((c.case for c in all_cases if not c.skipped), None)
-        if baseline is None:
-            raise InvalidParameterError("no measurable case to use as baseline")
     if baseline not in by_case:
         raise InvalidParameterError(f"baseline case {baseline!r} not in reports")
     base_sizes = by_case[baseline]
@@ -610,12 +620,8 @@ def compare_report(*reports: BenchReport, baseline: str | None = None) -> BenchR
             )
     cases = []
     for c in all_cases:
-        base = base_sizes[c.size_bytes]
-        if c.skipped or base.skipped or base.ops_per_sec == 0.0:
-            ratio = None
-        else:
-            ratio = c.ops_per_sec / base.ops_per_sec
-        cases.append(replace(c, ratio=ratio))
+        base = base_sizes[c.size_bytes].ops_per_sec
+        cases.append(replace(c, ratio=c.ops_per_sec / base if base else None))
     suite = "+".join(r.suite for r in reports)
     return BenchReport(suite, tuple(cases), reports[0].environment, baseline=baseline)
 
@@ -638,15 +644,10 @@ def headline_summary(kiss: BenchReport, tls: BenchReport) -> str:
     Both figures are environment-dependent; they are reported, not
     judged against a threshold.
     """
-    kiss_case = next((c for c in kiss.cases if not c.skipped), None)
-    tls_rows = [c for c in tls.cases if not c.skipped]
+    kiss_case = kiss.cases[0]
+    match = next((c for c in tls.cases if c.size_bytes == kiss_case.size_bytes), None)
     lines = []
-    match = None
-    if kiss_case is not None:
-        match = next(
-            (c for c in tls_rows if c.size_bytes == kiss_case.size_bytes), None
-        )
-    if kiss_case is not None and match is not None:
+    if match is not None:
         ratio = kiss_case.mb_per_sec / match.mb_per_sec if match.mb_per_sec else 0.0
         lines.append(
             f"throughput at {kiss_case.size_bytes} B: "

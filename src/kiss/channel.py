@@ -24,6 +24,10 @@ from a read buffer it keeps: ``recv(READ_SIZE)`` while a header is
 incomplete, one parse, then ``recv`` of exactly what the record lacks.
 The parsed fields go straight to the verify-and-commit step that
 ``open_record`` runs after parsing a whole record.
+
+``Record``, ``seal``, ``encode_record`` and ``decode_record`` are an
+inspection view of the same bytes, kept for tests and ``benchmark/``;
+no endpoint runs them.
 """
 
 from __future__ import annotations
@@ -106,6 +110,8 @@ _DATA, _ALERT = MsgType.DATA, MsgType.ALERT
 _ESTABLISHED = ChannelState.ESTABLISHED
 
 
+# benchmark/ calls Record, seal, encode_record, decode_record and
+# open_record, and writes Association.highest_accepted_seq: all of them stay.
 class Record(NamedTuple):
     msg_type: MsgType
     mode: Mode
@@ -114,30 +120,21 @@ class Record(NamedTuple):
     payload: bytes
     tag: bytes
 
-    def header(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC,
-            VERSION,
-            self.msg_type,
-            _MODE_WIRE[self.mode],
-            self.assoc_id,
-            self.seq,
-            len(self.payload),
-        )
-
 
 def encode_record(record: Record) -> bytes:
-    if len(record.payload) > MAX_PAYLOAD:
+    msg_type, mode, assoc_id, seq, payload, tag = record
+    if len(payload) > MAX_PAYLOAD:
         raise FrameError(
-            f"payload {len(record.payload)} exceeds cap {MAX_PAYLOAD}",
-            field="payload_len",
+            f"payload {len(payload)} exceeds cap {MAX_PAYLOAD}", field="payload_len"
         )
-    if len(record.tag) != TAG_LEN[record.mode]:
+    if len(tag) != TAG_LEN[mode]:
         raise FrameError(
-            f"tag must be {TAG_LEN[record.mode]} bytes in {record.mode.value} mode",
-            field="tag",
+            f"tag must be {TAG_LEN[mode]} bytes in {mode.value} mode", field="tag"
         )
-    return b"".join((record.header(), record.payload, record.tag))
+    header = _HEADER.pack(
+        MAGIC, VERSION, msg_type, _MODE_WIRE[mode], assoc_id, seq, len(payload)
+    )
+    return b"".join((header, payload, tag))
 
 
 def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
@@ -165,12 +162,6 @@ def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
     mode, tag_len = wire_mode
     end = HEADER_LEN + payload_len
     return msg_type, mode, assoc_id, seq, end, end + tag_len
-
-
-def decode_header(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
-    """Parse and validate the fixed 25-byte header."""
-    msg_type, mode, assoc_id, seq, end, _ = _parse_header(buf)
-    return msg_type, mode, assoc_id, seq, end - HEADER_LEN
 
 
 def _decode_frame(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
@@ -269,10 +260,10 @@ def _open_frame(assoc, wire, msg_type, mode, assoc_id, seq, end):
     return msg_type, plaintext
 
 
-def _read_frame(recv, buf: bytearray, read_size: int = READ_SIZE):
+def _read_frame(recv, buf: bytearray):
     """Cut the next record out of ``buf``, topping it up with ``recv(n)``.
 
-    While ``buf`` holds less than a header, asks for ``read_size`` bytes
+    While ``buf`` holds less than a header, asks for ``READ_SIZE`` bytes
     less what it holds; once the header parses, for exactly what the
     record lacks, so a bad header fails before any body read. Bytes past
     the record stay in ``buf``. Returns the wire bytes and parsed fields
@@ -280,7 +271,7 @@ def _read_frame(recv, buf: bytearray, read_size: int = READ_SIZE):
     boundary; EOF anywhere else raises TransportError.
     """
     while len(buf) < HEADER_LEN:
-        chunk = recv(read_size - len(buf))
+        chunk = recv(READ_SIZE - len(buf))
         if not chunk:
             if not buf:
                 return None
@@ -305,38 +296,15 @@ def _read_frame(recv, buf: bytearray, read_size: int = READ_SIZE):
     return wire, msg_type, mode, assoc_id, seq, end
 
 
-def read_record(read, buf: bytearray | None = None) -> bytes:
-    """Pull exactly one framed record from ``read(n) -> bytes``.
-
-    Without ``buf`` no byte past the record is read; with one, read-ahead
-    is kept there for the next call, as an endpoint keeps it.
+def read_record(read, buf: bytearray) -> bytes:
+    """Pull exactly one framed record from ``read(n) -> bytes``, keeping
+    read-ahead in ``buf`` for the next call, as an endpoint keeps it.
 
     Returns the raw record bytes, or b"" on a clean EOF at a record
     boundary. EOF anywhere else raises TransportError.
     """
-    if buf is None:
-        frame = _read_frame(read, bytearray(), HEADER_LEN)
-    else:
-        frame = _read_frame(read, buf)
+    frame = _read_frame(read, buf)
     return frame[0] if frame else b""
-
-
-def _read_exact(read, n: int, allow_eof: bool = False) -> bytes:
-    chunk = read(n)
-    if len(chunk) == n:  # the usual case: one recv delivers it all
-        return chunk
-    chunks = []
-    got = 0
-    while True:
-        if not chunk:
-            if allow_eof and got == 0:
-                return b""
-            raise TransportError(f"connection closed mid-record ({got}/{n} bytes)")
-        chunks.append(chunk)
-        got += len(chunk)
-        if got >= n:
-            return b"".join(chunks)
-        chunk = read(n - got)
 
 
 class ChannelEndpoint:

@@ -12,6 +12,7 @@ import pytest
 
 import kiss.bench as bench_mod
 import kiss.channel as channel_mod
+from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import (
     PRIMITIVES,
     TLS_CASE,
@@ -29,10 +30,11 @@ from kiss.bench import (
     _make_primitive_op,
     _measure_cases,
     _percentile,
+    _read_exact,
     _tls_contexts,
 )
-from kiss.channel import MAX_PAYLOAD
-from kiss.errors import InvalidParameterError
+from kiss.channel import MAX_PAYLOAD, MsgType, Record, encode_record, open_record
+from kiss.errors import InvalidParameterError, TransportError
 
 
 # -- configuration -----------------------------------------------------
@@ -99,7 +101,7 @@ def test_measure_arithmetic(monkeypatch):
 def test_measure_flags_noise_without_failing(monkeypatch):
     case = _scripted_measure(monkeypatch, [0.010] * 9 + [0.020])
     assert case.flags == ("noisy",)
-    assert not case.skipped
+    assert case.ops_per_sec > 0
     assert case.p50_us == pytest.approx(10.0, rel=1e-9)
     assert case.p99_us == pytest.approx(19.1, rel=1e-9)
 
@@ -151,6 +153,13 @@ def test_seal_op_produces_framed_records():
     first, second = op(), op()
     assert len(first) == len(second) == 25 + 64 + 32
     assert first != second  # sequence and tag advance every call
+    # the responder of the op's association opens each record in turn
+    responder = load_association(ProvisionFile(
+        bytes(8), Role.RESPONDER, Mode.AUTH_ONLY, bytes(range(32)), bytes(range(32, 64))
+    ))
+    payload = bench_mod._counter_buffer(64)
+    assert open_record(responder, first) == (MsgType.DATA, payload)
+    assert open_record(responder, second) == (MsgType.DATA, payload)
 
 
 def test_bench_primitives_report_shape():
@@ -194,11 +203,12 @@ def test_bench_channel_plaintext_baseline_runs(monkeypatch):
     # the baseline must frame with the endpoint's own reader, keeping its
     # read-ahead in a buffer as an endpoint does, so that its gap to the
     # channel modes is the cryptography alone
-    reads = []
+    reads, wires = [], []
 
     def counting_read_record(read, buf):
         wire = channel_mod.read_record(read, buf)
         reads.append(len(wire))
+        wires.append(wire)
         return wire
 
     monkeypatch.setattr(bench_mod, "read_record", counting_read_record)
@@ -212,6 +222,11 @@ def test_bench_channel_plaintext_baseline_runs(monkeypatch):
     # one call per record, then the clean EOF
     assert reads[-1] == 0
     assert len(reads) >= 16 and set(reads[:-1]) == {25 + 256 + 32}
+    # the frames a sealed record would have, with a zeroed tag
+    msg = bench_mod._counter_buffer(256)
+    for seq, wire in enumerate(wires[:2], start=1):
+        record = Record(MsgType.DATA, Mode.AUTH_ONLY, bytes(8), seq, msg, bytes(32))
+        assert wire == encode_record(record)
 
 
 # a receiver that dies mid-stream must not leave the sender blocked in
@@ -260,6 +275,15 @@ def test_failed_receiver_is_raised_instead_of_hanging(mode, target):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "raised injected"
     assert "Traceback" not in result.stderr
+
+
+def test_read_exact_joins_pieces_and_ends_only_between_messages():
+    pieces = [b"ab", b"c", b"def", b""]
+    read = lambda n: pieces.pop(0)[:n]
+    assert _read_exact(read, 3) == b"abc"
+    with pytest.raises(TransportError):
+        _read_exact(read, 4)  # "def", then EOF inside the message
+    assert _read_exact(lambda n: b"", 4) == b""  # EOF between messages
 
 
 # -- TLS baseline ---------------------------------------------------------
@@ -313,8 +337,8 @@ def test_tls_baseline_rejects_bad_sizes(sizes):
 # -- comparison ---------------------------------------------------------
 
 
-def _case(name, size, ops, skipped=False):
-    return BenchCase(name, size, ops, ops * size / 1e6, 1.0, 2.0, skipped=skipped)
+def _case(name, size, ops):
+    return BenchCase(name, size, ops, ops * size / 1e6, 1.0, 2.0)
 
 
 def _report(name, *cases):
@@ -334,7 +358,7 @@ def test_compare_identical_reports_ratio_one():
 def test_compare_ratio_arithmetic_and_default_baseline():
     a = _report("one", _case("alpha", 64, 2000.0))
     b = _report("two", _case("beta", 64, 500.0))
-    cmp = compare_report(a, b)  # first non-skipped case is the baseline
+    cmp = compare_report(a, b, baseline="alpha")
     assert cmp.baseline == "alpha"
     by_name = {c.case: c for c in cmp.cases}
     assert by_name["beta"].ratio == pytest.approx(0.25)
@@ -344,7 +368,7 @@ def test_compare_ratio_arithmetic_and_default_baseline():
 def test_compare_requires_two_reports():
     a = _report("one", _case("alpha", 64, 1000.0))
     with pytest.raises(InvalidParameterError):
-        compare_report(a)
+        compare_report(a, baseline="alpha")
 
 
 def test_compare_rejects_axis_mismatch():
@@ -361,19 +385,18 @@ def test_compare_rejects_unknown_baseline():
         compare_report(a, b, baseline="gamma")
 
 
-def test_compare_skipped_rows_have_no_ratio():
-    a = _report("one", _case("alpha", 64, 1000.0))
-    b = _report("two", _case("beta", 64, 0.0, skipped=True))
+def test_compare_zero_ops_baseline_has_no_ratio():
+    a = _report("one", _case("alpha", 64, 0.0))
+    b = _report("two", _case("beta", 64, 1000.0))
     cmp = compare_report(a, b, baseline="alpha")
-    by_name = {c.case: c for c in cmp.cases}
-    assert by_name["beta"].ratio is None
-    assert by_name["beta"].skipped
+    assert [c.ratio for c in cmp.cases] == [None, None]
     csv = cmp.to_csv()
     assert csv.splitlines()[0] == (
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"
     )
     assert csv.splitlines()[2].endswith(",")  # empty ratio cell
-    assert "skipped" in cmp.format_markdown()
+    table = cmp.format_markdown().split("\n\n")[0].splitlines()
+    assert table[3].split("|")[7].strip() == "-"  # beta's ratio cell
 
 
 def test_report_csv_shape():
@@ -384,8 +407,8 @@ def test_report_csv_shape():
     assert lines[1].startswith("alpha,64,1234.50,")
 
 
-# fixed reports whose CSV text is pinned byte for byte: a noisy row, a
-# skipped row, and (in the comparison) an empty ratio cell
+# fixed reports whose CSV text is pinned byte for byte: a noisy row and
+# a row with a note
 _PIN_KISS = BenchReport(
     "channel",
     (BenchCase("channel-AUTH_ONLY", 1500, 6543.21, 9.814815, 120.5, 410.25,
@@ -397,8 +420,6 @@ _PIN_TLS = BenchReport(
     (
         BenchCase("tls-aes-256-gcm", 1500, 150000.0, 225.0, 0.0, 0.0,
                   note="latency not reported by external tool"),
-        BenchCase("tls-external", 1500, 0.0, 0.0, 0.0, 0.0, skipped=True,
-                  note="external tool not found: openssl"),
     ),
     {"cpu": "test", "python": "x"},
 )
@@ -410,7 +431,6 @@ def test_report_csv_text_is_pinned():
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us\n"
         "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250\n"
         "tls-aes-256-gcm,1500,150000.00,225.000,0.000,0.000\n"
-        "tls-external,1500,0.00,0.000,0.000,0.000\n"
     )
 
 
@@ -420,7 +440,6 @@ def test_compare_csv_text_is_pinned():
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio\n"
         "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250,1.0000\n"
         "tls-aes-256-gcm,1500,150000.00,225.000,0.000,0.000,22.9245\n"
-        "tls-external,1500,0.00,0.000,0.000,0.000,\n"
     )
 
 

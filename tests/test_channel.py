@@ -27,7 +27,6 @@ from kiss.channel import (
     ChannelState,
     MsgType,
     Record,
-    decode_header,
     decode_record,
     encode_record,
     open_record,
@@ -84,7 +83,7 @@ def test_empty_aead_record_is_41_bytes():
 
 def test_record_header_is_fixed_length():
     rec = Record(MsgType.DATA, Mode.AUTH_ONLY, ASSOC_ID, 1, b"xy", b"\0" * 32)
-    assert len(rec.header()) == HEADER_LEN
+    assert len(encode_record(rec)) == HEADER_LEN + 2 + 32
 
 
 def test_encode_decode_round_trip():
@@ -126,13 +125,13 @@ def _wire(msg_type=MsgType.DATA, payload=b"hi"):
 )
 def test_decode_header_rejections(mutate, field):
     with pytest.raises(FrameError) as err:
-        decode_header(mutate(_wire()))
+        decode_record(mutate(_wire()))
     assert err.value.field == field
 
 
 def test_decode_header_truncated():
     with pytest.raises(FrameError):
-        decode_header(_wire()[: HEADER_LEN - 1])
+        decode_record(_wire()[: HEADER_LEN - 1])
 
 
 def test_oversized_payload_len_rejected_from_header_alone():
@@ -140,7 +139,7 @@ def test_oversized_payload_len_rejected_from_header_alone():
     header = _wire()[:HEADER_LEN]
     bad = header[:21] + (MAX_PAYLOAD + 1).to_bytes(4, "big") + header[25:]
     with pytest.raises(FrameError) as err:
-        decode_header(bad)
+        decode_record(bad)
     assert err.value.field == "payload_len"
 
 
@@ -413,17 +412,17 @@ def test_key_freshness_and_agreement(monkeypatch):
 def test_read_record_splits_stream():
     sender, receiver = _pair()
     wires = _sealed(sender, 3)
-    stream = io.BytesIO(b"".join(wires))
+    stream, buf = io.BytesIO(b"".join(wires)), bytearray()
     for expected in wires:
-        assert read_record(stream.read) == expected
-    assert read_record(stream.read) == b""  # clean EOF at a boundary
+        assert read_record(stream.read, buf) == expected
+    assert read_record(stream.read, buf) == b""  # clean EOF at a boundary
 
 
 def test_read_record_handles_dribble():
     sender, _ = _pair()
     wire = encode_record(seal(sender, MsgType.DATA, b"slow network"))
     stream = io.BytesIO(wire)
-    assert read_record(lambda n: stream.read(min(n, 1))) == wire
+    assert read_record(lambda n: stream.read(min(n, 1)), bytearray()) == wire
 
 
 def test_read_record_whole_record_in_one_recv_then_eof():
@@ -436,10 +435,11 @@ def test_read_record_whole_record_in_one_recv_then_eof():
         asked.append(n)
         return stream.read(n)
 
-    got = read_record(read)
+    buf = bytearray()
+    got = read_record(read, buf)
     assert got == wire and type(got) is bytes
-    assert asked == [HEADER_LEN, len(wire) - HEADER_LEN]
-    assert read_record(read) == b""
+    assert asked == [READ_SIZE] and not buf
+    assert read_record(read, buf) == b""
 
 
 def test_read_record_mid_record_eof():
@@ -447,13 +447,13 @@ def test_read_record_mid_record_eof():
     wire = encode_record(seal(sender, MsgType.DATA, b"cut short"))
     stream = io.BytesIO(wire[:-3])
     with pytest.raises(TransportError):
-        read_record(stream.read)
+        read_record(stream.read, bytearray())
 
 
 def test_read_record_eof_inside_header():
     stream = io.BytesIO(b"KI\x01")
     with pytest.raises(TransportError):
-        read_record(stream.read)
+        read_record(stream.read, bytearray())
 
 
 # -- the endpoint's read buffer ----------------------------------------
@@ -685,7 +685,7 @@ def test_handshake_tampered_echo():
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def evil_responder():
-        wire = read_record(s_resp.recv)
+        wire = read_record(s_resp.recv, bytearray())
         _, nonce = open_record(resp_assoc, wire)
         mangled = bytes([nonce[0] ^ 0x01]) + nonce[1:]
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.HELLO_ACK, mangled)))
@@ -708,7 +708,7 @@ def test_handshake_wrong_ack_type():
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def confused_responder():
-        wire = read_record(s_resp.recv)
+        wire = read_record(s_resp.recv, bytearray())
         open_record(resp_assoc, wire)
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.DATA, b"eager")))
 
