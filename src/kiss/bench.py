@@ -5,15 +5,16 @@ Three layers of measurement, all sharing one report shape:
 * ``bench_primitives`` times raw crypto operations (hashing, MAC, AEAD,
   signatures, chain stepping, record sealing) over counter-filled
   buffers so runs are byte-comparable.
-* ``bench_channel`` drives a two-thread loopback pair and measures
-  sustained record throughput, with a plaintext framing baseline that
-  packs the frames ``seal_wire`` would send, zero-tagged, and reads
-  them through the endpoint's own framing reader, isolating the cost
-  of the cryptography.
-* ``bench_tls_baseline`` runs the same loopback pair over in-process
+* ``bench_channel`` times a loopback pair whose op sends one message
+  and receives it on the calling thread, with a plaintext framing
+  baseline that packs the frames ``seal_wire`` would send, zero-tagged,
+  and reads them through the endpoint's own framing reader, isolating
+  the cost of the cryptography.
+* ``bench_tls_baseline`` times the same kind of pair over in-process
   TLS 1.3 (stdlib ``ssl``, a fresh self-signed P-256 certificate that
   the client verifies), so both sides of the channel-vs-TLS ratio come
-  from one harness.
+  from one harness. ``bench_loopback`` times any mix of these rows in
+  one call.
 
 ``compare_report`` merges reports into one ``BenchReport`` whose cases
 carry a throughput ratio against a named baseline case.
@@ -22,10 +23,10 @@ Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
 
 All timing uses the monotonic clock and batched loops, with warmup
-excluded. The primitives of one call are timed in round-robin batches.
-Throughput and percentiles come from the same samples. Per-batch op
-cost feeds the percentiles, so p50/p99 describe batch means, not
-single-op tails.
+excluded. Every row, primitive or loopback, is timed by one sampler:
+the rows of one call run in round-robin batches, and throughput and
+percentiles come from the same samples. Per-batch op cost feeds the
+percentiles, so p50/p99 describe batch means, not single-op tails.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import platform
 import socket
 import ssl
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -62,9 +62,9 @@ from .association import (
     generate_provision,
     load_association,
 )
-from .channel import MAX_PAYLOAD, ChannelEndpoint, MsgType, TAG_LEN
+from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, read_record, seal_wire
-from .errors import BenchError, InvalidParameterError, TransportError
+from .errors import InvalidParameterError, TransportError
 from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_step
 
 DEFAULT_SIZES = (64, 512, 1500, 16384)
@@ -84,12 +84,18 @@ CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
 # the TLS baseline's loopback mode and case name, and its certificate's host
 TLS_CASE = "tls1.3"
 _TLS_HOST = "kiss-bench.test"
+LOOPBACK_MODES = CHANNEL_MODES + (TLS_CASE,)
 
 CORE_MODULES = ("idvv.py", "association.py", "channel.py")
 
 # per-batch rate spread beyond this fraction marks the case noisy;
 # flagged, never failed
 NOISE_SPREAD = 0.15
+
+# timed batches per case in iterations mode, and untimed rounds of
+# every case before the first timed one
+SAMPLES = 10
+WARMUP = 1
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,14 @@ class BenchConfig:
 
     Either ``iterations`` (>= 1000, exact ops per timed batch) or
     ``duration`` (>= 1 s per case, with self-calibrated batches) must
-    make the run long enough to measure. ``samples`` counts timed
-    batches in iterations mode; duration mode keeps timing batches
-    until the budget is spent.
+    make the run long enough to measure. Iterations mode times
+    ``SAMPLES`` batches; duration mode keeps timing batches until the
+    budget is spent.
     """
 
     sizes: tuple[int, ...] = DEFAULT_SIZES
     iterations: int | None = None
     duration: float | None = 1.0
-    samples: int = 10
-    warmup: int = 1
 
     def validate(self) -> None:
         _check_sizes(self.sizes)
@@ -126,10 +130,6 @@ class BenchConfig:
                 "config too short to measure: need iterations >= 1000 "
                 "or duration >= 1 s"
             )
-        if self.samples < 1:
-            raise InvalidParameterError(f"samples must be >= 1, got {self.samples}")
-        if self.warmup < 0:
-            raise InvalidParameterError(f"warmup must be >= 0, got {self.warmup}")
 
 
 def _check_sizes(sizes) -> None:
@@ -256,7 +256,7 @@ def _calibrate_batch(op, target: float = 0.02) -> int:
 def _case_done(times: list[float], cfg: BenchConfig) -> bool:
     if cfg.duration is not None:
         return sum(times) >= cfg.duration and len(times) >= 3
-    return len(times) >= cfg.samples
+    return len(times) >= SAMPLES
 
 
 def _measure_cases(cases, cfg: BenchConfig) -> list[BenchCase]:
@@ -270,7 +270,7 @@ def _measure_cases(cases, cfg: BenchConfig) -> list[BenchCase]:
         batches = [cfg.iterations] * len(cases)
     else:
         batches = [_calibrate_batch(op) for _, _, op in cases]
-    for _ in range(cfg.warmup):
+    for _ in range(WARMUP):
         for (_, _, op), batch in zip(cases, batches):
             _run_batch(op, batch)
 
@@ -389,9 +389,17 @@ def bench_primitives(cfg: BenchConfig | None = None, names=None) -> BenchReport:
 
 # -- loopback benchmarks ----------------------------------------------
 
+# what the send side of a loopback pair must hold: one message at the
+# record cap plus its framing (a record header and tag, or TLS's 22
+# bytes per 16-KiB record: 1.4 KiB at the cap)
+_FRAMING = 4096
+_SOCK_BUF = MAX_PAYLOAD + _FRAMING
+# TLS handshake steps per side before an unfinished pair counts as stalled
+_TLS_ROUNDS = 8
+
 
 def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> BenchReport:
-    """Sustained one-way record throughput over a loopback pair.
+    """Record throughput of one channel mode over a loopback pair.
 
     ``plaintext-baseline`` ships identical frames with a zeroed tag and
     no key derivation, and reads them with the same framing reader as
@@ -399,146 +407,145 @@ def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> Ben
     """
     if mode not in CHANNEL_MODES:
         raise InvalidParameterError(f"unknown channel mode {mode!r}")
-    _check_loopback_args((msg_size,), duration)
-    case = _loopback_case(f"channel-{mode}", mode, msg_size, duration)
-    return BenchReport("channel", (case,), environment_fingerprint())
+    cases = bench_loopback((mode,), (msg_size,), duration)
+    return BenchReport("channel", cases, environment_fingerprint())
 
 
 def bench_tls_baseline(sizes: tuple[int, ...], duration: float = 1.0) -> BenchReport:
-    """One-way TLS 1.3 message throughput on the channel suite's loopback
-    runner, one case per size, for side-by-side reporting.
+    """TLS 1.3 message throughput over a loopback pair, one case per size.
 
     The client verifies the server's certificate and host name; each
     case's note names the protocol and cipher suite negotiated.
     """
-    _check_loopback_args(sizes, duration)
-    cases = tuple(_loopback_case(TLS_CASE, TLS_CASE, size, duration) for size in sizes)
+    cases = bench_loopback((TLS_CASE,), sizes, duration)
     return BenchReport("tls", cases, environment_fingerprint())
 
 
-def _check_loopback_args(sizes, duration: float) -> None:
+def bench_loopback(modes, sizes, duration: float) -> tuple[BenchCase, ...]:
+    """One row per mode (of ``LOOPBACK_MODES``) and size, all timed in
+    round-robin batches by one ``_measure_cases`` call.
+
+    Each row is a socketpair, set up and hand-shaken once, whose op sends
+    one message and receives it on the calling thread, so its rate counts
+    both sides' CPU and a send and a receive syscall per message.
+    """
+    for mode in modes:
+        if mode not in LOOPBACK_MODES:
+            raise InvalidParameterError(f"unknown loopback mode {mode!r}")
     _check_sizes(sizes)
     if duration <= 0:
         raise InvalidParameterError(f"duration must be > 0, got {duration}")
+    rows, notes = [], []
+    with contextlib.ExitStack() as stack:
+        for mode, size in itertools.product(modes, sizes):
+            op, note = _loopback_op(mode, size, stack)
+            rows.append((mode if mode == TLS_CASE else f"channel-{mode}", size, op))
+            notes.append(note)
+        cases = _measure_cases(rows, BenchConfig(duration=duration))
+    return tuple(replace(case, note=note) for case, note in zip(cases, notes))
 
 
-def _loopback_case(name: str, mode: str, msg_size: int, duration: float) -> BenchCase:
-    stamps, note = _run_loopback(mode, msg_size, duration)
-    if len(stamps) < 16:
-        raise BenchError(f"loopback produced too few records ({len(stamps)})")
-    # first chunk of records doubles as warmup
-    window = stamps[min(100, len(stamps) // 4) :]
-    elapsed = window[-1] - window[0]
-    rate = (len(window) - 1) / elapsed if elapsed > 0 else 0.0
-    deltas_us = sorted((b - a) * 1e6 for a, b in zip(window, window[1:]))
-    return BenchCase(
-        case=name,
-        size_bytes=msg_size,
-        ops_per_sec=rate,
-        mb_per_sec=rate * msg_size / 1e6,
-        p50_us=_percentile(deltas_us, 50.0),
-        p99_us=_percentile(deltas_us, 99.0),
-        note=note,
-    )
-
-
-def _run_loopback(mode: str, msg_size: int, duration: float) -> tuple[list[float], str]:
-    """Send messages one way over a socketpair for ``duration`` seconds.
-
-    Returns the time at which the receiver thread got each one, and for
-    ``TLS_CASE`` the protocol and cipher suite negotiated ("" otherwise).
-    A receiver that fails shuts its socket, so the sender fails instead
-    of blocking, and the receiver's exception is raised here.
-    """
+def _loopback_op(mode: str, msg_size: int, stack: contextlib.ExitStack):
+    """Set up one pair for ``mode``; return its op and the row's note."""
+    left, right = _loopback_pair(msg_size, stack)
     msg = _counter_buffer(msg_size)
     if mode == TLS_CASE:
-        server_ctx, client_ctx = _tls_contexts()
-    elif mode != "plaintext-baseline":
-        init_pf, resp_pf = generate_provision(mode=Mode[mode])
-    result: dict = {}
-    left, right = socket.socketpair()
+        return _tls_op(left, right, msg, stack)
+    if mode == "plaintext-baseline":
+        # the frames seal_wire would send, with a zeroed tag
+        pack, seq, data = _HEADER.pack, itertools.count(1), MsgType.DATA
+        assoc_id, zero_tag = bytes(8), bytes(TAG_LEN[Mode.AUTH_ONLY])
+        buf = bytearray()  # read-ahead kept across records, as an endpoint does
 
-    def receiver():
-        rx = right
-        try:
-            if mode == TLS_CASE:
-                # a bare EOF raises: only the sender's close_notify ends the stream
-                rx = server_ctx.wrap_socket(
-                    right, server_side=True, suppress_ragged_eofs=False
-                )
+        def op():
+            header = pack(
+                MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq), msg_size
+            )
+            left.sendall(b"".join((header, msg, zero_tag)))
+            if not read_record(right.recv, buf):
+                raise TransportError("loopback pair closed")
 
-                def receive():
-                    data = _read_exact(rx.recv, msg_size)
-                    if not data:
-                        rx.unwrap()  # answer the sender's close_notify
-                    return data or None
-            elif mode == "plaintext-baseline":
-                buf = bytearray()  # read ahead and kept, as an endpoint does
+        return op, ""
+    init_pf, resp_pf = generate_provision(mode=Mode[mode])
+    receiver = ChannelEndpoint(load_association(resp_pf), right)
+    sender = ChannelEndpoint(load_association(init_pf), _PeerHandshake(left, receiver))
+    sender.handshake()
+    sender.transport = left
 
-                def receive():
-                    return read_record(right.recv, buf) or None
-            else:
-                endpoint = ChannelEndpoint(load_association(resp_pf), right)
-                endpoint.handshake()
-                receive = endpoint.receive
-            stamps = []
-            while receive() is not None:
-                stamps.append(time.perf_counter())
-            result["stamps"] = stamps
-        except Exception as exc:  # raised again on the caller's thread
-            result["error"] = exc
-        finally:
-            _shut(rx)
+    def op():
+        sender.send(msg)
+        if receiver.receive() is None:
+            raise TransportError("loopback peer closed the channel")
 
-    thread = threading.Thread(target=receiver, daemon=True)
-    tx, note = left, ""
-    with left, right:
-        thread.start()
-        try:
-            if mode == TLS_CASE:
-                tx = client_ctx.wrap_socket(left, server_hostname=_TLS_HOST)
-                note = f"{tx.version()} {tx.cipher()[0]}"
-                send, finish = (lambda: tx.sendall(msg)), tx.unwrap
-            elif mode == "plaintext-baseline":
-                # the frames seal_wire would send, with a zeroed tag
-                pack, seq, data = _HEADER.pack, itertools.count(1), MsgType.DATA
-                assoc_id, zero_tag = bytes(8), bytes(TAG_LEN[Mode.AUTH_ONLY])
+    return op, ""
 
-                def send():
-                    header = pack(
-                        MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq),
-                        msg_size,
-                    )
-                    left.sendall(b"".join((header, msg, zero_tag)))
 
-                def finish():
-                    left.shutdown(socket.SHUT_WR)
-            else:
-                sender = ChannelEndpoint(load_association(init_pf), left)
-                sender.handshake()
-                send, finish = (lambda: sender.send(msg)), sender.close
-            deadline = time.perf_counter() + duration
-            while time.perf_counter() < deadline:
-                send()
-            finish()
-        except Exception:
-            # a receiver that failed first is what stopped the sender
-            if "error" in result:
-                raise result["error"]
-            raise
-        finally:
-            _shut(tx)
-            thread.join(timeout=60.0)
-    if thread.is_alive():
-        raise BenchError("loopback receiver did not finish")
-    if "error" in result:
-        raise result["error"]
-    return result["stamps"], note
+def _loopback_pair(msg_size: int, stack: contextlib.ExitStack):
+    """A socketpair that can hold one ``msg_size`` message in flight, so
+    that one thread sends it whole before reading it; a size it cannot
+    hold raises, since that ``sendall`` would block with no reader."""
+    pair = [stack.enter_context(sock) for sock in socket.socketpair()]
+    for sock, opt in itertools.product(pair, (socket.SO_SNDBUF, socket.SO_RCVBUF)):
+        sock.setsockopt(socket.SOL_SOCKET, opt, _SOCK_BUF)
+    # Linux caps the request at net.core.wmem_max / rmem_max, then grants
+    # twice that and keeps half for its own bookkeeping
+    room = min(
+        pair[0].getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF),
+        pair[1].getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF),
+    ) // 2
+    if msg_size + _FRAMING > room:
+        raise InvalidParameterError(
+            f"msg_size {msg_size} does not fit the {room}-byte loopback socket "
+            "buffer this host grants"
+        )
+    return pair
+
+
+class _PeerHandshake:
+    """The initiator's transport during set-up. Its first ``recv`` runs
+    the responder's ``handshake()`` on the same thread: the HELLO is
+    already in the responder's socket."""
+
+    def __init__(self, sock, responder: ChannelEndpoint):
+        self.sendall, self._recv, self._responder = sock.sendall, sock.recv, responder
+
+    def recv(self, n: int) -> bytes:
+        if self._responder.state is ChannelState.NEW:
+            self._responder.handshake()
+        return self._recv(n)
+
+
+def _tls_op(left, right, msg: bytes, stack: contextlib.ExitStack):
+    """Wrap a pair in TLS and step both handshakes on this thread."""
+    server_ctx, client_ctx = _tls_contexts()
+    tx = stack.enter_context(client_ctx.wrap_socket(
+        left, server_hostname=_TLS_HOST, do_handshake_on_connect=False
+    ))
+    rx = stack.enter_context(server_ctx.wrap_socket(
+        right, server_side=True, do_handshake_on_connect=False
+    ))
+    tx.setblocking(False)
+    rx.setblocking(False)
+    # a finished side's do_handshake() returns at once; version() is None
+    # until the side has finished
+    for sock in (tx, rx) * _TLS_ROUNDS:
+        with contextlib.suppress(ssl.SSLWantReadError, ssl.SSLWantWriteError):
+            sock.do_handshake()
+    if tx.version() is None or rx.version() is None:
+        raise TransportError(f"TLS handshake unfinished after {_TLS_ROUNDS} rounds")
+    tx.setblocking(True)
+    rx.setblocking(True)
+    size = len(msg)
+
+    def op():
+        tx.sendall(msg)
+        _read_exact(rx.recv, size)
+
+    return op, f"{tx.version()} {tx.cipher()[0]}"
 
 
 def _read_exact(read, n: int) -> bytes:
-    """Exactly ``n`` bytes from ``read(n) -> bytes``, or b"" on EOF before
-    the first byte; EOF after it raises TransportError."""
+    """Exactly ``n`` bytes from ``read(n) -> bytes``; EOF raises TransportError."""
     chunk = read(n)
     if len(chunk) == n:  # the usual case: one recv delivers it all
         return chunk
@@ -549,15 +556,7 @@ def _read_exact(read, n: int) -> bytes:
         if got >= n:
             return b"".join(chunks)
         chunk = read(n - got)
-    if got:
-        raise TransportError(f"connection closed mid-record ({got}/{n} bytes)")
-    return b""
-
-
-def _shut(sock) -> None:
-    with contextlib.suppress(OSError):  # already closed, or the peer is gone
-        sock.shutdown(socket.SHUT_RDWR)
-    sock.close()
+    raise TransportError(f"connection closed mid-message ({got}/{n} bytes)")
 
 
 def _tls_contexts() -> tuple[ssl.SSLContext, ssl.SSLContext]:

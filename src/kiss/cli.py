@@ -177,7 +177,7 @@ def cmd_bench(args) -> int:
             f"the {args.suite} suite does not use {' or '.join(ignored)}; "
             f"it takes {' and '.join(takes)}"
         )
-    sizes = _parse_sizes(args.sizes) if args.sizes else bench_mod.DEFAULT_SIZES
+    sizes = bench_mod.DEFAULT_SIZES if args.sizes is None else _parse_sizes(args.sizes)
     msg_size = DEFAULT_MSG_SIZE if args.msg_size is None else args.msg_size
     if args.suite == "primitives":
         cfg = bench_mod.BenchConfig(
@@ -185,15 +185,15 @@ def cmd_bench(args) -> int:
         )
         report = bench_mod.bench_primitives(cfg)
     else:
-        cases = []
-        for mode in bench_mod.CHANNEL_MODES:
-            part = bench_mod.bench_channel(mode, msg_size=msg_size, duration=args.duration)
-            cases.extend(part.cases)
-        report = channel_report = bench_mod.BenchReport(
-            "channel", tuple(cases), bench_mod.environment_fingerprint()
-        )
+        # all rows of the suite in one round-robin call, so that the ratio
+        # column compares rows the same host drift touched
+        modes = bench_mod.LOOPBACK_MODES if args.suite == "tls" else bench_mod.CHANNEL_MODES
+        n_channel = len(bench_mod.CHANNEL_MODES)
+        cases = bench_mod.bench_loopback(modes, (msg_size,), args.duration)
+        env = bench_mod.environment_fingerprint()
+        report = channel_report = bench_mod.BenchReport("channel", cases[:n_channel], env)
     if args.suite == "tls":
-        tls_report = bench_mod.bench_tls_baseline((msg_size,), duration=args.duration)
+        tls_report = bench_mod.BenchReport("tls", cases[n_channel:], env)
         report = bench_mod.compare_report(
             channel_report, tls_report, baseline="channel-AUTH_ONLY"
         )

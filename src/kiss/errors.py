@@ -70,7 +70,3 @@ class ChannelAlert(KissError):
 
 class TransportError(KissError):
     """The underlying byte stream ended or failed mid-record."""
-
-
-class BenchError(KissError):
-    """Benchmark harness failure."""

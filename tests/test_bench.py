@@ -1,6 +1,7 @@
-"""Benchmark harness: config, loopback runner, comparison, report plumbing."""
+"""Benchmark harness: config, loopback rows, comparison, report plumbing."""
 
 import contextlib
+import itertools
 import platform
 import socket
 import ssl
@@ -14,8 +15,12 @@ import kiss.bench as bench_mod
 import kiss.channel as channel_mod
 from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import (
+    CHANNEL_MODES,
+    LOOPBACK_MODES,
     PRIMITIVES,
+    SAMPLES,
     TLS_CASE,
+    WARMUP,
     BenchCase,
     BenchConfig,
     BenchReport,
@@ -57,8 +62,6 @@ def test_config_defaults_are_valid():
         {"duration": 0.5},  # likewise
         {"duration": -1.0},
         {"iterations": None, "duration": None},
-        {"samples": 0},
-        {"warmup": -1},
     ],
 )
 def test_config_rejections(kwargs):
@@ -82,10 +85,10 @@ def test_config_acceptable_shapes(kwargs):
 
 
 def _scripted_measure(monkeypatch, script, size=64):
-    script = list(script)
+    assert len(script) == SAMPLES
+    script = [0.010] * WARMUP + list(script)  # warmup batches are not summarised
     monkeypatch.setattr(bench_mod, "_run_batch", lambda op, n: script.pop(0))
-    cfg = BenchConfig(sizes=(size,), iterations=1000, duration=None,
-                      samples=10, warmup=0)
+    cfg = BenchConfig(sizes=(size,), iterations=1000, duration=None)
     return _measure_cases([("scripted", size, lambda: None)], cfg)[0]
 
 
@@ -114,13 +117,13 @@ def test_measure_cases_interleaves_batches(monkeypatch):
         return 0.010
 
     monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
-    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None,
-                      samples=3, warmup=1)
+    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None)
     cases = _measure_cases(
         [("a", 64, lambda: "a"), ("b", 64, lambda: "b")], cfg
     )
     assert [c.case for c in cases] == ["a", "b"]
-    assert order == ["a", "b"] * 4  # warmup round, then three timed rounds
+    # warmup rounds, then the timed rounds
+    assert order == ["a", "b"] * (WARMUP + SAMPLES)
 
 
 def test_percentile_interpolation():
@@ -163,8 +166,7 @@ def test_seal_op_produces_framed_records():
 
 
 def test_bench_primitives_report_shape():
-    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None,
-                      samples=3, warmup=0)
+    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None)
     report = bench_primitives(cfg, names=("hash-sha256", "hmac-sha256"))
     assert report.suite == "primitives"
     assert [c.case for c in report.cases] == ["hash-sha256", "hmac-sha256"]
@@ -176,8 +178,7 @@ def test_bench_primitives_report_shape():
 
 
 def test_hash_latency_grows_with_size():
-    cfg = BenchConfig(sizes=(64, 65536), iterations=2000, duration=None,
-                      samples=5, warmup=1)
+    cfg = BenchConfig(sizes=(64, 65536), iterations=2000, duration=None)
     report = bench_primitives(cfg, names=("hash-sha256",))
     small, big = report.cases
     assert small.size_bytes == 64 and big.size_bytes == 65536
@@ -185,7 +186,7 @@ def test_hash_latency_grows_with_size():
     assert big.mb_per_sec > small.mb_per_sec  # hashing amortizes per byte
 
 
-# -- channel loopback ---------------------------------------------------
+# -- loopback rows ------------------------------------------------------
 
 
 def test_bench_channel_validates_arguments():
@@ -219,9 +220,8 @@ def test_bench_channel_plaintext_baseline_runs(monkeypatch):
     assert case.size_bytes == 256
     assert case.ops_per_sec > 0
     assert case.p50_us <= case.p99_us
-    # one call per record, then the clean EOF
-    assert reads[-1] == 0
-    assert len(reads) >= 16 and set(reads[:-1]) == {25 + 256 + 32}
+    # one call per record
+    assert len(reads) >= 16 and set(reads) == {25 + 256 + 32}
     # the frames a sealed record would have, with a zeroed tag
     msg = bench_mod._counter_buffer(256)
     for seq, wire in enumerate(wires[:2], start=1):
@@ -229,12 +229,12 @@ def test_bench_channel_plaintext_baseline_runs(monkeypatch):
         assert wire == encode_record(record)
 
 
-# a receiver that dies mid-stream must not leave the sender blocked in
-# sendall; a hang would stall the suite, so each case runs in a child
-# process under a hard timeout
+# a receive that fails mid-run must be raised, not leave the run blocked;
+# a hang would stall the suite, so each case runs in a child process
+# under a hard timeout
 _FAIL_51ST_CALL = """
 import importlib, sys
-from kiss.bench import _run_loopback
+from kiss.bench import bench_loopback
 from kiss.errors import AuthenticationError
 
 mode, target = sys.argv[1:]
@@ -252,7 +252,7 @@ def failing(*args, **kwargs):
 
 setattr(module, name, failing)
 try:
-    _run_loopback(mode, 16384, 1.0)
+    bench_loopback((mode,), (16384,), 1.0)
 except AuthenticationError as exc:
     print("raised", exc)
 """
@@ -277,13 +277,126 @@ def test_failed_receiver_is_raised_instead_of_hanging(mode, target):
     assert "Traceback" not in result.stderr
 
 
-def test_read_exact_joins_pieces_and_ends_only_between_messages():
+def test_read_exact_joins_pieces_and_raises_on_eof():
     pieces = [b"ab", b"c", b"def", b""]
     read = lambda n: pieces.pop(0)[:n]
     assert _read_exact(read, 3) == b"abc"
     with pytest.raises(TransportError):
         _read_exact(read, 4)  # "def", then EOF inside the message
-    assert _read_exact(lambda n: b"", 4) == b""  # EOF between messages
+    with pytest.raises(TransportError):
+        _read_exact(lambda n: b"", 4)  # EOF between messages
+
+
+def test_loopback_rows_start_no_thread(monkeypatch):
+    def no_threads(self):
+        raise AssertionError("a loopback row started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    for mode in CHANNEL_MODES:
+        (case,) = bench_channel(mode, msg_size=256, duration=0.05).cases
+        assert case.ops_per_sec > 0
+    (case,) = bench_tls_baseline((256,), duration=0.05).cases
+    assert case.ops_per_sec > 0
+
+
+def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
+    # calibration, warmup, then timed batches, one of them twice as slow
+    calls = itertools.count()
+
+    def run_batch(op, n):
+        op()
+        return 0.020 if next(calls) == 3 else 0.010
+
+    monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
+    (case,) = bench_channel("AUTH_ONLY", msg_size=256, duration=0.05).cases
+    assert case.flags == ("noisy",)
+    assert case.p50_us < case.p99_us
+
+
+def test_loopback_rows_share_one_round_robin_call(monkeypatch):
+    real, calls = bench_mod._measure_cases, []
+
+    def counting(cases, cfg):
+        calls.append([name for name, _, _ in cases])
+        return real(cases, cfg)
+
+    monkeypatch.setattr(bench_mod, "_measure_cases", counting)
+    cases = bench_mod.bench_loopback(LOOPBACK_MODES, (64, 256), 0.05)
+    names = [f"channel-{m}" for m in CHANNEL_MODES] + [TLS_CASE]
+    assert calls == [[name for name in names for _ in (64, 256)]]
+    assert [(c.case, c.size_bytes) for c in cases] == [
+        (name, size) for name in names for size in (64, 256)
+    ]
+    assert [bool(c.note) for c in cases] == [False] * 6 + [True] * 2
+    with pytest.raises(InvalidParameterError):
+        bench_mod.bench_loopback(("carrier-pigeon",), (64,), 0.05)
+
+
+# one thread cannot drain a sendall that outgrows the socket buffer, so
+# such a size must be refused before any message is sent; a hang would
+# stall the suite, so each case runs in a child process under a timeout
+_OVERSIZED = """
+import sys
+import kiss.bench as bench
+from kiss.errors import InvalidParameterError
+
+bench._SOCK_BUF = 16384  # granted as 32768 on Linux: 16384 for data
+mode = sys.argv[1]
+try:
+    if mode == bench.TLS_CASE:
+        bench.bench_tls_baseline((65536,), 1.0)
+    else:
+        bench.bench_channel(mode, 65536, 1.0)
+except InvalidParameterError as exc:
+    print("refused", exc)
+"""
+
+
+@pytest.mark.parametrize("mode", LOOPBACK_MODES)
+def test_message_larger_than_socket_buffer_is_refused(mode):
+    result = subprocess.run(
+        [sys.executable, "-c", _OVERSIZED, mode],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("refused msg_size 65536"), result.stdout
+
+
+_UNTRUSTED = """
+import ssl
+import kiss.bench as bench
+
+real = bench._tls_contexts
+
+
+def mismatched():
+    server, _ = real()
+    _, client = real()  # trusts a different certificate
+    return server, client
+
+
+bench._tls_contexts = mismatched
+try:
+    bench.bench_tls_baseline((256,), 0.1)
+except ssl.SSLCertVerificationError as exc:
+    print("refused", exc.verify_message)
+"""
+
+
+def test_tls_handshake_that_does_not_finish_raises(monkeypatch):
+    monkeypatch.setattr(bench_mod, "_TLS_ROUNDS", 1)  # TLS 1.3 needs two
+    with pytest.raises(TransportError, match="unfinished"):
+        bench_tls_baseline((256,), duration=0.05)
+
+
+def test_tls_baseline_refuses_untrusted_certificate():
+    # the one-thread handshake must still verify, and fail, not stall
+    result = subprocess.run(
+        [sys.executable, "-c", _UNTRUSTED],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("refused "), result.stdout
 
 
 # -- TLS baseline ---------------------------------------------------------

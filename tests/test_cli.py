@@ -362,6 +362,18 @@ def test_bench_primitive_sizes_above_record_cap_exit_one_before_measuring():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("sizes", ["", ",", "64,x"])
+def test_bench_bad_sizes_exit_one_before_measuring(sizes):
+    # a given but empty list is refused, not read as "use the defaults"
+    result = run_cli(
+        "bench", "--suite", "primitives", "--sizes", sizes,
+        "--iterations", "1000", "--duration", "0.1",
+    )
+    assert result.returncode == 1
+    assert "sizes" in result.stderr
+    assert "|" not in result.stdout
+
+
 @pytest.mark.parametrize(
     "flag,value,suite",
     [
