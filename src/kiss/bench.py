@@ -185,21 +185,22 @@ class BenchReport:
     def format_markdown(self) -> str:
         with_ratio = self.baseline is not None
         case_w = max([len("case")] + [len(c.case) for c in self.cases])
+        size_w = max([len("size")] + [len(str(c.size_bytes)) for c in self.cases])
         ratio_w = max(18, len(f"vs {self.baseline}"))
         notes = [" ".join(filter(None, (c.note, ",".join(c.flags)))) for c in self.cases]
         note_w = max([len("note")] + [len(n) for n in notes])
         head = (
-            f"| {'case':{case_w}} | {'size':>6} | {'ops/sec':>12} | {'MB/sec':>9} "
+            f"| {'case':{case_w}} | {'size':>{size_w}} | {'ops/sec':>12} | {'MB/sec':>9} "
             f"| {'p50 us':>8} | {'p99 us':>8} |"
         )
-        rule = "|" + "|".join("-" * (w + 2) for w in (case_w, 6, 12, 9, 8, 8)) + "|"
+        rule = "|" + "|".join("-" * (w + 2) for w in (case_w, size_w, 12, 9, 8, 8)) + "|"
         if with_ratio:
             head += f" {'vs ' + self.baseline:>{ratio_w}} |"
             rule += f"{'-' * (ratio_w + 2)}|"
         lines = [f"{head} {'note':{note_w}} |", f"{rule}{'-' * (note_w + 2)}|"]
         for c, note in zip(self.cases, notes):
             line = (
-                f"| {c.case:{case_w}} | {c.size_bytes:>6} | {c.ops_per_sec:>12.1f} "
+                f"| {c.case:{case_w}} | {c.size_bytes:>{size_w}} | {c.ops_per_sec:>12.1f} "
                 f"| {c.mb_per_sec:>9.3f} | {c.p50_us:>8.3f} | {c.p99_us:>8.3f} |"
             )
             if with_ratio:

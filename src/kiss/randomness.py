@@ -9,14 +9,17 @@ expected pass rate) to reach a verdict.
 
 Bit streams under test come from the deterministic key chain itself:
 one chain per trial, distinguished by direction label, each 32-byte
-value unpacked most significant bit first. The battery is sequential
-and fully reproducible from (seed, root); reports carry no timestamps.
+value read most significant bit first. Most tests read the stream a
+byte at a time through 256-entry tables, and the two pattern tests
+share one count per stream. The battery is sequential and fully
+reproducible from (seed, root); reports carry no timestamps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy import special
@@ -49,31 +52,63 @@ class TestResult:
 
 
 class BitStream:
-    """A finite 0/1 sequence held as a numpy uint8 vector."""
+    """A finite 0/1 sequence, held unpacked and packed most significant bit first.
 
-    __slots__ = ("bits",)
+    ``bits`` has one uint8 per bit; ``packed`` has one byte per eight bits,
+    with the bits past the end of the stream zero. Both are read-only, so
+    the pattern count a stream caches cannot go stale.
+    """
+
+    __slots__ = ("bits", "packed", "_counts")
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.array(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise InvalidParameterError("bit stream must be one-dimensional")
         if arr.size and arr.max() > 1:
             raise InvalidParameterError("bit stream values must be 0 or 1")
-        self.bits = arr
+        self._hold(arr, np.packbits(arr))
 
     @classmethod
     def from_bytes(cls, data: bytes, n_bits: int | None = None) -> "BitStream":
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        if n_bits is not None:
-            if n_bits > bits.size:
-                raise InvalidParameterError(
-                    f"{n_bits} bits requested from {bits.size} available"
-                )
-            bits = bits[:n_bits]
-        return cls(bits)
+        packed = np.frombuffer(data, dtype=np.uint8)
+        if n_bits is None:
+            n_bits = 8 * packed.size
+        elif n_bits > 8 * packed.size:
+            raise InvalidParameterError(
+                f"{n_bits} bits requested from {8 * packed.size} available"
+            )
+        packed = packed[: -(-n_bits // 8)]
+        if n_bits % 8:
+            packed = packed.copy()
+            packed[-1] &= (0xFF00 >> (n_bits % 8)) & 0xFF
+        stream = cls.__new__(cls)
+        stream._hold(np.unpackbits(packed, count=n_bits), packed)
+        return stream
+
+    def _hold(self, bits: np.ndarray, packed: np.ndarray) -> None:
+        bits.flags.writeable = False
+        packed.flags.writeable = False
+        self.bits = bits
+        self.packed = packed
+        self._counts = None
 
     def __len__(self) -> int:
         return self.bits.size
+
+    def pattern_counts(self, m: int) -> np.ndarray:
+        """Wrapped overlapping m-bit pattern counts.
+
+        The widest count made so far is kept and folded down to shorter
+        widths, so one count serves every test that fits inside it.
+        """
+        counts = self._counts
+        if counts is None or counts.size < 1 << m:
+            counts = self._counts = _pattern_counts(self, m)
+            counts.flags.writeable = False
+        while counts.size > 1 << m:
+            counts = _fold(counts)
+        return counts
 
 
 def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
@@ -87,31 +122,56 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
     return BitStream.from_bytes(out, n_bits)
 
 
-def _bit_array(bits) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits
-    return BitStream(bits).bits
+def _stream(bits) -> BitStream:
+    return bits if isinstance(bits, BitStream) else BitStream(bits)
+
+
+# -- byte tables -------------------------------------------------------
+#
+# The tests read the packed stream a byte at a time. Each table maps a
+# byte, read most significant bit first, to one figure about its bits.
+
+
+def _byte_table(figure, dtype) -> np.ndarray:
+    return np.array([figure(format(b, "08b")) for b in range(256)], dtype=dtype)
+
+
+def _walk(bits: str) -> list[int]:
+    """Levels of the +1/-1 walk over ``bits``, from 0 before the first bit."""
+    return list(accumulate((1 if c == "1" else -1 for c in bits), initial=0))
+
+
+_POPCOUNT = _byte_table(lambda b: b.count("1"), np.uint8)
+# ones that start the byte, end it, and the longest run anywhere in it
+_LEAD = _byte_table(lambda b: len(b) - len(b.lstrip("1")), np.int16)
+_TRAIL = _byte_table(lambda b: len(b) - len(b.rstrip("1")), np.int16)
+_INNER = _byte_table(lambda b: max(map(len, b.split("0"))), np.int16)
+# the walk's net step over the byte, and its highest and lowest level
+# before each of the byte's bits, measured from the level after the byte
+_NET = _byte_table(lambda b: _walk(b)[8], np.int8)
+_HI_BEFORE = _byte_table(lambda b: max(_walk(b)[:8]) - _walk(b)[8], np.int8)
+_LO_BEFORE = _byte_table(lambda b: min(_walk(b)[:8]) - _walk(b)[8], np.int8)
 
 
 # -- individual tests ------------------------------------------------
 
 
 def monobit_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
+    s = _stream(bits)
+    n = len(s)
     if n < MIN_STREAM_BITS:
         raise InvalidParameterError(
             f"monobit test needs >= {MIN_STREAM_BITS} bits, got {n}"
         )
-    s_n = 2 * int(b.sum()) - n
+    s_n = 2 * np.count_nonzero(s.bits) - n
     s_obs = abs(s_n) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2))
     return TestResult("monobit", p, p >= alpha, {"n": n, "s_n": s_n})
 
 
 def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
+    s = _stream(bits)
+    n = len(s)
     if block_size < 2:
         raise InvalidParameterError(f"block size must be >= 2, got {block_size}")
     n_blocks = n // block_size
@@ -119,11 +179,12 @@ def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALP
         raise InvalidParameterError(
             f"stream too short for block size {block_size} ({n} bits)"
         )
-    pi = (
-        b[: n_blocks * block_size]
+    ones = (
+        s.bits[: n_blocks * block_size]
         .reshape(n_blocks, block_size)
-        .mean(axis=1, dtype=np.float64)
+        .sum(axis=1, dtype=np.int32)
     )
+    pi = ones / block_size
     chi_sq = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
     p = float(special.gammaincc(n_blocks / 2.0, chi_sq / 2.0))
     return TestResult(
@@ -135,9 +196,9 @@ def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALP
 
 
 def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
-    pi = float(b.mean(dtype=np.float64))
+    s = _stream(bits)
+    n = len(s)
+    pi = np.count_nonzero(s.bits) / n
     # the test presumes the monobit statistic is unremarkable; outside
     # that band the run count is meaningless and the result is a hard fail
     tau = 2.0 / math.sqrt(n)
@@ -145,7 +206,14 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
         return TestResult(
             "runs", 0.0, False, {"n": n, "pi": pi, "prerequisite_failed": True}
         )
-    v_n = int(np.count_nonzero(b[1:] != b[:-1])) + 1
+    # each bit of x ^ (x shifted left one bit) marks a change to the next
+    # bit; past the end of the stream every bit is 0, so the marks there
+    # add up to one exactly when the last bit is 1
+    x = s.packed
+    after = x << 1
+    after[:-1] |= x[1:] >> 7
+    changes = int(np.take(_POPCOUNT, x ^ after).sum(dtype=np.int64)) - int(s.bits[-1])
+    v_n = changes + 1
     num = abs(v_n - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     p = math.erfc(num / den)
@@ -153,23 +221,15 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
 
 
 def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
+    s = _stream(bits)
+    n = len(s)
     for min_n, block_size, lo, hi, ref in _LONGEST_RUN_TIERS:
         if n >= min_n:
             break
     else:
         raise InvalidParameterError(f"longest-run test needs >= 128 bits, got {n}")
     n_blocks = n // block_size
-    # each block gets a 0 terminator, so every run of ones ends at a zero
-    # in its own block: a run is the gap between consecutive zeros, and a
-    # block's longest run is the maximum over the runs ending in it
-    padded = np.zeros((n_blocks, block_size + 1), dtype=np.uint8)
-    padded[:, :block_size] = b[: n_blocks * block_size].reshape(n_blocks, block_size)
-    zeros = np.flatnonzero(padded.ravel() == 0)
-    runs = np.diff(zeros, prepend=-1) - 1
-    first = np.searchsorted(zeros, np.arange(n_blocks) * (block_size + 1))
-    longest = np.maximum.reduceat(runs, first)
+    longest = _longest_runs(s.packed, block_size // 8, n_blocks)
     cats = np.clip(longest, lo, hi) - lo
     counts = np.bincount(cats, minlength=len(ref)).astype(np.float64)
     expected = n_blocks * np.asarray(ref)
@@ -190,14 +250,41 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     )
 
 
+def _longest_runs(packed: np.ndarray, block_bytes: int, n_blocks: int) -> np.ndarray:
+    """Longest run of ones in each block of ``block_bytes`` whole bytes.
+
+    A run either lies inside one byte, or ends in a byte after starting
+    before it: the ones that end the previous byte, plus the ones that
+    start this one. A run through whole 0xFF bytes carries the ones that
+    end the byte before them.
+    """
+    x = packed[: n_blocks * block_bytes]
+    ending = np.take(_TRAIL, x)
+    full = np.flatnonzero(x == 0xFF)
+    if full.size:
+        # a streak of 0xFF bytes starts after a byte that is not 0xFF, or
+        # at a block's first byte; first[i] is where full[i]'s streak starts
+        starts = np.ones(full.size, dtype=bool)
+        starts[1:] = full[1:] != full[:-1] + 1
+        starts |= full % block_bytes == 0
+        first = full[starts][np.cumsum(starts) - 1]
+        carried = np.where(first % block_bytes != 0, ending[first - 1], 0)
+        ending[full] = 8 * (full - first + 1) + carried
+    before = np.zeros_like(ending)
+    before[1:] = ending[:-1]
+    before[::block_bytes] = 0
+    before += np.take(_LEAD, x)
+    best = np.maximum(np.take(_INNER, x), before, out=before)
+    return best.reshape(n_blocks, block_bytes).max(axis=1)
+
+
 def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
-    x = b.astype(np.int8) * 2 - 1
-    if not forward:
-        x = x[::-1]
-    walk = np.cumsum(x, dtype=np.int32 if n < 1 << 31 else np.int64)
-    z = int(max(walk.max(), -walk.min()))
+    s = _stream(bits)
+    n = len(s)
+    hi, lo, total = _walk_range(s)
+    # the forward walk visits S_1 .. S_n; the backward one visits
+    # total - S_j for j = n-1 down to 0
+    z = max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
     sqrt_n = math.sqrt(n)
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
@@ -214,18 +301,41 @@ def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> Test
     )
 
 
+def _walk_range(s: BitStream) -> tuple[int, int, int]:
+    """Highest and lowest of the walk levels S_0 .. S_{n-1}, and S_n.
+
+    S_j is the sum of +1 per one and -1 per zero over the first j bits.
+    Whole bytes come from the byte tables and a sum over bytes; the bits
+    of a last, partial byte are walked one by one.
+    """
+    n = len(s)
+    whole = n // 8
+    hi = lo = level = 0
+    if whole:
+        x = s.packed[:whole]
+        after = np.cumsum(np.take(_NET, x), dtype=np.int32 if n < 1 << 31 else np.int64)
+        levels = np.empty_like(after)
+        hi = int(np.add(after, np.take(_HI_BEFORE, x), out=levels).max())
+        lo = int(np.add(after, np.take(_LO_BEFORE, x), out=levels).min())
+        level = int(after[-1])
+    for bit in s.bits[8 * whole :].tolist():
+        hi, lo = max(hi, level), min(lo, level)
+        level += 2 * bit - 1
+    return hi, lo, level
+
+
 def approximate_entropy_test(
     bits, pattern_len: int = 10, alpha: float = DEFAULT_ALPHA
 ) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
+    s = _stream(bits)
+    n = len(s)
     if pattern_len < 1:
         raise InvalidParameterError(f"pattern length must be >= 1, got {pattern_len}")
     if 1 << (pattern_len + 1) >= n:
         raise InvalidParameterError(
             f"pattern length {pattern_len} too large for {n} bits"
         )
-    counts = _pattern_counts(b, pattern_len + 1)
+    counts = s.pattern_counts(pattern_len + 1)
     ap_en = _phi(_fold(counts), n) - _phi(counts, n)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
     p = float(special.gammaincc(2.0 ** (pattern_len - 1), chi_sq / 2.0))
@@ -238,15 +348,15 @@ def approximate_entropy_test(
 
 
 def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    b = _bit_array(bits)
-    n = b.size
+    s = _stream(bits)
+    n = len(s)
     if pattern_len < 2:
         raise InvalidParameterError(f"pattern length must be >= 2, got {pattern_len}")
     if 1 << pattern_len >= n:
         raise InvalidParameterError(
             f"pattern length {pattern_len} too large for {n} bits"
         )
-    counts = _pattern_counts(b, pattern_len)
+    counts = s.pattern_counts(pattern_len)
     counts1 = _fold(counts)
     psi_m = _psi_sq(counts, n)
     psi_m1 = _psi_sq(counts1, n)
@@ -263,28 +373,40 @@ def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> Te
     )
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
+def _pattern_counts(s: BitStream, m: int) -> np.ndarray:
     """Counts of all overlapping m-bit patterns, sequence wrapped around.
 
-    The wrapped stream is packed to bytes. The window starting at bit
-    8k + r lies inside the big-endian word made of bytes k .. k+w-1, so
-    one shift and mask per bit offset r reads every window.
+    The window starting at bit 8k + r lies inside the big-endian word made
+    of bytes k .. k+w-1 of the wrapped stream, so one shift and mask per
+    bit offset r reads every window.
     """
-    n = b.size
+    n = len(s)
+    whole = n // 8
     w = (m + 14) // 8  # bytes that cover a window starting at offset 7
-    packed = np.pad(np.packbits(np.resize(b, n + m - 1)), (0, w - 1)).astype(np.int64)
-    k = packed.size - w + 1
-    word = packed[:k]
+    # the wrapped stream repeats the first m - 1 bits after the last one
+    seam = np.concatenate([s.bits[8 * whole :], s.bits[: m - 1]])
+    ext = np.concatenate([s.packed[:whole], np.packbits(seam), np.zeros(w, np.uint8)])
+    k = -(-n // 8)
+    word = ext[:k].astype(np.uint32 if w <= 4 else np.int64)
     for j in range(1, w):
-        word = (word << 8) | packed[j : j + k]
-    shifts = 8 * w - m - np.arange(8)
-    windows = (word[:, None] >> shifts) & ((1 << m) - 1)
-    return np.bincount(windows.ravel()[:n], minlength=1 << m)
+        word <<= 8
+        word |= ext[j : j + k]
+    window = np.empty(k, dtype=np.intp)
+
+    def count(offset: int) -> np.ndarray:
+        np.right_shift(word, 8 * w - m - offset, out=window)
+        np.bitwise_and(window, (1 << m) - 1, out=window)
+        return np.bincount(window[: (n - offset + 7) // 8], minlength=1 << m)
+
+    counts = count(0)
+    for offset in range(1, 8):
+        counts += count(offset)
+    return counts
 
 
 def _fold(counts: np.ndarray) -> np.ndarray:
     """Cyclic (m-1)-bit counts from cyclic m-bit counts: sum out the last bit."""
-    return counts.reshape(-1, 2).sum(axis=1)
+    return counts[0::2] + counts[1::2]
 
 
 def _phi(counts: np.ndarray, n: int) -> float:
@@ -389,10 +511,13 @@ def run_battery(
         def stream_factory(trial: int, length: int) -> BitStream:
             return generate_stream(seed, root, b"rs%04d" % trial, length)
 
+    # serial's 16-bit pattern count folds exactly to approximate entropy's
+    # 11-bit one, so serial runs first and makes each trial's only count
+    run_order = sorted(test_names, key=lambda name: name != "serial")
     results: dict[str, list[TestResult]] = {name: [] for name in test_names}
     for trial in range(trials):
         stream = stream_factory(trial, n_bits)
-        for name in test_names:
+        for name in run_order:
             results[name].append(ALL_TESTS[name](stream, alpha=alpha))
 
     threshold = min_pass_count(trials, alpha)

@@ -28,6 +28,7 @@ from kiss.randomness import (
     BitStream,
     RandomnessReport,
     _fold,
+    _longest_runs,
     _pattern_counts,
     approximate_entropy_test,
     block_frequency_test,
@@ -175,12 +176,113 @@ def _direct_counts(bits: np.ndarray, m: int) -> np.ndarray:
 @pytest.mark.parametrize("name", ["keystream-131075", "periodic-131075", "biased-131075"])
 def test_folded_pattern_counts_match_direct_counts(name):
     bits = _long_vector(name)
-    folded = _pattern_counts(bits, 16)
+    folded = _pattern_counts(BitStream(bits), 16)
     for m in range(16, 0, -1):
         direct = _direct_counts(bits, m)
-        assert np.array_equal(_pattern_counts(bits, m), direct), m
+        assert np.array_equal(_pattern_counts(BitStream(bits), m), direct), m
         assert np.array_equal(folded, direct), m
         folded = _fold(folded)
+
+
+def test_stream_count_folds_from_its_widest_count():
+    bits = _long_vector("keystream-131075")
+    stream = BitStream(bits)
+    assert np.array_equal(stream.pattern_counts(16), _direct_counts(bits, 16))
+    for m in (11, 10, 3):
+        assert np.array_equal(stream.pattern_counts(m), _direct_counts(bits, m)), m
+
+
+# -- packed kernels against the unpacked formulations they replace -------
+
+
+def _kernel_streams(n: int) -> dict[str, np.ndarray]:
+    return {
+        "keystream": _chain_bits(b"kern", n),
+        "constant": np.ones(n, dtype=np.uint8),
+        "alternating": np.resize(np.array([1, 0], dtype=np.uint8), n),
+        "biased": np.maximum(_chain_bits(b"kb-a", n), _chain_bits(b"kb-b", n)),
+        # drift early, so the two directions' excursions differ
+        "drifting": np.concatenate(
+            [np.ones(n // 4, dtype=np.uint8), _chain_bits(b"kern-d", n - n // 4)]
+        ),
+    }
+
+
+def _unpacked_excursion(bits: np.ndarray, forward: bool) -> int:
+    steps = bits.astype(np.int64) * 2 - 1
+    walk = np.cumsum(steps if forward else steps[::-1])
+    return int(max(walk.max(), -walk.min()))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("tail", range(8))
+@pytest.mark.parametrize("kind", ["keystream", "constant", "alternating", "biased", "drifting"])
+def test_cusum_byte_walk_matches_unpacked_walk(kind, tail, forward):
+    # streams shorter than a byte have no whole byte, only a tail
+    for n in sorted({tail, 8 + tail, 1000 + tail} - {0}):
+        bits = _kernel_streams(n)[kind]
+        z = cusum_test(bits, forward=forward).params["z"]
+        assert z == _unpacked_excursion(bits, forward), n
+
+
+def _unpacked_longest_runs(bits: np.ndarray, block_size: int) -> list[int]:
+    n_blocks = bits.size // block_size
+    rows = bits[: n_blocks * block_size].reshape(n_blocks, block_size)
+    return [max(map(len, "".join(map(str, row)).split("0"))) for row in rows]
+
+
+def _planted_runs(n: int, block_size: int) -> np.ndarray:
+    """A keystream with runs of ones placed across byte and block edges."""
+    bits = _chain_bits(b"plant%d" % block_size, n).copy()
+    m = block_size
+
+    def run(start: int, stop: int) -> None:
+        bits[max(start - 1, 0)] = 0
+        bits[start:stop] = 1
+        if stop < n:
+            bits[stop] = 0
+
+    def edge(i: int) -> int:  # block edges at least 64 bits apart, so runs stay apart
+        return i * m * max(1, 64 // m)
+
+    bits[0:m] = 1  # a whole block of ones: every byte 0xFF
+    run(edge(2) - 3, edge(2) + 21)  # across a block edge
+    run(edge(3) + 16, edge(3) + 40)  # three aligned 0xFF bytes, nothing else
+    run(edge(4) + 5, edge(4) + 30)  # 0xFF bytes with ones on either side
+    run(edge(6) - 8, edge(6) + 8)  # 0xFF bytes that meet at a block edge
+    return bits
+
+
+@pytest.mark.parametrize(
+    "n, block_size", [(1003, 8), (6401, 128), (750_017, 10_000)]
+)
+def test_longest_run_byte_tables_match_unpacked_runs(n, block_size):
+    vectors = dict(_kernel_streams(n), planted=_planted_runs(n, block_size))
+    vectors["zeros"] = np.zeros(n, dtype=np.uint8)
+    for kind, bits in vectors.items():
+        stream = BitStream(bits)
+        got = _longest_runs(stream.packed, block_size // 8, n // block_size)
+        assert got.tolist() == _unpacked_longest_runs(bits, block_size), kind
+        assert longest_run_test(stream).params["block_size"] == block_size
+
+
+@pytest.mark.parametrize("tail", range(8))
+def test_runs_packed_transitions_match_unpacked(tail):
+    for last in (0, 1):
+        bits = _chain_bits(b"runs", 1000 + tail).copy()
+        bits[-1] = last
+        result = runs_test(bits)
+        assert result.params["v_n"] == int(np.count_nonzero(bits[1:] != bits[:-1])) + 1
+
+
+def test_battery_trials_match_standalone_tests():
+    n, trials = 70_000, 20
+    report = run_battery(SEED, ROOT, n_bits=n, trials=trials)
+    assert list(report.results) == list(ALL_TESTS)
+    for trial in range(trials):
+        plain = generate_stream(SEED, ROOT, b"rs%04d" % trial, n).bits.copy()
+        for name, test in ALL_TESTS.items():
+            assert report.results[name][trial] == test(plain), (name, trial)
 
 
 def test_monobit_published_worked_example():
@@ -312,6 +414,28 @@ def test_bitstream_msb_first():
     assert BitStream.from_bytes(b"\x01").bits.tolist() == [0] * 7 + [1]
 
 
+def test_bitstream_is_read_only():
+    source = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
+    stream = BitStream(source)
+    with pytest.raises(ValueError):
+        stream.bits[0] = 0
+    with pytest.raises(ValueError):
+        stream.packed[0] = 0
+    source[0] = 0  # the stream holds its own copy; the caller's stays writable
+    assert stream.bits[0] == 1
+    generated = generate_stream(SEED, ROOT, b"ro", 1000)
+    with pytest.raises(ValueError):
+        generated.bits[0] ^= 1
+    with pytest.raises(ValueError):
+        generated.pattern_counts(4)[0] = 0
+
+
+def test_bitstream_packs_msb_first_with_a_zero_tail():
+    stream = BitStream.from_bytes(b"\xff\xff", 11)
+    assert stream.packed.tolist() == [0xFF, 0xE0]
+    assert BitStream([1] * 11).packed.tolist() == [0xFF, 0xE0]
+
+
 def test_bitstream_validation():
     with pytest.raises(InvalidParameterError):
         BitStream([0, 1, 2])
@@ -398,6 +522,18 @@ def test_battery_csv_is_pinned():
     report = run_battery(DEMO_SEED, DEMO_ROOT, n_bits=200_000, trials=20)
     digest = hashlib.sha256(report.to_csv().encode("ascii")).hexdigest()
     assert digest == BATTERY_200K_CSV_SHA256
+
+
+# the same at the default 1e6 bits, recorded before the battery moved to
+# the packed stream; unlike the 200k pin it reaches longest-run's
+# 10,000-bit tier, which starts at 750,000 bits
+BATTERY_1M_CSV_SHA256 = "83962486417d0dd709f03efbe35b210e526ea6d40744ea80e9ea12c940dc0aa5"
+
+
+def test_battery_csv_is_pinned_at_default_scale():
+    report = run_battery(DEMO_SEED, DEMO_ROOT, n_bits=1_000_000, trials=20)
+    digest = hashlib.sha256(report.to_csv().encode("ascii")).hexdigest()
+    assert digest == BATTERY_1M_CSV_SHA256
 
 
 def test_battery_flags_constant_source():
