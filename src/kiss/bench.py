@@ -3,8 +3,9 @@
 Three layers of measurement, all sharing one report shape:
 
 * ``bench_primitives`` times raw crypto operations (hashing, MAC, AEAD,
-  signatures, chain stepping, record sealing) over counter-filled
-  buffers so runs are byte-comparable.
+  signatures, chain stepping, record sealing, and a record sealed and
+  opened in memory) over counter-filled buffers so runs are
+  byte-comparable.
 * ``bench_channel`` times a loopback pair whose op sends one message
   and receives it on the calling thread, with a plaintext framing
   baseline that packs the frames ``seal_wire`` would send, zero-tagged,
@@ -62,7 +63,7 @@ from .association import (
     generate_provision,
     load_association,
 )
-from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN
+from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, read_record, seal_wire
 from .errors import InvalidParameterError, TransportError
 from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_step
@@ -77,6 +78,7 @@ PRIMITIVES = (
     "sign-ecdsa-p256",
     "idvv-step",
     "idvv-seal-authonly",
+    "idvv-seal-open-authonly",
 )
 
 CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
@@ -323,10 +325,10 @@ def _counter_buffer(size: int) -> bytes:
     return bytes(i & 0xFF for i in range(size))
 
 
-def _bench_assoc() -> Association:
+def _bench_assoc(role: Role = Role.INITIATOR) -> Association:
     pf = ProvisionFile(
         assoc_id=bytes(8),
-        role=Role.INITIATOR,
+        role=role,
         mode=Mode.AUTH_ONLY,
         seed=bytes(range(32)),
         root=bytes(range(32, 64)),
@@ -367,6 +369,9 @@ def _make_primitive_op(name: str, size: int):
     if name == "idvv-seal-authonly":
         assoc, data = _bench_assoc(), MsgType.DATA
         return lambda: seal_wire(assoc, data, msg)
+    if name == "idvv-seal-open-authonly":
+        tx, rx, data = _bench_assoc(), _bench_assoc(Role.RESPONDER), MsgType.DATA
+        return lambda: open_record(rx, seal_wire(tx, data, msg))
     raise InvalidParameterError(f"unknown primitive {name!r}")
 
 

@@ -21,9 +21,10 @@ or burn window state.
 Record path: ``seal_wire``, the only code that seals, packs the header
 once and returns the wire bytes. An endpoint frames incoming records
 from a read buffer it keeps: ``recv(READ_SIZE)`` while a header is
-incomplete, one parse, then ``recv`` of exactly what the record lacks.
-The parsed fields go straight to the verify-and-commit step that
-``open_record`` runs after parsing a whole record.
+incomplete, one parse, then ``recv`` of exactly what the record lacks;
+a ``recv`` into the empty buffer that brings one whole record is used as
+it came. The parsed header goes straight to the verify-and-commit step
+that ``open_record`` runs; keys and tags call OpenSSL's HMAC directly.
 
 ``Record``, ``seal``, ``encode_record`` and ``decode_record`` are an
 inspection view of the same bytes, kept for tests and ``benchmark/``;
@@ -53,15 +54,16 @@ from .errors import (
     KissError,
     TransportError,
 )
-from .idvv import hmac_sha256, idvv_peek, idvv_step
+from .idvv import _hmac_new, idvv_peek, idvv_step
 
 MAGIC = b"KI"
 VERSION = 0x01
 HEADER_LEN = 25
 MAX_PAYLOAD = 2**20
 # what an endpoint asks of its transport while a header is incomplete,
-# and so the most it ever reads past the record it is framing
-READ_SIZE = 4096
+# and so the most it ever reads past the record it is framing; one recv
+# of this size takes a whole 16-KiB record
+READ_SIZE = 65536
 
 _HEADER = struct.Struct(">2sBBB8sQI")
 assert _HEADER.size == HEADER_LEN
@@ -164,20 +166,19 @@ def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
     return msg_type, mode, assoc_id, seq, end, end + tag_len
 
 
-def _decode_frame(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int]:
-    """:func:`_parse_header` plus the exact-length check; the last field
-    is where the payload ends and the tag begins."""
-    msg_type, mode, assoc_id, seq, end, size = _parse_header(buf)
-    if len(buf) != size:
+def _decode_frame(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int, int]:
+    """:func:`_parse_header` plus the exact-length check."""
+    header = _parse_header(buf)
+    if len(buf) != header[5]:
         raise FrameError(
-            f"record length {len(buf)} does not match header (want {size})",
+            f"record length {len(buf)} does not match header (want {header[5]})",
             field="payload_len",
         )
-    return msg_type, mode, assoc_id, seq, end
+    return header
 
 
 def decode_record(buf: bytes) -> Record:
-    msg_type, mode, assoc_id, seq, end = _decode_frame(buf)
+    msg_type, mode, assoc_id, seq, end, _ = _decode_frame(buf)
     return Record(msg_type, mode, assoc_id, seq, buf[HEADER_LEN:end], buf[end:])
 
 
@@ -186,8 +187,8 @@ def _record_keys(value: bytes, seq: int, mode: Mode, op: str):
     if mode is _AUTH_ONLY:
         label, nonce = KEY_LABEL_MAC, None
     else:
-        label, nonce = KEY_LABEL_ENC, hmac_sha256(value, KEY_LABEL_NONCE)[:12]
-    key = hmac_sha256(value, label)
+        label, nonce = KEY_LABEL_ENC, _hmac_new(value, KEY_LABEL_NONCE, "sha256").digest()[:12]
+    key = _hmac_new(value, label, "sha256").digest()
     if _key_trace_hook is not None:
         _key_trace_hook(op, seq, label, key)
     return key, nonce
@@ -216,7 +217,7 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
     )
     if auth_only:
         signed = header + payload
-        return signed + hmac_sha256(key, signed)
+        return signed + _hmac_new(key, signed, "sha256").digest()
     return header + AESGCM(key).encrypt(nonce, payload, header)
 
 
@@ -227,11 +228,12 @@ def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
 
 def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
     """Verify and decode one incoming record; commit state only on success."""
-    return _open_frame(assoc, wire, *_decode_frame(wire))
+    return _open_frame(assoc, wire, _decode_frame(wire))
 
 
-def _open_frame(assoc, wire, msg_type, mode, assoc_id, seq, end):
+def _open_frame(assoc, wire, header):
     """:func:`open_record` for a record whose header is already parsed."""
+    msg_type, mode, assoc_id, seq, end, _ = header
     if assoc_id != assoc.assoc_id:
         raise AssociationError("record addressed to a different association")
     if mode is not assoc.mode:
@@ -245,7 +247,7 @@ def _open_frame(assoc, wire, msg_type, mode, assoc_id, seq, end):
     value = idvv_peek(chain, seq, assoc.resync_window)
     key, nonce = _record_keys(value, seq, mode, "open")
     if mode is _AUTH_ONLY:
-        if not hmac.compare_digest(hmac_sha256(key, wire[:end]), wire[end:]):
+        if not hmac.compare_digest(_hmac_new(key, wire[:end], "sha256").digest(), wire[end:]):
             raise AuthenticationError("record tag verification failed")
         plaintext = wire[HEADER_LEN:end]
     else:
@@ -266,20 +268,29 @@ def _read_frame(recv, buf: bytearray):
     While ``buf`` holds less than a header, asks for ``READ_SIZE`` bytes
     less what it holds; once the header parses, for exactly what the
     record lacks, so a bad header fails before any body read. Bytes past
-    the record stay in ``buf``. Returns the wire bytes and parsed fields
-    that :func:`_open_frame` takes, or None on a clean EOF at a record
-    boundary; EOF anywhere else raises TransportError.
+    the record stay in ``buf``; a ``recv`` into an empty ``buf`` that brings
+    exactly one record is used as it came. Returns the wire bytes and
+    parsed header that :func:`_open_frame` takes, or None on a clean EOF
+    at a record boundary; EOF anywhere else raises TransportError.
     """
+    if not buf:
+        chunk = recv(READ_SIZE)
+        if len(chunk) >= HEADER_LEN:
+            header = _parse_header(chunk)
+            if len(chunk) == header[5]:
+                return chunk, header
+        elif not chunk:
+            return None
+        buf += chunk
     while len(buf) < HEADER_LEN:
         chunk = recv(READ_SIZE - len(buf))
         if not chunk:
-            if not buf:
-                return None
             raise TransportError(
                 f"connection closed mid-record ({len(buf)}/{HEADER_LEN} bytes)"
             )
         buf += chunk
-    msg_type, mode, assoc_id, seq, end, size = _parse_header(buf)
+    header = _parse_header(buf)
+    size = header[5]
     while len(buf) < size:
         chunk = recv(size - len(buf))
         if not chunk:
@@ -287,13 +298,10 @@ def _read_frame(recv, buf: bytearray):
                 f"connection closed mid-record ({len(buf)}/{size} bytes)"
             )
         buf += chunk
-    if len(buf) == size:  # the usual case: nothing read ahead
-        wire = bytes(buf)
-        buf.clear()
-    else:
-        wire = bytes(buf[:size])
-        del buf[:size]
-    return wire, msg_type, mode, assoc_id, seq, end
+    with memoryview(buf) as view:  # one copy; released before buf shrinks
+        wire = bytes(view[:size])
+    del buf[:size]
+    return wire, header
 
 
 def read_record(read, buf: bytearray) -> bytes:

@@ -16,8 +16,13 @@ chain to the long-term secret; the explicit counter rules out cycles.
 
 Four calls make the chain: ``idvv_init`` starts it, the sender advances
 it with ``idvv_step``, and the receiver computes a later value with
-``idvv_peek`` and lands it with ``IdvvState.commit``. Record keys are
-derived from chain values in ``kiss.channel``, and nowhere else.
+``idvv_peek`` and lands it with ``IdvvState.commit``; the battery's
+keystream is one ``idvv_peek`` walk (``out``). Record keys are derived
+from chain values in ``kiss.channel``, and nowhere else.
+
+The PRF is an OpenSSL HMAC context (``_hmac_new``; ``hmac.digest``
+refetches the MAC per call, twice the cost at 64 B), called with no
+Python frame around it per record; ``hmac_sha256`` serves cold callers.
 
 Ownership contract: a state is single-owner. Exactly one logical thread
 of control may step it at a time; hand states off between threads, never
@@ -48,12 +53,7 @@ _U64 = struct.Struct(">Q")
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA-256 through an OpenSSL HMAC context.
-
-    ``hmac.digest`` takes OpenSSL 3's one-shot ``HMAC()``, which fetches
-    the MAC implementation on every call; at 64 B that doubles the cost.
-    Like ``hmac.digest``, this reads the key buffer without copying it.
-    """
+    """HMAC-SHA-256; reads the key buffer without copying it."""
     return _hmac_new(key, message, "sha256").digest()
 
 
@@ -208,28 +208,31 @@ def idvv_step(state: IdvvState) -> bytes:
     if state._counter >= MAX_COUNTER:
         raise ChainExhaustedError("chain counter exhausted; re-provision the association")
     # the PRF takes the live buffers directly; no secret copies made here
-    new = hmac_sha256(state._value, state._seed._buf + _U64.pack(state._counter))
+    new = _hmac_new(state._value, state._seed._buf + _U64.pack(state._counter), "sha256").digest()
     state._value[:] = new
     state._counter += 1
     return new
 
 
-def idvv_peek(state: IdvvState, target_counter: int, max_steps: int) -> bytes:
+def idvv_peek(state: IdvvState, target_counter: int, max_steps: int, out=None) -> bytes:
     """The value at ``target_counter``, computed without changing ``state``.
 
     Refuses to go backwards or sideways (replay) and refuses gaps beyond
     ``max_steps`` (out of window). Commit with :meth:`IdvvState.commit`.
+    If ``out`` is a list, every value walked is appended to it.
     """
     counter = state._counter
     if target_counter <= counter:
         raise ReplayError(f"target counter {target_counter} not beyond current {counter}")
-    gap = target_counter - counter
-    if gap > max_steps:
-        raise OutOfWindowError(f"gap {gap} exceeds window {max_steps}")
+    if target_counter - counter > max_steps:
+        raise OutOfWindowError(f"gap {target_counter - counter} exceeds window {max_steps}")
     if target_counter > MAX_COUNTER:
         raise ChainExhaustedError("chain counter exhausted; re-provision the association")
     value, seed, pack = state._value, state._seed._buf, _U64.pack
-    for i in range(counter, target_counter):
-        value = hmac_sha256(value, seed + pack(i))
+    # not a range loop: building the range costs a tenth of a one-step walk
+    while counter < target_counter:
+        value = _hmac_new(value, seed + pack(counter), "sha256").digest()
+        counter += 1
+        if out is not None:
+            out.append(value)
     return value
-

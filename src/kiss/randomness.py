@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError
-from .idvv import idvv_init, idvv_step
+from .idvv import idvv_init, idvv_peek
 
 MIN_STREAM_BITS = 100
 
@@ -117,9 +117,10 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
         raise InvalidParameterError(
             f"stream must be at least {MIN_STREAM_BITS} bits, got {n_bits}"
         )
-    state = idvv_init(seed, root, label)
-    out = b"".join([idvv_step(state) for _ in range(-(-n_bits // 256))])
-    return BitStream.from_bytes(out, n_bits)
+    count = -(-n_bits // 256)
+    values = []  # value_1 .. value_count, from one chain walk
+    idvv_peek(idvv_init(seed, root, label), count, count, values)
+    return BitStream.from_bytes(b"".join(values), n_bits)
 
 
 def _stream(bits) -> BitStream:

@@ -166,6 +166,20 @@ def test_seal_op_produces_framed_records():
     assert open_record(responder, second) == (MsgType.DATA, payload)
 
 
+def test_seal_open_op_opens_what_it_sealed():
+    op = _make_primitive_op("idvv-seal-open-authonly", 64)
+    payload = bench_mod._counter_buffer(64)
+    # each op seals the next seq and the responder opens it: gap 1 forever
+    for _ in range(3):
+        assert op() == (MsgType.DATA, payload)
+    report = bench_primitives(
+        BenchConfig(sizes=(64,), iterations=1000, duration=None),
+        names=("idvv-seal-authonly", "idvv-seal-open-authonly"),
+    )
+    assert [c.case for c in report.cases] == ["idvv-seal-authonly", "idvv-seal-open-authonly"]
+    assert all(c.ops_per_sec > 0 for c in report.cases)
+
+
 def test_bench_primitives_report_shape():
     cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None)
     report = bench_primitives(cfg, names=("hash-sha256", "hmac-sha256"))

@@ -364,25 +364,28 @@ def test_forged_record_at_the_window_cap_costs_one_chain_walk(monkeypatch):
     sender, receiver = _pair(window=window)
     genuine = encode_record(seal(sender, MsgType.DATA, b"genuine"))
     calls = [0]
-    real = idvv_mod.hmac_sha256
+    real = idvv_mod._hmac_new
 
-    def counted(key, message):
+    def counted(key, message, digestmod):
         calls[0] += 1
-        return real(key, message)
+        return real(key, message, digestmod)
 
+    # the record path calls OpenSSL's HMAC constructor directly
     for mod in (idvv_mod, channel_mod):
-        monkeypatch.setattr(mod, "hmac_sha256", counted)
+        monkeypatch.setattr(mod, "_hmac_new", counted)
     # a forger with no key copies a header, picks the seq, guesses a tag;
-    # the receiver is at counter 0, so the seq is the gap
-    cases = [(window, AuthenticationError, window + 3), (window + 1, OutOfWindowError, 0)]
-    for seq, error, most in cases:
+    # the receiver is at counter 0, so the seq is the gap. An auth-only
+    # forgery inside the window costs the gap's steps, one key and one
+    # tag; one past the window costs no HMAC at all.
+    cases = [(window, AuthenticationError, window + 2), (window + 1, OutOfWindowError, 0)]
+    for seq, error, cost in cases:
         forged = bytearray(_bad_tag(genuine))
         forged[13:21] = seq.to_bytes(8, "big")
         before = _chain_position(receiver)
         calls[0] = 0
         with pytest.raises(error):
             open_record(receiver, bytes(forged))
-        assert calls[0] <= most
+        assert calls[0] == cost
         assert _chain_position(receiver) == before
     assert open_record(receiver, genuine) == (MsgType.DATA, b"genuine")
 
@@ -514,6 +517,19 @@ def test_two_records_in_one_recv_survive_a_transport_swap():
     swapped = ep.transport = _ScriptedTransport(b"")
     assert ep.receive() == b"1"
     assert swapped.asked == []  # served from the leftover alone
+
+
+def test_back_to_back_16k_records_take_one_recv_each_at_most():
+    sender, receiver = _pair(Mode.AEAD)
+    payloads = [bytes([i]) * 16384 for i in range(16)]
+    stream = b"".join(seal_wire(sender, MsgType.DATA, p) for p in payloads)
+    transport = _ScriptedTransport(stream)
+    ep = _established(receiver, transport)
+    for p in payloads:
+        assert ep.receive() == p
+        assert len(ep._buf) <= READ_SIZE  # read-ahead stays bounded
+    assert transport.pos == len(stream)
+    assert len(transport.asked) <= len(payloads)
 
 
 def test_oversized_header_fails_before_any_body_read():

@@ -310,11 +310,11 @@ def test_bench_primitives_cli(tmp_path):
     assert result.returncode == 0, result.stderr
     for name in ("hash-sha256", "hmac-sha256", "aead-aes256gcm",
                  "sign-rsa2048", "sign-ecdsa-p256", "idvv-step",
-                 "idvv-seal-authonly"):
+                 "idvv-seal-authonly", "idvv-seal-open-authonly"):
         assert name in result.stdout
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
-    assert len(lines) == 1 + 7
+    assert len(lines) == 1 + 8
 
 
 def test_bench_channel_cli(tmp_path):
