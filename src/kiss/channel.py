@@ -273,6 +273,7 @@ def _read_frame(recv, buf: bytearray):
     parsed header that :func:`_open_frame` takes, or None on a clean EOF
     at a record boundary; EOF anywhere else raises TransportError.
     """
+    header = None
     if not buf:
         chunk = recv(READ_SIZE)
         if len(chunk) >= HEADER_LEN:
@@ -289,7 +290,7 @@ def _read_frame(recv, buf: bytearray):
                 f"connection closed mid-record ({len(buf)}/{HEADER_LEN} bytes)"
             )
         buf += chunk
-    header = _parse_header(buf)
+    header = header or _parse_header(buf)  # parsed already if the first recv brought it
     size = header[5]
     while len(buf) < size:
         chunk = recv(size - len(buf))

@@ -9,10 +9,10 @@ expected pass rate) to reach a verdict.
 
 Bit streams under test come from the deterministic key chain itself:
 one chain per trial, distinguished by direction label, each 32-byte
-value read most significant bit first. Most tests read the stream a
-byte at a time through 256-entry tables, and the two pattern tests
-share one count per stream. The battery is sequential and fully
-reproducible from (seed, root); reports carry no timestamps.
+value read most significant bit first. The tests read only the packed
+bytes: popcounts, 256-entry byte tables, and one pattern count per
+stream that the two pattern tests share. The battery is sequential and
+fully reproducible from (seed, root); reports carry no timestamps.
 """
 
 from __future__ import annotations
@@ -52,49 +52,53 @@ class TestResult:
 
 
 class BitStream:
-    """A finite 0/1 sequence, held unpacked and packed most significant bit first.
+    """A finite 0/1 sequence, held packed most significant bit first.
 
-    ``bits`` has one uint8 per bit; ``packed`` has one byte per eight bits,
-    with the bits past the end of the stream zero. Both are read-only, so
-    the pattern count a stream caches cannot go stale.
+    ``packed`` has one byte per eight bits, the bits past the end zero; the
+    tests read nothing else. ``bits``, one uint8 per bit, is unpacked on
+    first read. Both are read-only, so a cached pattern count cannot go stale.
     """
 
-    __slots__ = ("bits", "packed", "_counts")
+    __slots__ = ("packed", "_n", "_bits", "_counts")
 
     def __init__(self, bits):
-        arr = np.array(bits, dtype=np.uint8)
+        arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise InvalidParameterError("bit stream must be one-dimensional")
         if arr.size and arr.max() > 1:
             raise InvalidParameterError("bit stream values must be 0 or 1")
-        self._hold(arr, np.packbits(arr))
+        self._hold(np.packbits(arr), arr.size)
 
     @classmethod
     def from_bytes(cls, data: bytes, n_bits: int | None = None) -> "BitStream":
         packed = np.frombuffer(data, dtype=np.uint8)
-        if n_bits is None:
-            n_bits = 8 * packed.size
-        elif n_bits > 8 * packed.size:
-            raise InvalidParameterError(
-                f"{n_bits} bits requested from {8 * packed.size} available"
-            )
+        n_bits = 8 * packed.size if n_bits is None else n_bits
+        if not 0 <= n_bits <= 8 * packed.size:
+            raise InvalidParameterError(f"n_bits must be 0..{8 * packed.size}, got {n_bits}")
         packed = packed[: -(-n_bits // 8)]
         if n_bits % 8:
             packed = packed.copy()
             packed[-1] &= (0xFF00 >> (n_bits % 8)) & 0xFF
         stream = cls.__new__(cls)
-        stream._hold(np.unpackbits(packed, count=n_bits), packed)
+        stream._hold(packed, n_bits)
         return stream
 
-    def _hold(self, bits: np.ndarray, packed: np.ndarray) -> None:
-        bits.flags.writeable = False
+    def _hold(self, packed: np.ndarray, n: int) -> None:
         packed.flags.writeable = False
-        self.bits = bits
         self.packed = packed
-        self._counts = None
+        self._n = n
+        self._bits = self._counts = None
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self._n
+
+    @property
+    def bits(self) -> np.ndarray:
+        """One uint8 per bit, unpacked the first time something reads it."""
+        if self._bits is None:
+            self._bits = np.unpackbits(self.packed, count=self._n)
+            self._bits.flags.writeable = False
+        return self._bits
 
     def pattern_counts(self, m: int) -> np.ndarray:
         """Wrapped overlapping m-bit pattern counts.
@@ -123,18 +127,34 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
     return BitStream.from_bytes(b"".join(values), n_bits)
 
 
-def _stream(bits) -> BitStream:
-    return bits if isinstance(bits, BitStream) else BitStream(bits)
+def _stream(bits, test: str | None = None) -> BitStream:
+    s = bits if isinstance(bits, BitStream) else BitStream(bits)
+    if test and len(s) < MIN_STREAM_BITS:
+        raise InvalidParameterError(f"{test} test needs >= {MIN_STREAM_BITS} bits, got {len(s)}")
+    return s
 
 
 # -- byte tables -------------------------------------------------------
 #
-# The tests read the packed stream a byte at a time. Each table maps a
-# byte, read most significant bit first, to one figure about its bits.
+# Each table maps a byte, read most significant bit first, to one figure
+# about its bits (signed ones modulo 256); a lookup is a bytes translate,
+# which makes no index array. Ones are counted a 64-bit word at a time.
 
 
-def _byte_table(figure, dtype) -> np.ndarray:
-    return np.array([figure(format(b, "08b")) for b in range(256)], dtype=dtype)
+def _byte_table(figure) -> bytes:
+    return bytes(figure(format(b, "08b")) & 0xFF for b in range(256))
+
+
+def _lookup(table: bytes, x: np.ndarray, dtype=np.uint8) -> np.ndarray:
+    return np.frombuffer(bytearray(x).translate(table), dtype)
+
+
+def _words(x: np.ndarray) -> np.ndarray:  # zero-padded, so even bit 8 * x.size has a word
+    return np.frombuffer(x.tobytes() + bytes(8 - x.size % 8), ">u8")
+
+
+def _ones(x: np.ndarray) -> int:
+    return int(np.bitwise_count(_words(x)).sum())
 
 
 def _walk(bits: str) -> list[int]:
@@ -142,29 +162,24 @@ def _walk(bits: str) -> list[int]:
     return list(accumulate((1 if c == "1" else -1 for c in bits), initial=0))
 
 
-_POPCOUNT = _byte_table(lambda b: b.count("1"), np.uint8)
 # ones that start the byte, end it, and the longest run anywhere in it
-_LEAD = _byte_table(lambda b: len(b) - len(b.lstrip("1")), np.int16)
-_TRAIL = _byte_table(lambda b: len(b) - len(b.rstrip("1")), np.int16)
-_INNER = _byte_table(lambda b: max(map(len, b.split("0"))), np.int16)
-# the walk's net step over the byte, and its highest and lowest level
-# before each of the byte's bits, measured from the level after the byte
-_NET = _byte_table(lambda b: _walk(b)[8], np.int8)
-_HI_BEFORE = _byte_table(lambda b: max(_walk(b)[:8]) - _walk(b)[8], np.int8)
-_LO_BEFORE = _byte_table(lambda b: min(_walk(b)[:8]) - _walk(b)[8], np.int8)
+_LEAD = _byte_table(lambda b: len(b) - len(b.lstrip("1")))
+_TRAIL = _byte_table(lambda b: len(b) - len(b.rstrip("1")))
+_INNER = _byte_table(lambda b: max(map(len, b.split("0"))))
+# the walk's net step over the byte, its highest level before any of its
+# bits (from the level after the byte), and its lowest (from that highest)
+_NET = _byte_table(lambda b: _walk(b)[8])
+_HI_BEFORE = _byte_table(lambda b: max(_walk(b)[:8]) - _walk(b)[8])
+_LO_BELOW_HI = _byte_table(lambda b: min(_walk(b)[:8]) - max(_walk(b)[:8]))
 
 
 # -- individual tests ------------------------------------------------
 
 
 def monobit_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits)
+    s = _stream(bits, "monobit")
     n = len(s)
-    if n < MIN_STREAM_BITS:
-        raise InvalidParameterError(
-            f"monobit test needs >= {MIN_STREAM_BITS} bits, got {n}"
-        )
-    s_n = 2 * np.count_nonzero(s.bits) - n
+    s_n = 2 * _ones(s.packed) - n
     s_obs = abs(s_n) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2))
     return TestResult("monobit", p, p >= alpha, {"n": n, "s_n": s_n})
@@ -180,12 +195,11 @@ def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALP
         raise InvalidParameterError(
             f"stream too short for block size {block_size} ({n} bits)"
         )
-    ones = (
-        s.bits[: n_blocks * block_size]
-        .reshape(n_blocks, block_size)
-        .sum(axis=1, dtype=np.int32)
-    )
-    pi = ones / block_size
+    # ones before each block edge: up to the end of its word, less those from the edge on
+    edges = np.arange(n_blocks + 1, dtype=np.uint64) * block_size
+    words, at = _words(s.packed), edges >> 6
+    upto = np.cumsum(np.bitwise_count(words), dtype=np.int64)[at]
+    pi = np.diff(upto - np.bitwise_count(words[at].astype(np.uint64) << edges % 64)) / block_size
     chi_sq = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
     p = float(special.gammaincc(n_blocks / 2.0, chi_sq / 2.0))
     return TestResult(
@@ -197,9 +211,9 @@ def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALP
 
 
 def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits)
+    s = _stream(bits, "runs")
     n = len(s)
-    pi = np.count_nonzero(s.bits) / n
+    pi = _ones(s.packed) / n
     # the test presumes the monobit statistic is unremarkable; outside
     # that band the run count is meaningless and the result is a hard fail
     tau = 2.0 / math.sqrt(n)
@@ -207,13 +221,12 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
         return TestResult(
             "runs", 0.0, False, {"n": n, "pi": pi, "prerequisite_failed": True}
         )
-    # each bit of x ^ (x shifted left one bit) marks a change to the next
-    # bit; past the end of the stream every bit is 0, so the marks there
-    # add up to one exactly when the last bit is 1
+    # each bit of x ^ (x shifted left one bit) marks a change to the next bit;
+    # the zero bits past the end add one mark exactly when the last bit is 1
     x = s.packed
     after = x << 1
     after[:-1] |= x[1:] >> 7
-    changes = int(np.take(_POPCOUNT, x ^ after).sum(dtype=np.int64)) - int(s.bits[-1])
+    changes = _ones(np.bitwise_xor(x, after, out=after)) - (int(x[-1]) >> (-n % 8) & 1)
     v_n = changes + 1
     num = abs(v_n - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
@@ -260,7 +273,7 @@ def _longest_runs(packed: np.ndarray, block_bytes: int, n_blocks: int) -> np.nda
     end the byte before them.
     """
     x = packed[: n_blocks * block_bytes]
-    ending = np.take(_TRAIL, x)
+    ending = _lookup(_TRAIL, x).astype(np.int16)
     full = np.flatnonzero(x == 0xFF)
     if full.size:
         # a streak of 0xFF bytes starts after a byte that is not 0xFF, or
@@ -274,13 +287,13 @@ def _longest_runs(packed: np.ndarray, block_bytes: int, n_blocks: int) -> np.nda
     before = np.zeros_like(ending)
     before[1:] = ending[:-1]
     before[::block_bytes] = 0
-    before += np.take(_LEAD, x)
-    best = np.maximum(np.take(_INNER, x), before, out=before)
+    before += _lookup(_LEAD, x)
+    best = np.maximum(_lookup(_INNER, x), before, out=before)
     return best.reshape(n_blocks, block_bytes).max(axis=1)
 
 
 def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits)
+    s = _stream(bits, "cusum")
     n = len(s)
     hi, lo, total = _walk_range(s)
     # the forward walk visits S_1 .. S_n; the backward one visits
@@ -305,23 +318,20 @@ def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> Test
 def _walk_range(s: BitStream) -> tuple[int, int, int]:
     """Highest and lowest of the walk levels S_0 .. S_{n-1}, and S_n.
 
-    S_j is the sum of +1 per one and -1 per zero over the first j bits.
-    Whole bytes come from the byte tables and a sum over bytes; the bits
-    of a last, partial byte are walked one by one.
+    S_j is the sum of +1 per one and -1 per zero over the first j bits,
+    n >= 1. Whole bytes come from the byte tables and a sum over bytes;
+    the bits of a last, partial byte are walked one by one.
     """
     n = len(s)
-    whole = n // 8
-    hi = lo = level = 0
-    if whole:
-        x = s.packed[:whole]
-        after = np.cumsum(np.take(_NET, x), dtype=np.int32 if n < 1 << 31 else np.int64)
-        levels = np.empty_like(after)
-        hi = int(np.add(after, np.take(_HI_BEFORE, x), out=levels).max())
-        lo = int(np.add(after, np.take(_LO_BEFORE, x), out=levels).min())
-        level = int(after[-1])
-    for bit in s.bits[8 * whole :].tolist():
+    x = s.packed[: n // 8]
+    levels = _lookup(_NET, x, np.int8).astype(np.int32 if n < 1 << 31 else np.int64)
+    np.cumsum(levels, out=levels)  # after each byte, then each byte's highest, then lowest
+    level = int(levels[-1]) if x.size else 0
+    hi = int(np.add(levels, _lookup(_HI_BEFORE, x, np.int8), out=levels).max(initial=0))
+    lo = int(np.add(levels, _lookup(_LO_BELOW_HI, x, np.int8), out=levels).min(initial=0))
+    for bit in format(int(s.packed[-1]), "08b")[: n % 8]:
         hi, lo = max(hi, level), min(lo, level)
-        level += 2 * bit - 1
+        level += 1 if bit == "1" else -1
     return hi, lo, level
 
 
@@ -385,8 +395,8 @@ def _pattern_counts(s: BitStream, m: int) -> np.ndarray:
     whole = n // 8
     w = (m + 14) // 8  # bytes that cover a window starting at offset 7
     # the wrapped stream repeats the first m - 1 bits after the last one
-    seam = np.concatenate([s.bits[8 * whole :], s.bits[: m - 1]])
-    ext = np.concatenate([s.packed[:whole], np.packbits(seam), np.zeros(w, np.uint8)])
+    seam = [np.unpackbits(s.packed[whole:], count=n % 8), np.unpackbits(s.packed[:w], count=m - 1)]
+    ext = np.concatenate([s.packed[:whole], np.packbits(np.hstack(seam)), np.zeros(w, np.uint8)])
     k = -(-n // 8)
     word = ext[:k].astype(np.uint32 if w <= 4 else np.int64)
     for j in range(1, w):
@@ -418,8 +428,8 @@ def _phi(counts: np.ndarray, n: int) -> float:
 def _psi_sq(counts: np.ndarray, n: int) -> float:
     if counts.size == 1:  # psi-squared of 0-bit patterns is 0 by definition
         return 0.0
-    counts = counts.astype(np.float64)
-    return float(counts.size / n * np.sum(counts * counts) - n)
+    # the integer sum of squares is below 2**53, so it converts exactly
+    return counts.size / n * int(counts @ counts) - n
 
 
 ALL_TESTS = {

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import InvalidParameterError
 from kiss.randomness import (
     ALL_TESTS,
+    MIN_STREAM_BITS,
     BitStream,
     RandomnessReport,
     _fold,
     _longest_runs,
     _pattern_counts,
+    _walk_range,
     approximate_entropy_test,
     block_frequency_test,
     cusum_test,
@@ -105,6 +108,15 @@ def test_block_frequency_matches_oracle(idx):
     bits = VECTORS[idx]
     got = block_frequency_test(bits, block_size=128).p_value
     assert abs(got - block_frequency_p_ref(bits.tolist(), 128)) <= TOL
+
+
+@pytest.mark.parametrize("block_size", [3, 7, 64, 100, 129, 1000])
+def test_block_frequency_any_block_size_matches_oracle(block_size):
+    # block edges fall anywhere in a byte and in a 64-bit word, and the
+    # streams end inside a byte
+    for bits in (_chain_bits(b"bf", 2051), _long_vector("biased-131075")[:5003]):
+        got = block_frequency_test(bits, block_size=block_size).p_value
+        assert abs(got - block_frequency_p_ref(bits.tolist(), block_size)) <= TOL
 
 
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
@@ -214,6 +226,14 @@ def _unpacked_excursion(bits: np.ndarray, forward: bool) -> int:
     return int(max(walk.max(), -walk.min()))
 
 
+def _byte_walk_excursion(bits: np.ndarray, forward: bool) -> int:
+    """cusum's z; below the test's minimum length, from its kernel directly."""
+    if bits.size >= MIN_STREAM_BITS:
+        return cusum_test(bits, forward=forward).params["z"]
+    hi, lo, total = _walk_range(BitStream(bits))
+    return max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
+
+
 @pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("tail", range(8))
 @pytest.mark.parametrize("kind", ["keystream", "constant", "alternating", "biased", "drifting"])
@@ -221,7 +241,7 @@ def test_cusum_byte_walk_matches_unpacked_walk(kind, tail, forward):
     # streams shorter than a byte have no whole byte, only a tail
     for n in sorted({tail, 8 + tail, 1000 + tail} - {0}):
         bits = _kernel_streams(n)[kind]
-        z = cusum_test(bits, forward=forward).params["z"]
+        z = _byte_walk_excursion(bits, forward)
         assert z == _unpacked_excursion(bits, forward), n
 
 
@@ -310,6 +330,16 @@ def test_monobit_constant_fails():
 def test_monobit_rejects_short_stream():
     with pytest.raises(InvalidParameterError):
         monobit_test(np.zeros(99, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("test", [runs_test, cusum_test])
+@pytest.mark.parametrize("n", [0, 1, 99])
+def test_runs_and_cusum_reject_short_streams(test, n):
+    # SP 800-22 asks for n >= 100; below it neither statistic is defined
+    # (an empty stream divided by zero, one bit gave p = 0 or 0.632)
+    with pytest.raises(InvalidParameterError):
+        test(_chain_bits(b"short", n))
+    assert 0.0 <= test(_chain_bits(b"short", 100)).p_value <= 1.0
 
 
 def test_block_frequency_balanced_blocks_pass_exactly():
@@ -443,6 +473,8 @@ def test_bitstream_validation():
         BitStream(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(InvalidParameterError):
         BitStream.from_bytes(b"\x00", 9)
+    with pytest.raises(InvalidParameterError):
+        BitStream.from_bytes(b"abc", -5)
     assert len(BitStream.from_bytes(b"\xff" * 4)) == 32
 
 
@@ -462,6 +494,31 @@ def test_generate_stream_deterministic():
     a = generate_stream(SEED, ROOT, b"again", 1000)
     b = generate_stream(SEED, ROOT, b"again", 1000)
     assert np.array_equal(a.bits, b.bits)
+
+
+def test_trial_working_set_at_default_scale():
+    # tracemalloc sees NumPy's data buffers. A generated stream holds its
+    # packed bytes and no unpacked copy (1.1 MB when it held one); runs,
+    # longest-run and cusum peaked at 1.38, 1.76 and 2.13 MB of temporaries
+    # when they indexed byte tables with intp arrays, and at 0.38, 0.76
+    # and 0.75 MB reading the packed bytes through translate and popcounts
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        stream = generate_stream(SEED, ROOT, b"ws", n)
+        held = tracemalloc.get_traced_memory()[0]
+        peaks = {}
+        for name in ("runs", "longest-run", "cusum"):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ALL_TESTS[name](stream)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= stream.packed.nbytes + 2048
+    assert peaks["runs"] <= 450_000, peaks
+    assert peaks["longest-run"] <= 900_000, peaks
+    assert peaks["cusum"] <= 900_000, peaks
 
 
 def test_generate_stream_rejects_short():
