@@ -1,33 +1,34 @@
 """Micro-benchmarks for the primitives and the channel itself.
 
-Three layers of measurement, all sharing one report shape:
+Two entry points of one shape, ``(what, sizes, duration)``, each
+returning one ``BenchReport``:
 
 * ``bench_primitives`` times raw crypto operations (hashing, MAC, AEAD,
   signatures, chain stepping, record sealing, and a record sealed and
   opened in memory) over counter-filled buffers so runs are
   byte-comparable.
-* ``bench_channel`` times a loopback pair whose op sends one message
-  and receives it on the calling thread, with a plaintext framing
+* ``bench_loopback`` times loopback pairs whose op sends one message
+  and receives it on the calling thread: the channel modes, a plaintext
   baseline that packs the frames ``seal_wire`` would send, zero-tagged,
   and reads them through the endpoint's own framing reader, isolating
-  the cost of the cryptography.
-* ``bench_tls_baseline`` times the same kind of pair over in-process
-  TLS 1.3 (stdlib ``ssl``, a fresh self-signed P-256 certificate that
-  the client verifies), so both sides of the channel-vs-TLS ratio come
-  from one harness. ``bench_loopback`` times any mix of these rows in
-  one call.
+  the cost of the cryptography, and in-process TLS 1.3 (stdlib ``ssl``,
+  a fresh self-signed P-256 certificate that the client verifies), so
+  both sides of the channel-vs-TLS ratio come from one harness.
 
-``compare_report`` merges reports into one ``BenchReport`` whose cases
-carry a throughput ratio against a named baseline case.
+``compare_report`` fills a report's ratio column against one of its
+cases, size by size, and ``headline_summary`` prints the channel-vs-TLS
+ratio at each size beside the protocol core's line count.
 
 Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
 
 All timing uses the monotonic clock and batched loops, with warmup
 excluded. Every row, primitive or loopback, is timed by one sampler:
-the rows of one call run in round-robin batches, and throughput and
-percentiles come from the same samples. Per-batch op cost feeds the
-percentiles, so p50/p99 describe batch means, not single-op tails.
+the rows of one call run in calibrated round-robin batches until each
+has spent ``duration`` seconds in at least ``MIN_BATCHES`` batches, and
+throughput and percentiles come from the same samples. Per-batch op
+cost feeds the percentiles, so p50/p99 describe batch means, not
+single-op tails.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import math
 import platform
 import socket
 import ssl
@@ -87,6 +89,8 @@ CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
 TLS_CASE = "tls1.3"
 _TLS_HOST = "kiss-bench.test"
 LOOPBACK_MODES = CHANNEL_MODES + (TLS_CASE,)
+# the kiss row that the tls suite's ratio column and headline compare
+HEADLINE_CASE = "channel-AUTH_ONLY"
 
 CORE_MODULES = ("idvv.py", "association.py", "channel.py")
 
@@ -94,51 +98,17 @@ CORE_MODULES = ("idvv.py", "association.py", "channel.py")
 # flagged, never failed
 NOISE_SPREAD = 0.15
 
-# timed batches per case in iterations mode, and untimed rounds of
-# every case before the first timed one
-SAMPLES = 10
+# untimed rounds of every case before the first timed one, and the
+# fewest timed batches any row is summarised from
 WARMUP = 1
+MIN_BATCHES = 3
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    """Knobs for a primitive run.
-
-    Either ``iterations`` (>= 1000, exact ops per timed batch) or
-    ``duration`` (>= 1 s per case, with self-calibrated batches) must
-    make the run long enough to measure. Iterations mode times
-    ``SAMPLES`` batches; duration mode keeps timing batches until the
-    budget is spent.
-    """
-
-    sizes: tuple[int, ...] = DEFAULT_SIZES
-    iterations: int | None = None
-    duration: float | None = 1.0
-
-    def validate(self) -> None:
-        _check_sizes(self.sizes)
-        if self.iterations is not None and self.iterations <= 0:
-            raise InvalidParameterError(
-                f"iterations must be positive, got {self.iterations}"
-            )
-        if self.duration is not None and self.duration <= 0:
-            raise InvalidParameterError(
-                f"duration must be positive, got {self.duration}"
-            )
-        enough_iters = self.iterations is not None and self.iterations >= 1000
-        enough_time = self.duration is not None and self.duration >= 1.0
-        if not (enough_iters or enough_time):
-            raise InvalidParameterError(
-                "config too short to measure: need iterations >= 1000 "
-                "or duration >= 1 s"
-            )
-
-
-def _check_sizes(sizes) -> None:
+def _check_run(sizes, duration) -> None:
     # every suite seals or frames its messages as records, so all share
-    # the record cap; checked before anything is measured
+    # the record cap; checked before anything is set up or measured
     if not sizes:
-        raise InvalidParameterError("at least one message size required")
+        raise InvalidParameterError("sizes must hold at least one message size")
     for size in sizes:
         if not isinstance(size, int) or size <= 0:
             raise InvalidParameterError(f"message sizes must be > 0, got {size}")
@@ -146,6 +116,9 @@ def _check_sizes(sizes) -> None:
             raise InvalidParameterError(
                 f"msg_size must be <= {MAX_PAYLOAD} (the record cap), got {size}"
             )
+    # a NaN or infinite budget is never spent
+    if not isinstance(duration, (int, float)) or not 0 < duration < math.inf:
+        raise InvalidParameterError(f"duration must be > 0 and finite, got {duration}")
 
 
 @dataclass(frozen=True)
@@ -256,35 +229,30 @@ def _calibrate_batch(op, target: float = 0.02) -> int:
     return max(1, int(n * target / max(dt, 1e-9)))
 
 
-def _case_done(times: list[float], cfg: BenchConfig) -> bool:
-    if cfg.duration is not None:
-        return sum(times) >= cfg.duration and len(times) >= 3
-    return len(times) >= SAMPLES
+def _case_done(times: list[float], duration: float) -> bool:
+    return len(times) >= MIN_BATCHES and sum(times) >= duration
 
 
-def _measure_cases(cases, cfg: BenchConfig) -> list[BenchCase]:
+def _measure_cases(rows, duration: float) -> list[BenchCase]:
     """Time ``(case, size, op)`` triples, one batch of each per round.
 
     The host's speed drifts over seconds. Timing the cases in turn rather
     than one after another lets that drift touch every case alike, so the
     ratios between cases measure the ops and not the moment each was timed.
     """
-    if cfg.iterations is not None:
-        batches = [cfg.iterations] * len(cases)
-    else:
-        batches = [_calibrate_batch(op) for _, _, op in cases]
+    batches = [_calibrate_batch(op) for _, _, op in rows]
     for _ in range(WARMUP):
-        for (_, _, op), batch in zip(cases, batches):
+        for (_, _, op), batch in zip(rows, batches):
             _run_batch(op, batch)
 
-    times: list[list[float]] = [[] for _ in cases]
-    while not all(_case_done(t, cfg) for t in times):
-        for (_, _, op), batch, t in zip(cases, batches, times):
-            if not _case_done(t, cfg):
+    times: list[list[float]] = [[] for _ in rows]
+    while not all(_case_done(t, duration) for t in times):
+        for (_, _, op), batch, t in zip(rows, batches, times):
+            if not _case_done(t, duration):
                 t.append(_run_batch(op, batch))
     return [
         _summarise(case, size, batch, t)
-        for (case, size, _), batch, t in zip(cases, batches, times)
+        for (case, size, _), batch, t in zip(rows, batches, times)
     ]
 
 
@@ -375,21 +343,20 @@ def _make_primitive_op(name: str, size: int):
     raise InvalidParameterError(f"unknown primitive {name!r}")
 
 
-def bench_primitives(cfg: BenchConfig | None = None, names=None) -> BenchReport:
-    """All primitives (or a subset) across the configured sizes, in one report."""
-    cfg = cfg or BenchConfig()
-    cfg.validate()
-    names = tuple(names) if names is not None else PRIMITIVES
+def bench_primitives(names=PRIMITIVES, sizes=DEFAULT_SIZES, duration: float = 1.0) -> BenchReport:
+    """One row per primitive (of ``PRIMITIVES``) and size, all timed in
+    round-robin batches by one ``_measure_cases`` call."""
     for name in names:
         if name not in PRIMITIVES:
             raise InvalidParameterError(f"unknown primitive {name!r}")
-    cases = [
+    _check_run(sizes, duration)
+    rows = [
         (name, size, _make_primitive_op(name, size))
         for name in names
-        for size in cfg.sizes
+        for size in sizes
     ]
     return BenchReport(
-        "primitives", tuple(_measure_cases(cases, cfg)), environment_fingerprint()
+        "primitives", tuple(_measure_cases(rows, duration)), environment_fingerprint()
     )
 
 
@@ -404,51 +371,32 @@ _SOCK_BUF = MAX_PAYLOAD + _FRAMING
 _TLS_ROUNDS = 8
 
 
-def bench_channel(mode: str, msg_size: int = 1500, duration: float = 2.0) -> BenchReport:
-    """Record throughput of one channel mode over a loopback pair.
-
-    ``plaintext-baseline`` ships identical frames with a zeroed tag and
-    no key derivation, and reads them with the same framing reader as
-    the endpoint, isolating what the cryptography costs.
-    """
-    if mode not in CHANNEL_MODES:
-        raise InvalidParameterError(f"unknown channel mode {mode!r}")
-    cases = bench_loopback((mode,), (msg_size,), duration)
-    return BenchReport("channel", cases, environment_fingerprint())
-
-
-def bench_tls_baseline(sizes: tuple[int, ...], duration: float = 1.0) -> BenchReport:
-    """TLS 1.3 message throughput over a loopback pair, one case per size.
-
-    The client verifies the server's certificate and host name; each
-    case's note names the protocol and cipher suite negotiated.
-    """
-    cases = bench_loopback((TLS_CASE,), sizes, duration)
-    return BenchReport("tls", cases, environment_fingerprint())
-
-
-def bench_loopback(modes, sizes, duration: float) -> tuple[BenchCase, ...]:
+def bench_loopback(modes, sizes, duration: float) -> BenchReport:
     """One row per mode (of ``LOOPBACK_MODES``) and size, all timed in
     round-robin batches by one ``_measure_cases`` call.
 
     Each row is a socketpair, set up and hand-shaken once, whose op sends
     one message and receives it on the calling thread, so its rate counts
-    both sides' CPU and a send and a receive syscall per message.
+    both sides' CPU and a send and a receive syscall per message. The
+    ``tls1.3`` row's note names the protocol and cipher suite negotiated.
     """
     for mode in modes:
         if mode not in LOOPBACK_MODES:
             raise InvalidParameterError(f"unknown loopback mode {mode!r}")
-    _check_sizes(sizes)
-    if duration <= 0:
-        raise InvalidParameterError(f"duration must be > 0, got {duration}")
+    _check_run(sizes, duration)
     rows, notes = [], []
     with contextlib.ExitStack() as stack:
         for mode, size in itertools.product(modes, sizes):
             op, note = _loopback_op(mode, size, stack)
             rows.append((mode if mode == TLS_CASE else f"channel-{mode}", size, op))
             notes.append(note)
-        cases = _measure_cases(rows, BenchConfig(duration=duration))
-    return tuple(replace(case, note=note) for case, note in zip(cases, notes))
+        cases = _measure_cases(rows, duration)
+    suite = "tls" if TLS_CASE in modes else "channel"
+    return BenchReport(
+        suite,
+        tuple(replace(case, note=note) for case, note in zip(cases, notes)),
+        environment_fingerprint(),
+    )
 
 
 def _loopback_op(mode: str, msg_size: int, stack: contextlib.ExitStack):
@@ -604,31 +552,18 @@ def _tls_contexts() -> tuple[ssl.SSLContext, ssl.SSLContext]:
 # -- comparison and headline ------------------------------------------
 
 
-def compare_report(*reports: BenchReport, baseline: str) -> BenchReport:
-    """Merge reports into one table whose cases carry a throughput ratio
-    against the named baseline case."""
-    if len(reports) < 2:
-        raise InvalidParameterError("comparison needs at least two reports")
-    all_cases = [c for r in reports for c in r.cases]
-    by_case: dict[str, dict[int, BenchCase]] = {}
-    for c in all_cases:
-        by_case.setdefault(c.case, {})[c.size_bytes] = c
-    if baseline not in by_case:
-        raise InvalidParameterError(f"baseline case {baseline!r} not in reports")
-    base_sizes = by_case[baseline]
-    axis = set(base_sizes)
-    for case, sizes in by_case.items():
-        if set(sizes) != axis:
-            raise InvalidParameterError(
-                f"case {case!r} covers sizes {sorted(sizes)} but baseline "
-                f"{baseline!r} covers {sorted(axis)}"
-            )
+def compare_report(report: BenchReport, *, baseline: str) -> BenchReport:
+    """``report`` with its ratio column filled: each case's ops/sec against
+    the ``baseline`` case at the same size. A size with no baseline row,
+    or whose baseline row made no ops, gets no ratio."""
+    base = {c.size_bytes: c.ops_per_sec for c in report.cases if c.case == baseline}
+    if not base:
+        raise InvalidParameterError(f"baseline case {baseline!r} not in report")
     cases = []
-    for c in all_cases:
-        base = base_sizes[c.size_bytes].ops_per_sec
-        cases.append(replace(c, ratio=c.ops_per_sec / base if base else None))
-    suite = "+".join(r.suite for r in reports)
-    return BenchReport(suite, tuple(cases), reports[0].environment, baseline=baseline)
+    for c in report.cases:
+        ops = base.get(c.size_bytes)
+        cases.append(replace(c, ratio=c.ops_per_sec / ops if ops else None))
+    return replace(report, cases=tuple(cases), baseline=baseline)
 
 
 def core_line_count() -> int:
@@ -643,23 +578,30 @@ def core_line_count() -> int:
     return total
 
 
-def headline_summary(kiss: BenchReport, tls: BenchReport) -> str:
-    """Side-by-side throughput ratio and code size, with no verdict.
+def headline_summary(report: BenchReport) -> str:
+    """The channel-vs-TLS throughput ratio at each size that has both a
+    ``HEADLINE_CASE`` and a ``tls1.3`` row, and the code size, with no
+    verdict.
 
     Both figures are environment-dependent; they are reported, not
     judged against a threshold.
     """
-    kiss_case = kiss.cases[0]
-    match = next((c for c in tls.cases if c.size_bytes == kiss_case.size_bytes), None)
+    rows = {(c.case, c.size_bytes): c for c in report.cases}
     lines = []
-    if match is not None:
-        ratio = kiss_case.mb_per_sec / match.mb_per_sec if match.mb_per_sec else 0.0
+    for size in dict.fromkeys(c.size_bytes for c in report.cases):
+        kiss, tls = rows.get((HEADLINE_CASE, size)), rows.get((TLS_CASE, size))
+        if kiss is None or tls is None:
+            continue
+        ratio = kiss.mb_per_sec / tls.mb_per_sec if tls.mb_per_sec else 0.0
         lines.append(
-            f"throughput at {kiss_case.size_bytes} B: "
-            f"{kiss_case.case} {kiss_case.mb_per_sec:.2f} MB/s vs "
-            f"{match.case} {match.mb_per_sec:.2f} MB/s (ratio {ratio:.3f})"
+            f"throughput at {size} B: "
+            f"{kiss.case} {kiss.mb_per_sec:.2f} MB/s vs "
+            f"{tls.case} {tls.mb_per_sec:.2f} MB/s (ratio {ratio:.3f})"
         )
-    else:
-        lines.append("throughput ratio: not available (no TLS row at that size)")
+    if not lines:
+        lines.append(
+            f"throughput ratio: not available (no size has both a "
+            f"{HEADLINE_CASE} and a {TLS_CASE} row)"
+        )
     lines.append(f"protocol core: {core_line_count()} source lines")
     return "\n".join(lines) + "\n"

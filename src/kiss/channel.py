@@ -27,8 +27,8 @@ it came. The parsed header goes straight to the verify-and-commit step
 that ``open_record`` runs; keys and tags call OpenSSL's HMAC directly.
 
 ``Record``, ``seal``, ``encode_record`` and ``decode_record`` are an
-inspection view of the same bytes, kept for tests and ``benchmark/``;
-no endpoint runs them.
+inspection view of the same bytes, kept for tests (``benchmark/`` calls
+``seal`` and ``encode_record``); no endpoint runs them.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ _DATA, _ALERT = MsgType.DATA, MsgType.ALERT
 _ESTABLISHED = ChannelState.ESTABLISHED
 
 
-# benchmark/ calls Record, seal, encode_record, decode_record and
+# benchmark/ calls seal (which returns a Record), encode_record and
 # open_record, and writes Association.highest_accepted_seq: all of them stay.
 class Record(NamedTuple):
     msg_type: MsgType

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .association import (
+    DEFAULT_RESYNC_WINDOW,
     MAX_RESYNC_WINDOW,
     Mode,
     generate_provision,
@@ -49,14 +50,8 @@ DEMO_ROOT = bytes.fromhex(
 
 _MODE_BY_FLAG = {"auth": Mode.AUTH_ONLY, "aead": Mode.AEAD}
 
-# each suite-specific bench flag and the suites that use it; the flags
-# default to None so that a flag a suite would ignore is refused instead
-_BENCH_FLAG_SUITES = {
-    "--sizes": ("primitives",),
-    "--iterations": ("primitives",),
-    "--msg-size": ("channel", "tls"),
-}
-DEFAULT_MSG_SIZE = 1500
+# the message sizes each bench suite runs when --sizes is not given
+_BENCH_SIZES = {"primitives": bench_mod.DEFAULT_SIZES, "channel": (1500,), "tls": (1500,)}
 
 # seconds either endpoint waits on a silent peer before it gives up
 IO_TIMEOUT_S = 30.0
@@ -160,46 +155,25 @@ def cmd_client(args) -> int:
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(s) for s in text.split(",") if s.strip())
+        return tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise KissError(f"sizes must be comma-separated integers, got {text!r}") from None
-    if not sizes:
-        raise KissError("sizes list is empty")
-    return sizes
 
 
 def cmd_bench(args) -> int:
-    given = [f for f in _BENCH_FLAG_SUITES if getattr(args, f[2:].replace("-", "_")) is not None]
-    ignored = [f for f in given if args.suite not in _BENCH_FLAG_SUITES[f]]
-    if ignored:
-        takes = [f for f, suites in _BENCH_FLAG_SUITES.items() if args.suite in suites]
-        raise KissError(
-            f"the {args.suite} suite does not use {' or '.join(ignored)}; "
-            f"it takes {' and '.join(takes)}"
-        )
-    sizes = bench_mod.DEFAULT_SIZES if args.sizes is None else _parse_sizes(args.sizes)
-    msg_size = DEFAULT_MSG_SIZE if args.msg_size is None else args.msg_size
+    sizes = _BENCH_SIZES[args.suite] if args.sizes is None else _parse_sizes(args.sizes)
     if args.suite == "primitives":
-        cfg = bench_mod.BenchConfig(
-            sizes=sizes, iterations=args.iterations, duration=args.duration
-        )
-        report = bench_mod.bench_primitives(cfg)
+        report = bench_mod.bench_primitives(sizes=sizes, duration=args.duration)
     else:
         # all rows of the suite in one round-robin call, so that the ratio
         # column compares rows the same host drift touched
         modes = bench_mod.LOOPBACK_MODES if args.suite == "tls" else bench_mod.CHANNEL_MODES
-        n_channel = len(bench_mod.CHANNEL_MODES)
-        cases = bench_mod.bench_loopback(modes, (msg_size,), args.duration)
-        env = bench_mod.environment_fingerprint()
-        report = channel_report = bench_mod.BenchReport("channel", cases[:n_channel], env)
+        report = bench_mod.bench_loopback(modes, sizes, args.duration)
     if args.suite == "tls":
-        tls_report = bench_mod.BenchReport("tls", cases[n_channel:], env)
-        report = bench_mod.compare_report(
-            channel_report, tls_report, baseline="channel-AUTH_ONLY"
-        )
+        report = bench_mod.compare_report(report, baseline=bench_mod.HEADLINE_CASE)
     print(report.format_markdown())
     if args.suite == "tls":
-        print(bench_mod.headline_summary(channel_report, tls_report))
+        print(bench_mod.headline_summary(report))
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
         log.info("wrote CSV to %s", args.csv)
@@ -249,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for the two files")
     p.add_argument("--mode", choices=("auth", "aead"), default="auth")
     p.add_argument(
-        "--window", type=int, default=1024, help=f"resync window, 1..{MAX_RESYNC_WINDOW}"
+        "--window", type=int, default=DEFAULT_RESYNC_WINDOW,
+        help=f"resync window, 1..{MAX_RESYNC_WINDOW}",
     )
     p.set_defaults(func=cmd_provision)
 
@@ -269,12 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("--suite", choices=("primitives", "channel", "tls"), required=True)
     p.add_argument("--csv", help="also write machine-readable CSV here")
-    p.add_argument("--sizes", help="primitives: comma-separated message sizes")
-    p.add_argument("--duration", type=float, default=1.0, help="seconds per case")
-    p.add_argument("--iterations", type=int, help="primitives: fixed ops per timed batch")
     p.add_argument(
-        "--msg-size", type=int, help=f"channel, tls: record size (default {DEFAULT_MSG_SIZE})"
+        "--sizes", help="comma-separated message sizes (default: primitives "
+        "64,512,1500,16384; channel and tls 1500)",
     )
+    p.add_argument("--duration", type=float, default=1.0, help="timed seconds per row")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("randomness", help="run the statistical battery")

@@ -62,12 +62,13 @@ class BitStream:
     __slots__ = ("packed", "_n", "_bits", "_counts")
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1:
             raise InvalidParameterError("bit stream must be one-dimensional")
-        if arr.size and arr.max() > 1:
-            raise InvalidParameterError("bit stream values must be 0 or 1")
-        self._hold(np.packbits(arr), arr.size)
+        # checked before the cast to uint8, which wraps 256 to 0 and cuts 1.7 to 1
+        if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1):
+            raise InvalidParameterError("bit stream values must be the integers 0 or 1")
+        self._hold(np.packbits(arr.astype(np.uint8)), arr.size)
 
     @classmethod
     def from_bytes(cls, data: bytes, n_bits: int | None = None) -> "BitStream":

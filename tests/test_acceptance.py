@@ -18,10 +18,9 @@ from oracles import RFC4231_CASES, chain_values_ref
 
 from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import (
-    BenchConfig,
-    bench_channel,
+    TLS_CASE,
+    bench_loopback,
     bench_primitives,
-    bench_tls_baseline,
     compare_report,
     core_line_count,
     headline_summary,
@@ -208,9 +207,7 @@ def test_acceptance_5_randomness_battery(capsys):
 
 
 def test_acceptance_6_primitive_ordering(capsys):
-    cfg = BenchConfig(sizes=(64,), duration=1.0)
     report = bench_primitives(
-        cfg,
         names=(
             "hmac-sha256",
             "aead-aes256gcm",
@@ -218,6 +215,8 @@ def test_acceptance_6_primitive_ordering(capsys):
             "sign-rsa2048",
             "idvv-step",
         ),
+        sizes=(64,),
+        duration=1.0,
     )
     rates = {case.case: case.ops_per_sec for case in report.cases}
     ordered = (
@@ -244,12 +243,9 @@ def test_acceptance_6_primitive_ordering(capsys):
 
 
 def test_acceptance_7_headline_reporting(capsys):
-    kiss_report = bench_channel("AUTH_ONLY", msg_size=1500, duration=1.0)
-    tls_report = bench_tls_baseline((1500,))
-    comparison = compare_report(
-        kiss_report, tls_report, baseline=kiss_report.cases[0].case
-    )
-    summary = headline_summary(kiss_report, tls_report)
+    report = bench_loopback(("AUTH_ONLY", TLS_CASE), (1500,), duration=1.0)
+    comparison = compare_report(report, baseline=report.cases[0].case)
+    summary = headline_summary(report)
     lines = core_line_count()
 
     reported = (

@@ -1,4 +1,4 @@
-"""Benchmark harness: config, loopback rows, comparison, report plumbing."""
+"""Benchmark harness: run checks, loopback rows, comparison, report plumbing."""
 
 import contextlib
 import itertools
@@ -17,22 +17,21 @@ import kiss.channel as channel_mod
 from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import (
     CHANNEL_MODES,
+    DEFAULT_SIZES,
     LOOPBACK_MODES,
     PRIMITIVES,
-    SAMPLES,
     TLS_CASE,
     WARMUP,
     BenchCase,
-    BenchConfig,
     BenchReport,
-    bench_channel,
+    bench_loopback,
     bench_primitives,
-    bench_tls_baseline,
     compare_report,
     core_line_count,
     environment_fingerprint,
     headline_summary,
     _TLS_HOST,
+    _check_run,
     _make_primitive_op,
     _measure_cases,
     _percentile,
@@ -43,11 +42,15 @@ from kiss.channel import MAX_PAYLOAD, MsgType, Record, encode_record, open_recor
 from kiss.errors import InvalidParameterError, TransportError
 
 
-# -- configuration -----------------------------------------------------
+# -- run configuration: sizes and duration -----------------------------
+
+
+def _run(sizes=DEFAULT_SIZES, duration=1.0):
+    _check_run(sizes, duration)
 
 
 def test_config_defaults_are_valid():
-    BenchConfig().validate()
+    _run()
 
 
 @pytest.mark.parametrize(
@@ -57,40 +60,46 @@ def test_config_defaults_are_valid():
         {"sizes": (0,)},
         {"sizes": (-5,)},
         {"sizes": (64, MAX_PAYLOAD + 1)},  # above the record cap
-        {"iterations": 0, "duration": None},
-        {"iterations": -10, "duration": None},
-        {"iterations": 500, "duration": None},  # too short to measure
-        {"duration": 0.5},  # likewise
+        {"sizes": (64.0,)},
+        {"duration": 0.0},
         {"duration": -1.0},
-        {"iterations": None, "duration": None},
+        {"duration": float("nan")},  # a budget that is never spent
+        {"duration": float("inf")},  # likewise
+        {"duration": None},  # the one stopping rule needs a budget
     ],
 )
 def test_config_rejections(kwargs):
     with pytest.raises(InvalidParameterError):
-        BenchConfig(**kwargs).validate()
+        _run(**kwargs)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"iterations": 1000, "duration": None},
+        {"sizes": (1, MAX_PAYLOAD)},  # both ends of the record cap
         {"duration": 1.0},
-        {"iterations": 500, "duration": 2.0},  # duration carries it
+        {"duration": 0.05},  # no floor: every row still gets 3 batches
     ],
 )
 def test_config_acceptable_shapes(kwargs):
-    BenchConfig(**kwargs).validate()
+    _run(**kwargs)
 
 
 # -- timing core, deterministically scripted ----------------------------
 
 
+# timed batches in each scripted run below, of 1000 ops each
+_BATCHES = 10
+
+
 def _scripted_measure(monkeypatch, script, size=64):
-    assert len(script) == SAMPLES
+    assert len(script) == _BATCHES
+    # the budget is spent exactly at the last scripted batch
+    duration = sum(script)
     script = [0.010] * WARMUP + list(script)  # warmup batches are not summarised
+    monkeypatch.setattr(bench_mod, "_calibrate_batch", lambda op: 1000)
     monkeypatch.setattr(bench_mod, "_run_batch", lambda op, n: script.pop(0))
-    cfg = BenchConfig(sizes=(size,), iterations=1000, duration=None)
-    return _measure_cases([("scripted", size, lambda: None)], cfg)[0]
+    return _measure_cases([("scripted", size, lambda: None)], duration)[0]
 
 
 def test_measure_arithmetic(monkeypatch):
@@ -117,14 +126,15 @@ def test_measure_cases_interleaves_batches(monkeypatch):
         order.append(op())
         return 0.010
 
+    monkeypatch.setattr(bench_mod, "_calibrate_batch", lambda op: 1000)
     monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
-    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None)
+    duration = sum([0.010] * _BATCHES)
     cases = _measure_cases(
-        [("a", 64, lambda: "a"), ("b", 64, lambda: "b")], cfg
+        [("a", 64, lambda: "a"), ("b", 64, lambda: "b")], duration
     )
     assert [c.case for c in cases] == ["a", "b"]
     # warmup rounds, then the timed rounds
-    assert order == ["a", "b"] * (WARMUP + SAMPLES)
+    assert order == ["a", "b"] * (WARMUP + _BATCHES)
 
 
 def test_percentile_interpolation():
@@ -173,28 +183,25 @@ def test_seal_open_op_opens_what_it_sealed():
     for _ in range(3):
         assert op() == (MsgType.DATA, payload)
     report = bench_primitives(
-        BenchConfig(sizes=(64,), iterations=1000, duration=None),
-        names=("idvv-seal-authonly", "idvv-seal-open-authonly"),
+        ("idvv-seal-authonly", "idvv-seal-open-authonly"), (64,), 0.05
     )
     assert [c.case for c in report.cases] == ["idvv-seal-authonly", "idvv-seal-open-authonly"]
     assert all(c.ops_per_sec > 0 for c in report.cases)
 
 
 def test_bench_primitives_report_shape():
-    cfg = BenchConfig(sizes=(64,), iterations=1000, duration=None)
-    report = bench_primitives(cfg, names=("hash-sha256", "hmac-sha256"))
+    report = bench_primitives(("hash-sha256", "hmac-sha256"), (64,), 0.05)
     assert report.suite == "primitives"
     assert [c.case for c in report.cases] == ["hash-sha256", "hmac-sha256"]
     for case in report.cases:
         assert case.ops_per_sec > 0
         assert case.p50_us <= case.p99_us
     with pytest.raises(InvalidParameterError):
-        bench_primitives(cfg, names=("hash-sha256", "mystery"))
+        bench_primitives(("hash-sha256", "mystery"), (64,), 0.05)
 
 
 def test_hash_latency_grows_with_size():
-    cfg = BenchConfig(sizes=(64, 65536), iterations=2000, duration=None)
-    report = bench_primitives(cfg, names=("hash-sha256",))
+    report = bench_primitives(("hash-sha256",), (64, 65536), 0.1)
     small, big = report.cases
     assert small.size_bytes == 64 and big.size_bytes == 65536
     assert small.p50_us < big.p50_us
@@ -204,18 +211,18 @@ def test_hash_latency_grows_with_size():
 # -- loopback rows ------------------------------------------------------
 
 
-def test_bench_channel_validates_arguments():
+def test_bench_loopback_validates_arguments():
     with pytest.raises(InvalidParameterError):
-        bench_channel("carrier-pigeon")
+        bench_loopback(("carrier-pigeon",), (1500,), 1.0)
     with pytest.raises(InvalidParameterError):
-        bench_channel("AEAD", msg_size=0)
+        bench_loopback(("AEAD",), (0,), 1.0)
     with pytest.raises(InvalidParameterError, match="msg_size"):
-        bench_channel("AEAD", msg_size=MAX_PAYLOAD + 1)
+        bench_loopback(("AEAD",), (MAX_PAYLOAD + 1,), 1.0)
     with pytest.raises(InvalidParameterError):
-        bench_channel("AEAD", duration=0.0)
+        bench_loopback(("AEAD",), (1500,), 0.0)
 
 
-def test_bench_channel_plaintext_baseline_runs(monkeypatch):
+def test_loopback_plaintext_baseline_runs(monkeypatch):
     # the baseline must frame with the endpoint's own reader, keeping its
     # read-ahead in a buffer as an endpoint does, so that its gap to the
     # channel modes is the cryptography alone
@@ -228,7 +235,7 @@ def test_bench_channel_plaintext_baseline_runs(monkeypatch):
         return wire
 
     monkeypatch.setattr(bench_mod, "read_record", counting_read_record)
-    report = bench_channel("plaintext-baseline", msg_size=256, duration=0.3)
+    report = bench_loopback(("plaintext-baseline",), (256,), 0.3)
     assert report.suite == "channel"
     (case,) = report.cases
     assert case.case == "channel-plaintext-baseline"
@@ -307,11 +314,9 @@ def test_loopback_rows_start_no_thread(monkeypatch):
         raise AssertionError("a loopback row started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_threads)
-    for mode in CHANNEL_MODES:
-        (case,) = bench_channel(mode, msg_size=256, duration=0.05).cases
+    for mode in LOOPBACK_MODES:
+        (case,) = bench_loopback((mode,), (256,), 0.05).cases
         assert case.ops_per_sec > 0
-    (case,) = bench_tls_baseline((256,), duration=0.05).cases
-    assert case.ops_per_sec > 0
 
 
 def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
@@ -323,7 +328,7 @@ def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
         return 0.020 if next(calls) == 3 else 0.010
 
     monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
-    (case,) = bench_channel("AUTH_ONLY", msg_size=256, duration=0.05).cases
+    (case,) = bench_loopback(("AUTH_ONLY",), (256,), 0.05).cases
     assert case.flags == ("noisy",)
     assert case.p50_us < case.p99_us
 
@@ -331,12 +336,12 @@ def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
 def test_loopback_rows_share_one_round_robin_call(monkeypatch):
     real, calls = bench_mod._measure_cases, []
 
-    def counting(cases, cfg):
-        calls.append([name for name, _, _ in cases])
-        return real(cases, cfg)
+    def counting(rows, duration):
+        calls.append([name for name, _, _ in rows])
+        return real(rows, duration)
 
     monkeypatch.setattr(bench_mod, "_measure_cases", counting)
-    cases = bench_mod.bench_loopback(LOOPBACK_MODES, (64, 256), 0.05)
+    cases = bench_loopback(LOOPBACK_MODES, (64, 256), 0.05).cases
     names = [f"channel-{m}" for m in CHANNEL_MODES] + [TLS_CASE]
     assert calls == [[name for name in names for _ in (64, 256)]]
     assert [(c.case, c.size_bytes) for c in cases] == [
@@ -344,7 +349,7 @@ def test_loopback_rows_share_one_round_robin_call(monkeypatch):
     ]
     assert [bool(c.note) for c in cases] == [False] * 6 + [True] * 2
     with pytest.raises(InvalidParameterError):
-        bench_mod.bench_loopback(("carrier-pigeon",), (64,), 0.05)
+        bench_loopback(("carrier-pigeon",), (64,), 0.05)
 
 
 # one thread cannot drain a sendall that outgrows the socket buffer, so
@@ -358,10 +363,7 @@ from kiss.errors import InvalidParameterError
 bench._SOCK_BUF = 16384  # granted as 32768 on Linux: 16384 for data
 mode = sys.argv[1]
 try:
-    if mode == bench.TLS_CASE:
-        bench.bench_tls_baseline((65536,), 1.0)
-    else:
-        bench.bench_channel(mode, 65536, 1.0)
+    bench.bench_loopback((mode,), (65536,), 1.0)
 except InvalidParameterError as exc:
     print("refused", exc)
 """
@@ -392,7 +394,7 @@ def mismatched():
 
 bench._tls_contexts = mismatched
 try:
-    bench.bench_tls_baseline((256,), 0.1)
+    bench.bench_loopback((bench.TLS_CASE,), (256,), 0.1)
 except ssl.SSLCertVerificationError as exc:
     print("refused", exc.verify_message)
 """
@@ -401,7 +403,7 @@ except ssl.SSLCertVerificationError as exc:
 def test_tls_handshake_that_does_not_finish_raises(monkeypatch):
     monkeypatch.setattr(bench_mod, "_TLS_ROUNDS", 1)  # TLS 1.3 needs two
     with pytest.raises(TransportError, match="unfinished"):
-        bench_tls_baseline((256,), duration=0.05)
+        bench_loopback((TLS_CASE,), (256,), 0.05)
 
 
 def test_tls_baseline_refuses_untrusted_certificate():
@@ -447,7 +449,7 @@ def test_tls_client_verifies_certificate_and_host_name(host, own_client):
 
 
 def test_tls_baseline_negotiates_tls13_and_measures():
-    report = bench_tls_baseline((256,), duration=0.3)
+    report = bench_loopback((TLS_CASE,), (256,), 0.3)
     assert report.suite == "tls"
     (case,) = report.cases
     assert (case.case, case.size_bytes) == (TLS_CASE, 256)
@@ -459,7 +461,7 @@ def test_tls_baseline_negotiates_tls13_and_measures():
 @pytest.mark.parametrize("sizes", [(), (0,), (64, -5), (64, MAX_PAYLOAD + 1)])
 def test_tls_baseline_rejects_bad_sizes(sizes):
     with pytest.raises(InvalidParameterError):
-        bench_tls_baseline(sizes)
+        bench_loopback((TLS_CASE,), sizes, 1.0)
 
 
 # -- comparison ---------------------------------------------------------
@@ -474,49 +476,49 @@ def _report(name, *cases):
 
 
 def test_compare_identical_reports_ratio_one():
-    a = _report("one", _case("alpha", 64, 1000.0), _case("alpha", 512, 500.0))
-    b = _report("two", _case("beta", 64, 1000.0), _case("beta", 512, 500.0))
-    cmp = compare_report(a, b, baseline="alpha")
+    report = _report(
+        "one",
+        _case("alpha", 64, 1000.0), _case("alpha", 512, 500.0),
+        _case("beta", 64, 1000.0), _case("beta", 512, 500.0),
+    )
+    cmp = compare_report(report, baseline="alpha")
     assert cmp.baseline == "alpha"
     assert [c.ratio for c in cmp.cases] == [1.0, 1.0, 1.0, 1.0]
     assert "vs alpha" in cmp.format_markdown()
-    assert "vs " not in a.format_markdown()
+    assert "vs " not in report.format_markdown()
 
 
 def test_compare_ratio_arithmetic_and_default_baseline():
-    a = _report("one", _case("alpha", 64, 2000.0))
-    b = _report("two", _case("beta", 64, 500.0))
-    cmp = compare_report(a, b, baseline="alpha")
+    report = _report("one", _case("alpha", 64, 2000.0), _case("beta", 64, 500.0))
+    cmp = compare_report(report, baseline="alpha")
     assert cmp.baseline == "alpha"
     by_name = {c.case: c for c in cmp.cases}
     assert by_name["beta"].ratio == pytest.approx(0.25)
     assert by_name["alpha"].ratio == pytest.approx(1.0)
 
 
-def test_compare_requires_two_reports():
-    a = _report("one", _case("alpha", 64, 1000.0))
-    with pytest.raises(InvalidParameterError):
-        compare_report(a, baseline="alpha")
-
-
-def test_compare_rejects_axis_mismatch():
-    a = _report("one", _case("alpha", 64, 1000.0), _case("alpha", 512, 900.0))
-    b = _report("two", _case("beta", 64, 1000.0))
-    with pytest.raises(InvalidParameterError, match="covers sizes"):
-        compare_report(a, b, baseline="alpha")
+def test_compare_size_without_baseline_row_has_no_ratio():
+    report = _report(
+        "one",
+        _case("alpha", 64, 1000.0),
+        _case("beta", 64, 500.0), _case("beta", 512, 900.0),
+    )
+    cmp = compare_report(report, baseline="alpha")
+    assert [c.ratio for c in cmp.cases] == [1.0, 0.5, None]
+    # each size is compared with the baseline at that size, never another
+    report = replace(report, cases=report.cases + (_case("alpha", 512, 300.0),))
+    assert compare_report(report, baseline="alpha").cases[2].ratio == pytest.approx(3.0)
 
 
 def test_compare_rejects_unknown_baseline():
-    a = _report("one", _case("alpha", 64, 1000.0))
-    b = _report("two", _case("beta", 64, 1000.0))
+    report = _report("one", _case("alpha", 64, 1000.0), _case("beta", 64, 1000.0))
     with pytest.raises(InvalidParameterError):
-        compare_report(a, b, baseline="gamma")
+        compare_report(report, baseline="gamma")
 
 
 def test_compare_zero_ops_baseline_has_no_ratio():
-    a = _report("one", _case("alpha", 64, 0.0))
-    b = _report("two", _case("beta", 64, 1000.0))
-    cmp = compare_report(a, b, baseline="alpha")
+    report = _report("one", _case("alpha", 64, 0.0), _case("beta", 64, 1000.0))
+    cmp = compare_report(report, baseline="alpha")
     assert [c.ratio for c in cmp.cases] == [None, None]
     csv = cmp.to_csv()
     assert csv.splitlines()[0] == (
@@ -535,39 +537,34 @@ def test_report_csv_shape():
     assert lines[1].startswith("alpha,64,1234.50,")
 
 
-# fixed reports whose CSV text is pinned byte for byte: a noisy row and
+# a fixed report whose CSV text is pinned byte for byte: a noisy row and
 # a row with a note
-_PIN_KISS = BenchReport(
-    "channel",
-    (BenchCase("channel-AUTH_ONLY", 1500, 6543.21, 9.814815, 120.5, 410.25,
-               flags=("noisy",)),),
-    {"cpu": "test", "python": "x"},
-)
-_PIN_TLS = BenchReport(
+_PIN = BenchReport(
     "tls",
     (
-        BenchCase("tls-aes-256-gcm", 1500, 150000.0, 225.0, 0.0, 0.0,
-                  note="latency not reported by external tool"),
+        BenchCase("channel-AUTH_ONLY", 1500, 6543.21, 9.814815, 120.5, 410.25,
+                  flags=("noisy",)),
+        BenchCase(TLS_CASE, 1500, 15000.0, 22.5, 55.0, 71.125,
+                  note="TLSv1.3 TLS_AES_256_GCM_SHA384"),
     ),
     {"cpu": "test", "python": "x"},
 )
 
 
 def test_report_csv_text_is_pinned():
-    merged = BenchReport("channel", _PIN_KISS.cases + _PIN_TLS.cases)
-    assert merged.to_csv() == (
+    assert _PIN.to_csv() == (
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us\n"
         "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250\n"
-        "tls-aes-256-gcm,1500,150000.00,225.000,0.000,0.000\n"
+        "tls1.3,1500,15000.00,22.500,55.000,71.125\n"
     )
 
 
 def test_compare_csv_text_is_pinned():
-    cmp = compare_report(_PIN_KISS, _PIN_TLS, baseline="channel-AUTH_ONLY")
+    cmp = compare_report(_PIN, baseline="channel-AUTH_ONLY")
     assert cmp.to_csv() == (
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio\n"
         "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250,1.0000\n"
-        "tls-aes-256-gcm,1500,150000.00,225.000,0.000,0.000,22.9245\n"
+        "tls1.3,1500,15000.00,22.500,55.000,71.125,2.2925\n"
     )
 
 
@@ -584,11 +581,11 @@ def test_report_markdown_mentions_environment():
 
 @pytest.mark.parametrize("compared", [False, True])
 def test_markdown_rows_line_up_with_header(compared):
-    report = BenchReport("channel", _PIN_KISS.cases + (
+    report = BenchReport("tls", _PIN.cases + (
         BenchCase("channel-plaintext-baseline", 1500, 98765.4, 148.1, 8.5, 30.25),
     ))
     if compared:
-        report = compare_report(report, _PIN_TLS, baseline="channel-AUTH_ONLY")
+        report = compare_report(report, baseline="channel-AUTH_ONLY")
     # a size wider than its header: the column grows to fit it
     report = replace(report, cases=report.cases + (
         BenchCase("channel-AUTH_ONLY", 1048576, 210.5, 220.7, 4750.0, 5120.5),
@@ -616,10 +613,18 @@ def test_core_line_count_is_stable_and_sane():
 
 
 def test_headline_reports_ratio_without_judgement():
-    kiss = _report("channel", _case("channel-AUTH_ONLY", 1500, 10_000.0))
-    tls = _report("tls", _case("tls-aes-256-gcm", 1500, 20_000.0))
-    text = headline_summary(kiss, tls)
-    assert "ratio 0.500" in text
+    report = _report(
+        "tls",
+        _case("channel-AUTH_ONLY", 64, 30_000.0), _case("channel-AUTH_ONLY", 1500, 10_000.0),
+        _case(TLS_CASE, 64, 40_000.0), _case(TLS_CASE, 1500, 20_000.0),
+    )
+    text = headline_summary(report)
+    # one line per size, in the report's order
+    assert text.splitlines()[:2] == [
+        "throughput at 64 B: channel-AUTH_ONLY 1.92 MB/s vs tls1.3 2.56 MB/s (ratio 0.750)",
+        "throughput at 1500 B: channel-AUTH_ONLY 15.00 MB/s vs tls1.3 30.00 MB/s "
+        "(ratio 0.500)",
+    ]
     assert "source lines" in text
     lowered = text.lower()
     for verdict_word in ("pass", "fail", "threshold"):
@@ -627,8 +632,10 @@ def test_headline_reports_ratio_without_judgement():
 
 
 def test_headline_survives_missing_external_row():
-    kiss = _report("channel", _case("channel-AUTH_ONLY", 1500, 10_000.0))
-    tls = _report("tls", _case("tls-aes-256-gcm", 512, 20_000.0))
-    text = headline_summary(kiss, tls)
+    report = _report(
+        "tls", _case("channel-AUTH_ONLY", 1500, 10_000.0), _case(TLS_CASE, 512, 20_000.0)
+    )
+    text = headline_summary(report)
     assert "not available" in text
+    assert "throughput at" not in text
     assert "source lines" in text

@@ -304,7 +304,7 @@ def test_bench_primitives_cli(tmp_path):
     csv_path = tmp_path / "prim.csv"
     result = run_cli(
         "bench", "--suite", "primitives",
-        "--sizes", "64", "--iterations", "1000", "--duration", "0.2",
+        "--sizes", "64", "--duration", "0.2",
         "--csv", str(csv_path),
     )
     assert result.returncode == 0, result.stderr
@@ -317,11 +317,11 @@ def test_bench_primitives_cli(tmp_path):
     assert len(lines) == 1 + 8
 
 
-def test_bench_channel_cli(tmp_path):
+def test_bench_cli_channel_suite(tmp_path):
     csv_path = tmp_path / "channel.csv"
     result = run_cli(
         "bench", "--suite", "channel",
-        "--msg-size", "256", "--duration", "0.3",
+        "--sizes", "256", "--duration", "0.3",
         "--csv", str(csv_path),
     )
     assert result.returncode == 0, result.stderr
@@ -337,14 +337,14 @@ def test_bench_channel_cli(tmp_path):
 
 @pytest.mark.parametrize("suite", ["channel", "tls"])
 def test_bench_zero_duration_exits_one(suite):
-    result = run_cli("bench", "--suite", suite, "--msg-size", "256", "--duration", "0")
+    result = run_cli("bench", "--suite", suite, "--sizes", "256", "--duration", "0")
     assert result.returncode == 1
     assert "duration" in result.stderr
 
 
 def test_bench_msg_size_above_record_cap_exits_one():
     result = run_cli(
-        "bench", "--suite", "channel", "--msg-size", "1048577", "--duration", "0.3"
+        "bench", "--suite", "channel", "--sizes", "1048577", "--duration", "0.3"
     )
     assert result.returncode == 1
     assert "msg_size" in result.stderr
@@ -353,8 +353,7 @@ def test_bench_msg_size_above_record_cap_exits_one():
 
 def test_bench_primitive_sizes_above_record_cap_exit_one_before_measuring():
     result = run_cli(
-        "bench", "--suite", "primitives", "--sizes", "64,2000000",
-        "--iterations", "1000", "--duration", "0.1",
+        "bench", "--suite", "primitives", "--sizes", "64,2000000", "--duration", "0.1",
     )
     assert result.returncode == 1
     # refused by the size check, not by seal() after the other primitives ran
@@ -366,8 +365,7 @@ def test_bench_primitive_sizes_above_record_cap_exit_one_before_measuring():
 def test_bench_bad_sizes_exit_one_before_measuring(sizes):
     # a given but empty list is refused, not read as "use the defaults"
     result = run_cli(
-        "bench", "--suite", "primitives", "--sizes", sizes,
-        "--iterations", "1000", "--duration", "0.1",
+        "bench", "--suite", "primitives", "--sizes", sizes, "--duration", "0.1",
     )
     assert result.returncode == 1
     assert "sizes" in result.stderr
@@ -377,43 +375,43 @@ def test_bench_bad_sizes_exit_one_before_measuring(sizes):
 @pytest.mark.parametrize(
     "flag,value,suite",
     [
-        (flag, value, suite)
-        for suite in ("channel", "tls")
-        for flag, value in (("--sizes", "64"), ("--iterations", "5000"))
-    ]
-    + [("--msg-size", "99999", "primitives")],
+        (f"--{name}", value, suite)
+        for name, value in (("iterations", "5000"), ("msg-size", "99999"))
+        for suite in ("primitives", "channel", "tls")
+    ],
 )
 def test_bench_suite_refuses_flag_it_does_not_use(flag, value, suite):
-    own = {
-        "primitives": ("--sizes", "64", "--iterations", "1000"),
-        "channel": ("--msg-size", "256"),
-        "tls": ("--msg-size", "256"),
-    }[suite]
-    result = run_cli("bench", "--suite", suite, flag, value, *own, "--duration", "0.2")
-    assert result.returncode == 1
+    # options bench no longer has: every suite sizes its rows with
+    # --sizes and stops each on --duration
+    result = run_cli("bench", "--suite", suite, flag, value, "--duration", "0.2")
+    assert result.returncode == 2
     assert flag in result.stderr
-    assert "|" not in result.stdout  # refused before measuring anything
+    assert result.stdout == ""  # refused before measuring anything
 
 
 def test_bench_tls_cli(tmp_path):
     csv_path = tmp_path / "tls.csv"
     result = run_cli(
         "bench", "--suite", "tls",
-        "--msg-size", "256", "--duration", "0.3",
+        "--sizes", "64,256", "--duration", "0.3",
         "--csv", str(csv_path),
     )
     assert result.returncode == 0, result.stderr
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"
     assert [line.split(",")[:2] for line in lines[1:]] == [
-        ["channel-AUTH_ONLY", "256"],
-        ["channel-AEAD", "256"],
-        ["channel-plaintext-baseline", "256"],
-        ["tls1.3", "256"],
+        [case, size]
+        for case in ("channel-AUTH_ONLY", "channel-AEAD", "channel-plaintext-baseline", "tls1.3")
+        for size in ("64", "256")
     ]
-    assert lines[1].endswith(",1.0000")  # every ratio is against this row
+    # every ratio is against this row at the same size
+    assert lines[1].endswith(",1.0000") and lines[2].endswith(",1.0000")
+    assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
     assert "vs channel-AUTH_ONLY" in result.stdout
-    assert "channel-AUTH_ONLY" in result.stdout.split("throughput at 256 B:")[1]
+    for size in (64, 256):
+        headline = result.stdout.split(f"throughput at {size} B:")[1].splitlines()[0]
+        assert "channel-AUTH_ONLY" in headline and "tls1.3" in headline
+        assert "ratio" in headline
     assert "source lines" in result.stdout
 
 

@@ -469,6 +469,15 @@ def test_bitstream_packs_msb_first_with_a_zero_tail():
 def test_bitstream_validation():
     with pytest.raises(InvalidParameterError):
         BitStream([0, 1, 2])
+    # values a cast to uint8 would turn into 0s and 1s, or overflow on
+    for bits in (
+        np.array([256, 257, 0, 1] * 30),
+        np.array([0.5, 1.7, 0, 1] * 30),
+        np.array([-255, 1] * 60),
+        [-1, 0] * 60,
+    ):
+        with pytest.raises(InvalidParameterError):
+            BitStream(bits)
     with pytest.raises(InvalidParameterError):
         BitStream(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(InvalidParameterError):
