@@ -5,8 +5,8 @@ returning one ``BenchReport``:
 
 * ``bench_primitives`` times raw crypto operations (hashing, MAC, AEAD,
   signatures, chain stepping, record sealing, and a record sealed and
-  opened in memory) over counter-filled buffers so runs are
-  byte-comparable.
+  opened in memory in each mode) over counter-filled buffers so runs
+  are byte-comparable.
 * ``bench_loopback`` times loopback pairs whose op sends one message
   and receives it on the calling thread: the channel modes, a plaintext
   baseline that packs the frames ``seal_wire`` would send, zero-tagged,
@@ -67,10 +67,9 @@ from .association import (
 )
 from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, read_record, seal_wire
+from .defaults import DEFAULT_SIZES
 from .errors import InvalidParameterError, TransportError
 from .idvv import Root, Seed, hmac_sha256, idvv_init, idvv_step
-
-DEFAULT_SIZES = (64, 512, 1500, 16384)
 
 PRIMITIVES = (
     "hash-sha256",
@@ -81,6 +80,7 @@ PRIMITIVES = (
     "idvv-step",
     "idvv-seal-authonly",
     "idvv-seal-open-authonly",
+    "idvv-seal-open-aead",
 )
 
 CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
@@ -293,11 +293,11 @@ def _counter_buffer(size: int) -> bytes:
     return bytes(i & 0xFF for i in range(size))
 
 
-def _bench_assoc(role: Role = Role.INITIATOR) -> Association:
+def _bench_assoc(role: Role = Role.INITIATOR, mode: Mode = Mode.AUTH_ONLY) -> Association:
     pf = ProvisionFile(
         assoc_id=bytes(8),
         role=role,
-        mode=Mode.AUTH_ONLY,
+        mode=mode,
         seed=bytes(range(32)),
         root=bytes(range(32, 64)),
     )
@@ -337,8 +337,10 @@ def _make_primitive_op(name: str, size: int):
     if name == "idvv-seal-authonly":
         assoc, data = _bench_assoc(), MsgType.DATA
         return lambda: seal_wire(assoc, data, msg)
-    if name == "idvv-seal-open-authonly":
-        tx, rx, data = _bench_assoc(), _bench_assoc(Role.RESPONDER), MsgType.DATA
+    if name in ("idvv-seal-open-authonly", "idvv-seal-open-aead"):
+        mode = Mode.AEAD if name.endswith("aead") else Mode.AUTH_ONLY
+        tx, rx = _bench_assoc(Role.INITIATOR, mode), _bench_assoc(Role.RESPONDER, mode)
+        data = MsgType.DATA
         return lambda: open_record(rx, seal_wire(tx, data, msg))
     raise InvalidParameterError(f"unknown primitive {name!r}")
 

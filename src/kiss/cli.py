@@ -16,7 +16,6 @@ import socket
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from .association import (
     DEFAULT_RESYNC_WINDOW,
     MAX_RESYNC_WINDOW,
@@ -28,14 +27,9 @@ from .association import (
     write_provision_file,
 )
 from .channel import ChannelEndpoint
+from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .errors import KissError
 from .idvv import Root, Seed, idvv_init, idvv_step
-from .randomness import (
-    DEFAULT_ALPHA,
-    DEFAULT_STREAM_BITS,
-    DEFAULT_TRIALS,
-    run_battery,
-)
 
 log = logging.getLogger("kiss")
 
@@ -51,7 +45,7 @@ DEMO_ROOT = bytes.fromhex(
 _MODE_BY_FLAG = {"auth": Mode.AUTH_ONLY, "aead": Mode.AEAD}
 
 # the message sizes each bench suite runs when --sizes is not given
-_BENCH_SIZES = {"primitives": bench_mod.DEFAULT_SIZES, "channel": (1500,), "tls": (1500,)}
+_BENCH_SIZES = {"primitives": DEFAULT_SIZES, "channel": (1500,), "tls": (1500,)}
 
 # seconds either endpoint waits on a silent peer before it gives up
 IO_TIMEOUT_S = 30.0
@@ -130,6 +124,8 @@ def cmd_server(args) -> int:
 
 
 def cmd_client(args) -> int:
+    if args.count < 1:
+        raise KissError(f"--count must be at least 1, got {args.count}")
     pf = read_provision_file(args.provision)
     host, port = _parse_addr(args.connect)
     if args.send is not None:
@@ -161,6 +157,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod  # the TLS and X.509 stack only this subcommand runs
+
     sizes = _BENCH_SIZES[args.suite] if args.sizes is None else _parse_sizes(args.sizes)
     if args.suite == "primitives":
         report = bench_mod.bench_primitives(sizes=sizes, duration=args.duration)
@@ -181,6 +179,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_randomness(args) -> int:
+    from .randomness import run_battery  # NumPy and SciPy, which only this subcommand runs
+
     seed = parse_hex("--seed", args.seed, 32) if args.seed else DEMO_SEED
     root = parse_hex("--root", args.root, 32) if args.root else DEMO_ROOT
     report = run_battery(
@@ -244,17 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("--suite", choices=("primitives", "channel", "tls"), required=True)
     p.add_argument("--csv", help="also write machine-readable CSV here")
-    p.add_argument(
-        "--sizes", help="comma-separated message sizes (default: primitives "
-        "64,512,1500,16384; channel and tls 1500)",
+    defaults = "; ".join(
+        f"{suite} {','.join(map(str, sizes))}" for suite, sizes in _BENCH_SIZES.items()
     )
+    p.add_argument("--sizes", help=f"comma-separated message sizes (default: {defaults})")
     p.add_argument("--duration", type=float, default=1.0, help="timed seconds per row")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("randomness", help="run the statistical battery")
-    p.add_argument("--bits", type=int, default=DEFAULT_STREAM_BITS)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument(
+        "--bits", type=int, default=DEFAULT_STREAM_BITS, help="bits per trial (default: %(default)s)"
+    )
+    p.add_argument(
+        "--trials", type=int, default=DEFAULT_TRIALS, help="trials per test (default: %(default)s)"
+    )
+    p.add_argument(
+        "--alpha", type=float, default=DEFAULT_ALPHA,
+        help="significance level (default: %(default)s)",
+    )
     p.add_argument("--csv", help="also write per-trial CSV here")
     p.add_argument("--seed", help="chain seed, 64 hex chars")
     p.add_argument("--root", help="chain root, 64 hex chars")

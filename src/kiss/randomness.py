@@ -13,6 +13,11 @@ value read most significant bit first. The tests read only the packed
 bytes: popcounts, 256-entry byte tables, and one pattern count per
 stream that the two pattern tests share. The battery is sequential and
 fully reproducible from (seed, root); reports carry no timestamps.
+
+Importing this module loads NumPy, not SciPy. The five tests that take
+a p-value from ``scipy.special`` (``gammaincc``, ``ndtr``) import it on
+their first call, and ``run_battery`` before its first trial, so no
+timed trial pays for the import and no endpoint ever loads SciPy.
 """
 
 from __future__ import annotations
@@ -22,16 +27,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from scipy import special
 
+from .defaults import DEFAULT_ALPHA, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .errors import InvalidParameterError
 from .idvv import idvv_init, idvv_peek
 
 MIN_STREAM_BITS = 100
-
-DEFAULT_ALPHA = 0.01
-DEFAULT_TRIALS = 100
-DEFAULT_STREAM_BITS = 1_000_000
 
 # longest-run tiers: (min stream bits, block size M, category lower/upper
 # clamp, reference probabilities). Probabilities are the published
@@ -135,6 +136,13 @@ def _stream(bits, test: str | None = None) -> BitStream:
     return s
 
 
+def _special():
+    """``scipy.special``, imported on first need (see the module docstring)."""
+    from scipy import special
+
+    return special
+
+
 # -- byte tables -------------------------------------------------------
 #
 # Each table maps a byte, read most significant bit first, to one figure
@@ -202,7 +210,7 @@ def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALP
     upto = np.cumsum(np.bitwise_count(words), dtype=np.int64)[at]
     pi = np.diff(upto - np.bitwise_count(words[at].astype(np.uint64) << edges % 64)) / block_size
     chi_sq = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    p = float(special.gammaincc(n_blocks / 2.0, chi_sq / 2.0))
+    p = float(_special().gammaincc(n_blocks / 2.0, chi_sq / 2.0))
     return TestResult(
         "block-frequency",
         p,
@@ -250,7 +258,7 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     expected = n_blocks * np.asarray(ref)
     chi_sq = float(np.sum((counts - expected) ** 2 / expected))
     k = len(ref) - 1
-    p = float(special.gammaincc(k / 2.0, chi_sq / 2.0))
+    p = float(_special().gammaincc(k / 2.0, chi_sq / 2.0))
     return TestResult(
         "longest-run",
         p,
@@ -301,13 +309,14 @@ def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> Test
     # total - S_j for j = n-1 down to 0
     z = max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
     sqrt_n = math.sqrt(n)
+    ndtr = _special().ndtr
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
     term1 = np.sum(
-        special.ndtr((4 * k1 + 1) * z / sqrt_n) - special.ndtr((4 * k1 - 1) * z / sqrt_n)
+        ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)
     )
     term2 = np.sum(
-        special.ndtr((4 * k2 + 3) * z / sqrt_n) - special.ndtr((4 * k2 + 1) * z / sqrt_n)
+        ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)
     )
     p = float(min(max(1.0 - term1 + term2, 0.0), 1.0))
     direction = "forward" if forward else "backward"
@@ -350,7 +359,7 @@ def approximate_entropy_test(
     counts = s.pattern_counts(pattern_len + 1)
     ap_en = _phi(_fold(counts), n) - _phi(counts, n)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
-    p = float(special.gammaincc(2.0 ** (pattern_len - 1), chi_sq / 2.0))
+    p = float(_special().gammaincc(2.0 ** (pattern_len - 1), chi_sq / 2.0))
     return TestResult(
         "approximate-entropy",
         p,
@@ -375,8 +384,8 @@ def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> Te
     psi_m2 = _psi_sq(_fold(counts1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(special.gammaincc(2.0 ** (pattern_len - 2), d1 / 2.0))
-    p2 = float(special.gammaincc(2.0 ** (pattern_len - 3), d2 / 2.0))
+    p1 = float(_special().gammaincc(2.0 ** (pattern_len - 2), d1 / 2.0))
+    p2 = float(_special().gammaincc(2.0 ** (pattern_len - 3), d2 / 2.0))
     return TestResult(
         "serial",
         p1,
@@ -527,6 +536,7 @@ def run_battery(
     # 11-bit one, so serial runs first and makes each trial's only count
     run_order = sorted(test_names, key=lambda name: name != "serial")
     results: dict[str, list[TestResult]] = {name: [] for name in test_names}
+    _special()  # so the first trial does not pay SciPy's import
     for trial in range(trials):
         stream = stream_factory(trial, n_bits)
         for name in run_order:

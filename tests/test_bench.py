@@ -189,6 +189,28 @@ def test_seal_open_op_opens_what_it_sealed():
     assert all(c.ops_per_sec > 0 for c in report.cases)
 
 
+def test_seal_open_aead_op_opens_what_it_sealed(monkeypatch):
+    sealed, seal_wire = [], bench_mod.seal_wire
+
+    def recording_seal_wire(*args):
+        sealed.append(seal_wire(*args))
+        return sealed[-1]
+
+    monkeypatch.setattr(bench_mod, "seal_wire", recording_seal_wire)
+    op = _make_primitive_op("idvv-seal-open-aead", 64)
+    payload = bench_mod._counter_buffer(64)
+    for _ in range(3):
+        assert op() == (MsgType.DATA, payload)
+    # AEAD records: a 16-byte GCM tag and a payload field that is not the plaintext
+    assert [len(w) for w in sealed] == [25 + 64 + 16] * 3
+    assert all(w[25:89] != payload for w in sealed)
+    report = bench_primitives(
+        ("idvv-seal-open-authonly", "idvv-seal-open-aead"), (64,), 0.05
+    )
+    assert [c.case for c in report.cases] == ["idvv-seal-open-authonly", "idvv-seal-open-aead"]
+    assert all(c.ops_per_sec > 0 for c in report.cases)
+
+
 def test_bench_primitives_report_shape():
     report = bench_primitives(("hash-sha256", "hmac-sha256"), (64,), 0.05)
     assert report.suite == "primitives"

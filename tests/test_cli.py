@@ -13,6 +13,7 @@ from oracles import chain_values_ref
 
 from kiss import cli
 from kiss.association import Mode, ProvisionFile, Role, read_provision_file
+from kiss.defaults import DEFAULT_ALPHA, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 
 CLI = [sys.executable, "-m", "kiss.cli"]
 
@@ -263,6 +264,26 @@ def test_server_times_out_silent_client(tmp_path, monkeypatch, capsys):
     assert "timed out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_client_count_below_one_exits_one_before_connecting(tmp_path, count):
+    assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0)
+    try:
+        result = run_cli(
+            "client",
+            "--provision", str(tmp_path / "initiator.prov"),
+            "--connect", f"127.0.0.1:{listener.getsockname()[1]}",
+            "--count", count,
+        )
+        assert result.returncode == 1
+        assert "--count" in result.stderr
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # the client never connected
+    finally:
+        listener.close()
+
+
 def test_client_bad_address_exits_one(tmp_path):
     assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
     result = run_cli(
@@ -289,6 +310,13 @@ def test_randomness_small_battery(tmp_path):
     assert len(lines) == 1 + 7 * 20
 
 
+def test_randomness_help_names_defaults():
+    result = run_cli("randomness", "--help")
+    assert result.returncode == 0
+    for value in (DEFAULT_STREAM_BITS, DEFAULT_TRIALS, DEFAULT_ALPHA):
+        assert f"(default: {value})" in result.stdout
+
+
 def test_randomness_rejects_bad_parameters():
     assert run_cli("randomness", "--bits", "70000", "--trials", "19").returncode == 1
     assert run_cli(
@@ -310,11 +338,11 @@ def test_bench_primitives_cli(tmp_path):
     assert result.returncode == 0, result.stderr
     for name in ("hash-sha256", "hmac-sha256", "aead-aes256gcm",
                  "sign-rsa2048", "sign-ecdsa-p256", "idvv-step",
-                 "idvv-seal-authonly", "idvv-seal-open-authonly"):
+                 "idvv-seal-authonly", "idvv-seal-open-authonly", "idvv-seal-open-aead"):
         assert name in result.stdout
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
-    assert len(lines) == 1 + 8
+    assert len(lines) == 1 + 9
 
 
 def test_bench_cli_channel_suite(tmp_path):
