@@ -19,16 +19,16 @@ the tag is good, so a flood of garbage cannot desynchronize the endpoint
 or burn window state.
 
 Record path: ``seal_wire``, the only code that seals, packs the header
-once and returns the wire bytes. An endpoint frames incoming records
-from a read buffer it keeps: ``recv(READ_SIZE)`` while a header is
-incomplete, one parse, then ``recv`` of exactly what the record lacks;
-a ``recv`` into the empty buffer that brings one whole record is used as
-it came. The parsed header goes straight to the verify-and-commit step
-that ``open_record`` runs; keys and tags call OpenSSL's HMAC directly.
+once and returns the wire bytes. ``_parse_header`` is the one header
+parser. An endpoint frames incoming records with ``_read_frame`` from a
+read buffer it keeps: ``recv(READ_SIZE)`` while a header is incomplete,
+one parse, then ``recv`` of exactly what the record lacks. The parsed
+header goes straight to ``_open_frame``, the verify-and-commit step that
+``open_record`` also runs after its exact-length check.
 
-``Record``, ``seal``, ``encode_record`` and ``decode_record`` are an
-inspection view of the same bytes, kept for tests (``benchmark/`` calls
-``seal`` and ``encode_record``); no endpoint runs them.
+``Record``, ``seal`` and ``encode_record`` are an inspection view of the
+same bytes (``seal`` slices what ``seal_wire`` returns), kept because
+``benchmark/`` calls them; no endpoint runs them.
 """
 
 from __future__ import annotations
@@ -166,22 +166,6 @@ def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
     return msg_type, mode, assoc_id, seq, end, end + tag_len
 
 
-def _decode_frame(buf: bytes) -> tuple[MsgType, Mode, bytes, int, int, int]:
-    """:func:`_parse_header` plus the exact-length check."""
-    header = _parse_header(buf)
-    if len(buf) != header[5]:
-        raise FrameError(
-            f"record length {len(buf)} does not match header (want {header[5]})",
-            field="payload_len",
-        )
-    return header
-
-
-def decode_record(buf: bytes) -> Record:
-    msg_type, mode, assoc_id, seq, end, _ = _decode_frame(buf)
-    return Record(msg_type, mode, assoc_id, seq, buf[HEADER_LEN:end], buf[end:])
-
-
 def _record_keys(value: bytes, seq: int, mode: Mode, op: str):
     """This record's key and nonce (None in auth-only mode) from its chain value."""
     if mode is _AUTH_ONLY:
@@ -223,12 +207,23 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
 
 def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
     """:func:`seal_wire` as a :class:`Record`, for inspection."""
-    return decode_record(seal_wire(assoc, msg_type, payload))
+    wire = seal_wire(assoc, msg_type, payload)
+    end = HEADER_LEN + len(payload)
+    return Record(
+        msg_type, assoc.mode, assoc.assoc_id, assoc.send_chain.counter,
+        wire[HEADER_LEN:end], wire[end:],
+    )
 
 
 def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
-    """Verify and decode one incoming record; commit state only on success."""
-    return _open_frame(assoc, wire, _decode_frame(wire))
+    """Verify and decode one complete record; commit state only on success."""
+    header = _parse_header(wire)
+    if len(wire) != header[5]:
+        raise FrameError(
+            f"record length {len(wire)} does not match header (want {header[5]})",
+            field="payload_len",
+        )
+    return _open_frame(assoc, wire, header)
 
 
 def _open_frame(assoc, wire, header):
@@ -303,17 +298,6 @@ def _read_frame(recv, buf: bytearray):
         wire = bytes(view[:size])
     del buf[:size]
     return wire, header
-
-
-def read_record(read, buf: bytearray) -> bytes:
-    """Pull exactly one framed record from ``read(n) -> bytes``, keeping
-    read-ahead in ``buf`` for the next call, as an endpoint keeps it.
-
-    Returns the raw record bytes, or b"" on a clean EOF at a record
-    boundary. EOF anywhere else raises TransportError.
-    """
-    frame = _read_frame(read, buf)
-    return frame[0] if frame else b""
 
 
 class ChannelEndpoint:

@@ -29,7 +29,7 @@ from .association import (
 from .channel import ChannelEndpoint
 from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .errors import KissError
-from .idvv import Root, Seed, idvv_init, idvv_step
+from .idvv import idvv_init, idvv_step
 
 log = logging.getLogger("kiss")
 
@@ -41,8 +41,6 @@ DEMO_SEED = bytes.fromhex(
 DEMO_ROOT = bytes.fromhex(
     "202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
 )
-
-_MODE_BY_FLAG = {"auth": Mode.AUTH_ONLY, "aead": Mode.AEAD}
 
 # the message sizes each bench suite runs when --sizes is not given
 _BENCH_SIZES = {"primitives": DEFAULT_SIZES, "channel": (1500,), "tls": (1500,)}
@@ -82,9 +80,7 @@ def _parse_addr(text: str) -> tuple[str, int]:
 
 
 def cmd_provision(args) -> int:
-    init_pf, resp_pf = generate_provision(
-        mode=_MODE_BY_FLAG[args.mode], resync_window=args.window
-    )
+    init_pf, resp_pf = generate_provision(mode=Mode(args.mode), resync_window=args.window)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,7 +195,7 @@ def cmd_vectors(args) -> int:
     if args.count < 1:
         raise KissError(f"--count must be at least 1, got {args.count}")
     label = args.label.encode("utf-8")
-    state = idvv_init(Seed(seed), Root(root), label)
+    state = idvv_init(seed, root, label)
     print(f"seed = {seed.hex()}")
     print(f"root = {root.hex()}")
     print(f"label = {args.label}")
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("provision", help="generate an association file pair")
     p.add_argument("--out-dir", default=".", help="directory for the two files")
-    p.add_argument("--mode", choices=("auth", "aead"), default="auth")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.AUTH_ONLY.value)
     p.add_argument(
         "--window", type=int, default=DEFAULT_RESYNC_WINDOW,
         help=f"resync window, 1..{MAX_RESYNC_WINDOW}",
@@ -253,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randomness", help="run the statistical battery")
     p.add_argument(
-        "--bits", type=int, default=DEFAULT_STREAM_BITS, help="bits per trial (default: %(default)s)"
+        "--bits", type=int, default=DEFAULT_STREAM_BITS,
+        help="bits per trial, at least 65,537 for the serial test's 16-bit patterns "
+        "(default: %(default)s)",
     )
     p.add_argument(
         "--trials", type=int, default=DEFAULT_TRIALS, help="trials per test (default: %(default)s)"

@@ -20,9 +20,9 @@ it with ``idvv_step``, and the receiver computes a later value with
 keystream is one ``idvv_peek`` walk (``out``). Record keys are derived
 from chain values in ``kiss.channel``, and nowhere else.
 
-The PRF is an OpenSSL HMAC context (``_hmac_new``; ``hmac.digest``
-refetches the MAC per call, twice the cost at 64 B), called with no
-Python frame around it per record; ``hmac_sha256`` serves cold callers.
+The PRF is an OpenSSL HMAC context, called in one form everywhere,
+``_hmac_new(key, msg, "sha256").digest()``, with no Python frame around
+it (``hmac.digest`` refetches the MAC per call, twice the cost at 64 B).
 
 Ownership contract: a state is single-owner. Exactly one logical thread
 of control may step it at a time; hand states off between threads, never
@@ -50,11 +50,6 @@ MAX_COUNTER = 2**64 - 1
 _ZEROS = bytes(SECRET_LEN)
 
 _U64 = struct.Struct(">Q")
-
-
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA-256; reads the key buffer without copying it."""
-    return _hmac_new(key, message, "sha256").digest()
 
 
 class _Secret:
@@ -133,10 +128,6 @@ class IdvvState:
     def counter(self) -> int:
         return self._counter
 
-    @property
-    def direction_label(self) -> bytes:
-        return self._label
-
     def commit(self, value: bytes, counter: int) -> None:
         """Move forward to a position computed by :func:`idvv_peek`,
         overwriting the value buffer in place."""
@@ -195,8 +186,9 @@ def idvv_init(seed: Seed | bytes, root: Root | bytes, direction_label: bytes) ->
     seed = _as_secret(seed, Seed)
     root = _as_secret(root, Root)
     _check_label(direction_label)
-    value = hmac_sha256(seed.bytes, root.bytes + bytes(direction_label))
-    return IdvvState(seed, value, 0, bytes(direction_label))
+    # keyed by the seed's own buffer: no immutable copy of either secret
+    value = _hmac_new(seed._buf, root._buf + direction_label, "sha256").digest()
+    return IdvvState(seed, value, 0, direction_label)
 
 
 def idvv_step(state: IdvvState) -> bytes:

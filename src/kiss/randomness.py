@@ -452,6 +452,19 @@ ALL_TESTS = {
     "serial": serial_test,
 }
 
+# The fewest bits per trial each test takes at the parameters the battery
+# runs it with. Pattern lengths are fixed, not derived from the stream
+# length, so a report never changes its tests' parameters with n_bits.
+MIN_BITS = {
+    "monobit": MIN_STREAM_BITS,
+    "block-frequency": 128,  # one 128-bit block
+    "runs": MIN_STREAM_BITS,
+    "longest-run": 128,  # the smallest tier of the SP 800-22 table
+    "cusum": MIN_STREAM_BITS,
+    "approximate-entropy": (1 << 11) + 1,  # more bits than 11-bit patterns
+    "serial": (1 << 16) + 1,  # more bits than 16-bit patterns
+}
+
 
 # -- battery ----------------------------------------------------------
 
@@ -515,7 +528,9 @@ def run_battery(
 
     Every trial draws a fresh stream (chain labeled ``rs%04d`` by
     default; ``stream_factory(trial, n_bits)`` overrides the source)
-    and runs each selected test on it at significance ``alpha``.
+    and runs each selected test on it at significance ``alpha``. An
+    ``n_bits`` below a selected test's ``MIN_BITS`` is refused before
+    any stream is drawn.
     """
     if trials < 20:
         # below ~20 trials the proportion bound has no resolving power
@@ -528,6 +543,11 @@ def run_battery(
         unknown = [t for t in test_names if t not in ALL_TESTS]
         if unknown:
             raise InvalidParameterError(f"unknown tests: {', '.join(unknown)}")
+    floor, name = max(((MIN_BITS[t], t) for t in test_names), default=(0, ""))
+    if n_bits < floor:
+        raise InvalidParameterError(
+            f"{name} test needs at least {floor:,} bits per trial, got {n_bits:,}"
+        )
     if stream_factory is None:
         def stream_factory(trial: int, length: int) -> BitStream:
             return generate_stream(seed, root, b"rs%04d" % trial, length)

@@ -26,6 +26,8 @@ from kiss.errors import (
 )
 from kiss.idvv import Root
 
+from oracles import chain_values_ref
+
 
 def test_generate_pair_shares_material():
     init_pf, resp_pf = generate_provision()
@@ -167,10 +169,12 @@ def test_load_role_labels():
     init_pf, resp_pf = generate_provision()
     init_assoc = load_association(init_pf)
     resp_assoc = load_association(resp_pf)
-    assert init_assoc.send_chain.direction_label == LABEL_C2S
-    assert init_assoc.recv_chain.direction_label == LABEL_S2C
-    assert resp_assoc.send_chain.direction_label == LABEL_S2C
-    assert resp_assoc.recv_chain.direction_label == LABEL_C2S
+    c2s, s2c = (
+        chain_values_ref(init_pf.seed, init_pf.root, label, 0)[0]
+        for label in (LABEL_C2S, LABEL_S2C)
+    )
+    assert init_assoc.send_chain.value == resp_assoc.recv_chain.value == c2s
+    assert init_assoc.recv_chain.value == resp_assoc.send_chain.value == s2c
     assert init_assoc.highest_accepted_seq == 0
 
 

@@ -250,13 +250,13 @@ def test_loopback_plaintext_baseline_runs(monkeypatch):
     # channel modes is the cryptography alone
     reads, wires = [], []
 
-    def counting_read_record(read, buf):
-        wire = channel_mod.read_record(read, buf)
-        reads.append(len(wire))
-        wires.append(wire)
-        return wire
+    def counting_read_frame(read, buf):
+        frame = channel_mod._read_frame(read, buf)
+        reads.append(len(frame[0]))
+        wires.append(frame[0])
+        return frame
 
-    monkeypatch.setattr(bench_mod, "read_record", counting_read_record)
+    monkeypatch.setattr(bench_mod, "_read_frame", counting_read_frame)
     report = bench_loopback(("plaintext-baseline",), (256,), 0.3)
     assert report.suite == "channel"
     (case,) = report.cases
@@ -307,7 +307,7 @@ except AuthenticationError as exc:
     [
         ("AUTH_ONLY", "kiss.channel._open_frame"),
         ("AEAD", "kiss.channel._open_frame"),
-        ("plaintext-baseline", "kiss.bench.read_record"),
+        ("plaintext-baseline", "kiss.bench._read_frame"),
         (TLS_CASE, "kiss.bench._read_exact"),
     ],
 )

@@ -27,10 +27,10 @@ from kiss.channel import (
     ChannelState,
     MsgType,
     Record,
-    decode_record,
+    _parse_header,
+    _read_frame,
     encode_record,
     open_record,
-    read_record,
     seal,
     seal_wire,
 )
@@ -87,8 +87,16 @@ def test_record_header_is_fixed_length():
 
 
 def test_encode_decode_round_trip():
-    rec = Record(MsgType.CLOSE, Mode.AEAD, ASSOC_ID, 77, b"ct", b"\x11" * 16)
-    assert decode_record(encode_record(rec)) == rec
+    sender, _ = _pair(Mode.AEAD)
+    for rec in (
+        Record(MsgType.CLOSE, Mode.AEAD, ASSOC_ID, 77, b"ct", b"\x11" * 16),
+        seal(sender, MsgType.CLOSE, b"ct"),
+    ):
+        wire = encode_record(rec)
+        msg_type, mode, assoc_id, seq, end, size = _parse_header(wire)
+        assert size == len(wire)
+        assert Record(msg_type, mode, assoc_id, seq, wire[HEADER_LEN:end], wire[end:]) == rec
+    assert rec[:4] == (MsgType.CLOSE, Mode.AEAD, ASSOC_ID, 1)
 
 
 def test_encode_rejects_oversized_payload():
@@ -112,6 +120,17 @@ def _wire(msg_type=MsgType.DATA, payload=b"hi"):
     return encode_record(seal(sender, msg_type, payload))
 
 
+def _open_refused(wire):
+    """The FrameError ``open_record`` raises for ``wire``, after checking
+    that the receive chain's counter and value did not move."""
+    _, receiver = _pair()
+    before = receiver.recv_chain.counter, receiver.recv_chain.value
+    with pytest.raises(FrameError) as err:
+        open_record(receiver, wire)
+    assert (receiver.recv_chain.counter, receiver.recv_chain.value) == before
+    return err.value
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -124,30 +143,24 @@ def _wire(msg_type=MsgType.DATA, payload=b"hi"):
     ],
 )
 def test_decode_header_rejections(mutate, field):
-    with pytest.raises(FrameError) as err:
-        decode_record(mutate(_wire()))
-    assert err.value.field == field
+    assert _open_refused(mutate(_wire())).field == field
 
 
 def test_decode_header_truncated():
-    with pytest.raises(FrameError):
-        decode_record(_wire()[: HEADER_LEN - 1])
+    assert _open_refused(_wire()[: HEADER_LEN - 1]).field is None
 
 
 def test_oversized_payload_len_rejected_from_header_alone():
     # only 25 bytes supplied: the cap check must not wait for a body
     header = _wire()[:HEADER_LEN]
     bad = header[:21] + (MAX_PAYLOAD + 1).to_bytes(4, "big") + header[25:]
-    with pytest.raises(FrameError) as err:
-        decode_record(bad)
-    assert err.value.field == "payload_len"
+    assert _open_refused(bad).field == "payload_len"
 
 
 @pytest.mark.parametrize("extra", [b"", b"\x00"])
 def test_decode_record_length_must_match_exactly(extra):
     wire = _wire()
-    with pytest.raises(FrameError):
-        decode_record(wire[:-1] if not extra else wire + extra)
+    assert _open_refused(wire[:-1] if not extra else wire + extra).field == "payload_len"
 
 
 def test_seal_rejects_oversized_payload():
@@ -417,15 +430,15 @@ def test_read_record_splits_stream():
     wires = _sealed(sender, 3)
     stream, buf = io.BytesIO(b"".join(wires)), bytearray()
     for expected in wires:
-        assert read_record(stream.read, buf) == expected
-    assert read_record(stream.read, buf) == b""  # clean EOF at a boundary
+        assert _read_frame(stream.read, buf) == (expected, _parse_header(expected))
+    assert _read_frame(stream.read, buf) is None  # clean EOF at a boundary
 
 
 def test_read_record_handles_dribble():
     sender, _ = _pair()
     wire = encode_record(seal(sender, MsgType.DATA, b"slow network"))
     stream = io.BytesIO(wire)
-    assert read_record(lambda n: stream.read(min(n, 1)), bytearray()) == wire
+    assert _read_frame(lambda n: stream.read(min(n, 1)), bytearray())[0] == wire
 
 
 def test_read_record_whole_record_in_one_recv_then_eof():
@@ -439,10 +452,10 @@ def test_read_record_whole_record_in_one_recv_then_eof():
         return stream.read(n)
 
     buf = bytearray()
-    got = read_record(read, buf)
+    got, _ = _read_frame(read, buf)
     assert got == wire and type(got) is bytes
     assert asked == [READ_SIZE] and not buf
-    assert read_record(read, buf) == b""
+    assert _read_frame(read, buf) is None
 
 
 def test_read_record_mid_record_eof():
@@ -450,13 +463,13 @@ def test_read_record_mid_record_eof():
     wire = encode_record(seal(sender, MsgType.DATA, b"cut short"))
     stream = io.BytesIO(wire[:-3])
     with pytest.raises(TransportError):
-        read_record(stream.read, bytearray())
+        _read_frame(stream.read, bytearray())
 
 
 def test_read_record_eof_inside_header():
     stream = io.BytesIO(b"KI\x01")
     with pytest.raises(TransportError):
-        read_record(stream.read, bytearray())
+        _read_frame(stream.read, bytearray())
 
 
 # -- the endpoint's read buffer ----------------------------------------
@@ -721,7 +734,7 @@ def test_handshake_tampered_echo():
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def evil_responder():
-        wire = read_record(s_resp.recv, bytearray())
+        wire, _ = _read_frame(s_resp.recv, bytearray())
         _, nonce = open_record(resp_assoc, wire)
         mangled = bytes([nonce[0] ^ 0x01]) + nonce[1:]
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.HELLO_ACK, mangled)))
@@ -744,7 +757,7 @@ def test_handshake_wrong_ack_type():
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def confused_responder():
-        wire = read_record(s_resp.recv, bytearray())
+        wire, _ = _read_frame(s_resp.recv, bytearray())
         open_record(resp_assoc, wire)
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.DATA, b"eager")))
 

@@ -14,6 +14,7 @@ from oracles import chain_values_ref
 from kiss import cli
 from kiss.association import Mode, ProvisionFile, Role, read_provision_file
 from kiss.defaults import DEFAULT_ALPHA, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
+from kiss.randomness import MIN_BITS
 
 CLI = [sys.executable, "-m", "kiss.cli"]
 
@@ -315,6 +316,14 @@ def test_randomness_help_names_defaults():
     assert result.returncode == 0
     for value in (DEFAULT_STREAM_BITS, DEFAULT_TRIALS, DEFAULT_ALPHA):
         assert f"(default: {value})" in result.stdout
+    assert f"{MIN_BITS['serial']:,}" in result.stdout
+
+
+def test_randomness_refuses_bits_below_the_serial_floor():
+    result = run_cli("randomness", "--bits", "1000", "--trials", "20")
+    assert result.returncode == 1
+    assert f"serial test needs at least {MIN_BITS['serial']:,} bits" in result.stderr
+    assert result.stdout == ""
 
 
 def test_randomness_rejects_bad_parameters():

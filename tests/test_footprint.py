@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 # loaded only by `kiss randomness` (numpy, scipy) and `kiss bench` (ssl, x509)
 HEAVY = ("numpy", "scipy", "ssl", "cryptography.x509")
 
@@ -47,3 +49,51 @@ def test_randomness_loads_scipy_only_when_a_test_runs():
         "print(json.dumps([before, 'scipy' in sys.modules]))"
     )
     assert seen == [False, True]
+
+
+# the modules a session may run: the chain, the association, the record
+# layer and the errors they raise
+SESSION_MODULES = {"idvv.py", "association.py", "channel.py", "errors.py"}
+
+
+@pytest.mark.parametrize("mode", ["AUTH_ONLY", "AEAD"])
+def test_session_executes_only_the_protocol_core(mode):
+    ran = _fresh(
+        "import os, socket, threading\n"
+        "import kiss\n"
+        "from kiss.association import Mode, generate_provision, load_association\n"
+        "from kiss.channel import ChannelEndpoint\n"
+        f"init_pf, resp_pf = generate_provision(mode=Mode.{mode})\n"
+        "a, b = socket.socketpair()\n"
+        "client = ChannelEndpoint(load_association(init_pf), a)\n"
+        "server = ChannelEndpoint(load_association(resp_pf), b)\n"
+        "pkg, lines, errors = os.path.dirname(kiss.__file__), set(), []\n"
+        "def local(frame, event, arg):\n"
+        "    if event == 'line':\n"
+        "        lines.add((os.path.relpath(frame.f_code.co_filename, pkg), frame.f_lineno))\n"
+        "    return local\n"
+        "def trace(frame, event, arg):\n"
+        "    return local if frame.f_code.co_filename.startswith(pkg) else None\n"
+        "def serve():\n"
+        "    try:\n"
+        "        server.handshake()\n"
+        "        while (payload := server.receive()) is not None:\n"
+        "            server.send(payload)\n"
+        "    except BaseException as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threading.settrace(trace)\n"
+        "sys.settrace(trace)\n"
+        "responder = threading.Thread(target=serve)\n"
+        "responder.start()\n"
+        "client.handshake()\n"
+        "for i in range(100):\n"
+        "    client.send(b'%03d' % i * 20)\n"
+        "    assert client.receive() == b'%03d' % i * 20\n"
+        "client.close()\n"
+        "responder.join(timeout=30)\n"
+        "sys.settrace(None)\n"
+        "threading.settrace(None)\n"
+        "assert not responder.is_alive() and not errors, errors\n"
+        "print(json.dumps(sorted({name for name, _ in lines})))"
+    )
+    assert {"idvv.py", "channel.py"} <= set(ran) <= SESSION_MODULES

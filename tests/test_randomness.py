@@ -26,6 +26,7 @@ from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import InvalidParameterError
 from kiss.randomness import (
     ALL_TESTS,
+    MIN_BITS,
     MIN_STREAM_BITS,
     BitStream,
     RandomnessReport,
@@ -551,6 +552,34 @@ def test_battery_parameter_validation():
         run_battery(SEED, ROOT, n_bits=2000, trials=20, alpha=0.0)
     with pytest.raises(InvalidParameterError):
         run_battery(SEED, ROOT, n_bits=2000, trials=20, test_names=["monobit", "dieharder"])
+
+
+def test_min_bits_is_each_tests_own_floor():
+    assert list(MIN_BITS) == list(ALL_TESTS)
+    bits = generate_stream(SEED, ROOT, b"floor", max(MIN_BITS.values())).bits
+    for name, test in ALL_TESTS.items():
+        test(bits[: MIN_BITS[name]])
+        with pytest.raises(InvalidParameterError):
+            test(bits[: MIN_BITS[name] - 1])
+
+
+def test_battery_refuses_bits_below_a_floor_before_drawing_a_stream():
+    drawn = []
+
+    def factory(trial, n_bits):
+        drawn.append(trial)
+        return generate_stream(SEED, ROOT, b"rs%04d" % trial, n_bits)
+
+    # the highest floor among the selected tests is the one named
+    with pytest.raises(InvalidParameterError, match="serial test needs at least 65,537 bits"):
+        run_battery(SEED, ROOT, n_bits=65_536, trials=20, stream_factory=factory)
+    with pytest.raises(InvalidParameterError, match="approximate-entropy test needs at least 2,049"):
+        run_battery(SEED, ROOT, n_bits=2048, trials=20, stream_factory=factory,
+                    test_names=["monobit", "approximate-entropy"])
+    assert drawn == []
+    run_battery(SEED, ROOT, n_bits=1000, trials=20, stream_factory=factory,
+                test_names=["monobit"])
+    assert drawn == list(range(20))
 
 
 def test_battery_deterministic_and_complete():
