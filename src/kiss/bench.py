@@ -411,15 +411,18 @@ def _loopback_op(mode: str, msg_size: int, stack: contextlib.ExitStack):
         # the frames seal_wire would send, with a zeroed tag
         pack, seq, data = _HEADER.pack, itertools.count(1), MsgType.DATA
         assoc_id, zero_tag = bytes(8), bytes(TAG_LEN[Mode.AUTH_ONLY])
-        buf = bytearray()  # read-ahead kept across records, as an endpoint does
+        rest = b""  # read-ahead kept across records, as an endpoint does
 
         def op():
+            nonlocal rest
             header = pack(
                 MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq), msg_size
             )
             left.sendall(b"".join((header, msg, zero_tag)))
-            if _read_frame(right.recv, buf) is None:
+            frame = _read_frame(right.recv, rest)
+            if frame is None:
                 raise TransportError("loopback pair closed")
+            rest = frame[2]
 
         return op, ""
     init_pf, resp_pf = generate_provision(mode=Mode[mode])

@@ -20,11 +20,12 @@ or burn window state.
 
 Record path: ``seal_wire``, the only code that seals, packs the header
 once and returns the wire bytes. ``_parse_header`` is the one header
-parser. An endpoint frames incoming records with ``_read_frame`` from a
-read buffer it keeps: ``recv(READ_SIZE)`` while a header is incomplete,
-one parse, then ``recv`` of exactly what the record lacks. The parsed
-header goes straight to ``_open_frame``, the verify-and-commit step that
-``open_record`` also runs after its exact-length check.
+parser. An endpoint frames incoming records with ``_read_frame`` out of
+what its last ``recv`` left unread, asking ``recv(READ_SIZE)`` less that
+while a header is incomplete, then exactly what the record lacks; a
+record one ``recv`` brought whole is opened where it lies, with no copy.
+The parsed header goes straight to ``_open_frame``, the verify-and-commit
+step that ``open_record`` also runs after its exact-length check.
 
 ``Record``, ``seal`` and ``encode_record`` are an inspection view of the
 same bytes (``seal`` slices what ``seal_wire`` returns), kept because
@@ -245,6 +246,8 @@ def _open_frame(assoc, wire, header):
         if not hmac.compare_digest(_hmac_new(key, wire[:end], "sha256").digest(), wire[end:]):
             raise AuthenticationError("record tag verification failed")
         plaintext = wire[HEADER_LEN:end]
+        if type(wire) is memoryview:  # a view of a recv never reaches a caller
+            plaintext = bytes(plaintext)
     else:
         view = memoryview(wire)
         try:
@@ -257,47 +260,41 @@ def _open_frame(assoc, wire, header):
     return msg_type, plaintext
 
 
-def _read_frame(recv, buf: bytearray):
-    """Cut the next record out of ``buf``, topping it up with ``recv(n)``.
-
-    While ``buf`` holds less than a header, asks for ``READ_SIZE`` bytes
-    less what it holds; once the header parses, for exactly what the
-    record lacks, so a bad header fails before any body read. Bytes past
-    the record stay in ``buf``; a ``recv`` into an empty ``buf`` that brings
-    exactly one record is used as it came. Returns the wire bytes and
-    parsed header that :func:`_open_frame` takes, or None on a clean EOF
-    at a record boundary; EOF anywhere else raises TransportError.
+def _read_frame(recv, rest):
+    """Cut the next record out of ``rest``, the unread end of the last
+    ``recv``, calling ``recv(n)`` for what it lacks: ``READ_SIZE`` bytes
+    less what it holds while a header is incomplete, then exactly what the
+    record lacks, so a bad header fails before any body read. A record one
+    ``recv`` brought whole is not copied: it is that ``recv``'s bytes, or a
+    memoryview of them; a record split across ``recv`` calls is joined.
+    Returns the wire bytes and parsed header that :func:`_open_frame`
+    takes and the new ``rest``, or None on a clean EOF at a record
+    boundary; EOF anywhere else raises TransportError.
     """
-    header = None
-    if not buf:
-        chunk = recv(READ_SIZE)
-        if len(chunk) >= HEADER_LEN:
-            header = _parse_header(chunk)
-            if len(chunk) == header[5]:
-                return chunk, header
-        elif not chunk:
-            return None
-        buf += chunk
-    while len(buf) < HEADER_LEN:
-        chunk = recv(READ_SIZE - len(buf))
+    have = len(rest)
+    while have < HEADER_LEN:
+        chunk = recv(READ_SIZE - have)
         if not chunk:
-            raise TransportError(
-                f"connection closed mid-record ({len(buf)}/{HEADER_LEN} bytes)"
-            )
-        buf += chunk
-    header = header or _parse_header(buf)  # parsed already if the first recv brought it
+            if not have:
+                return None
+            raise TransportError(f"connection closed mid-record ({have}/{HEADER_LEN} bytes)")
+        rest = b"".join((rest, chunk)) if have else chunk
+        have = len(rest)
+    header = _parse_header(rest)
     size = header[5]
-    while len(buf) < size:
-        chunk = recv(size - len(buf))
+    if have == size:
+        return rest, header, b""
+    if have > size:
+        view = memoryview(rest)
+        return view[:size], header, view[size:]
+    parts = [rest]
+    while have < size:
+        chunk = recv(size - have)
         if not chunk:
-            raise TransportError(
-                f"connection closed mid-record ({len(buf)}/{size} bytes)"
-            )
-        buf += chunk
-    with memoryview(buf) as view:  # one copy; released before buf shrinks
-        wire = bytes(view[:size])
-    del buf[:size]
-    return wire, header
+            raise TransportError(f"connection closed mid-record ({have}/{size} bytes)")
+        parts.append(chunk)
+        have += len(chunk)
+    return b"".join(parts), header, b""
 
 
 class ChannelEndpoint:
@@ -313,8 +310,9 @@ class ChannelEndpoint:
         self.transport = transport
         self.state = ChannelState.NEW
         self._rng = rng
-        # bytes of the next record(s) already read from the transport
-        self._buf = bytearray()
+        # the unread end of the last recv (bytes, or a memoryview of
+        # them): the start of the next record(s), never over READ_SIZE
+        self._rest = b""
 
     def __enter__(self):
         return self
@@ -376,9 +374,6 @@ class ChannelEndpoint:
             raise ChannelStateError(f"receive in state {self.state.value}")
         try:
             msg_type, payload = self._recv()
-        except ChannelAlert:
-            self.state = ChannelState.CLOSED
-            raise
         except KissError:
             self._fail()
             raise
@@ -415,13 +410,15 @@ class ChannelEndpoint:
     def _recv(self) -> tuple[MsgType, bytes]:
         try:
             # the transport is looked up per record: callers may swap it
-            frame = _read_frame(self.transport.recv, self._buf)
+            frame = _read_frame(self.transport.recv, self._rest)
         except OSError as exc:
             raise TransportError(f"receive failed: {exc}") from exc
         if frame is None:
             raise TransportError("connection closed without a close record")
-        msg_type, payload = _open_frame(self.assoc, *frame)
+        wire, header, self._rest = frame
+        msg_type, payload = _open_frame(self.assoc, wire, header)
         if msg_type is _ALERT:
+            self.state = ChannelState.CLOSED  # so _fail sends no alert back
             raise ChannelAlert("peer reported a protocol failure")
         return msg_type, payload
 

@@ -246,12 +246,12 @@ def test_bench_loopback_validates_arguments():
 
 def test_loopback_plaintext_baseline_runs(monkeypatch):
     # the baseline must frame with the endpoint's own reader, keeping its
-    # read-ahead in a buffer as an endpoint does, so that its gap to the
-    # channel modes is the cryptography alone
+    # read-ahead across records as an endpoint does, so that its gap to
+    # the channel modes is the cryptography alone
     reads, wires = [], []
 
-    def counting_read_frame(read, buf):
-        frame = channel_mod._read_frame(read, buf)
+    def counting_read_frame(read, rest):
+        frame = channel_mod._read_frame(read, rest)
         reads.append(len(frame[0]))
         wires.append(frame[0])
         return frame
@@ -456,6 +456,8 @@ def test_tls_client_verifies_certificate_and_host_name(host, own_client):
         _, client = _tls_contexts()  # trusts a different certificate
 
     left, right = socket.socketpair()
+    for sock in (left, right):
+        sock.settimeout(5.0)  # a dead helper fails the test instead of hanging it
 
     def serve():
         with contextlib.suppress(OSError):  # the client aborts the handshake

@@ -428,17 +428,18 @@ def test_key_freshness_and_agreement(monkeypatch):
 def test_read_record_splits_stream():
     sender, receiver = _pair()
     wires = _sealed(sender, 3)
-    stream, buf = io.BytesIO(b"".join(wires)), bytearray()
+    stream, rest = io.BytesIO(b"".join(wires)), b""
     for expected in wires:
-        assert _read_frame(stream.read, buf) == (expected, _parse_header(expected))
-    assert _read_frame(stream.read, buf) is None  # clean EOF at a boundary
+        wire, header, rest = _read_frame(stream.read, rest)
+        assert (wire, header) == (expected, _parse_header(expected))
+    assert _read_frame(stream.read, rest) is None  # clean EOF at a boundary
 
 
 def test_read_record_handles_dribble():
     sender, _ = _pair()
     wire = encode_record(seal(sender, MsgType.DATA, b"slow network"))
     stream = io.BytesIO(wire)
-    assert _read_frame(lambda n: stream.read(min(n, 1)), bytearray())[0] == wire
+    assert _read_frame(lambda n: stream.read(min(n, 1)), b"")[0] == wire
 
 
 def test_read_record_whole_record_in_one_recv_then_eof():
@@ -451,11 +452,10 @@ def test_read_record_whole_record_in_one_recv_then_eof():
         asked.append(n)
         return stream.read(n)
 
-    buf = bytearray()
-    got, _ = _read_frame(read, buf)
+    got, _, rest = _read_frame(read, b"")
     assert got == wire and type(got) is bytes
-    assert asked == [READ_SIZE] and not buf
-    assert _read_frame(read, buf) is None
+    assert asked == [READ_SIZE] and not rest
+    assert _read_frame(read, rest) is None
 
 
 def test_read_record_mid_record_eof():
@@ -463,25 +463,25 @@ def test_read_record_mid_record_eof():
     wire = encode_record(seal(sender, MsgType.DATA, b"cut short"))
     stream = io.BytesIO(wire[:-3])
     with pytest.raises(TransportError):
-        _read_frame(stream.read, bytearray())
+        _read_frame(stream.read, b"")
 
 
 def test_read_record_eof_inside_header():
     stream = io.BytesIO(b"KI\x01")
     with pytest.raises(TransportError):
-        _read_frame(stream.read, bytearray())
+        _read_frame(stream.read, b"")
 
 
-# -- the endpoint's read buffer ----------------------------------------
+# -- the endpoint's read-ahead -----------------------------------------
 
 
 class _ScriptedTransport:
     """Serves ``data`` to ``recv(n)`` in pieces no longer than the next of
-    ``cuts`` (cycled), logs every request and swallows what is sent."""
+    ``cuts`` (cycled), and logs every request and everything sent."""
 
     def __init__(self, data, cuts=(READ_SIZE,)):
         self.data, self.pos, self.cuts = data, 0, itertools.cycle(cuts)
-        self.asked = []
+        self.asked, self.sent = [], []
 
     def recv(self, n):
         self.asked.append(n)
@@ -490,7 +490,7 @@ class _ScriptedTransport:
         return chunk
 
     def sendall(self, data):
-        pass
+        self.sent.append(data)
 
 
 def _established(assoc, transport):
@@ -516,10 +516,49 @@ def test_endpoint_frames_any_cut_of_a_stream(mode, payloads, cuts):
     ep = _established(receiver, transport)
     for p in payloads:
         assert ep.receive() == p
-        assert len(ep._buf) <= READ_SIZE  # read-ahead stays bounded
+        assert len(ep._rest) <= READ_SIZE  # read-ahead stays bounded
     assert transport.pos == len(stream)
     assert sender.send_chain.counter == receiver.recv_chain.counter == len(payloads)
     assert receiver.highest_accepted_seq == len(payloads)
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_records_that_share_a_recv_are_opened_as_views_of_it(mode, monkeypatch):
+    sender, receiver = _pair(mode)
+    payloads = [b"first", b"second", b"third", b"alone"]
+    wires = [seal_wire(sender, MsgType.DATA, p) for p in payloads]
+    shared, alone = b"".join(wires[:3]), wires[3]
+    chunks = iter([shared, alone])
+    transport = _ScriptedTransport(b"")
+    transport.recv = lambda n: next(chunks)
+    opened = []
+
+    def spy(assoc, wire, header):
+        opened.append(wire)
+        return open_frame(assoc, wire, header)
+
+    open_frame = channel_mod._open_frame
+    monkeypatch.setattr(channel_mod, "_open_frame", spy)
+    ep = _established(receiver, transport)
+    for p in payloads:
+        got = ep.receive()
+        assert got == p and type(got) is bytes  # never a view of a recv
+    # the three records of one recv are views of its bytes, not copies;
+    # a record that filled its recv is those bytes themselves
+    assert [type(w) for w in opened] == [memoryview] * 3 + [bytes]
+    assert all(w.obj is shared for w in opened[:3])
+    assert opened[3] is alone
+    assert not ep._rest
+
+
+def test_handshake_answers_a_peer_alert_by_closing_silently():
+    init_assoc, resp_assoc = _pair()
+    transport = _ScriptedTransport(seal_wire(init_assoc, MsgType.ALERT, b""))
+    ep = ChannelEndpoint(resp_assoc, transport)
+    with pytest.raises(ChannelAlert):
+        ep.handshake()
+    assert ep.state is ChannelState.CLOSED
+    assert transport.sent == []  # an alert is not answered with an alert
 
 
 def test_two_records_in_one_recv_survive_a_transport_swap():
@@ -540,7 +579,7 @@ def test_back_to_back_16k_records_take_one_recv_each_at_most():
     ep = _established(receiver, transport)
     for p in payloads:
         assert ep.receive() == p
-        assert len(ep._buf) <= READ_SIZE  # read-ahead stays bounded
+        assert len(ep._rest) <= READ_SIZE  # read-ahead stays bounded
     assert transport.pos == len(stream)
     assert len(transport.asked) <= len(payloads)
 
@@ -591,10 +630,19 @@ def test_endpoint_eof_mid_record(cut):
 # -- endpoints over a live transport ------------------------------------
 
 
+def _timed_socketpair():
+    """A socketpair whose blocking calls give up after a few seconds, so a
+    test whose helper thread dies fails instead of hanging the suite."""
+    pair = socket.socketpair()
+    for sock in pair:
+        sock.settimeout(5.0)
+    return pair
+
+
 def _endpoint_pair(mode=Mode.AUTH_ONLY):
     """Socketpair endpoints with the handshake already run."""
     init_assoc, resp_assoc = _pair(mode)
-    s_init, s_resp = socket.socketpair()
+    s_init, s_resp = _timed_socketpair()
     init_ep = ChannelEndpoint(init_assoc, s_init)
     resp_ep = ChannelEndpoint(resp_assoc, s_resp)
     errors = []
@@ -703,7 +751,7 @@ def test_handshake_mismatched_secrets():
     init_pf = ProvisionFile(ASSOC_ID, Role.INITIATOR, Mode.AUTH_ONLY, SEED, ROOT)
     wrong_root = bytes(32)
     resp_pf = ProvisionFile(ASSOC_ID, Role.RESPONDER, Mode.AUTH_ONLY, SEED, wrong_root)
-    s_init, s_resp = socket.socketpair()
+    s_init, s_resp = _timed_socketpair()
     init_ep = ChannelEndpoint(load_association(init_pf), s_init)
     resp_ep = ChannelEndpoint(load_association(resp_pf), s_resp)
     errors = []
@@ -730,11 +778,11 @@ def test_handshake_mismatched_secrets():
 
 def test_handshake_tampered_echo():
     init_assoc, resp_assoc = _pair()
-    s_init, s_resp = socket.socketpair()
+    s_init, s_resp = _timed_socketpair()
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def evil_responder():
-        wire, _ = _read_frame(s_resp.recv, bytearray())
+        wire, _, _ = _read_frame(s_resp.recv, b"")
         _, nonce = open_record(resp_assoc, wire)
         mangled = bytes([nonce[0] ^ 0x01]) + nonce[1:]
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.HELLO_ACK, mangled)))
@@ -753,11 +801,11 @@ def test_handshake_tampered_echo():
 
 def test_handshake_wrong_ack_type():
     init_assoc, resp_assoc = _pair()
-    s_init, s_resp = socket.socketpair()
+    s_init, s_resp = _timed_socketpair()
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def confused_responder():
-        wire, _ = _read_frame(s_resp.recv, bytearray())
+        wire, _, _ = _read_frame(s_resp.recv, b"")
         open_record(resp_assoc, wire)
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.DATA, b"eager")))
 
@@ -774,7 +822,7 @@ def test_handshake_wrong_ack_type():
 
 def test_responder_rejects_short_hello():
     init_assoc, resp_assoc = _pair()
-    s_init, s_resp = socket.socketpair()
+    s_init, s_resp = _timed_socketpair()
     s_init.sendall(encode_record(seal(init_assoc, MsgType.HELLO, b"tiny")))
     resp_ep = ChannelEndpoint(resp_assoc, s_resp)
     try:

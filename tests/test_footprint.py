@@ -65,6 +65,7 @@ def test_session_executes_only_the_protocol_core(mode):
         "from kiss.channel import ChannelEndpoint\n"
         f"init_pf, resp_pf = generate_provision(mode=Mode.{mode})\n"
         "a, b = socket.socketpair()\n"
+        "a.settimeout(5.0), b.settimeout(5.0)  # a dead responder fails the run\n"
         "client = ChannelEndpoint(load_association(init_pf), a)\n"
         "server = ChannelEndpoint(load_association(resp_pf), b)\n"
         "pkg, lines, errors = os.path.dirname(kiss.__file__), set(), []\n"
