@@ -66,7 +66,49 @@ class ProvisionFile:
 
     @classmethod
     def from_text(cls, text: str) -> "ProvisionFile":
-        return _parse_provision(text)
+        seen: dict[str, str] = {}
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ProvisionError(f"line {lineno}: expected 'key = value'", field=line)
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in _FIELD_ORDER:
+                raise ProvisionError(f"unknown field {key!r}", field=key)
+            if key in seen:
+                raise ProvisionError(f"duplicate field {key!r}", field=key)
+            seen[key] = value
+
+        for key in ("assoc_id", "role", "mode", "seed", "root"):
+            if key not in seen:
+                raise ProvisionError(f"missing field {key!r}", field=key)
+
+        assoc_id = parse_hex("assoc_id", seen["assoc_id"], ASSOC_ID_LEN)
+        seed = parse_hex("seed", seen["seed"], 32)
+        root = parse_hex("root", seen["root"], 32)
+
+        try:
+            role = Role(seen["role"])
+        except ValueError:
+            raise ProvisionError(f"unknown role {seen['role']!r}", field="role") from None
+        try:
+            mode = Mode(seen["mode"])
+        except ValueError:
+            raise ProvisionError(f"unknown mode {seen['mode']!r}", field="mode") from None
+
+        window = seen.get("resync_window", str(DEFAULT_RESYNC_WINDOW))
+        # ASCII digits only, as to_text writes them: int() would also take
+        # "1_024", "+1024" and non-ASCII digits; five digits hold 2**16
+        if not (window.isascii() and window.isdigit() and len(window) <= 5
+                and 1 <= int(window) <= MAX_RESYNC_WINDOW):
+            raise ProvisionError(
+                f"resync_window must be a decimal 1..{MAX_RESYNC_WINDOW}, got {window!r}",
+                field="resync_window",
+            )
+        return cls(assoc_id, role, mode, seed, root, int(window))
 
 
 @dataclass
@@ -150,59 +192,11 @@ def write_provision_file(pf: ProvisionFile, path) -> None:
 
 
 def read_provision_file(path) -> ProvisionFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ProvisionFile.from_text(fh.read())
-
-
-def _parse_provision(text: str) -> ProvisionFile:
-    seen: dict[str, str] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ProvisionError(f"line {lineno}: expected 'key = value'", field=line)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _FIELD_ORDER:
-            raise ProvisionError(f"unknown field {key!r}", field=key)
-        if key in seen:
-            raise ProvisionError(f"duplicate field {key!r}", field=key)
-        seen[key] = value
-
-    for key in ("assoc_id", "role", "mode", "seed", "root"):
-        if key not in seen:
-            raise ProvisionError(f"missing field {key!r}", field=key)
-
-    assoc_id = parse_hex("assoc_id", seen["assoc_id"], ASSOC_ID_LEN)
-    seed = parse_hex("seed", seen["seed"], 32)
-    root = parse_hex("root", seen["root"], 32)
-
     try:
-        role = Role(seen["role"])
-    except ValueError:
-        raise ProvisionError(f"unknown role {seen['role']!r}", field="role") from None
-    try:
-        mode = Mode(seen["mode"])
-    except ValueError:
-        raise ProvisionError(f"unknown mode {seen['mode']!r}", field="mode") from None
-
-    window = DEFAULT_RESYNC_WINDOW
-    if "resync_window" in seen:
-        try:
-            window = int(seen["resync_window"], 10)
-        except ValueError:
-            raise ProvisionError(
-                f"resync_window is not a decimal integer: {seen['resync_window']!r}",
-                field="resync_window",
-            ) from None
-        if not 1 <= window <= MAX_RESYNC_WINDOW:
-            raise ProvisionError(
-                f"resync_window out of range: {window}", field="resync_window"
-            )
-
-    return ProvisionFile(assoc_id, role, mode, seed, root, window)
+        with open(path, "r", encoding="utf-8") as fh:
+            return ProvisionFile.from_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ProvisionError(f"provision file is not UTF-8 (byte {exc.start})") from None
 
 
 def parse_hex(name: str, value: str, want_len: int) -> bytes:

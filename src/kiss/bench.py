@@ -67,7 +67,7 @@ from .association import (
 )
 from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, seal_wire
-from .defaults import DEFAULT_SIZES
+from .defaults import DEFAULT_SIZES, DEMO_ROOT, DEMO_SEED
 from .errors import InvalidParameterError, TransportError
 from .idvv import _hmac_new, idvv_init, idvv_step
 
@@ -298,8 +298,8 @@ def _bench_assoc(role: Role = Role.INITIATOR, mode: Mode = Mode.AUTH_ONLY) -> As
         assoc_id=bytes(8),
         role=role,
         mode=mode,
-        seed=bytes(range(32)),
-        root=bytes(range(32, 64)),
+        seed=DEMO_SEED,
+        root=DEMO_ROOT,
     )
     return load_association(pf)
 
@@ -332,7 +332,7 @@ def _make_primitive_op(name: str, size: int):
         algo = ec.ECDSA(hashes.SHA256())
         return lambda: key.sign(msg, algo)
     if name == "idvv-step":
-        state = idvv_init(bytes(range(32)), bytes(range(32, 64)), b"bench")
+        state = idvv_init(DEMO_SEED, DEMO_ROOT, b"bench")
         return lambda: idvv_step(state)
     if name == "idvv-seal-authonly":
         assoc, data = _bench_assoc(), MsgType.DATA

@@ -83,10 +83,6 @@ KEY_LABEL_MAC = b"kiss-mac"
 KEY_LABEL_ENC = b"kiss-enc"
 KEY_LABEL_NONCE = b"kiss-nonce"
 
-# Test hook: called as hook(op, seq, label, key) for every derived record
-# key. Left at None in production; never part of the public API.
-_key_trace_hook = None
-
 
 class MsgType(enum.IntEnum):
     HELLO = 0x01
@@ -167,16 +163,12 @@ def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
     return msg_type, mode, assoc_id, seq, end, end + tag_len
 
 
-def _record_keys(value: bytes, seq: int, mode: Mode, op: str):
+def _record_keys(value: bytes, mode: Mode):
     """This record's key and nonce (None in auth-only mode) from its chain value."""
     if mode is _AUTH_ONLY:
-        label, nonce = KEY_LABEL_MAC, None
-    else:
-        label, nonce = KEY_LABEL_ENC, _hmac_new(value, KEY_LABEL_NONCE, "sha256").digest()[:12]
-    key = _hmac_new(value, label, "sha256").digest()
-    if _key_trace_hook is not None:
-        _key_trace_hook(op, seq, label, key)
-    return key, nonce
+        return _hmac_new(value, KEY_LABEL_MAC, "sha256").digest(), None
+    nonce = _hmac_new(value, KEY_LABEL_NONCE, "sha256").digest()[:12]
+    return _hmac_new(value, KEY_LABEL_ENC, "sha256").digest(), nonce
 
 
 def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
@@ -192,7 +184,7 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
     mode, chain = assoc.mode, assoc.send_chain
     value = idvv_step(chain)
     seq = chain.counter
-    key, nonce = _record_keys(value, seq, mode, "seal")
+    key, nonce = _record_keys(value, mode)
     auth_only = mode is _AUTH_ONLY
     raw_mode = _AUTH_ONLY_WIRE if auth_only else _AEAD_WIRE
     # Ciphertext length equals plaintext length in GCM, so the header
@@ -241,7 +233,7 @@ def _open_frame(assoc, wire, header):
     # refuses replays (seq <= counter) and gaps beyond the window
     chain = assoc.recv_chain
     value = idvv_peek(chain, seq, assoc.resync_window)
-    key, nonce = _record_keys(value, seq, mode, "open")
+    key, nonce = _record_keys(value, mode)
     if mode is _AUTH_ONLY:
         if not hmac.compare_digest(_hmac_new(key, wire[:end], "sha256").digest(), wire[end:]):
             raise AuthenticationError("record tag verification failed")
@@ -313,17 +305,6 @@ class ChannelEndpoint:
         # the unread end of the last recv (bytes, or a memoryview of
         # them): the start of the next record(s), never over READ_SIZE
         self._rest = b""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.state is ChannelState.ESTABLISHED:
-            try:
-                self.close()
-            except (KissError, OSError):
-                pass
-        return False
 
     # -- handshake ---------------------------------------------------
 

@@ -28,19 +28,11 @@ from .association import (
 )
 from .channel import ChannelEndpoint
 from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
+from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import KissError
 from .idvv import idvv_init, idvv_step
 
 log = logging.getLogger("kiss")
-
-# fixed demo chain inputs for the randomness and vectors subcommands;
-# any 32-byte pair works, these keep default runs reproducible
-DEMO_SEED = bytes.fromhex(
-    "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
-)
-DEMO_ROOT = bytes.fromhex(
-    "202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
-)
 
 # the message sizes each bench suite runs when --sizes is not given
 _BENCH_SIZES = {"primitives": DEFAULT_SIZES, "channel": (1500,), "tls": (1500,)}

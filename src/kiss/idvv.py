@@ -31,7 +31,6 @@ share them. Nothing here locks.
 
 from __future__ import annotations
 
-import hmac
 import struct
 
 from _hashlib import hmac_new as _hmac_new
@@ -55,9 +54,9 @@ _U64 = struct.Struct(">Q")
 class _Secret:
     """32-byte secret in a wipeable buffer.
 
-    Python cannot scrub immutable ``bytes``, so the canonical storage is a
-    bytearray that ``wipe()`` (and garbage collection) zeroes. Copies handed
-    out via ``.bytes`` are the caller's responsibility.
+    Python cannot scrub immutable ``bytes``, so the only storage is a
+    bytearray that ``wipe()`` (and garbage collection) zeroes. Nothing hands
+    out a copy: the chain keys its PRF with the buffer itself.
     """
 
     __slots__ = ("_buf",)
@@ -71,10 +70,6 @@ class _Secret:
             )
         self._buf = bytearray(data)
 
-    @property
-    def bytes(self) -> bytes:
-        return bytes(self._buf)
-
     def wipe(self) -> None:
         self._buf[:] = _ZEROS
 
@@ -86,14 +81,6 @@ class _Secret:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(<{SECRET_LEN} bytes>)"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Secret):
-            return hmac.compare_digest(self._buf, other._buf)
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} is not hashable")
 
 
 class Seed(_Secret):
@@ -147,16 +134,16 @@ class IdvvState:
 
     @classmethod
     def from_snapshot(cls, seed: Seed | bytes, snap: dict) -> "IdvvState":
-        seed = _as_secret(seed, Seed)
-        value = bytes.fromhex(snap["value"])
-        if len(value) != SECRET_LEN:
-            raise InvalidParameterError("snapshot value must be 32 bytes")
-        counter = int(snap["counter"])
-        if not 0 <= counter <= MAX_COUNTER:
-            raise InvalidParameterError("snapshot counter out of range")
-        label = bytes.fromhex(snap["label"])
+        """Restore a :meth:`snapshot`; a malformed one raises InvalidParameterError."""
+        try:
+            value, label = bytes.fromhex(snap["value"]), bytes.fromhex(snap["label"])
+            counter = snap["counter"]
+        except (KeyError, TypeError, ValueError):
+            raise InvalidParameterError("snapshot needs hex value and label, and a counter") from None
+        if len(value) != SECRET_LEN or type(counter) is not int or not 0 <= counter <= MAX_COUNTER:
+            raise InvalidParameterError("snapshot needs a 32-byte value and an int counter < 2**64")
         _check_label(label)
-        return cls(seed, value, counter, label)
+        return cls(_as_secret(seed, Seed), value, counter, label)
 
     def __repr__(self) -> str:
         return f"IdvvState(label={self._label!r}, counter={self._counter})"

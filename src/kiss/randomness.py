@@ -521,29 +521,22 @@ def run_battery(
     n_bits: int = DEFAULT_STREAM_BITS,
     trials: int = DEFAULT_TRIALS,
     alpha: float = DEFAULT_ALPHA,
-    test_names=None,
     stream_factory=None,
 ) -> RandomnessReport:
-    """Run the battery over ``trials`` independent streams.
+    """Run every test of ``ALL_TESTS`` over ``trials`` independent streams.
 
     Every trial draws a fresh stream (chain labeled ``rs%04d`` by
     default; ``stream_factory(trial, n_bits)`` overrides the source)
-    and runs each selected test on it at significance ``alpha``. An
-    ``n_bits`` below a selected test's ``MIN_BITS`` is refused before
-    any stream is drawn.
+    and runs each test on it at significance ``alpha``. An ``n_bits``
+    below the highest ``MIN_BITS`` (serial's) is refused before any
+    stream is drawn.
     """
     if trials < 20:
         # below ~20 trials the proportion bound has no resolving power
         raise InvalidParameterError(f"trials must be >= 20, got {trials}")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if test_names is None:
-        test_names = list(ALL_TESTS)
-    else:
-        unknown = [t for t in test_names if t not in ALL_TESTS]
-        if unknown:
-            raise InvalidParameterError(f"unknown tests: {', '.join(unknown)}")
-    floor, name = max(((MIN_BITS[t], t) for t in test_names), default=(0, ""))
+    floor, name = max((bits, name) for name, bits in MIN_BITS.items())
     if n_bits < floor:
         raise InvalidParameterError(
             f"{name} test needs at least {floor:,} bits per trial, got {n_bits:,}"
@@ -554,8 +547,8 @@ def run_battery(
 
     # serial's 16-bit pattern count folds exactly to approximate entropy's
     # 11-bit one, so serial runs first and makes each trial's only count
-    run_order = sorted(test_names, key=lambda name: name != "serial")
-    results: dict[str, list[TestResult]] = {name: [] for name in test_names}
+    run_order = sorted(ALL_TESTS, key=lambda name: name != "serial")
+    results: dict[str, list[TestResult]] = {name: [] for name in ALL_TESTS}
     _special()  # so the first trial does not pay SciPy's import
     for trial in range(trials):
         stream = stream_factory(trial, n_bits)

@@ -144,6 +144,15 @@ _FIXED_PF = ProvisionFile(
          "resync_window"),
         (lambda t: t.replace("resync_window = 1024", "resync_window = 0"),
          "resync_window"),
+        (lambda t: t.replace("resync_window = 1024", "resync_window = 1_024"),
+         "resync_window"),
+        (lambda t: t.replace("resync_window = 1024", "resync_window = +1024"),
+         "resync_window"),
+        # Arabic-Indic digits, which int() reads as 10
+        (lambda t: t.replace("resync_window = 1024", "resync_window = \u0661\u0660"),
+         "resync_window"),
+        (lambda t: t.replace("resync_window = 1024", "resync_window = " + "9" * 5000),
+         "resync_window"),
         (lambda t: t + "seed = " + "00" * 32 + "\n", "seed"),  # duplicate
         (lambda t: t + "color = blue\n", "color"),  # unknown key
         (lambda t: t.replace("root = ", "rootless\nroot = "), "rootless"),

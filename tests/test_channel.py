@@ -403,21 +403,17 @@ def test_forged_record_at_the_window_cap_costs_one_chain_walk(monkeypatch):
     assert open_record(receiver, genuine) == (MsgType.DATA, b"genuine")
 
 
-def test_key_freshness_and_agreement(monkeypatch):
-    trace = []
-    monkeypatch.setattr(
-        channel_mod, "_key_trace_hook", lambda op, seq, lbl, key: trace.append(
-            (op, seq, lbl, key)
-        )
-    )
+def test_key_freshness_and_agreement(record_keys):
     for mode in (Mode.AUTH_ONLY, Mode.AEAD):
-        trace.clear()
+        record_keys.clear()
         sender, receiver = _pair(mode)
-        for i in range(10):
-            open_record(receiver, encode_record(seal(sender, MsgType.DATA, b"%d" % i)))
-        seal_keys = {seq: key for op, seq, lbl, key in trace if op == "seal"}
-        open_keys = {seq: key for op, seq, lbl, key in trace if op == "open"}
-        assert len(seal_keys) == len(open_keys) == 10
+        seal_keys, open_keys = {}, {}
+        for seq in range(1, 11):
+            record = seal(sender, MsgType.DATA, b"%d" % seq)
+            seal_keys[record.seq] = record_keys[-1]
+            open_record(receiver, encode_record(record))
+            open_keys[seq] = record_keys[-1]
+        assert len(record_keys) == 20 and len(seal_keys) == 10
         assert seal_keys == open_keys  # both ends derive the same key...
         assert len(set(seal_keys.values())) == 10  # ...and never reuse one
 
@@ -873,17 +869,4 @@ def test_abrupt_eof_is_transport_error():
             resp_ep.receive()
         assert resp_ep.state is ChannelState.CLOSED
     finally:
-        s_resp.close()
-
-
-def test_context_manager_closes():
-    init_ep, resp_ep, s_init, s_resp = _endpoint_pair()
-    try:
-        with init_ep:
-            init_ep.send(b"scoped")
-            assert resp_ep.receive() == b"scoped"
-        assert init_ep.state is ChannelState.CLOSED
-        assert resp_ep.receive() is None
-    finally:
-        s_init.close()
         s_resp.close()

@@ -239,6 +239,15 @@ def test_server_refuses_occupied_port(tmp_path):
         blocker.close()
 
 
+def test_server_refuses_provision_file_that_is_not_utf8(tmp_path):
+    prov = tmp_path / "responder.prov"
+    prov.write_bytes(b"\xff\xfe" + "assoc_id = 00\n".encode("utf-16-le"))
+    result = run_cli("server", "--provision", str(prov))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ProvisionError")
+    assert "Traceback" not in result.stderr
+
+
 def test_server_times_out_silent_client(tmp_path, monkeypatch, capsys):
     # a client that connects and never sends must not hang the server
     assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0

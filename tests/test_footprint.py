@@ -36,11 +36,12 @@ def test_randomness_loads_scipy_only_when_a_test_runs():
         "def factory(trial, n_bits):\n"
         "    seen.setdefault('first trial', 'scipy' in sys.modules)\n"
         "    return r.generate_stream(bytes(32), bytes(32), b'rs%04d' % trial, n_bits)\n"
-        "r.run_battery(bytes(32), bytes(32), n_bits=1000, trials=20,\n"
-        "              test_names=['monobit'], stream_factory=factory)\n"
+        "r.run_battery(bytes(32), bytes(32), n_bits=65_537, trials=20,\n"
+        "              stream_factory=factory)\n"
         "print(json.dumps(seen))"
     )
-    # monobit takes no SciPy function, so the battery alone resolved it
+    # the factory's first call comes before any test runs, so the battery
+    # itself resolved SciPy
     assert seen == {"import": False, "first trial": True}
     seen = _fresh(
         "from kiss import randomness as r\n"

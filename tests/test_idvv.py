@@ -6,7 +6,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kiss.channel as channel_mod
 from kiss.association import LABEL_C2S, Mode, ProvisionFile, Role, load_association
 from kiss.channel import (
     HEADER_LEN,
@@ -27,7 +26,6 @@ from kiss.errors import (
 from kiss.idvv import (
     MAX_COUNTER,
     IdvvState,
-    Root,
     Seed,
     idvv_init,
     idvv_peek,
@@ -183,6 +181,34 @@ def test_peek_leaves_state_and_commit_lands_it(gap):
     assert (state.value, state.counter) == (value, 1 + gap)
 
 
+_SNAP = {"counter": 5, "value": "00" * 32, "label": b"c2s".hex()}
+
+
+@pytest.mark.parametrize(
+    "snap",
+    [
+        {**_SNAP, "value": "zz" * 32},
+        {**_SNAP, "value": "00" * 31},
+        {**_SNAP, "value": None},
+        {**_SNAP, "label": "c2s"},  # not hex
+        {**_SNAP, "label": ""},
+        {**_SNAP, "counter": "x"},
+        {**_SNAP, "counter": "5"},
+        {**_SNAP, "counter": 5.9},  # int() would truncate it without a word
+        {**_SNAP, "counter": True},
+        {**_SNAP, "counter": -1},
+        {**_SNAP, "counter": MAX_COUNTER + 1},
+        *({k: v for k, v in _SNAP.items() if k != missing} for missing in _SNAP),
+        None,
+        [],
+        "counter",
+    ],
+)
+def test_from_snapshot_refuses_malformed_snapshot(snap):
+    with pytest.raises(InvalidParameterError):
+        IdvvState.from_snapshot(SEED, snap)
+
+
 def test_peek_refuses_past_the_last_counter():
     state = IdvvState.from_snapshot(
         SEED, {"counter": MAX_COUNTER - 1, "value": "00" * 32, "label": b"c2s".hex()}
@@ -214,67 +240,58 @@ def _record_pair(mode):
     )
 
 
-def _traced_record_keys(monkeypatch, mode, records):
-    """Seal and open ``records`` records; the wires and {(op, seq): (label, key)}."""
-    trace = {}
-    monkeypatch.setattr(
-        channel_mod,
-        "_key_trace_hook",
-        lambda op, seq, label, key: trace.__setitem__((op, seq), (label, key)),
-    )
+def _traced_record_keys(keys, mode, records):
+    """Seal and open ``records`` records with ``keys`` recording; the wires
+    and {(op, seq): key}."""
+    start, trace = len(keys), {}
     sender, receiver = _record_pair(mode)
     wires = []
-    for i in range(records):
-        wire = encode_record(seal(sender, MsgType.DATA, b"record-%d" % i))
-        assert open_record(receiver, wire) == (MsgType.DATA, b"record-%d" % i)
+    for seq in range(1, records + 1):
+        wire = encode_record(seal(sender, MsgType.DATA, b"record-%d" % seq))
+        trace["seal", seq] = keys[-1]
+        assert open_record(receiver, wire) == (MsgType.DATA, b"record-%d" % seq)
+        trace["open", seq] = keys[-1]
         wires.append(wire)
+    assert len(keys) - start == 2 * records  # one derivation per seal and per open
     return wires, trace
 
 
-def test_derive_key_matches_oracle(monkeypatch):
+def test_derive_key_matches_oracle(record_keys):
     # each record key is the PRF of the record's chain value under a fixed
     # label; the AEAD nonce is the 12-byte prefix under the nonce label
     values = chain_values_ref(SEED, ROOT, LABEL_C2S, 3)
     for mode, label in ((Mode.AUTH_ONLY, KEY_LABEL_MAC), (Mode.AEAD, KEY_LABEL_ENC)):
-        wires, trace = _traced_record_keys(monkeypatch, mode, 3)
+        wires, trace = _traced_record_keys(record_keys, mode, 3)
         for seq, wire in enumerate(wires, start=1):
             key = derive_key_ref(values[seq], label, 32)
-            assert trace["seal", seq] == trace["open", seq] == (label, key)
+            assert trace["seal", seq] == trace["open", seq] == key
             if mode is Mode.AUTH_ONLY:
                 assert wire[-32:] == hmac_sha256_ref(key, wire[:-32])
             else:
                 nonce = derive_key_ref(values[seq], KEY_LABEL_NONCE, 12)
                 plain = AESGCM(key).decrypt(nonce, wire[HEADER_LEN:], wire[:HEADER_LEN])
-                assert plain == b"record-%d" % (seq - 1)
+                assert plain == b"record-%d" % seq
 
 
-def test_derive_key_deterministic_and_separated(monkeypatch):
-    mac_a = _traced_record_keys(monkeypatch, Mode.AUTH_ONLY, 1)[1]["seal", 1]
-    mac_b = _traced_record_keys(monkeypatch, Mode.AUTH_ONLY, 1)[1]["seal", 1]
-    enc = _traced_record_keys(monkeypatch, Mode.AEAD, 1)[1]["seal", 1]
+def test_derive_key_deterministic_and_separated(record_keys):
+    mac_a = _traced_record_keys(record_keys, Mode.AUTH_ONLY, 1)[1]["seal", 1]
+    mac_b = _traced_record_keys(record_keys, Mode.AUTH_ONLY, 1)[1]["seal", 1]
+    enc = _traced_record_keys(record_keys, Mode.AEAD, 1)[1]["seal", 1]
     # the same chain value, seq 1 on c2s, under two labels
     assert mac_a == mac_b
-    assert mac_a[1] != enc[1]
+    assert mac_a != enc
 
 
 def test_value_wipe_zeroes_buffer():
     seed = Seed(SEED)
     seed.wipe()
-    assert seed.bytes == bytes(32)
+    assert seed._buf == bytes(32)
 
 
 def test_secret_repr_redacted():
     seed = Seed(SEED)
     assert SEED.hex() not in repr(seed)
     assert repr(Seed(SEED)) == repr(seed)
-    with pytest.raises(TypeError):
-        hash(seed)
-
-
-def test_secret_equality():
-    assert Seed(SEED) == Seed(SEED)
-    assert Seed(SEED) != Seed(ROOT)
-    assert Root(ROOT) == Root(ROOT)
 
 
 @settings(max_examples=25, deadline=None)
