@@ -8,7 +8,7 @@ carrier replaceable by a networked distributor later.
 
 Provisioning file format (bit-exact): UTF-8, LF line endings, lines of
 ``key = value`` in the order assoc_id, role, mode, seed, root,
-resync_window; hex lowercase; ``#`` starts a comment line.
+resync_window; hex lowercase with no spaces; ``#`` starts a comment line.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ class ProvisionFile:
             raise ProvisionError(f"unknown mode {seen['mode']!r}", field="mode") from None
 
         window = seen.get("resync_window", str(DEFAULT_RESYNC_WINDOW))
-        # ASCII digits only, as to_text writes them: int() would also take
-        # "1_024", "+1024" and non-ASCII digits; five digits hold 2**16
+        # only as to_text writes it: int() would also take "1_024", "+1024",
+        # "01024" and non-ASCII digits; five digits hold 2**16
         if not (window.isascii() and window.isdigit() and len(window) <= 5
-                and 1 <= int(window) <= MAX_RESYNC_WINDOW):
+                and str(int(window)) == window and 1 <= int(window) <= MAX_RESYNC_WINDOW):
             raise ProvisionError(
                 f"resync_window must be a decimal 1..{MAX_RESYNC_WINDOW}, got {window!r}",
                 field="resync_window",
@@ -204,6 +204,8 @@ def parse_hex(name: str, value: str, want_len: int) -> bytes:
         data = bytes.fromhex(value)
     except ValueError:
         raise ProvisionError(f"field {name!r} is not valid hex", field=name) from None
+    if data.hex() != value:  # only as to_text writes it: lowercase, no spaces
+        raise ProvisionError(f"field {name!r} must be lowercase hex, no spaces", field=name)
     if len(data) != want_len:
         raise ProvisionError(
             f"field {name!r} must be {want_len} bytes ({2 * want_len} hex chars), "

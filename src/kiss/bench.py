@@ -16,8 +16,10 @@ returning one ``BenchReport``:
   both sides of the channel-vs-TLS ratio come from one harness.
 
 ``compare_report`` fills a report's ratio column against one of its
-cases, size by size, and ``headline_summary`` prints the channel-vs-TLS
-ratio at each size beside the protocol core's line count.
+cases, size by size. The ``tls`` suite's report is compared against
+``tls1.3``, and ``headline_summary`` prints the ``channel-AUTH_ONLY``
+row's ratio from that same comparison at each size, beside the protocol
+core's line count.
 
 Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
@@ -57,14 +59,7 @@ from cryptography.hazmat.primitives.serialization import (
 )
 from cryptography.x509.oid import NameOID
 
-from .association import (
-    Association,
-    Mode,
-    ProvisionFile,
-    Role,
-    generate_provision,
-    load_association,
-)
+from .association import Association, Mode, ProvisionFile, Role, load_association
 from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, seal_wire
 from .defaults import DEFAULT_SIZES, DEMO_ROOT, DEMO_SEED
@@ -89,7 +84,7 @@ CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
 TLS_CASE = "tls1.3"
 _TLS_HOST = "kiss-bench.test"
 LOOPBACK_MODES = CHANNEL_MODES + (TLS_CASE,)
-# the kiss row that the tls suite's ratio column and headline compare
+# the kiss row whose ratio against TLS_CASE the headline names
 HEADLINE_CASE = "channel-AUTH_ONLY"
 
 CORE_MODULES = ("idvv.py", "association.py", "channel.py")
@@ -158,30 +153,31 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def format_markdown(self) -> str:
-        with_ratio = self.baseline is not None
-        case_w = max([len("case")] + [len(c.case) for c in self.cases])
-        size_w = max([len("size")] + [len(str(c.size_bytes)) for c in self.cases])
-        ratio_w = max(18, len(f"vs {self.baseline}"))
-        notes = [" ".join(filter(None, (c.note, ",".join(c.flags)))) for c in self.cases]
-        note_w = max([len("note")] + [len(n) for n in notes])
-        head = (
-            f"| {'case':{case_w}} | {'size':>{size_w}} | {'ops/sec':>12} | {'MB/sec':>9} "
-            f"| {'p50 us':>8} | {'p99 us':>8} |"
-        )
-        rule = "|" + "|".join("-" * (w + 2) for w in (case_w, size_w, 12, 9, 8, 8)) + "|"
-        if with_ratio:
-            head += f" {'vs ' + self.baseline:>{ratio_w}} |"
-            rule += f"{'-' * (ratio_w + 2)}|"
-        lines = [f"{head} {'note':{note_w}} |", f"{rule}{'-' * (note_w + 2)}|"]
-        for c, note in zip(self.cases, notes):
-            line = (
-                f"| {c.case:{case_w}} | {c.size_bytes:>{size_w}} | {c.ops_per_sec:>12.1f} "
-                f"| {c.mb_per_sec:>9.3f} | {c.p50_us:>8.3f} | {c.p99_us:>8.3f} |"
-            )
-            if with_ratio:
-                ratio = f"{c.ratio:.2f}x" if c.ratio is not None else "-"
-                line += f" {ratio:>{ratio_w}} |"
-            lines.append(f"{line} {note:{note_w}} |")
+        # (header, cell of a case); case and note align left, widths fit the content
+        columns = [
+            ("case", lambda c: c.case),
+            ("size", lambda c: str(c.size_bytes)),
+            ("ops/sec", lambda c: f"{c.ops_per_sec:.1f}"),
+            ("MB/sec", lambda c: f"{c.mb_per_sec:.3f}"),
+            ("p50 us", lambda c: f"{c.p50_us:.3f}"),
+            ("p99 us", lambda c: f"{c.p99_us:.3f}"),
+            ("note", lambda c: " ".join(filter(None, (c.note, ",".join(c.flags))))),
+        ]
+        if self.baseline is not None:
+            columns.insert(-1, (
+                f"vs {self.baseline}", lambda c: "-" if c.ratio is None else f"{c.ratio:.2f}x"
+            ))
+        table = [[head for head, _ in columns]]
+        table += [[cell(c) for _, cell in columns] for c in self.cases]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = [
+            "| " + " | ".join(
+                text.ljust(w) if head in ("case", "note") else text.rjust(w)
+                for text, w, head in zip(row, widths, table[0])
+            ) + " |"
+            for row in table
+        ]
+        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
         env = self.environment
         lines.append("")
         lines.append(
@@ -294,14 +290,7 @@ def _counter_buffer(size: int) -> bytes:
 
 
 def _bench_assoc(role: Role = Role.INITIATOR, mode: Mode = Mode.AUTH_ONLY) -> Association:
-    pf = ProvisionFile(
-        assoc_id=bytes(8),
-        role=role,
-        mode=mode,
-        seed=DEMO_SEED,
-        root=DEMO_ROOT,
-    )
-    return load_association(pf)
+    return load_association(ProvisionFile(bytes(8), role, mode, DEMO_SEED, DEMO_ROOT))
 
 
 def _make_primitive_op(name: str, size: int):
@@ -425,9 +414,9 @@ def _loopback_op(mode: str, msg_size: int, stack: contextlib.ExitStack):
             rest = frame[2]
 
         return op, ""
-    init_pf, resp_pf = generate_provision(mode=Mode[mode])
-    receiver = ChannelEndpoint(load_association(resp_pf), right)
-    sender = ChannelEndpoint(load_association(init_pf), _PeerHandshake(left, receiver))
+    tx, rx = _bench_assoc(Role.INITIATOR, Mode[mode]), _bench_assoc(Role.RESPONDER, Mode[mode])
+    receiver = ChannelEndpoint(rx, right)
+    sender = ChannelEndpoint(tx, _PeerHandshake(left, receiver))
     sender.handshake()
     sender.transport = left
 
@@ -584,29 +573,27 @@ def core_line_count() -> int:
 
 
 def headline_summary(report: BenchReport) -> str:
-    """The channel-vs-TLS throughput ratio at each size that has both a
-    ``HEADLINE_CASE`` and a ``tls1.3`` row, and the code size, with no
-    verdict.
+    """At each size, the ``HEADLINE_CASE`` row's ratio from
+    ``compare_report(report, baseline=TLS_CASE)`` beside both rows' MB/s,
+    then the code size, with no verdict. A size whose ``tls1.3`` row is
+    missing or made no ops has no ratio and no line.
 
     Both figures are environment-dependent; they are reported, not
     judged against a threshold.
     """
-    rows = {(c.case, c.size_bytes): c for c in report.cases}
-    lines = []
-    for size in dict.fromkeys(c.size_bytes for c in report.cases):
-        kiss, tls = rows.get((HEADLINE_CASE, size)), rows.get((TLS_CASE, size))
-        if kiss is None or tls is None:
-            continue
-        ratio = kiss.mb_per_sec / tls.mb_per_sec if tls.mb_per_sec else 0.0
-        lines.append(
-            f"throughput at {size} B: "
-            f"{kiss.case} {kiss.mb_per_sec:.2f} MB/s vs "
-            f"{tls.case} {tls.mb_per_sec:.2f} MB/s (ratio {ratio:.3f})"
-        )
+    tls = {c.size_bytes: c for c in report.cases if c.case == TLS_CASE}
+    cases = compare_report(report, baseline=TLS_CASE).cases if tls else ()
+    lines = [
+        f"throughput at {c.size_bytes} B: "
+        f"{c.case} {c.mb_per_sec:.2f} MB/s vs "
+        f"{TLS_CASE} {tls[c.size_bytes].mb_per_sec:.2f} MB/s (ratio {c.ratio:.3f})"
+        for c in cases
+        if c.case == HEADLINE_CASE and c.ratio is not None
+    ]
     if not lines:
         lines.append(
             f"throughput ratio: not available (no size has both a "
-            f"{HEADLINE_CASE} and a {TLS_CASE} row)"
+            f"{HEADLINE_CASE} row and a {TLS_CASE} row that made ops)"
         )
     lines.append(f"protocol core: {core_line_count()} source lines")
     return "\n".join(lines) + "\n"

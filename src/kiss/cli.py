@@ -35,7 +35,7 @@ from .idvv import idvv_init, idvv_step
 log = logging.getLogger("kiss")
 
 # the message sizes each bench suite runs when --sizes is not given
-_BENCH_SIZES = {"primitives": DEFAULT_SIZES, "channel": (1500,), "tls": (1500,)}
+_BENCH_SIZES = {"primitives": DEFAULT_SIZES, "tls": (1500,)}
 
 # seconds either endpoint waits on a silent peer before it gives up
 IO_TIMEOUT_S = 30.0
@@ -150,15 +150,15 @@ def cmd_bench(args) -> int:
     sizes = _BENCH_SIZES[args.suite] if args.sizes is None else _parse_sizes(args.sizes)
     if args.suite == "primitives":
         report = bench_mod.bench_primitives(sizes=sizes, duration=args.duration)
+        print(report.format_markdown())
     else:
         # all rows of the suite in one round-robin call, so that the ratio
         # column compares rows the same host drift touched
-        modes = bench_mod.LOOPBACK_MODES if args.suite == "tls" else bench_mod.CHANNEL_MODES
-        report = bench_mod.bench_loopback(modes, sizes, args.duration)
-    if args.suite == "tls":
-        report = bench_mod.compare_report(report, baseline=bench_mod.HEADLINE_CASE)
-    print(report.format_markdown())
-    if args.suite == "tls":
+        report = bench_mod.compare_report(
+            bench_mod.bench_loopback(bench_mod.LOOPBACK_MODES, sizes, args.duration),
+            baseline=bench_mod.TLS_CASE,
+        )
+        print(report.format_markdown())
         print(bench_mod.headline_summary(report))
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_client)
 
     p = sub.add_parser("bench", help="run a benchmark suite")
-    p.add_argument("--suite", choices=("primitives", "channel", "tls"), required=True)
+    p.add_argument("--suite", choices=_BENCH_SIZES, required=True)
     p.add_argument("--csv", help="also write machine-readable CSV here")
     defaults = "; ".join(
         f"{suite} {','.join(map(str, sizes))}" for suite, sizes in _BENCH_SIZES.items()
@@ -253,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="significance level (default: %(default)s)",
     )
     p.add_argument("--csv", help="also write per-trial CSV here")
-    p.add_argument("--seed", help="chain seed, 64 hex chars")
-    p.add_argument("--root", help="chain root, 64 hex chars")
+    p.add_argument("--seed", help="chain seed, 64 lowercase hex chars")
+    p.add_argument("--root", help="chain root, 64 lowercase hex chars")
     p.set_defaults(func=cmd_randomness)
 
     p = sub.add_parser("vectors", help="print known-answer chain vectors")
-    p.add_argument("--seed", help="chain seed, 64 hex chars (default all zero)")
-    p.add_argument("--root", help="chain root, 64 hex chars (default all zero)")
+    p.add_argument("--seed", help="chain seed, 64 lowercase hex chars (default all zero)")
+    p.add_argument("--root", help="chain root, 64 lowercase hex chars (default all zero)")
     p.add_argument("--label", default="c2s", help="direction label")
     p.add_argument("--count", type=int, default=4, help="number of values to print")
     p.set_defaults(func=cmd_vectors)
@@ -272,10 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KissError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (KissError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -140,6 +140,8 @@ class IdvvState:
             counter = snap["counter"]
         except (KeyError, TypeError, ValueError):
             raise InvalidParameterError("snapshot needs hex value and label, and a counter") from None
+        if (value.hex(), label.hex()) != (snap["value"], snap["label"]):
+            raise InvalidParameterError("snapshot hex must be lowercase, with no spaces")
         if len(value) != SECRET_LEN or type(counter) is not int or not 0 <= counter <= MAX_COUNTER:
             raise InvalidParameterError("snapshot needs a 32-byte value and an int counter < 2**64")
         _check_label(label)

@@ -474,10 +474,20 @@ class RandomnessReport:
     n_bits: int
     trials: int
     alpha: float
-    min_pass: int
     results: dict[str, list[TestResult]]
-    pass_counts: dict[str, int]
-    passed: bool
+
+    # the verdict is derived from the trials, never stored beside them
+    @property
+    def min_pass(self) -> int:
+        return min_pass_count(self.trials, self.alpha)
+
+    @property
+    def pass_counts(self) -> dict[str, int]:
+        return {name: sum(r.passed for r in rs) for name, rs in self.results.items()}
+
+    @property
+    def passed(self) -> bool:
+        return all(count >= self.min_pass for count in self.pass_counts.values())
 
     def to_csv(self) -> str:
         lines = ["test,trial,p_value,pass"]
@@ -554,19 +564,4 @@ def run_battery(
         stream = stream_factory(trial, n_bits)
         for name in run_order:
             results[name].append(ALL_TESTS[name](stream, alpha=alpha))
-
-    threshold = min_pass_count(trials, alpha)
-    pass_counts = {
-        name: sum(r.passed for r in trial_results)
-        for name, trial_results in results.items()
-    }
-    verdict = all(count >= threshold for count in pass_counts.values())
-    return RandomnessReport(
-        n_bits=n_bits,
-        trials=trials,
-        alpha=alpha,
-        min_pass=threshold,
-        results=results,
-        pass_counts=pass_counts,
-        passed=verdict,
-    )
+    return RandomnessReport(n_bits=n_bits, trials=trials, alpha=alpha, results=results)

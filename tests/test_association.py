@@ -136,6 +136,13 @@ _FIXED_PF = ProvisionFile(
         (lambda t: t.replace("seed = 00", "seed = 0000"), "seed"),  # 66 chars
         (lambda t: t.replace("seed = 00", "seed = zz"), "seed"),
         (lambda t: t.replace("root = 20", "root = abc"), "root"),
+        # hex and windows only as to_text writes them
+        pytest.param(lambda t: t.replace("seed = 00", "seed = 00 "), "seed",
+                     id="seed-with-space"),
+        pytest.param(lambda t: t.replace(_FIXED_PF.root.hex(), _FIXED_PF.root.hex().upper()),
+                     "root", id="uppercase-root"),
+        pytest.param(lambda t: t.replace("resync_window = 1024", "resync_window = 01024"),
+                     "resync_window", id="window-with-leading-zero"),
         (lambda t: t.replace("assoc_id = 00112233445566aa", "assoc_id = 11"),
          "assoc_id"),
         (lambda t: t.replace("role = initiator", "role = leader"), "role"),

@@ -663,3 +663,16 @@ def test_headline_survives_missing_external_row():
     assert "not available" in text
     assert "throughput at" not in text
     assert "source lines" in text
+
+
+@pytest.mark.parametrize(
+    "tls_rows",
+    [(_case(TLS_CASE, 1500, 0.0),), ()],
+    ids=["tls-row-made-no-ops", "no-tls-row"],
+)
+def test_headline_has_no_ratio_without_a_usable_tls_row(tls_rows):
+    report = _report("tls", _case("channel-AUTH_ONLY", 1500, 10_000.0), *tls_rows)
+    text = headline_summary(report)
+    assert "not available" in text
+    assert "throughput at" not in text and "ratio 0.000" not in text
+    assert "source lines" in text

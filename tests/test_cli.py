@@ -87,10 +87,13 @@ def test_provision_unwritable_path_exits_one():
          "--send", "a", "--count", "2"],  # mutually exclusive
         ["provision", "--window", "soon"],
         ["bench", "--suite", "tls", "--tls-command", "x"],  # no such flag
+        ["bench", "--suite", "channel"],  # its rows are the first rows of tls
     ],
 )
 def test_usage_errors_exit_two(argv):
-    assert run_cli(*argv).returncode == 2
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
 
 
 # -- vectors -------------------------------------------------------------
@@ -142,6 +145,14 @@ def test_vectors_rejects_bad_hex():
     result = run_cli("vectors", "--seed", "xyz")
     assert result.returncode == 1
     assert "error" in result.stderr
+
+
+def test_vectors_refuses_hex_not_in_lowercase():
+    # --seed and --root are read as a .prov file's hex fields are
+    result = run_cli("vectors", "--seed", "AB" * 32)
+    assert result.returncode == 1
+    assert "lowercase" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 # -- server/client loop ----------------------------------------------------
@@ -363,25 +374,7 @@ def test_bench_primitives_cli(tmp_path):
     assert len(lines) == 1 + 9
 
 
-def test_bench_cli_channel_suite(tmp_path):
-    csv_path = tmp_path / "channel.csv"
-    result = run_cli(
-        "bench", "--suite", "channel",
-        "--sizes", "256", "--duration", "0.3",
-        "--csv", str(csv_path),
-    )
-    assert result.returncode == 0, result.stderr
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
-    assert [line.split(",")[:2] for line in lines[1:]] == [
-        ["channel-AUTH_ONLY", "256"],
-        ["channel-AEAD", "256"],
-        ["channel-plaintext-baseline", "256"],
-    ]
-    assert "channel-plaintext-baseline" in result.stdout
-
-
-@pytest.mark.parametrize("suite", ["channel", "tls"])
+@pytest.mark.parametrize("suite", ["tls"])
 def test_bench_zero_duration_exits_one(suite):
     result = run_cli("bench", "--suite", suite, "--sizes", "256", "--duration", "0")
     assert result.returncode == 1
@@ -390,7 +383,7 @@ def test_bench_zero_duration_exits_one(suite):
 
 def test_bench_msg_size_above_record_cap_exits_one():
     result = run_cli(
-        "bench", "--suite", "channel", "--sizes", "1048577", "--duration", "0.3"
+        "bench", "--suite", "tls", "--sizes", "1048577", "--duration", "0.3"
     )
     assert result.returncode == 1
     assert "msg_size" in result.stderr
@@ -423,7 +416,7 @@ def test_bench_bad_sizes_exit_one_before_measuring(sizes):
     [
         (f"--{name}", value, suite)
         for name, value in (("iterations", "5000"), ("msg-size", "99999"))
-        for suite in ("primitives", "channel", "tls")
+        for suite in ("primitives", "tls")
     ],
 )
 def test_bench_suite_refuses_flag_it_does_not_use(flag, value, suite):
@@ -450,14 +443,22 @@ def test_bench_tls_cli(tmp_path):
         for case in ("channel-AUTH_ONLY", "channel-AEAD", "channel-plaintext-baseline", "tls1.3")
         for size in ("64", "256")
     ]
-    # every ratio is against this row at the same size
-    assert lines[1].endswith(",1.0000") and lines[2].endswith(",1.0000")
+    # every ratio is against the tls1.3 row at the same size
+    assert lines[-2].endswith(",1.0000") and lines[-1].endswith(",1.0000")
     assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
-    assert "vs channel-AUTH_ONLY" in result.stdout
+    assert "vs tls1.3" in result.stdout
+    ratios = {
+        int(line.split(",")[1]): float(line.rsplit(",", 1)[1])
+        for line in lines[1:]
+        if line.startswith("channel-AUTH_ONLY,")
+    }
     for size in (64, 256):
         headline = result.stdout.split(f"throughput at {size} B:")[1].splitlines()[0]
         assert "channel-AUTH_ONLY" in headline and "tls1.3" in headline
-        assert "ratio" in headline
+        # the headline's ratio is the row's ratio column: one figure, printed
+        # to 3 decimals there and to 4 in the CSV
+        shown = float(headline.split("(ratio ")[1].rstrip(")"))
+        assert shown == pytest.approx(ratios[size], abs=6e-4)
     assert "source lines" in result.stdout
 
 

@@ -202,6 +202,8 @@ _SNAP = {"counter": 5, "value": "00" * 32, "label": b"c2s".hex()}
         None,
         [],
         "counter",
+        {**_SNAP, "value": "AB" * 32},  # hex only as snapshot() writes it
+        {**_SNAP, "label": " " + b"c2s".hex()},
     ],
 )
 def test_from_snapshot_refuses_malformed_snapshot(snap):

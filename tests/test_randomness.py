@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -587,6 +588,23 @@ def test_battery_deterministic_and_complete():
         assert len(trial_results) == 20
         assert a.pass_counts[name] == sum(r.passed for r in trial_results)
     assert a.passed == all(c >= a.min_pass for c in a.pass_counts.values())
+
+
+def test_battery_verdict_is_derived_from_its_trials():
+    report = run_battery(SEED, ROOT, n_bits=65_537, trials=20)
+    assert report.min_pass == min_pass_count(report.trials, report.alpha)
+    assert report.pass_counts == {
+        name: sum(r.passed for r in rs) for name, rs in report.results.items()
+    }
+    assert report.passed == all(c >= report.min_pass for c in report.pass_counts.values())
+    # the counts and the verdict follow the trials, so they cannot disagree
+    report.results["monobit"] = [
+        replace(r, p_value=0.0, passed=False) for r in report.results["monobit"]
+    ]
+    assert report.pass_counts["monobit"] == 0
+    assert not report.passed
+    report.alpha = 0.1
+    assert report.min_pass == min_pass_count(20, 0.1)
 
 
 def test_battery_full_suite_small_scale():
