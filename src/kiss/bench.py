@@ -1,36 +1,35 @@
 """Micro-benchmarks for the primitives and the channel itself.
 
-Two entry points of one shape, ``(what, sizes, duration)``, each
-returning one ``BenchReport``:
+One runner, ``run_suite(suite, sizes, duration)``, times one row per
+case and size of a suite's row table and returns one ``BenchReport``:
 
-* ``bench_primitives`` times raw crypto operations (hashing, MAC, AEAD,
+* ``primitives`` times raw crypto operations (hashing, MAC, AEAD,
   signatures, chain stepping, record sealing, and a record sealed and
   opened in memory in each mode) over counter-filled buffers so runs
   are byte-comparable.
-* ``bench_loopback`` times loopback pairs whose op sends one message
-  and receives it on the calling thread: the channel modes, a plaintext
-  baseline that packs the frames ``seal_wire`` would send, zero-tagged,
-  and reads them through the endpoint's own framing reader, isolating
-  the cost of the cryptography, and in-process TLS 1.3 (stdlib ``ssl``,
-  a fresh self-signed P-256 certificate that the client verifies), so
+* ``tls`` times loopback pairs whose op sends one message and receives
+  it on the calling thread: the channel modes, a plaintext baseline
+  that packs the frames ``seal_wire`` would send, zero-tagged, and
+  reads them through the endpoint's own framing reader, isolating the
+  cost of the cryptography, and in-process TLS 1.3 (stdlib ``ssl``, a
+  fresh self-signed P-256 certificate that the client verifies), so
   both sides of the channel-vs-TLS ratio come from one harness.
 
-``compare_report`` fills a report's ratio column against one of its
-cases, size by size. The ``tls`` suite's report is compared against
-``tls1.3``, and ``headline_summary`` prints the ``channel-AUTH_ONLY``
-row's ratio from that same comparison at each size, beside the protocol
-core's line count.
+The ratio is derived, never stored: a report with a ``tls1.3`` row
+takes each row's ops/sec over the ``tls1.3`` row's at the same size
+(``BenchReport.ratios``). The CSV, the table and ``headline_summary``,
+which prints the ``channel-AUTH_ONLY`` row's ratio at each size beside
+the protocol core's line count, all read that one computation.
 
 Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
 
 All timing uses the monotonic clock and batched loops, with warmup
-excluded. Every row, primitive or loopback, is timed by one sampler:
-the rows of one call run in calibrated round-robin batches until each
-has spent ``duration`` seconds in at least ``MIN_BATCHES`` batches, and
-throughput and percentiles come from the same samples. Per-batch op
-cost feeds the percentiles, so p50/p99 describe batch means, not
-single-op tails.
+excluded. Every row is timed by one sampler: the rows of one run go
+in calibrated round-robin batches until each has spent ``duration``
+seconds in at least ``MIN_BATCHES`` batches, and throughput and
+percentiles come from the same samples. Per-batch op cost feeds the
+percentiles, so p50/p99 describe batch means, not single-op tails.
 """
 
 from __future__ import annotations
@@ -44,8 +43,9 @@ import socket
 import ssl
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 
 from cryptography import x509
@@ -62,28 +62,14 @@ from cryptography.x509.oid import NameOID
 from .association import Association, Mode, ProvisionFile, Role, load_association
 from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, seal_wire
-from .defaults import DEFAULT_SIZES, DEMO_ROOT, DEMO_SEED
+from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import InvalidParameterError, TransportError
 from .idvv import _hmac_new, idvv_init, idvv_step
 
-PRIMITIVES = (
-    "hash-sha256",
-    "hmac-sha256",
-    "aead-aes256gcm",
-    "sign-rsa2048",
-    "sign-ecdsa-p256",
-    "idvv-step",
-    "idvv-seal-authonly",
-    "idvv-seal-open-authonly",
-    "idvv-seal-open-aead",
-)
-
-CHANNEL_MODES = ("AUTH_ONLY", "AEAD", "plaintext-baseline")
-
-# the TLS baseline's loopback mode and case name, and its certificate's host
+# the TLS baseline's case name, which every ratio is taken against, and
+# its certificate's host
 TLS_CASE = "tls1.3"
 _TLS_HOST = "kiss-bench.test"
-LOOPBACK_MODES = CHANNEL_MODES + (TLS_CASE,)
 # the kiss row whose ratio against TLS_CASE the headline names
 HEADLINE_CASE = "channel-AUTH_ONLY"
 
@@ -126,49 +112,65 @@ class BenchCase:
     p99_us: float
     note: str = ""
     flags: tuple[str, ...] = ()
-    ratio: float | None = None  # ops/sec against the report's baseline case
 
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Rows of one run; ``baseline`` names the case every ``ratio`` is
-    taken against, and only a report with one renders the ratio column."""
+    """Rows of one run; a report with a ``tls1.3`` row renders a ratio
+    column from ``ratios()``."""
 
     suite: str
     cases: tuple[BenchCase, ...]
     environment: dict = field(default_factory=dict)
-    baseline: str | None = None
+
+    def ratios(self) -> tuple[float | None, ...] | None:
+        """Each row's ops/sec over the ``tls1.3`` row's at the same size,
+        in row order; None for a report with no ``tls1.3`` row. A size
+        whose ``tls1.3`` row is missing or made no ops gets no ratio."""
+        base = {c.size_bytes: c.ops_per_sec for c in self.cases if c.case == TLS_CASE}
+        if not base:
+            return None
+        return tuple(
+            c.ops_per_sec / base[c.size_bytes] if base.get(c.size_bytes) else None
+            for c in self.cases
+        )
 
     def to_csv(self) -> str:
+        ratios = self.ratios()
         head = "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
-        lines = [head + (",ratio" if self.baseline is not None else "")]
-        for c in self.cases:
+        lines = [head + (",ratio" if ratios is not None else "")]
+        for c, ratio in zip(self.cases, ratios or itertools.repeat(None)):
             line = (
                 f"{c.case},{c.size_bytes},{c.ops_per_sec:.2f},"
                 f"{c.mb_per_sec:.3f},{c.p50_us:.3f},{c.p99_us:.3f}"
             )
-            if self.baseline is not None:
-                line += "," + (f"{c.ratio:.4f}" if c.ratio is not None else "")
+            if ratios is not None:
+                line += "," + (f"{ratio:.4f}" if ratio is not None else "")
             lines.append(line)
         return "\n".join(lines) + "\n"
 
     def format_markdown(self) -> str:
-        # (header, cell of a case); case and note align left, widths fit the content
+        ratios = self.ratios()
+        # (header, cell of a case and its ratio); case and note align left,
+        # widths fit the content
         columns = [
-            ("case", lambda c: c.case),
-            ("size", lambda c: str(c.size_bytes)),
-            ("ops/sec", lambda c: f"{c.ops_per_sec:.1f}"),
-            ("MB/sec", lambda c: f"{c.mb_per_sec:.3f}"),
-            ("p50 us", lambda c: f"{c.p50_us:.3f}"),
-            ("p99 us", lambda c: f"{c.p99_us:.3f}"),
-            ("note", lambda c: " ".join(filter(None, (c.note, ",".join(c.flags))))),
+            ("case", lambda c, r: c.case),
+            ("size", lambda c, r: str(c.size_bytes)),
+            ("ops/sec", lambda c, r: f"{c.ops_per_sec:.1f}"),
+            ("MB/sec", lambda c, r: f"{c.mb_per_sec:.3f}"),
+            ("p50 us", lambda c, r: f"{c.p50_us:.3f}"),
+            ("p99 us", lambda c, r: f"{c.p99_us:.3f}"),
+            ("note", lambda c, r: " ".join(filter(None, (c.note, ",".join(c.flags))))),
         ]
-        if self.baseline is not None:
+        if ratios is not None:
             columns.insert(-1, (
-                f"vs {self.baseline}", lambda c: "-" if c.ratio is None else f"{c.ratio:.2f}x"
+                f"vs {TLS_CASE}", lambda c, r: "-" if r is None else f"{r:.2f}x"
             ))
         table = [[head for head, _ in columns]]
-        table += [[cell(c) for _, cell in columns] for c in self.cases]
+        table += [
+            [cell(c, r) for _, cell in columns]
+            for c, r in zip(self.cases, ratios or itertools.repeat(None))
+        ]
         widths = [max(map(len, column)) for column in zip(*table)]
         lines = [
             "| " + " | ".join(
@@ -230,29 +232,29 @@ def _case_done(times: list[float], duration: float) -> bool:
 
 
 def _measure_cases(rows, duration: float) -> list[BenchCase]:
-    """Time ``(case, size, op)`` triples, one batch of each per round.
+    """Time ``(case, size, op, note)`` rows, one batch of each per round.
 
     The host's speed drifts over seconds. Timing the cases in turn rather
     than one after another lets that drift touch every case alike, so the
     ratios between cases measure the ops and not the moment each was timed.
     """
-    batches = [_calibrate_batch(op) for _, _, op in rows]
+    batches = [_calibrate_batch(op) for _, _, op, _ in rows]
     for _ in range(WARMUP):
-        for (_, _, op), batch in zip(rows, batches):
+        for (_, _, op, _), batch in zip(rows, batches):
             _run_batch(op, batch)
 
     times: list[list[float]] = [[] for _ in rows]
     while not all(_case_done(t, duration) for t in times):
-        for (_, _, op), batch, t in zip(rows, batches, times):
+        for (_, _, op, _), batch, t in zip(rows, batches, times):
             if not _case_done(t, duration):
                 t.append(_run_batch(op, batch))
     return [
-        _summarise(case, size, batch, t)
-        for (case, size, _), batch, t in zip(rows, batches, times)
+        _summarise(case, size, note, batch, t)
+        for (case, size, _, note), batch, t in zip(rows, batches, times)
     ]
 
 
-def _summarise(case: str, size: int, batch: int, times: list[float]) -> BenchCase:
+def _summarise(case: str, size: int, note: str, batch: int, times: list[float]) -> BenchCase:
     total = sum(times)
     ops = len(times) * batch
     per_op_us = sorted(t / batch * 1e6 for t in times)
@@ -268,6 +270,7 @@ def _summarise(case: str, size: int, batch: int, times: list[float]) -> BenchCas
         mb_per_sec=rate * size / 1e6,
         p50_us=_percentile(per_op_us, 50.0),
         p99_us=_percentile(per_op_us, 99.0),
+        note=note,
         flags=flags,
     )
 
@@ -282,7 +285,7 @@ def _percentile(sorted_vals: list[float], pct: float) -> float:
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
-# -- primitive benchmarks ---------------------------------------------
+# -- row factories ----------------------------------------------------
 
 
 def _counter_buffer(size: int) -> bytes:
@@ -293,65 +296,56 @@ def _bench_assoc(role: Role = Role.INITIATOR, mode: Mode = Mode.AUTH_ONLY) -> As
     return load_association(ProvisionFile(bytes(8), role, mode, DEMO_SEED, DEMO_ROOT))
 
 
-def _make_primitive_op(name: str, size: int):
-    msg = _counter_buffer(size)
-    if name == "hash-sha256":
-        return lambda: hashlib.sha256(msg).digest()
-    if name == "hmac-sha256":
-        key = bytes(range(32))
-        return lambda: _hmac_new(key, msg, "sha256").digest()
-    if name == "aead-aes256gcm":
-        # the record layer never reuses a key, so the schedule setup is
-        # part of the honest per-message cost; key varies per op
-        nonce = bytes(12)
-        counter = itertools.count()
-
-        def gcm_op():
-            key = next(counter).to_bytes(32, "big")
-            AESGCM(key).encrypt(nonce, msg, b"")
-
-        return gcm_op
-    if name == "sign-rsa2048":
-        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        pad = padding.PKCS1v15()
-        algo = hashes.SHA256()
-        return lambda: key.sign(msg, pad, algo)
-    if name == "sign-ecdsa-p256":
-        key = ec.generate_private_key(ec.SECP256R1())
-        algo = ec.ECDSA(hashes.SHA256())
-        return lambda: key.sign(msg, algo)
-    if name == "idvv-step":
-        state = idvv_init(DEMO_SEED, DEMO_ROOT, b"bench")
-        return lambda: idvv_step(state)
-    if name == "idvv-seal-authonly":
-        assoc, data = _bench_assoc(), MsgType.DATA
-        return lambda: seal_wire(assoc, data, msg)
-    if name in ("idvv-seal-open-authonly", "idvv-seal-open-aead"):
-        mode = Mode.AEAD if name.endswith("aead") else Mode.AUTH_ONLY
-        tx, rx = _bench_assoc(Role.INITIATOR, mode), _bench_assoc(Role.RESPONDER, mode)
-        data = MsgType.DATA
-        return lambda: open_record(rx, seal_wire(tx, data, msg))
-    raise InvalidParameterError(f"unknown primitive {name!r}")
+def _hash_op(msg: bytes, stack: contextlib.ExitStack):
+    return (lambda: hashlib.sha256(msg).digest()), ""
 
 
-def bench_primitives(names=PRIMITIVES, sizes=DEFAULT_SIZES, duration: float = 1.0) -> BenchReport:
-    """One row per primitive (of ``PRIMITIVES``) and size, all timed in
-    round-robin batches by one ``_measure_cases`` call."""
-    for name in names:
-        if name not in PRIMITIVES:
-            raise InvalidParameterError(f"unknown primitive {name!r}")
-    _check_run(sizes, duration)
-    rows = [
-        (name, size, _make_primitive_op(name, size))
-        for name in names
-        for size in sizes
-    ]
-    return BenchReport(
-        "primitives", tuple(_measure_cases(rows, duration)), environment_fingerprint()
-    )
+def _hmac_op(msg: bytes, stack: contextlib.ExitStack):
+    key = bytes(range(32))
+    return (lambda: _hmac_new(key, msg, "sha256").digest()), ""
 
 
-# -- loopback benchmarks ----------------------------------------------
+def _gcm_op(msg: bytes, stack: contextlib.ExitStack):
+    # the record layer never reuses a key, so the schedule setup is
+    # part of the honest per-message cost; key varies per op
+    nonce = bytes(12)
+    counter = itertools.count()
+
+    def op():
+        key = next(counter).to_bytes(32, "big")
+        AESGCM(key).encrypt(nonce, msg, b"")
+
+    return op, ""
+
+
+def _rsa_op(msg: bytes, stack: contextlib.ExitStack):
+    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    pad = padding.PKCS1v15()
+    algo = hashes.SHA256()
+    return (lambda: key.sign(msg, pad, algo)), ""
+
+
+def _ecdsa_op(msg: bytes, stack: contextlib.ExitStack):
+    key = ec.generate_private_key(ec.SECP256R1())
+    algo = ec.ECDSA(hashes.SHA256())
+    return (lambda: key.sign(msg, algo)), ""
+
+
+def _step_op(msg: bytes, stack: contextlib.ExitStack):
+    state = idvv_init(DEMO_SEED, DEMO_ROOT, b"bench")
+    return (lambda: idvv_step(state)), ""
+
+
+def _seal_op(msg: bytes, stack: contextlib.ExitStack):
+    assoc, data = _bench_assoc(), MsgType.DATA
+    return (lambda: seal_wire(assoc, data, msg)), ""
+
+
+def _seal_open_op(mode: Mode, msg: bytes, stack: contextlib.ExitStack):
+    tx, rx = _bench_assoc(Role.INITIATOR, mode), _bench_assoc(Role.RESPONDER, mode)
+    data = MsgType.DATA
+    return (lambda: open_record(rx, seal_wire(tx, data, msg))), ""
+
 
 # what the send side of a loopback pair must hold: one message at the
 # record cap plus its framing (a record header and tag, or TLS's 22
@@ -362,59 +356,9 @@ _SOCK_BUF = MAX_PAYLOAD + _FRAMING
 _TLS_ROUNDS = 8
 
 
-def bench_loopback(modes, sizes, duration: float) -> BenchReport:
-    """One row per mode (of ``LOOPBACK_MODES``) and size, all timed in
-    round-robin batches by one ``_measure_cases`` call.
-
-    Each row is a socketpair, set up and hand-shaken once, whose op sends
-    one message and receives it on the calling thread, so its rate counts
-    both sides' CPU and a send and a receive syscall per message. The
-    ``tls1.3`` row's note names the protocol and cipher suite negotiated.
-    """
-    for mode in modes:
-        if mode not in LOOPBACK_MODES:
-            raise InvalidParameterError(f"unknown loopback mode {mode!r}")
-    _check_run(sizes, duration)
-    rows, notes = [], []
-    with contextlib.ExitStack() as stack:
-        for mode, size in itertools.product(modes, sizes):
-            op, note = _loopback_op(mode, size, stack)
-            rows.append((mode if mode == TLS_CASE else f"channel-{mode}", size, op))
-            notes.append(note)
-        cases = _measure_cases(rows, duration)
-    suite = "tls" if TLS_CASE in modes else "channel"
-    return BenchReport(
-        suite,
-        tuple(replace(case, note=note) for case, note in zip(cases, notes)),
-        environment_fingerprint(),
-    )
-
-
-def _loopback_op(mode: str, msg_size: int, stack: contextlib.ExitStack):
-    """Set up one pair for ``mode``; return its op and the row's note."""
-    left, right = _loopback_pair(msg_size, stack)
-    msg = _counter_buffer(msg_size)
-    if mode == TLS_CASE:
-        return _tls_op(left, right, msg, stack)
-    if mode == "plaintext-baseline":
-        # the frames seal_wire would send, with a zeroed tag
-        pack, seq, data = _HEADER.pack, itertools.count(1), MsgType.DATA
-        assoc_id, zero_tag = bytes(8), bytes(TAG_LEN[Mode.AUTH_ONLY])
-        rest = b""  # read-ahead kept across records, as an endpoint does
-
-        def op():
-            nonlocal rest
-            header = pack(
-                MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq), msg_size
-            )
-            left.sendall(b"".join((header, msg, zero_tag)))
-            frame = _read_frame(right.recv, rest)
-            if frame is None:
-                raise TransportError("loopback pair closed")
-            rest = frame[2]
-
-        return op, ""
-    tx, rx = _bench_assoc(Role.INITIATOR, Mode[mode]), _bench_assoc(Role.RESPONDER, Mode[mode])
+def _channel_op(mode: Mode, msg: bytes, stack: contextlib.ExitStack):
+    left, right = _loopback_pair(len(msg), stack)
+    tx, rx = _bench_assoc(Role.INITIATOR, mode), _bench_assoc(Role.RESPONDER, mode)
     receiver = ChannelEndpoint(rx, right)
     sender = ChannelEndpoint(tx, _PeerHandshake(left, receiver))
     sender.handshake()
@@ -426,6 +370,56 @@ def _loopback_op(mode: str, msg_size: int, stack: contextlib.ExitStack):
             raise TransportError("loopback peer closed the channel")
 
     return op, ""
+
+
+def _plaintext_op(msg: bytes, stack: contextlib.ExitStack):
+    """The frames ``seal_wire`` would send, with a zeroed tag."""
+    left, right = _loopback_pair(len(msg), stack)
+    pack, seq, data = _HEADER.pack, itertools.count(1), MsgType.DATA
+    assoc_id, zero_tag, size = bytes(8), bytes(TAG_LEN[Mode.AUTH_ONLY]), len(msg)
+    rest = b""  # read-ahead kept across records, as an endpoint does
+
+    def op():
+        nonlocal rest
+        header = pack(MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq), size)
+        left.sendall(b"".join((header, msg, zero_tag)))
+        frame = _read_frame(right.recv, rest)
+        if frame is None:
+            raise TransportError("loopback pair closed")
+        rest = frame[2]
+
+    return op, ""
+
+
+def _tls_op(msg: bytes, stack: contextlib.ExitStack):
+    """Wrap a loopback pair in TLS and step both handshakes on this thread;
+    the note names the protocol and cipher suite negotiated."""
+    left, right = _loopback_pair(len(msg), stack)
+    server_ctx, client_ctx = _tls_contexts()
+    tx = stack.enter_context(client_ctx.wrap_socket(
+        left, server_hostname=_TLS_HOST, do_handshake_on_connect=False
+    ))
+    rx = stack.enter_context(server_ctx.wrap_socket(
+        right, server_side=True, do_handshake_on_connect=False
+    ))
+    tx.setblocking(False)
+    rx.setblocking(False)
+    # a finished side's do_handshake() returns at once; version() is None
+    # until the side has finished
+    for sock in (tx, rx) * _TLS_ROUNDS:
+        with contextlib.suppress(ssl.SSLWantReadError, ssl.SSLWantWriteError):
+            sock.do_handshake()
+    if tx.version() is None or rx.version() is None:
+        raise TransportError(f"TLS handshake unfinished after {_TLS_ROUNDS} rounds")
+    tx.setblocking(True)
+    rx.setblocking(True)
+    size = len(msg)
+
+    def op():
+        tx.sendall(msg)
+        _read_exact(rx.recv, size)
+
+    return op, f"{tx.version()} {tx.cipher()[0]}"
 
 
 def _loopback_pair(msg_size: int, stack: contextlib.ExitStack):
@@ -461,35 +455,6 @@ class _PeerHandshake:
         if self._responder.state is ChannelState.NEW:
             self._responder.handshake()
         return self._recv(n)
-
-
-def _tls_op(left, right, msg: bytes, stack: contextlib.ExitStack):
-    """Wrap a pair in TLS and step both handshakes on this thread."""
-    server_ctx, client_ctx = _tls_contexts()
-    tx = stack.enter_context(client_ctx.wrap_socket(
-        left, server_hostname=_TLS_HOST, do_handshake_on_connect=False
-    ))
-    rx = stack.enter_context(server_ctx.wrap_socket(
-        right, server_side=True, do_handshake_on_connect=False
-    ))
-    tx.setblocking(False)
-    rx.setblocking(False)
-    # a finished side's do_handshake() returns at once; version() is None
-    # until the side has finished
-    for sock in (tx, rx) * _TLS_ROUNDS:
-        with contextlib.suppress(ssl.SSLWantReadError, ssl.SSLWantWriteError):
-            sock.do_handshake()
-    if tx.version() is None or rx.version() is None:
-        raise TransportError(f"TLS handshake unfinished after {_TLS_ROUNDS} rounds")
-    tx.setblocking(True)
-    rx.setblocking(True)
-    size = len(msg)
-
-    def op():
-        tx.sendall(msg)
-        _read_exact(rx.recv, size)
-
-    return op, f"{tx.version()} {tx.cipher()[0]}"
 
 
 def _read_exact(read, n: int) -> bytes:
@@ -543,21 +508,54 @@ def _tls_contexts() -> tuple[ssl.SSLContext, ssl.SSLContext]:
     return server, client
 
 
-# -- comparison and headline ------------------------------------------
+# -- the runner and its headline -------------------------------------
+
+# each suite's rows in report order: case name -> factory(msg, stack),
+# which returns the row's op and note; a loopback factory enters its
+# sockets into ``stack``, which the runner closes after the last batch
+_SUITES = {
+    "primitives": {
+        "hash-sha256": _hash_op,
+        "hmac-sha256": _hmac_op,
+        "aead-aes256gcm": _gcm_op,
+        "sign-rsa2048": _rsa_op,
+        "sign-ecdsa-p256": _ecdsa_op,
+        "idvv-step": _step_op,
+        "idvv-seal-authonly": _seal_op,
+        "idvv-seal-open-authonly": partial(_seal_open_op, Mode.AUTH_ONLY),
+        "idvv-seal-open-aead": partial(_seal_open_op, Mode.AEAD),
+    },
+    "tls": {
+        "channel-AUTH_ONLY": partial(_channel_op, Mode.AUTH_ONLY),
+        "channel-AEAD": partial(_channel_op, Mode.AEAD),
+        "channel-plaintext-baseline": _plaintext_op,
+        TLS_CASE: _tls_op,
+    },
+}
 
 
-def compare_report(report: BenchReport, *, baseline: str) -> BenchReport:
-    """``report`` with its ratio column filled: each case's ops/sec against
-    the ``baseline`` case at the same size. A size with no baseline row,
-    or whose baseline row made no ops, gets no ratio."""
-    base = {c.size_bytes: c.ops_per_sec for c in report.cases if c.case == baseline}
-    if not base:
-        raise InvalidParameterError(f"baseline case {baseline!r} not in report")
-    cases = []
-    for c in report.cases:
-        ops = base.get(c.size_bytes)
-        cases.append(replace(c, ratio=c.ops_per_sec / ops if ops else None))
-    return replace(report, cases=tuple(cases), baseline=baseline)
+def run_suite(suite: str, sizes, duration: float, cases=None) -> BenchReport:
+    """One row per case and size, all timed in round-robin batches by one
+    ``_measure_cases`` call. ``cases`` names a subset of the suite's rows,
+    run in the order given; by default every row runs, in table order.
+
+    A ``tls`` row is a socketpair, set up and hand-shaken once, whose op
+    sends one message and receives it on the calling thread, so its rate
+    counts both sides' CPU and a send and a receive syscall per message.
+    """
+    table = _SUITES[suite]
+    names = tuple(table if cases is None else cases)
+    for name in names:
+        if name not in table:
+            raise InvalidParameterError(f"unknown {suite} case {name!r}")
+    _check_run(sizes, duration)
+    with contextlib.ExitStack() as stack:
+        rows = [
+            (name, size, *table[name](_counter_buffer(size), stack))
+            for name, size in itertools.product(names, sizes)
+        ]
+        measured = tuple(_measure_cases(rows, duration))
+    return BenchReport(suite, measured, environment_fingerprint())
 
 
 def core_line_count() -> int:
@@ -574,21 +572,20 @@ def core_line_count() -> int:
 
 def headline_summary(report: BenchReport) -> str:
     """At each size, the ``HEADLINE_CASE`` row's ratio from
-    ``compare_report(report, baseline=TLS_CASE)`` beside both rows' MB/s,
-    then the code size, with no verdict. A size whose ``tls1.3`` row is
+    ``report.ratios()`` beside its and the ``tls1.3`` row's MB/s, then
+    the code size, with no verdict. A size whose ``tls1.3`` row is
     missing or made no ops has no ratio and no line.
 
     Both figures are environment-dependent; they are reported, not
     judged against a threshold.
     """
     tls = {c.size_bytes: c for c in report.cases if c.case == TLS_CASE}
-    cases = compare_report(report, baseline=TLS_CASE).cases if tls else ()
     lines = [
         f"throughput at {c.size_bytes} B: "
         f"{c.case} {c.mb_per_sec:.2f} MB/s vs "
-        f"{TLS_CASE} {tls[c.size_bytes].mb_per_sec:.2f} MB/s (ratio {c.ratio:.3f})"
-        for c in cases
-        if c.case == HEADLINE_CASE and c.ratio is not None
+        f"{TLS_CASE} {tls[c.size_bytes].mb_per_sec:.2f} MB/s (ratio {ratio:.3f})"
+        for c, ratio in zip(report.cases, report.ratios() or ())
+        if c.case == HEADLINE_CASE and ratio is not None
     ]
     if not lines:
         lines.append(

@@ -63,9 +63,13 @@ def _parse_addr(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise KissError(f"address must be host:port, got {text!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise KissError(f"bad port in address {text!r}") from None
+    # getaddrinfo would wrap a larger port mod 2**16 and bind would overflow
+    if not 0 <= number <= 65535:
+        raise KissError(f"port must be in 0..65535, got {text!r}")
+    return host, number
 
 
 # -- subcommands -------------------------------------------------------
@@ -148,17 +152,9 @@ def cmd_bench(args) -> int:
     from . import bench as bench_mod  # the TLS and X.509 stack only this subcommand runs
 
     sizes = _BENCH_SIZES[args.suite] if args.sizes is None else _parse_sizes(args.sizes)
-    if args.suite == "primitives":
-        report = bench_mod.bench_primitives(sizes=sizes, duration=args.duration)
-        print(report.format_markdown())
-    else:
-        # all rows of the suite in one round-robin call, so that the ratio
-        # column compares rows the same host drift touched
-        report = bench_mod.compare_report(
-            bench_mod.bench_loopback(bench_mod.LOOPBACK_MODES, sizes, args.duration),
-            baseline=bench_mod.TLS_CASE,
-        )
-        print(report.format_markdown())
+    report = bench_mod.run_suite(args.suite, sizes, args.duration)
+    print(report.format_markdown())
+    if args.suite == "tls":
         print(bench_mod.headline_summary(report))
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")

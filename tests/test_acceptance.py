@@ -17,14 +17,7 @@ import pytest
 from oracles import RFC4231_CASES, chain_values_ref
 
 from kiss.association import Mode, ProvisionFile, Role, load_association
-from kiss.bench import (
-    TLS_CASE,
-    bench_loopback,
-    bench_primitives,
-    compare_report,
-    core_line_count,
-    headline_summary,
-)
+from kiss.bench import HEADLINE_CASE, TLS_CASE, core_line_count, headline_summary, run_suite
 from kiss.channel import MsgType, encode_record, open_record, seal
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import KissError, OutOfWindowError
@@ -207,16 +200,17 @@ def test_acceptance_5_randomness_battery(capsys):
 
 
 def test_acceptance_6_primitive_ordering(capsys):
-    report = bench_primitives(
-        names=(
+    report = run_suite(
+        "primitives",
+        sizes=(64,),
+        duration=1.0,
+        cases=(
             "hmac-sha256",
             "aead-aes256gcm",
             "sign-ecdsa-p256",
             "sign-rsa2048",
             "idvv-step",
         ),
-        sizes=(64,),
-        duration=1.0,
     )
     rates = {case.case: case.ops_per_sec for case in report.cases}
     ordered = (
@@ -243,8 +237,7 @@ def test_acceptance_6_primitive_ordering(capsys):
 
 
 def test_acceptance_7_headline_reporting(capsys):
-    report = bench_loopback(("AUTH_ONLY", TLS_CASE), (1500,), duration=1.0)
-    comparison = compare_report(report, baseline=report.cases[0].case)
+    report = run_suite("tls", (1500,), duration=1.0, cases=(HEADLINE_CASE, TLS_CASE))
     summary = headline_summary(report)
     lines = core_line_count()
 
@@ -252,7 +245,7 @@ def test_acceptance_7_headline_reporting(capsys):
         f"{lines}" in summary
         and "source lines" in summary
         and ("ratio" in summary or "not available" in summary)
-        and len(comparison.cases) >= 2
+        and len(report.cases) >= 2
     )
     unjudged = all(
         word not in summary.lower() for word in ("pass", "fail", "threshold")

@@ -271,3 +271,17 @@ def test_file_round_trip(tmp_path):
     write_provision_file(init_pf, path)
     assert read_provision_file(path) == init_pf
     assert path.read_bytes().decode() == init_pf.to_text()
+
+
+def test_provision_file_is_private_to_its_owner(tmp_path):
+    # it holds the seed and root: no group or other bits on a new file,
+    # and an existing world-readable one is narrowed as it is overwritten
+    init_pf, resp_pf = generate_provision()
+    fresh, existing = tmp_path / "initiator.prov", tmp_path / "responder.prov"
+    existing.write_text("old")
+    existing.chmod(0o644)
+    write_provision_file(init_pf, fresh)
+    write_provision_file(resp_pf, existing)
+    for path, pf in ((fresh, init_pf), (existing, resp_pf)):
+        assert path.stat().st_mode & 0o077 == 0, oct(path.stat().st_mode)
+        assert read_provision_file(path) == pf

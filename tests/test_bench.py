@@ -1,4 +1,4 @@
-"""Benchmark harness: run checks, loopback rows, comparison, report plumbing."""
+"""Benchmark harness: run checks, loopback rows, derived ratio, report plumbing."""
 
 import contextlib
 import itertools
@@ -8,7 +8,6 @@ import ssl
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -16,29 +15,24 @@ import kiss.bench as bench_mod
 import kiss.channel as channel_mod
 from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import (
-    CHANNEL_MODES,
-    DEFAULT_SIZES,
-    LOOPBACK_MODES,
-    PRIMITIVES,
     TLS_CASE,
     WARMUP,
     BenchCase,
     BenchReport,
-    bench_loopback,
-    bench_primitives,
-    compare_report,
     core_line_count,
     environment_fingerprint,
     headline_summary,
+    run_suite,
+    _SUITES,
     _TLS_HOST,
     _check_run,
-    _make_primitive_op,
     _measure_cases,
     _percentile,
     _read_exact,
     _tls_contexts,
 )
 from kiss.channel import MAX_PAYLOAD, MsgType, Record, encode_record, open_record
+from kiss.defaults import DEFAULT_SIZES
 from kiss.errors import InvalidParameterError, TransportError
 
 
@@ -99,7 +93,7 @@ def _scripted_measure(monkeypatch, script, size=64):
     script = [0.010] * WARMUP + list(script)  # warmup batches are not summarised
     monkeypatch.setattr(bench_mod, "_calibrate_batch", lambda op: 1000)
     monkeypatch.setattr(bench_mod, "_run_batch", lambda op, n: script.pop(0))
-    return _measure_cases([("scripted", size, lambda: None)], duration)[0]
+    return _measure_cases([("scripted", size, lambda: None, "")], duration)[0]
 
 
 def test_measure_arithmetic(monkeypatch):
@@ -130,7 +124,7 @@ def test_measure_cases_interleaves_batches(monkeypatch):
     monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
     duration = sum([0.010] * _BATCHES)
     cases = _measure_cases(
-        [("a", 64, lambda: "a"), ("b", 64, lambda: "b")], duration
+        [("a", 64, lambda: "a", ""), ("b", 64, lambda: "b", "")], duration
     )
     assert [c.case for c in cases] == ["a", "b"]
     # warmup rounds, then the timed rounds
@@ -149,21 +143,26 @@ def test_percentile_interpolation():
 # -- primitive ops -----------------------------------------------------
 
 
-@pytest.mark.parametrize("name", PRIMITIVES)
+def _primitive_op(name):
+    """The row's op at 64 B; a primitive row enters nothing into the stack."""
+    op, note = _SUITES["primitives"][name](bench_mod._counter_buffer(64), contextlib.ExitStack())
+    assert note == ""
+    return op
+
+
+@pytest.mark.parametrize("name", _SUITES["primitives"])
 def test_every_primitive_op_runs(name):
-    op = _make_primitive_op(name, 64)
+    op = _primitive_op(name)
     op()
 
 
 def test_unknown_primitive_rejected():
     with pytest.raises(InvalidParameterError):
-        _make_primitive_op("sign-dsa1024", 64)
-    with pytest.raises(InvalidParameterError):
-        bench_primitives(names=("sign-dsa1024",))
+        run_suite("primitives", DEFAULT_SIZES, 1.0, cases=("sign-dsa1024",))
 
 
 def test_seal_op_produces_framed_records():
-    op = _make_primitive_op("idvv-seal-authonly", 64)
+    op = _primitive_op("idvv-seal-authonly")
     first, second = op(), op()
     assert len(first) == len(second) == 25 + 64 + 32
     assert first != second  # sequence and tag advance every call
@@ -177,13 +176,13 @@ def test_seal_op_produces_framed_records():
 
 
 def test_seal_open_op_opens_what_it_sealed():
-    op = _make_primitive_op("idvv-seal-open-authonly", 64)
+    op = _primitive_op("idvv-seal-open-authonly")
     payload = bench_mod._counter_buffer(64)
     # each op seals the next seq and the responder opens it: gap 1 forever
     for _ in range(3):
         assert op() == (MsgType.DATA, payload)
-    report = bench_primitives(
-        ("idvv-seal-authonly", "idvv-seal-open-authonly"), (64,), 0.05
+    report = run_suite(
+        "primitives", (64,), 0.05, cases=("idvv-seal-authonly", "idvv-seal-open-authonly")
     )
     assert [c.case for c in report.cases] == ["idvv-seal-authonly", "idvv-seal-open-authonly"]
     assert all(c.ops_per_sec > 0 for c in report.cases)
@@ -197,33 +196,33 @@ def test_seal_open_aead_op_opens_what_it_sealed(monkeypatch):
         return sealed[-1]
 
     monkeypatch.setattr(bench_mod, "seal_wire", recording_seal_wire)
-    op = _make_primitive_op("idvv-seal-open-aead", 64)
+    op = _primitive_op("idvv-seal-open-aead")
     payload = bench_mod._counter_buffer(64)
     for _ in range(3):
         assert op() == (MsgType.DATA, payload)
     # AEAD records: a 16-byte GCM tag and a payload field that is not the plaintext
     assert [len(w) for w in sealed] == [25 + 64 + 16] * 3
     assert all(w[25:89] != payload for w in sealed)
-    report = bench_primitives(
-        ("idvv-seal-open-authonly", "idvv-seal-open-aead"), (64,), 0.05
+    report = run_suite(
+        "primitives", (64,), 0.05, cases=("idvv-seal-open-authonly", "idvv-seal-open-aead")
     )
     assert [c.case for c in report.cases] == ["idvv-seal-open-authonly", "idvv-seal-open-aead"]
     assert all(c.ops_per_sec > 0 for c in report.cases)
 
 
-def test_bench_primitives_report_shape():
-    report = bench_primitives(("hash-sha256", "hmac-sha256"), (64,), 0.05)
+def test_run_suite_primitives_report_shape():
+    report = run_suite("primitives", (64,), 0.05, cases=("hash-sha256", "hmac-sha256"))
     assert report.suite == "primitives"
     assert [c.case for c in report.cases] == ["hash-sha256", "hmac-sha256"]
     for case in report.cases:
         assert case.ops_per_sec > 0
         assert case.p50_us <= case.p99_us
     with pytest.raises(InvalidParameterError):
-        bench_primitives(("hash-sha256", "mystery"), (64,), 0.05)
+        run_suite("primitives", (64,), 0.05, cases=("hash-sha256", "mystery"))
 
 
 def test_hash_latency_grows_with_size():
-    report = bench_primitives(("hash-sha256",), (64, 65536), 0.1)
+    report = run_suite("primitives", (64, 65536), 0.1, cases=("hash-sha256",))
     small, big = report.cases
     assert small.size_bytes == 64 and big.size_bytes == 65536
     assert small.p50_us < big.p50_us
@@ -233,15 +232,17 @@ def test_hash_latency_grows_with_size():
 # -- loopback rows ------------------------------------------------------
 
 
-def test_bench_loopback_validates_arguments():
+def test_run_suite_validates_arguments():
     with pytest.raises(InvalidParameterError):
-        bench_loopback(("carrier-pigeon",), (1500,), 1.0)
+        run_suite("tls", (1500,), 1.0, cases=("carrier-pigeon",))
     with pytest.raises(InvalidParameterError):
-        bench_loopback(("AEAD",), (0,), 1.0)
+        run_suite("primitives", (1500,), 1.0, cases=(TLS_CASE,))  # another suite's row
+    with pytest.raises(InvalidParameterError):
+        run_suite("tls", (0,), 1.0, cases=("channel-AEAD",))
     with pytest.raises(InvalidParameterError, match="msg_size"):
-        bench_loopback(("AEAD",), (MAX_PAYLOAD + 1,), 1.0)
+        run_suite("tls", (MAX_PAYLOAD + 1,), 1.0, cases=("channel-AEAD",))
     with pytest.raises(InvalidParameterError):
-        bench_loopback(("AEAD",), (1500,), 0.0)
+        run_suite("tls", (1500,), 0.0, cases=("channel-AEAD",))
 
 
 def test_loopback_plaintext_baseline_runs(monkeypatch):
@@ -257,8 +258,8 @@ def test_loopback_plaintext_baseline_runs(monkeypatch):
         return frame
 
     monkeypatch.setattr(bench_mod, "_read_frame", counting_read_frame)
-    report = bench_loopback(("plaintext-baseline",), (256,), 0.3)
-    assert report.suite == "channel"
+    report = run_suite("tls", (256,), 0.3, cases=("channel-plaintext-baseline",))
+    assert report.suite == "tls"
     (case,) = report.cases
     assert case.case == "channel-plaintext-baseline"
     assert case.size_bytes == 256
@@ -278,10 +279,10 @@ def test_loopback_plaintext_baseline_runs(monkeypatch):
 # under a hard timeout
 _FAIL_51ST_CALL = """
 import importlib, sys
-from kiss.bench import bench_loopback
+from kiss.bench import run_suite
 from kiss.errors import AuthenticationError
 
-mode, target = sys.argv[1:]
+case, target = sys.argv[1:]
 module_name, name = target.rsplit(".", 1)
 module = importlib.import_module(module_name)
 real, calls = getattr(module, name), []
@@ -296,24 +297,29 @@ def failing(*args, **kwargs):
 
 setattr(module, name, failing)
 try:
-    bench_loopback((mode,), (16384,), 1.0)
+    run_suite("tls", (16384,), 1.0, cases=(case,))
 except AuthenticationError as exc:
     print("raised", exc)
 """
 
 
+def _short_id(value):
+    return value.removeprefix("channel-")
+
+
 @pytest.mark.parametrize(
-    "mode,target",
+    "case,target",
     [
-        ("AUTH_ONLY", "kiss.channel._open_frame"),
-        ("AEAD", "kiss.channel._open_frame"),
-        ("plaintext-baseline", "kiss.bench._read_frame"),
+        ("channel-AUTH_ONLY", "kiss.channel._open_frame"),
+        ("channel-AEAD", "kiss.channel._open_frame"),
+        ("channel-plaintext-baseline", "kiss.bench._read_frame"),
         (TLS_CASE, "kiss.bench._read_exact"),
     ],
+    ids=_short_id,
 )
-def test_failed_receiver_is_raised_instead_of_hanging(mode, target):
+def test_failed_receiver_is_raised_instead_of_hanging(case, target):
     result = subprocess.run(
-        [sys.executable, "-c", _FAIL_51ST_CALL, mode, target],
+        [sys.executable, "-c", _FAIL_51ST_CALL, case, target],
         capture_output=True, text=True, timeout=30,
     )
     assert result.returncode == 0, result.stderr
@@ -336,8 +342,8 @@ def test_loopback_rows_start_no_thread(monkeypatch):
         raise AssertionError("a loopback row started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_threads)
-    for mode in LOOPBACK_MODES:
-        (case,) = bench_loopback((mode,), (256,), 0.05).cases
+    for name in _SUITES["tls"]:
+        (case,) = run_suite("tls", (256,), 0.05, cases=(name,)).cases
         assert case.ops_per_sec > 0
 
 
@@ -350,7 +356,7 @@ def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
         return 0.020 if next(calls) == 3 else 0.010
 
     monkeypatch.setattr(bench_mod, "_run_batch", run_batch)
-    (case,) = bench_loopback(("AUTH_ONLY",), (256,), 0.05).cases
+    (case,) = run_suite("tls", (256,), 0.05, cases=("channel-AUTH_ONLY",)).cases
     assert case.flags == ("noisy",)
     assert case.p50_us < case.p99_us
 
@@ -359,19 +365,19 @@ def test_loopback_rows_share_one_round_robin_call(monkeypatch):
     real, calls = bench_mod._measure_cases, []
 
     def counting(rows, duration):
-        calls.append([name for name, _, _ in rows])
+        calls.append([name for name, *_ in rows])
         return real(rows, duration)
 
     monkeypatch.setattr(bench_mod, "_measure_cases", counting)
-    cases = bench_loopback(LOOPBACK_MODES, (64, 256), 0.05).cases
-    names = [f"channel-{m}" for m in CHANNEL_MODES] + [TLS_CASE]
+    cases = run_suite("tls", (64, 256), 0.05).cases
+    names = ["channel-AUTH_ONLY", "channel-AEAD", "channel-plaintext-baseline", TLS_CASE]
     assert calls == [[name for name in names for _ in (64, 256)]]
     assert [(c.case, c.size_bytes) for c in cases] == [
         (name, size) for name in names for size in (64, 256)
     ]
     assert [bool(c.note) for c in cases] == [False] * 6 + [True] * 2
     with pytest.raises(InvalidParameterError):
-        bench_loopback(("carrier-pigeon",), (64,), 0.05)
+        run_suite("tls", (64,), 0.05, cases=("carrier-pigeon",))
 
 
 # one thread cannot drain a sendall that outgrows the socket buffer, so
@@ -383,18 +389,17 @@ import kiss.bench as bench
 from kiss.errors import InvalidParameterError
 
 bench._SOCK_BUF = 16384  # granted as 32768 on Linux: 16384 for data
-mode = sys.argv[1]
 try:
-    bench.bench_loopback((mode,), (65536,), 1.0)
+    bench.run_suite("tls", (65536,), 1.0, cases=(sys.argv[1],))
 except InvalidParameterError as exc:
     print("refused", exc)
 """
 
 
-@pytest.mark.parametrize("mode", LOOPBACK_MODES)
-def test_message_larger_than_socket_buffer_is_refused(mode):
+@pytest.mark.parametrize("case", _SUITES["tls"], ids=_short_id)
+def test_message_larger_than_socket_buffer_is_refused(case):
     result = subprocess.run(
-        [sys.executable, "-c", _OVERSIZED, mode],
+        [sys.executable, "-c", _OVERSIZED, case],
         capture_output=True, text=True, timeout=30,
     )
     assert result.returncode == 0, result.stderr
@@ -416,7 +421,7 @@ def mismatched():
 
 bench._tls_contexts = mismatched
 try:
-    bench.bench_loopback((bench.TLS_CASE,), (256,), 0.1)
+    bench.run_suite("tls", (256,), 0.1, cases=(bench.TLS_CASE,))
 except ssl.SSLCertVerificationError as exc:
     print("refused", exc.verify_message)
 """
@@ -425,7 +430,7 @@ except ssl.SSLCertVerificationError as exc:
 def test_tls_handshake_that_does_not_finish_raises(monkeypatch):
     monkeypatch.setattr(bench_mod, "_TLS_ROUNDS", 1)  # TLS 1.3 needs two
     with pytest.raises(TransportError, match="unfinished"):
-        bench_loopback((TLS_CASE,), (256,), 0.05)
+        run_suite("tls", (256,), 0.05, cases=(TLS_CASE,))
 
 
 def test_tls_baseline_refuses_untrusted_certificate():
@@ -473,7 +478,7 @@ def test_tls_client_verifies_certificate_and_host_name(host, own_client):
 
 
 def test_tls_baseline_negotiates_tls13_and_measures():
-    report = bench_loopback((TLS_CASE,), (256,), 0.3)
+    report = run_suite("tls", (256,), 0.3, cases=(TLS_CASE,))
     assert report.suite == "tls"
     (case,) = report.cases
     assert (case.case, case.size_bytes) == (TLS_CASE, 256)
@@ -485,10 +490,10 @@ def test_tls_baseline_negotiates_tls13_and_measures():
 @pytest.mark.parametrize("sizes", [(), (0,), (64, -5), (64, MAX_PAYLOAD + 1)])
 def test_tls_baseline_rejects_bad_sizes(sizes):
     with pytest.raises(InvalidParameterError):
-        bench_loopback((TLS_CASE,), sizes, 1.0)
+        run_suite("tls", sizes, 1.0, cases=(TLS_CASE,))
 
 
-# -- comparison ---------------------------------------------------------
+# -- derived ratio ------------------------------------------------------
 
 
 def _case(name, size, ops):
@@ -499,66 +504,72 @@ def _report(name, *cases):
     return BenchReport(name, tuple(cases), {"cpu": "test", "python": "x"})
 
 
+def _ratio_cells(report):
+    """The ratio column as the CSV, the table and the headline print it."""
+    csv = [line.split(",")[6:] for line in report.to_csv().splitlines()]
+    table = report.format_markdown().split("\n\n")[0].splitlines()
+    md = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table if line[1] != "-"]
+    return csv, [row[6] for row in md if len(row) == 8], headline_summary(report)
+
+
 def test_compare_identical_reports_ratio_one():
+    # rows as fast as the tls1.3 rows, and the tls1.3 rows themselves
     report = _report(
-        "one",
-        _case("alpha", 64, 1000.0), _case("alpha", 512, 500.0),
-        _case("beta", 64, 1000.0), _case("beta", 512, 500.0),
+        "tls",
+        _case("channel-AUTH_ONLY", 64, 1000.0), _case("channel-AUTH_ONLY", 512, 500.0),
+        _case(TLS_CASE, 64, 1000.0), _case(TLS_CASE, 512, 500.0),
     )
-    cmp = compare_report(report, baseline="alpha")
-    assert cmp.baseline == "alpha"
-    assert [c.ratio for c in cmp.cases] == [1.0, 1.0, 1.0, 1.0]
-    assert "vs alpha" in cmp.format_markdown()
-    assert "vs " not in report.format_markdown()
+    assert report.ratios() == (1.0, 1.0, 1.0, 1.0)
+    csv, md, headline = _ratio_cells(report)
+    assert csv == [["ratio"]] + [["1.0000"]] * 4
+    assert md == ["vs tls1.3"] + ["1.00x"] * 4
+    assert "(ratio 1.000)" in headline and "at 512 B" in headline
 
 
 def test_compare_ratio_arithmetic_and_default_baseline():
-    report = _report("one", _case("alpha", 64, 2000.0), _case("beta", 64, 500.0))
-    cmp = compare_report(report, baseline="alpha")
-    assert cmp.baseline == "alpha"
-    by_name = {c.case: c for c in cmp.cases}
-    assert by_name["beta"].ratio == pytest.approx(0.25)
-    assert by_name["alpha"].ratio == pytest.approx(1.0)
+    # every row is taken over the tls1.3 row, which reads 1 against itself
+    report = _report("tls", _case(TLS_CASE, 64, 2000.0), _case("channel-AUTH_ONLY", 64, 500.0))
+    assert report.ratios() == pytest.approx((1.0, 0.25))
+    csv, md, headline = _ratio_cells(report)
+    assert csv[1:] == [["1.0000"], ["0.2500"]]
+    assert md[1:] == ["1.00x", "0.25x"]
+    assert "(ratio 0.250)" in headline
 
 
 def test_compare_size_without_baseline_row_has_no_ratio():
     report = _report(
-        "one",
-        _case("alpha", 64, 1000.0),
-        _case("beta", 64, 500.0), _case("beta", 512, 900.0),
+        "tls",
+        _case(TLS_CASE, 64, 1000.0),
+        _case("channel-AUTH_ONLY", 64, 500.0), _case("channel-AUTH_ONLY", 512, 900.0),
     )
-    cmp = compare_report(report, baseline="alpha")
-    assert [c.ratio for c in cmp.cases] == [1.0, 0.5, None]
-    # each size is compared with the baseline at that size, never another
-    report = replace(report, cases=report.cases + (_case("alpha", 512, 300.0),))
-    assert compare_report(report, baseline="alpha").cases[2].ratio == pytest.approx(3.0)
-
-
-def test_compare_rejects_unknown_baseline():
-    report = _report("one", _case("alpha", 64, 1000.0), _case("beta", 64, 1000.0))
-    with pytest.raises(InvalidParameterError):
-        compare_report(report, baseline="gamma")
+    assert report.ratios() == (1.0, 0.5, None)
+    csv, md, headline = _ratio_cells(report)
+    assert csv[1:] == [["1.0000"], ["0.5000"], [""]]  # an empty last cell
+    assert md[1:] == ["1.00x", "0.50x", "-"]
+    assert "at 64 B" in headline and "at 512 B" not in headline
+    # each size is taken over the tls1.3 row at that size, never another
+    report = _report("tls", *report.cases, _case(TLS_CASE, 512, 300.0))
+    assert report.ratios() == pytest.approx((1.0, 0.5, 3.0, 1.0))
 
 
 def test_compare_zero_ops_baseline_has_no_ratio():
-    report = _report("one", _case("alpha", 64, 0.0), _case("beta", 64, 1000.0))
-    cmp = compare_report(report, baseline="alpha")
-    assert [c.ratio for c in cmp.cases] == [None, None]
-    csv = cmp.to_csv()
-    assert csv.splitlines()[0] == (
-        "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio"
-    )
-    assert csv.splitlines()[2].endswith(",")  # empty ratio cell
-    table = cmp.format_markdown().split("\n\n")[0].splitlines()
-    assert table[3].split("|")[7].strip() == "-"  # beta's ratio cell
+    report = _report("tls", _case(TLS_CASE, 64, 0.0), _case("channel-AUTH_ONLY", 64, 1000.0))
+    assert report.ratios() == (None, None)
+    csv, md, headline = _ratio_cells(report)
+    assert csv == [["ratio"], [""], [""]]
+    assert md == ["vs tls1.3", "-", "-"]
+    assert "not available" in headline and "throughput at" not in headline
 
 
 def test_report_csv_shape():
+    # no tls1.3 row: no ratio, and no ratio column in the CSV or the table
     report = _report("one", _case("alpha", 64, 1234.5), _case("alpha", 512, 678.9))
+    assert report.ratios() is None
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
     assert len(lines) == 3
     assert lines[1].startswith("alpha,64,1234.50,")
+    assert "vs " not in report.format_markdown()
 
 
 # a fixed report whose CSV text is pinned byte for byte: a noisy row and
@@ -577,18 +588,9 @@ _PIN = BenchReport(
 
 def test_report_csv_text_is_pinned():
     assert _PIN.to_csv() == (
-        "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us\n"
-        "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250\n"
-        "tls1.3,1500,15000.00,22.500,55.000,71.125\n"
-    )
-
-
-def test_compare_csv_text_is_pinned():
-    cmp = compare_report(_PIN, baseline="channel-AUTH_ONLY")
-    assert cmp.to_csv() == (
         "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us,ratio\n"
-        "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250,1.0000\n"
-        "tls1.3,1500,15000.00,22.500,55.000,71.125,2.2925\n"
+        "channel-AUTH_ONLY,1500,6543.21,9.815,120.500,410.250,0.4362\n"
+        "tls1.3,1500,15000.00,22.500,55.000,71.125,1.0000\n"
     )
 
 
@@ -603,17 +605,15 @@ def test_report_markdown_mentions_environment():
     assert "Example CPU" in text
 
 
-@pytest.mark.parametrize("compared", [False, True])
-def test_markdown_rows_line_up_with_header(compared):
-    report = BenchReport("tls", _PIN.cases + (
+@pytest.mark.parametrize("with_tls_row", [False, True])
+def test_markdown_rows_line_up_with_header(with_tls_row):
+    cases = _PIN.cases if with_tls_row else _PIN.cases[:1]
+    report = BenchReport("tls", cases + (
         BenchCase("channel-plaintext-baseline", 1500, 98765.4, 148.1, 8.5, 30.25),
-    ))
-    if compared:
-        report = compare_report(report, baseline="channel-AUTH_ONLY")
-    # a size wider than its header: the column grows to fit it
-    report = replace(report, cases=report.cases + (
+        # a size wider than its header: the column grows to fit it
         BenchCase("channel-AUTH_ONLY", 1048576, 210.5, 220.7, 4750.0, 5120.5),
     ))
+    assert ("vs tls1.3" in report.format_markdown()) is with_tls_row
     table = report.format_markdown().split("\n\n")[0].splitlines()
     assert len(table) == 2 + len(report.cases)
     bars = [[i for i, ch in enumerate(line) if ch == "|"] for line in table]

@@ -305,15 +305,30 @@ def test_client_count_below_one_exits_one_before_connecting(tmp_path, count):
         listener.close()
 
 
+# no port; ports that getaddrinfo would wrap mod 2**16 or that bind refuses
+_BAD_ADDRESSES = ("127.0.0.1", "127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:-1")
+
+
 def test_client_bad_address_exits_one(tmp_path):
     assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
-    result = run_cli(
-        "client",
-        "--provision", str(tmp_path / "initiator.prov"),
-        "--connect", "127.0.0.1",  # no port
-    )
-    assert result.returncode == 1
-    assert "error" in result.stderr
+    for address in _BAD_ADDRESSES:
+        result = run_cli(
+            "client", "--provision", str(tmp_path / "initiator.prov"), "--connect", address
+        )
+        assert result.returncode == 1, address
+        assert result.stderr.startswith("error: ") and "port" in result.stderr, result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_server_refuses_port_out_of_range(tmp_path):
+    assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
+    for address in _BAD_ADDRESSES[1:]:
+        result = run_cli(
+            "server", "--provision", str(tmp_path / "responder.prov"), "--listen", address
+        )
+        assert result.returncode == 1, address
+        assert result.stderr.startswith("error: KissError: port must be in 0..65535")
+        assert "Traceback" not in result.stderr
 
 
 # -- randomness -----------------------------------------------------------
@@ -357,7 +372,7 @@ def test_randomness_rejects_bad_parameters():
 # -- bench ----------------------------------------------------------------
 
 
-def test_bench_primitives_cli(tmp_path):
+def test_bench_cli_primitives_suite(tmp_path):
     csv_path = tmp_path / "prim.csv"
     result = run_cli(
         "bench", "--suite", "primitives",
@@ -365,13 +380,16 @@ def test_bench_primitives_cli(tmp_path):
         "--csv", str(csv_path),
     )
     assert result.returncode == 0, result.stderr
-    for name in ("hash-sha256", "hmac-sha256", "aead-aes256gcm",
-                 "sign-rsa2048", "sign-ecdsa-p256", "idvv-step",
-                 "idvv-seal-authonly", "idvv-seal-open-authonly", "idvv-seal-open-aead"):
+    names = ["hash-sha256", "hmac-sha256", "aead-aes256gcm",
+             "sign-rsa2048", "sign-ecdsa-p256", "idvv-step",
+             "idvv-seal-authonly", "idvv-seal-open-authonly", "idvv-seal-open-aead"]
+    for name in names:
         assert name in result.stdout
     lines = csv_path.read_text().strip().split("\n")
+    # no tls1.3 row, so no ratio column; the rows in table order
     assert lines[0] == "case,size_bytes,ops_per_sec,mb_per_sec,p50_us,p99_us"
-    assert len(lines) == 1 + 9
+    assert [line.split(",")[0] for line in lines[1:]] == names
+    assert "throughput" not in result.stdout  # no headline
 
 
 @pytest.mark.parametrize("suite", ["tls"])
