@@ -543,6 +543,8 @@ def run_suite(suite: str, sizes, duration: float, cases=None) -> BenchReport:
     sends one message and receives it on the calling thread, so its rate
     counts both sides' CPU and a send and a receive syscall per message.
     """
+    if suite not in _SUITES:
+        raise InvalidParameterError(f"unknown suite {suite!r}, not one of {', '.join(_SUITES)}")
     table = _SUITES[suite]
     names = tuple(table if cases is None else cases)
     for name in names:

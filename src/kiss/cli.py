@@ -59,7 +59,10 @@ def _setup_logging() -> None:
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
+    """``host:port``; an IPv6 host may be bracketed, ``[::1]:0``, or bare."""
     host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise KissError(f"address must be host:port, got {text!r}")
     try:
@@ -93,7 +96,9 @@ def cmd_provision(args) -> int:
 def cmd_server(args) -> int:
     pf = read_provision_file(args.provision)
     host, port = _parse_addr(args.listen)
-    with socket.create_server((host, port)) as listener:
+    # no host name has a colon, so a host with one is an IPv6 literal
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.create_server((host, port), family=family) as listener:
         bound_port = listener.getsockname()[1]
         print(f"listening {host}:{bound_port}", file=sys.stderr, flush=True)
         conn, peer = listener.accept()
@@ -163,7 +168,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_randomness(args) -> int:
-    from .randomness import run_battery  # NumPy and SciPy, which only this subcommand runs
+    from .randomness import run_battery  # NumPy, which only this subcommand runs
 
     seed = parse_hex("--seed", args.seed, 32) if args.seed else DEMO_SEED
     root = parse_hex("--root", args.root, 32) if args.root else DEMO_ROOT

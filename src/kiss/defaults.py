@@ -1,8 +1,8 @@
 """Default run settings of the randomness battery and the bench suites.
 
 They live apart from ``kiss.randomness`` and ``kiss.bench`` so that the
-command line can name them in its help without loading NumPy, SciPy or
-the TLS stack, which only those two subcommands run.
+command line can name them in its help without loading NumPy or the
+TLS stack, which only those two subcommands run.
 """
 
 # the chain inputs of `kiss randomness` and of the bench suites' chains;

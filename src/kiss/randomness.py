@@ -14,10 +14,10 @@ bytes: popcounts, 256-entry byte tables, and one pattern count per
 stream that the two pattern tests share. The battery is sequential and
 fully reproducible from (seed, root); reports carry no timestamps.
 
-Importing this module loads NumPy, not SciPy. The five tests that take
-a p-value from ``scipy.special`` (``gammaincc``, ``ndtr``) import it on
-their first call, and ``run_battery`` before its first trial, so no
-timed trial pays for the import and no endpoint ever loads SciPy.
+The p-values need two special functions and no library beyond NumPy:
+the chi-square survival function at integer degrees of freedom, a
+finite closed form (Abramowitz & Stegun 26.4.4-5), and the normal
+distribution function from libm's ``erfc``.
 """
 
 from __future__ import annotations
@@ -136,11 +136,54 @@ def _stream(bits, test: str | None = None) -> BitStream:
     return s
 
 
-def _special():
-    """``scipy.special``, imported on first need (see the module docstring)."""
-    from scipy import special
+# -- p-value functions -------------------------------------------------
 
-    return special
+
+def _igamc(a: float, x: float) -> float:
+    """Q(a, x), the regularized upper incomplete gamma function, at 2a a
+    positive integer, as every chi-square p-value takes it: the survival
+    function of chi-square with 2a degrees of freedom, at 2x.
+
+    With D = e^-x x^a / Gamma(a + 1) (Abramowitz & Stegun 26.4.4-5): from
+    x = a up, Q is D (a/x + a(a-1)/x^2 + ...), the terms e^-x x^b / Gamma(b + 1)
+    for b = a-1, a-2, ... >= 0, plus erfc(sqrt x) for a half-integer a;
+    below a, Q = 1 - D (1 + x/(a+1) + x^2/((a+1)(a+2)) + ...).
+    """
+    if x <= 0.0:  # the statistics are sums of squares
+        return 1.0
+    d = math.exp(_log_d(a, x))
+    terms = int(10.0 * math.sqrt(a)) + 60  # past these, each is below 1e-20 of the first
+    if x < a:
+        return float(1.0 - d * (1.0 + np.cumprod(x / (a + np.arange(1, terms))).sum()))
+    upper = math.erfc(math.sqrt(x)) if a % 1 else 0.0
+    return float(upper + d * np.cumprod((a - np.arange(min(int(a), terms))) / x).sum())
+
+
+def _log_d(a: float, x: float) -> float:
+    """ln(e^-x x^a / Gamma(a + 1)), without the cancellation of its terms."""
+    if a < 20.0:
+        return a * math.log(x) - x - math.lgamma(a + 1.0)
+    # x = a (1 + t): Stirling's series for ln Gamma(a + 1) leaves -a (t - ln(1 + t))
+    # - ln(2 pi a) / 2, less its four terms in 1/a
+    t = (x - a) / a
+    if abs(t) < 0.5:  # where log1p would cancel: t - ln(1 + t) = t^2 (1/2 - t/3 + ...)
+        series = 0.0
+        for k in range(55, 1, -1):
+            series = 1.0 / k - t * series
+        excess = t * t * series
+    else:
+        excess = t - math.log1p(t)
+    inv, inv2 = 1.0 / a, 1.0 / (a * a)
+    stirling = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    return -a * excess - 0.5 * math.log(2.0 * math.pi * a) - stirling
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal distribution function, elementwise."""
+    return 0.5 * _erfc(-x / math.sqrt(2.0)).astype(np.float64)
 
 
 # -- byte tables -------------------------------------------------------
@@ -210,7 +253,7 @@ def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALP
     upto = np.cumsum(np.bitwise_count(words), dtype=np.int64)[at]
     pi = np.diff(upto - np.bitwise_count(words[at].astype(np.uint64) << edges % 64)) / block_size
     chi_sq = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    p = float(_special().gammaincc(n_blocks / 2.0, chi_sq / 2.0))
+    p = _igamc(n_blocks / 2.0, chi_sq / 2.0)
     return TestResult(
         "block-frequency",
         p,
@@ -258,7 +301,7 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     expected = n_blocks * np.asarray(ref)
     chi_sq = float(np.sum((counts - expected) ** 2 / expected))
     k = len(ref) - 1
-    p = float(_special().gammaincc(k / 2.0, chi_sq / 2.0))
+    p = _igamc(k / 2.0, chi_sq / 2.0)
     return TestResult(
         "longest-run",
         p,
@@ -309,14 +352,13 @@ def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> Test
     # total - S_j for j = n-1 down to 0
     z = max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
     sqrt_n = math.sqrt(n)
-    ndtr = _special().ndtr
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
     term1 = np.sum(
-        ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)
+        _ndtr((4 * k1 + 1) * z / sqrt_n) - _ndtr((4 * k1 - 1) * z / sqrt_n)
     )
     term2 = np.sum(
-        ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)
+        _ndtr((4 * k2 + 3) * z / sqrt_n) - _ndtr((4 * k2 + 1) * z / sqrt_n)
     )
     p = float(min(max(1.0 - term1 + term2, 0.0), 1.0))
     direction = "forward" if forward else "backward"
@@ -359,7 +401,7 @@ def approximate_entropy_test(
     counts = s.pattern_counts(pattern_len + 1)
     ap_en = _phi(_fold(counts), n) - _phi(counts, n)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
-    p = float(_special().gammaincc(2.0 ** (pattern_len - 1), chi_sq / 2.0))
+    p = _igamc(2.0 ** (pattern_len - 1), chi_sq / 2.0)
     return TestResult(
         "approximate-entropy",
         p,
@@ -384,8 +426,8 @@ def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> Te
     psi_m2 = _psi_sq(_fold(counts1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(_special().gammaincc(2.0 ** (pattern_len - 2), d1 / 2.0))
-    p2 = float(_special().gammaincc(2.0 ** (pattern_len - 3), d2 / 2.0))
+    p1 = _igamc(2.0 ** (pattern_len - 2), d1 / 2.0)
+    p2 = _igamc(2.0 ** (pattern_len - 3), d2 / 2.0)
     return TestResult(
         "serial",
         p1,
@@ -559,7 +601,6 @@ def run_battery(
     # 11-bit one, so serial runs first and makes each trial's only count
     run_order = sorted(ALL_TESTS, key=lambda name: name != "serial")
     results: dict[str, list[TestResult]] = {name: [] for name in ALL_TESTS}
-    _special()  # so the first trial does not pay SciPy's import
     for trial in range(trials):
         stream = stream_factory(trial, n_bits)
         for name in run_order:

@@ -3,9 +3,9 @@
 Everything here is deliberately written against the production code
 grain: HMAC from raw ipad/opad padding instead of the hmac module,
 statistics from pure-Python loops and dicts instead of numpy, special
-functions from mpmath or libm instead of scipy. Agreement between two
-implementations that share nothing but the published definitions is
-the point.
+functions from mpmath instead of the package's closed forms and libm.
+Agreement between two implementations that share nothing but the
+published definitions is the point.
 
 HMAC correctness is anchored to the RFC 4231 test vectors before the
 chain oracle built on it is trusted.
@@ -134,8 +134,8 @@ def igamc_ref(a: float, x: float) -> float:
 
 
 def _phi_normal(x: float) -> float:
-    # libm erfc, a different code path from the production ndtr
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    # mpmath, not the libm erfc that the production normal CDF calls
+    return float(mpmath.ncdf(x))
 
 
 # -- statistical test oracles -----------------------------------------

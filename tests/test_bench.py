@@ -233,6 +233,8 @@ def test_hash_latency_grows_with_size():
 
 
 def test_run_suite_validates_arguments():
+    with pytest.raises(InvalidParameterError, match="unknown suite"):
+        run_suite("nope", (1500,), 1.0)
     with pytest.raises(InvalidParameterError):
         run_suite("tls", (1500,), 1.0, cases=("carrier-pigeon",))
     with pytest.raises(InvalidParameterError):

@@ -29,10 +29,10 @@ def run_cli(*args, env_extra=None, timeout=120):
     )
 
 
-def _start_server(provision_path):
+def _start_server(provision_path, *args):
     """Spawn the echo server; return (process, bound_port)."""
     proc = subprocess.Popen(
-        CLI + ["server", "--provision", str(provision_path)],
+        CLI + ["server", "--provision", str(provision_path), *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -318,6 +318,31 @@ def test_client_bad_address_exits_one(tmp_path):
         assert result.returncode == 1, address
         assert result.stderr.startswith("error: ") and "port" in result.stderr, result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("listen", ["[::1]:0", "::1:0"])
+def test_server_and_client_take_ipv6_addresses(tmp_path, listen):
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        pytest.skip("::1 cannot be bound on this host")
+    assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
+    proc, port = _start_server(tmp_path / "responder.prov", "--listen", listen)
+    try:
+        client = run_cli(
+            "client",
+            "--provision", str(tmp_path / "initiator.prov"),
+            "--connect", f"[::1]:{port}",
+            "--send", "hello over ipv6",
+        )
+        assert client.returncode == 0, client.stderr
+        assert client.stdout.strip() == "hello over ipv6"
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 def test_server_refuses_port_out_of_range(tmp_path):

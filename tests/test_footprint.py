@@ -1,5 +1,5 @@
 """What a fresh interpreter loads: an endpoint only the record layer,
-and the randomness battery SciPy only once a test runs."""
+and the randomness battery NumPy but never SciPy."""
 
 import json
 import subprocess
@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-# loaded only by `kiss randomness` (numpy, scipy) and `kiss bench` (ssl, x509)
-HEAVY = ("numpy", "scipy", "ssl", "cryptography.x509")
+# loaded only by `kiss randomness` (numpy) and `kiss bench` (ssl, x509)
+HEAVY = ("numpy", "ssl", "cryptography.x509")
 
 
 def _fresh(code: str):
@@ -29,27 +29,20 @@ def test_endpoint_imports_leave_out_battery_and_bench_stacks():
     assert loaded == []
 
 
-def test_randomness_loads_scipy_only_when_a_test_runs():
+def test_randomness_battery_never_loads_scipy():
     seen = _fresh(
         "from kiss import randomness as r\n"
-        "seen = {'import': 'scipy' in sys.modules}\n"
+        "seen = ['scipy' in sys.modules]\n"
         "def factory(trial, n_bits):\n"
-        "    seen.setdefault('first trial', 'scipy' in sys.modules)\n"
+        "    seen.append('scipy' in sys.modules)\n"
         "    return r.generate_stream(bytes(32), bytes(32), b'rs%04d' % trial, n_bits)\n"
         "r.run_battery(bytes(32), bytes(32), n_bits=65_537, trials=20,\n"
         "              stream_factory=factory)\n"
+        "seen.append('scipy' in sys.modules)\n"
         "print(json.dumps(seen))"
     )
-    # the factory's first call comes before any test runs, so the battery
-    # itself resolved SciPy
-    assert seen == {"import": False, "first trial": True}
-    seen = _fresh(
-        "from kiss import randomness as r\n"
-        "before = 'scipy' in sys.modules\n"
-        "r.block_frequency_test([0, 1] * 500)\n"
-        "print(json.dumps([before, 'scipy' in sys.modules]))"
-    )
-    assert seen == [False, True]
+    # at import, before each of the 20 trials, and after the last
+    assert seen == [False] * 22
 
 
 # the modules a session may run: the chain, the association, the record

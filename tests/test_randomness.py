@@ -16,6 +16,7 @@ from oracles import (
     block_frequency_p_ref,
     chain_values_ref,
     cusum_p_ref,
+    igamc_ref,
     longest_run_p_ref,
     monobit_p_ref,
     runs_p_ref,
@@ -32,6 +33,7 @@ from kiss.randomness import (
     BitStream,
     RandomnessReport,
     _fold,
+    _igamc,
     _longest_runs,
     _pattern_counts,
     _walk_range,
@@ -175,6 +177,29 @@ def test_serial_default_width_matches_oracle():
     p1_ref, p2_ref = serial_p_ref(bits.tolist(), 16)
     assert abs(result.p_value - p1_ref) <= TOL
     assert abs(result.params["p2"] - p2_ref) <= TOL
+
+
+# 2a for every chi-square p-value the battery takes: longest run's 3, 5
+# and 6 degrees of freedom, the powers of two of approximate entropy and
+# serial, block frequency's n // 128 blocks at 1e5 .. 1e6 bits
+_TWICE_A = (*range(1, 41), *(1 << k for k in range(6, 17)), 781, 1562, 3125, 7812)
+
+
+def test_igamc_matches_mpmath_over_the_battery_range():
+    """x runs over the mean a of Q's gamma variate plus -40 .. 40 of its
+    standard deviations sqrt(a), and 0."""
+    worst = {"Q >= 1e-10": 0.0, "1e-300 <= Q < 1e-10": 0.0}
+    for twice_a in _TWICE_A:
+        a = twice_a / 2
+        assert _igamc(a, 0.0) == 1.0
+        for sd in np.linspace(-40.0, 40.0, 33):
+            x = a + sd * math.sqrt(a)
+            if x <= 0 or (ref := igamc_ref(a, x)) < 1e-300:
+                continue
+            band = "Q >= 1e-10" if ref >= 1e-10 else "1e-300 <= Q < 1e-10"
+            worst[band] = max(worst[band], abs(_igamc(a, x) - ref) / ref)
+    assert worst["Q >= 1e-10"] <= 2e-14, worst
+    assert worst["1e-300 <= Q < 1e-10"] <= 2e-13, worst
 
 
 def _direct_counts(bits: np.ndarray, m: int) -> np.ndarray:
