@@ -187,8 +187,8 @@ def load_association(pf: ProvisionFile) -> Association:
 
 
 def write_provision_file(pf: ProvisionFile, path) -> None:
-    """Write ``pf`` to ``path``, new or not, with mode 0o600: it holds secrets."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    """Write ``pf`` to ``path`` with mode 0o600, as it holds secrets; a symlink there is refused."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o600)
     with open(fd, "w", encoding="utf-8", newline="") as fh:
         os.fchmod(fd, 0o600)  # before the secrets go in
         fh.write(pf.to_text())

@@ -41,6 +41,7 @@ import math
 import platform
 import socket
 import ssl
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -268,21 +269,11 @@ def _summarise(case: str, size: int, note: str, batch: int, times: list[float]) 
         size_bytes=size,
         ops_per_sec=rate,
         mb_per_sec=rate * size / 1e6,
-        p50_us=_percentile(per_op_us, 50.0),
-        p99_us=_percentile(per_op_us, 99.0),
+        p50_us=statistics.median(per_op_us),
+        p99_us=statistics.quantiles(per_op_us, n=100, method="inclusive")[98],
         note=note,
         flags=flags,
     )
-
-
-def _percentile(sorted_vals: list[float], pct: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    k = (len(sorted_vals) - 1) * pct / 100.0
-    lo = int(k)
-    hi = min(lo + 1, len(sorted_vals) - 1)
-    frac = k - lo
-    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
 
 
 # -- row factories ----------------------------------------------------

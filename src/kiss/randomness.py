@@ -2,10 +2,14 @@
 
 Implements a seven-test subset of the NIST SP 800-22 rev. 1a suite:
 monobit, block frequency, runs, longest run of ones, cumulative sums,
-approximate entropy, and serial. Each test returns its p-value; the
-battery runs every test across independent trial streams and applies
-the SP 800-22 proportion rule (a three-sigma confidence bound on the
-expected pass rate) to reach a verdict.
+approximate entropy, and serial. Each test runs at one configuration:
+block frequency over 128-bit blocks, approximate entropy at m = 10,
+serial at m = 16, and the forward cumulative sums. ``MIN_BITS`` holds
+the fewest bits each test takes there; a test refuses a shorter stream.
+Each test returns its p-value; the battery runs every test across
+independent trial streams and applies the SP 800-22 proportion rule (a
+three-sigma confidence bound on the expected pass rate) to reach a
+verdict.
 
 Bit streams under test come from the deterministic key chain itself:
 one chain per trial, distinguished by direction label, each 32-byte
@@ -33,6 +37,12 @@ from .errors import InvalidParameterError
 from .idvv import idvv_init, idvv_peek
 
 MIN_STREAM_BITS = 100
+
+# The one configuration every test runs at: block frequency's block size M
+# (two whole 64-bit words), approximate entropy's and serial's pattern widths m
+_BLOCK = 128
+_APEN_M = 10
+_SERIAL_M = 16
 
 # longest-run tiers: (min stream bits, block size M, category lower/upper
 # clamp, reference probabilities). Probabilities are the published
@@ -129,10 +139,12 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
     return BitStream.from_bytes(b"".join(values), n_bits)
 
 
-def _stream(bits, test: str | None = None) -> BitStream:
+def _stream(bits, name: str) -> BitStream:
     s = bits if isinstance(bits, BitStream) else BitStream(bits)
-    if test and len(s) < MIN_STREAM_BITS:
-        raise InvalidParameterError(f"{test} test needs >= {MIN_STREAM_BITS} bits, got {len(s)}")
+    if len(s) < MIN_BITS[name]:
+        raise InvalidParameterError(
+            f"{name} test needs at least {MIN_BITS[name]:,} bits, got {len(s):,}"
+        )
     return s
 
 
@@ -237,28 +249,16 @@ def monobit_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     return TestResult("monobit", p, p >= alpha, {"n": n, "s_n": s_n})
 
 
-def block_frequency_test(bits, block_size: int = 128, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits)
+def block_frequency_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
+    s = _stream(bits, "block-frequency")
     n = len(s)
-    if block_size < 2:
-        raise InvalidParameterError(f"block size must be >= 2, got {block_size}")
-    n_blocks = n // block_size
-    if n_blocks < 1:
-        raise InvalidParameterError(
-            f"stream too short for block size {block_size} ({n} bits)"
-        )
-    # ones before each block edge: up to the end of its word, less those from the edge on
-    edges = np.arange(n_blocks + 1, dtype=np.uint64) * block_size
-    words, at = _words(s.packed), edges >> 6
-    upto = np.cumsum(np.bitwise_count(words), dtype=np.int64)[at]
-    pi = np.diff(upto - np.bitwise_count(words[at].astype(np.uint64) << edges % 64)) / block_size
-    chi_sq = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
+    n_blocks = n // _BLOCK
+    ones = np.bitwise_count(_words(s.packed)[: 2 * n_blocks]).reshape(n_blocks, 2).sum(axis=1)
+    pi = ones / _BLOCK
+    chi_sq = 4.0 * _BLOCK * float(np.sum((pi - 0.5) ** 2))
     p = _igamc(n_blocks / 2.0, chi_sq / 2.0)
     return TestResult(
-        "block-frequency",
-        p,
-        p >= alpha,
-        {"n": n, "block_size": block_size, "n_blocks": n_blocks, "chi_sq": chi_sq},
+        "block-frequency", p, p >= alpha, {"n": n, "n_blocks": n_blocks, "chi_sq": chi_sq}
     )
 
 
@@ -287,13 +287,9 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
 
 
 def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits)
+    s = _stream(bits, "longest-run")
     n = len(s)
-    for min_n, block_size, lo, hi, ref in _LONGEST_RUN_TIERS:
-        if n >= min_n:
-            break
-    else:
-        raise InvalidParameterError(f"longest-run test needs >= 128 bits, got {n}")
+    _, block_size, lo, hi, ref = next(tier for tier in _LONGEST_RUN_TIERS if n >= tier[0])
     n_blocks = n // block_size
     longest = _longest_runs(s.packed, block_size // 8, n_blocks)
     cats = np.clip(longest, lo, hi) - lo
@@ -344,13 +340,11 @@ def _longest_runs(packed: np.ndarray, block_bytes: int, n_blocks: int) -> np.nda
     return best.reshape(n_blocks, block_bytes).max(axis=1)
 
 
-def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def cusum_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     s = _stream(bits, "cusum")
     n = len(s)
     hi, lo, total = _walk_range(s)
-    # the forward walk visits S_1 .. S_n; the backward one visits
-    # total - S_j for j = n-1 down to 0
-    z = max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
+    z = max(hi, -lo, abs(total))  # the walk visits S_1 .. S_n, and S_0 = 0
     sqrt_n = math.sqrt(n)
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
@@ -361,10 +355,7 @@ def cusum_test(bits, forward: bool = True, alpha: float = DEFAULT_ALPHA) -> Test
         _ndtr((4 * k2 + 3) * z / sqrt_n) - _ndtr((4 * k2 + 1) * z / sqrt_n)
     )
     p = float(min(max(1.0 - term1 + term2, 0.0), 1.0))
-    direction = "forward" if forward else "backward"
-    return TestResult(
-        "cusum", p, p >= alpha, {"n": n, "z": z, "direction": direction}
-    )
+    return TestResult("cusum", p, p >= alpha, {"n": n, "z": z})
 
 
 def _walk_range(s: BitStream) -> tuple[int, int, int]:
@@ -387,53 +378,31 @@ def _walk_range(s: BitStream) -> tuple[int, int, int]:
     return hi, lo, level
 
 
-def approximate_entropy_test(
-    bits, pattern_len: int = 10, alpha: float = DEFAULT_ALPHA
-) -> TestResult:
-    s = _stream(bits)
+def approximate_entropy_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
+    s = _stream(bits, "approximate-entropy")
     n = len(s)
-    if pattern_len < 1:
-        raise InvalidParameterError(f"pattern length must be >= 1, got {pattern_len}")
-    if 1 << (pattern_len + 1) >= n:
-        raise InvalidParameterError(
-            f"pattern length {pattern_len} too large for {n} bits"
-        )
-    counts = s.pattern_counts(pattern_len + 1)
+    counts = s.pattern_counts(_APEN_M + 1)
     ap_en = _phi(_fold(counts), n) - _phi(counts, n)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
-    p = _igamc(2.0 ** (pattern_len - 1), chi_sq / 2.0)
+    p = _igamc(2.0 ** (_APEN_M - 1), chi_sq / 2.0)
     return TestResult(
-        "approximate-entropy",
-        p,
-        p >= alpha,
-        {"n": n, "pattern_len": pattern_len, "ap_en": ap_en, "chi_sq": chi_sq},
+        "approximate-entropy", p, p >= alpha, {"n": n, "ap_en": ap_en, "chi_sq": chi_sq}
     )
 
 
-def serial_test(bits, pattern_len: int = 16, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits)
+def serial_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
+    s = _stream(bits, "serial")
     n = len(s)
-    if pattern_len < 2:
-        raise InvalidParameterError(f"pattern length must be >= 2, got {pattern_len}")
-    if 1 << pattern_len >= n:
-        raise InvalidParameterError(
-            f"pattern length {pattern_len} too large for {n} bits"
-        )
-    counts = s.pattern_counts(pattern_len)
+    counts = s.pattern_counts(_SERIAL_M)
     counts1 = _fold(counts)
     psi_m = _psi_sq(counts, n)
     psi_m1 = _psi_sq(counts1, n)
     psi_m2 = _psi_sq(_fold(counts1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = _igamc(2.0 ** (pattern_len - 2), d1 / 2.0)
-    p2 = _igamc(2.0 ** (pattern_len - 3), d2 / 2.0)
-    return TestResult(
-        "serial",
-        p1,
-        p1 >= alpha,
-        {"n": n, "pattern_len": pattern_len, "delta1": d1, "delta2": d2, "p2": p2},
-    )
+    p1 = _igamc(2.0 ** (_SERIAL_M - 2), d1 / 2.0)
+    p2 = _igamc(2.0 ** (_SERIAL_M - 3), d2 / 2.0)
+    return TestResult("serial", p1, p1 >= alpha, {"n": n, "delta1": d1, "delta2": d2, "p2": p2})
 
 
 def _pattern_counts(s: BitStream, m: int) -> np.ndarray:
@@ -494,17 +463,17 @@ ALL_TESTS = {
     "serial": serial_test,
 }
 
-# The fewest bits per trial each test takes at the parameters the battery
-# runs it with. Pattern lengths are fixed, not derived from the stream
-# length, so a report never changes its tests' parameters with n_bits.
+# The fewest bits per trial each test takes at its one configuration. Pattern
+# widths are fixed, not derived from the stream length, so a report never
+# changes its tests' parameters with n_bits.
 MIN_BITS = {
     "monobit": MIN_STREAM_BITS,
-    "block-frequency": 128,  # one 128-bit block
+    "block-frequency": _BLOCK,  # one block
     "runs": MIN_STREAM_BITS,
-    "longest-run": 128,  # the smallest tier of the SP 800-22 table
+    "longest-run": _LONGEST_RUN_TIERS[-1][0],  # the smallest tier of the SP 800-22 table
     "cusum": MIN_STREAM_BITS,
-    "approximate-entropy": (1 << 11) + 1,  # more bits than 11-bit patterns
-    "serial": (1 << 16) + 1,  # more bits than 16-bit patterns
+    "approximate-entropy": (1 << (_APEN_M + 1)) + 1,  # more bits than (m+1)-bit patterns
+    "serial": (1 << _SERIAL_M) + 1,  # more bits than m-bit patterns
 }
 
 

@@ -285,3 +285,17 @@ def test_provision_file_is_private_to_its_owner(tmp_path):
     for path, pf in ((fresh, init_pf), (existing, resp_pf)):
         assert path.stat().st_mode & 0o077 == 0, oct(path.stat().st_mode)
         assert read_provision_file(path) == pf
+
+
+def test_provision_write_refuses_a_symlink(tmp_path):
+    # a link planted where the file goes must not redirect the secrets
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"keep me\n")
+    victim.chmod(0o644)
+    link = tmp_path / "initiator.prov"
+    link.symlink_to(victim)
+    init_pf, _ = generate_provision()
+    with pytest.raises(OSError):
+        write_provision_file(init_pf, link)
+    assert victim.read_bytes() == b"keep me\n"
+    assert victim.stat().st_mode & 0o777 == 0o644

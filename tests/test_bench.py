@@ -27,7 +27,6 @@ from kiss.bench import (
     _TLS_HOST,
     _check_run,
     _measure_cases,
-    _percentile,
     _read_exact,
     _tls_contexts,
 )
@@ -129,15 +128,6 @@ def test_measure_cases_interleaves_batches(monkeypatch):
     assert [c.case for c in cases] == ["a", "b"]
     # warmup rounds, then the timed rounds
     assert order == ["a", "b"] * (WARMUP + _BATCHES)
-
-
-def test_percentile_interpolation():
-    vals = [float(v) for v in range(1, 11)]
-    assert _percentile(vals, 0.0) == 1.0
-    assert _percentile(vals, 50.0) == 5.5
-    assert _percentile(vals, 100.0) == 10.0
-    assert _percentile(vals, 50.0) <= _percentile(vals, 99.0)
-    assert _percentile([], 50.0) == 0.0
 
 
 # -- primitive ops -----------------------------------------------------

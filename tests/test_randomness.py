@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -29,7 +30,6 @@ from kiss.errors import InvalidParameterError
 from kiss.randomness import (
     ALL_TESTS,
     MIN_BITS,
-    MIN_STREAM_BITS,
     BitStream,
     RandomnessReport,
     _fold,
@@ -59,18 +59,27 @@ def _chain_bits(label: bytes, n: int = 2048) -> np.ndarray:
     return np.array(stream_bits_ref(SEED, ROOT, label, n), dtype=np.uint8)
 
 
-def _fidelity_vectors(n: int = 2048) -> list[np.ndarray]:
+def _fidelity_vectors(n: int) -> list[np.ndarray]:
     """Eleven mixed vectors: six keystreams plus five structured ones."""
     chains = [_chain_bits(b"fv%d" % i, n) for i in range(6)]
     zeros = np.zeros(n, dtype=np.uint8)
     ones = np.ones(n, dtype=np.uint8)
-    alternating = np.tile(np.array([1, 0], dtype=np.uint8), n // 2)
+    alternating = np.resize(np.array([1, 0], dtype=np.uint8), n)
     biased = np.maximum(_chain_bits(b"bias-a", n), _chain_bits(b"bias-b", n))
-    periodic = np.tile(np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8), n // 8)
+    periodic = np.resize(np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8), n)
     return chains + [zeros, ones, alternating, biased, periodic]
 
 
-VECTORS = _fidelity_vectors()
+# Just above approximate entropy's floor of 2,049 bits, ending inside a byte
+VECTORS = _fidelity_vectors(2051)
+
+
+@functools.cache
+def _serial_vectors() -> list[np.ndarray]:
+    """The same eleven kinds above serial's floor of 65,537 bits, built on first use."""
+    return _fidelity_vectors(65_539)
+
+
 PI_BITS = np.array([int(c) for c in PI_100_BITS], dtype=np.uint8)
 
 # Longer vectors, built on first use. No length is a whole number of
@@ -110,17 +119,8 @@ def test_monobit_matches_oracle(idx):
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
 def test_block_frequency_matches_oracle(idx):
     bits = VECTORS[idx]
-    got = block_frequency_test(bits, block_size=128).p_value
+    got = block_frequency_test(bits).p_value
     assert abs(got - block_frequency_p_ref(bits.tolist(), 128)) <= TOL
-
-
-@pytest.mark.parametrize("block_size", [3, 7, 64, 100, 129, 1000])
-def test_block_frequency_any_block_size_matches_oracle(block_size):
-    # block edges fall anywhere in a byte and in a 64-bit word, and the
-    # streams end inside a byte
-    for bits in (_chain_bits(b"bf", 2051), _long_vector("biased-131075")[:5003]):
-        got = block_frequency_test(bits, block_size=block_size).p_value
-        assert abs(got - block_frequency_p_ref(bits.tolist(), block_size)) <= TOL
 
 
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
@@ -139,26 +139,24 @@ def test_longest_run_matches_oracle(idx):
     assert abs(longest_run_test(bits).p_value - longest_run_p_ref(bits.tolist())) <= TOL
 
 
-@pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
-def test_cusum_matches_oracle(idx, forward):
+def test_cusum_matches_oracle(idx):
     bits = VECTORS[idx]
-    got = cusum_test(bits, forward=forward).p_value
-    assert abs(got - cusum_p_ref(bits.tolist(), forward)) <= TOL
+    assert abs(cusum_test(bits).p_value - cusum_p_ref(bits.tolist())) <= TOL
 
 
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
 def test_approximate_entropy_matches_oracle(idx):
     bits = VECTORS[idx]
-    got = approximate_entropy_test(bits, pattern_len=4).p_value
-    assert abs(got - approximate_entropy_p_ref(bits.tolist(), 4)) <= TOL
+    got = approximate_entropy_test(bits).p_value
+    assert abs(got - approximate_entropy_p_ref(bits.tolist(), 10)) <= TOL
 
 
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
 def test_serial_matches_oracle(idx):
-    bits = VECTORS[idx]
-    result = serial_test(bits, pattern_len=5)
-    p1_ref, p2_ref = serial_p_ref(bits.tolist(), 5)
+    bits = _serial_vectors()[idx]
+    result = serial_test(bits)
+    p1_ref, p2_ref = serial_p_ref(bits.tolist(), 16)
     assert abs(result.p_value - p1_ref) <= TOL
     assert abs(result.params["p2"] - p2_ref) <= TOL
 
@@ -166,14 +164,12 @@ def test_serial_matches_oracle(idx):
 def test_approximate_entropy_default_width_matches_oracle():
     bits = _long_vector("keystream-131075")
     result = approximate_entropy_test(bits)
-    assert result.params["pattern_len"] == 10
     assert abs(result.p_value - approximate_entropy_p_ref(bits.tolist(), 10)) <= TOL
 
 
 def test_serial_default_width_matches_oracle():
     bits = _long_vector("keystream-131075")
     result = serial_test(bits)
-    assert result.params["pattern_len"] == 16
     p1_ref, p2_ref = serial_p_ref(bits.tolist(), 16)
     assert abs(result.p_value - p1_ref) <= TOL
     assert abs(result.params["p2"] - p2_ref) <= TOL
@@ -240,36 +236,33 @@ def _kernel_streams(n: int) -> dict[str, np.ndarray]:
         "constant": np.ones(n, dtype=np.uint8),
         "alternating": np.resize(np.array([1, 0], dtype=np.uint8), n),
         "biased": np.maximum(_chain_bits(b"kb-a", n), _chain_bits(b"kb-b", n)),
-        # drift early, so the two directions' excursions differ
+        # a run of ones first: the walk climbs far from zero before the keystream
         "drifting": np.concatenate(
             [np.ones(n // 4, dtype=np.uint8), _chain_bits(b"kern-d", n - n // 4)]
         ),
     }
 
 
-def _unpacked_excursion(bits: np.ndarray, forward: bool) -> int:
-    steps = bits.astype(np.int64) * 2 - 1
-    walk = np.cumsum(steps if forward else steps[::-1])
+def _unpacked_excursion(bits: np.ndarray) -> int:
+    walk = np.cumsum(bits.astype(np.int64) * 2 - 1)
     return int(max(walk.max(), -walk.min()))
 
 
-def _byte_walk_excursion(bits: np.ndarray, forward: bool) -> int:
+def _byte_walk_excursion(bits: np.ndarray) -> int:
     """cusum's z; below the test's minimum length, from its kernel directly."""
-    if bits.size >= MIN_STREAM_BITS:
-        return cusum_test(bits, forward=forward).params["z"]
+    if bits.size >= MIN_BITS["cusum"]:
+        return cusum_test(bits).params["z"]
     hi, lo, total = _walk_range(BitStream(bits))
-    return max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
+    return max(hi, -lo, abs(total))
 
 
-@pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("tail", range(8))
 @pytest.mark.parametrize("kind", ["keystream", "constant", "alternating", "biased", "drifting"])
-def test_cusum_byte_walk_matches_unpacked_walk(kind, tail, forward):
+def test_cusum_byte_walk_matches_unpacked_walk(kind, tail):
     # streams shorter than a byte have no whole byte, only a tail
     for n in sorted({tail, 8 + tail, 1000 + tail} - {0}):
         bits = _kernel_streams(n)[kind]
-        z = _byte_walk_excursion(bits, forward)
-        assert z == _unpacked_excursion(bits, forward), n
+        assert _byte_walk_excursion(bits) == _unpacked_excursion(bits), n
 
 
 def _unpacked_longest_runs(bits: np.ndarray, block_size: int) -> list[int]:
@@ -371,16 +364,15 @@ def test_runs_and_cusum_reject_short_streams(test, n):
 
 def test_block_frequency_balanced_blocks_pass_exactly():
     bits = np.tile(np.array([1, 0], dtype=np.uint8), 640)
-    result = block_frequency_test(bits, block_size=128)
+    result = block_frequency_test(bits)
     assert result.p_value == 1.0
     assert result.params["chi_sq"] == 0.0
 
 
 def test_block_frequency_rejects_bad_geometry():
+    # fewer bits than one 128-bit block
     with pytest.raises(InvalidParameterError):
-        block_frequency_test(np.zeros(100, dtype=np.uint8), block_size=128)
-    with pytest.raises(InvalidParameterError):
-        block_frequency_test(np.zeros(100, dtype=np.uint8), block_size=1)
+        block_frequency_test(np.zeros(127, dtype=np.uint8))
 
 
 def test_runs_prerequisite_failure_is_a_result_not_an_error():
@@ -415,48 +407,22 @@ def test_cusum_constant_fails_hard():
     assert not result.passed
 
 
-def test_cusum_directions_differ_on_asymmetric_stream():
-    # drift concentrated early: forward excursion dwarfs the reversed one
-    bits = np.concatenate(
-        [np.ones(300, dtype=np.uint8), _chain_bits(b"tail", 1700)]
-    )
-    fwd = cusum_test(bits, forward=True)
-    bwd = cusum_test(bits, forward=False)
-    assert fwd.params["direction"] == "forward"
-    assert bwd.params["direction"] == "backward"
-    assert fwd.params["z"] != bwd.params["z"]
-
-
 def test_approximate_entropy_periodic_fails():
-    bits = np.tile(np.array([1, 0], dtype=np.uint8), 1024)
-    result = approximate_entropy_test(bits, pattern_len=2)
+    bits = np.resize(np.array([1, 0], dtype=np.uint8), MIN_BITS["approximate-entropy"])
+    result = approximate_entropy_test(bits)
     assert result.p_value < 1e-10
     assert not result.passed
-
-
-def test_approximate_entropy_rejects_wide_patterns():
-    with pytest.raises(InvalidParameterError):
-        approximate_entropy_test(np.zeros(2048, dtype=np.uint8), pattern_len=11)
-    with pytest.raises(InvalidParameterError):
-        approximate_entropy_test(np.zeros(2048, dtype=np.uint8), pattern_len=0)
 
 
 def test_serial_alternating_fails():
-    result = serial_test(np.tile(np.array([1, 0], dtype=np.uint8), 128), pattern_len=3)
+    result = serial_test(np.resize(np.array([1, 0], dtype=np.uint8), MIN_BITS["serial"]))
     assert result.p_value < 1e-10
     assert not result.passed
-
-
-def test_serial_rejects_bad_pattern_lengths():
-    with pytest.raises(InvalidParameterError):
-        serial_test(np.zeros(2048, dtype=np.uint8), pattern_len=1)
-    with pytest.raises(InvalidParameterError):
-        serial_test(np.zeros(2048, dtype=np.uint8), pattern_len=11)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TESTS))
 def test_p_values_well_formed_on_keystream(name):
-    # long enough for the 16-bit serial patterns at their default width
+    # long enough for serial's 16-bit patterns
     result = ALL_TESTS[name](generate_stream(SEED, ROOT, b"wf", 70_000))
     assert 0.0 <= result.p_value <= 1.0
     assert result.name == name
@@ -583,7 +549,8 @@ def test_min_bits_is_each_tests_own_floor():
     bits = generate_stream(SEED, ROOT, b"floor", max(MIN_BITS.values())).bits
     for name, test in ALL_TESTS.items():
         test(bits[: MIN_BITS[name]])
-        with pytest.raises(InvalidParameterError):
+        floor = re.escape(f"{name} test needs at least {MIN_BITS[name]:,} bits")
+        with pytest.raises(InvalidParameterError, match=floor):
             test(bits[: MIN_BITS[name] - 1])
 
 
