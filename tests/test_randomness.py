@@ -139,10 +139,13 @@ def test_longest_run_matches_oracle(idx):
     assert abs(longest_run_test(bits).p_value - longest_run_p_ref(bits.tolist())) <= TOL
 
 
+@pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
-def test_cusum_matches_oracle(idx):
+def test_cusum_matches_oracle(idx, forward):
+    # the oracle's backward walk is the battery's forward walk of the reversed stream
     bits = VECTORS[idx]
-    assert abs(cusum_test(bits).p_value - cusum_p_ref(bits.tolist())) <= TOL
+    got = cusum_test(bits if forward else bits[::-1]).p_value
+    assert abs(got - cusum_p_ref(bits.tolist(), forward)) <= TOL
 
 
 @pytest.mark.parametrize("idx", range(len(VECTORS)))
@@ -236,33 +239,37 @@ def _kernel_streams(n: int) -> dict[str, np.ndarray]:
         "constant": np.ones(n, dtype=np.uint8),
         "alternating": np.resize(np.array([1, 0], dtype=np.uint8), n),
         "biased": np.maximum(_chain_bits(b"kb-a", n), _chain_bits(b"kb-b", n)),
-        # a run of ones first: the walk climbs far from zero before the keystream
+        # drift early, so the forward and reversed walks' excursions differ
         "drifting": np.concatenate(
             [np.ones(n // 4, dtype=np.uint8), _chain_bits(b"kern-d", n - n // 4)]
         ),
     }
 
 
-def _unpacked_excursion(bits: np.ndarray) -> int:
-    walk = np.cumsum(bits.astype(np.int64) * 2 - 1)
+def _unpacked_excursion(bits: np.ndarray, forward: bool) -> int:
+    steps = bits.astype(np.int64) * 2 - 1
+    walk = np.cumsum(steps if forward else steps[::-1])
     return int(max(walk.max(), -walk.min()))
 
 
-def _byte_walk_excursion(bits: np.ndarray) -> int:
-    """cusum's z; below the test's minimum length, from its kernel directly."""
-    if bits.size >= MIN_BITS["cusum"]:
+def _byte_walk_excursion(bits: np.ndarray, forward: bool) -> int:
+    """cusum's z; below the test's minimum length, and for the reversed walk,
+    from its kernel's range: the reversed walk measures hi and lo from the total."""
+    if forward and bits.size >= MIN_BITS["cusum"]:
         return cusum_test(bits).params["z"]
     hi, lo, total = _walk_range(BitStream(bits))
-    return max(hi, -lo, abs(total))
+    return max(hi, -lo, abs(total)) if forward else max(total - lo, hi - total)
 
 
+@pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("tail", range(8))
 @pytest.mark.parametrize("kind", ["keystream", "constant", "alternating", "biased", "drifting"])
-def test_cusum_byte_walk_matches_unpacked_walk(kind, tail):
+def test_cusum_byte_walk_matches_unpacked_walk(kind, tail, forward):
     # streams shorter than a byte have no whole byte, only a tail
     for n in sorted({tail, 8 + tail, 1000 + tail} - {0}):
         bits = _kernel_streams(n)[kind]
-        assert _byte_walk_excursion(bits) == _unpacked_excursion(bits), n
+        z = _byte_walk_excursion(bits, forward)
+        assert z == _unpacked_excursion(bits, forward), n
 
 
 def _unpacked_longest_runs(bits: np.ndarray, block_size: int) -> list[int]:
