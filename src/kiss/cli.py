@@ -14,6 +14,7 @@ import logging
 import os
 import socket
 import sys
+import tempfile
 from pathlib import Path
 
 from .association import (
@@ -81,13 +82,28 @@ def _parse_addr(text: str) -> tuple[str, int]:
 def cmd_provision(args) -> int:
     init_pf, resp_pf = generate_provision(mode=Mode(args.mode), resync_window=args.window)
     out_dir = Path(args.out_dir)
+    files = [(init_pf, out_dir / "initiator.prov"), (resp_pf, out_dir / "responder.prov")]
+    temps = []
+    # both files go to fresh temporary names first and are renamed only once
+    # both are written, so the pair lands whole or leaves the directory as it was
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_provision_file(init_pf, out_dir / "initiator.prov")
-        write_provision_file(resp_pf, out_dir / "responder.prov")
+        for pf, path in files:
+            fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", dir=out_dir)
+            os.close(fd)
+            temps.append(temp)
+            write_provision_file(pf, temp)
+        for _, path in files:  # a rename would replace a link, not write through it
+            if path.is_symlink() or path.is_dir():
+                raise FileExistsError(f"{path} is a symlink or a directory")
+        for temp, (_, path) in zip(temps, files):
+            os.replace(temp, path)
     except OSError as exc:
         print(f"error: cannot write provision files: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for temp in temps:
+            Path(temp).unlink(missing_ok=True)
     log.info("wrote initiator.prov and responder.prov under %s", out_dir)
     print(init_pf.assoc_id.hex())
     return 0

@@ -56,6 +56,10 @@ def test_provision_writes_pair(tmp_path):
     assert (init_pf.role, resp_pf.role) == (Role.INITIATOR, Role.RESPONDER)
     assert init_pf.mode is Mode.AUTH_ONLY
     assert init_pf.seed == resp_pf.seed
+    # renamed from temporaries that are gone, with the secrets' 0o600 mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["initiator.prov", "responder.prov"]
+    for p in tmp_path.iterdir():
+        assert p.stat().st_mode & 0o777 == 0o600, oct(p.stat().st_mode)
 
 
 def test_provision_honors_mode_and_window(tmp_path):
@@ -66,6 +70,22 @@ def test_provision_honors_mode_and_window(tmp_path):
     pf = read_provision_file(tmp_path / "initiator.prov")
     assert pf.mode is Mode.AEAD
     assert pf.resync_window == 64
+
+
+def test_provision_writes_both_files_or_neither(tmp_path):
+    assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
+    before = (tmp_path / "initiator.prov").read_bytes()
+    victim = tmp_path / "victim"
+    victim.write_text("untouched\n")
+    (tmp_path / "responder.prov").unlink()
+    (tmp_path / "responder.prov").symlink_to(victim)
+    result = run_cli("provision", "--out-dir", str(tmp_path))
+    assert result.returncode == 1
+    assert "error" in result.stderr.lower()
+    assert (tmp_path / "initiator.prov").read_bytes() == before
+    assert victim.read_text() == "untouched\n"
+    assert (tmp_path / "responder.prov").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["initiator.prov", "responder.prov", "victim"]
 
 
 def test_provision_unwritable_path_exits_one():

@@ -82,10 +82,14 @@ def _serial_vectors() -> list[np.ndarray]:
 
 PI_BITS = np.array([int(c) for c in PI_100_BITS], dtype=np.uint8)
 
-# Longer vectors, built on first use. No length is a whole number of
-# bytes or of longest-run blocks (8, 128 and 10,000 bits).
+# Longer vectors, built on first use. Besides 131,072 bits, no length is a
+# whole number of bytes or of longest-run blocks (8, 128 and 10,000 bits).
 LONG_VECTORS = {
     "keystream-131075": lambda: _chain_bits(b"long", 131_075),
+    # the pattern count reads 16,384 bytes at a time: exactly one read, and
+    # an even length that ends inside a byte
+    "keystream-131072": lambda: _chain_bits(b"chunk", 131_072),
+    "keystream-131074": lambda: _chain_bits(b"even", 131_074),
     "periodic-131075": lambda: np.resize(
         np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8), 131_075
     ),
@@ -211,7 +215,10 @@ def _direct_counts(bits: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(index, minlength=1 << m)
 
 
-@pytest.mark.parametrize("name", ["keystream-131075", "periodic-131075", "biased-131075"])
+@pytest.mark.parametrize(
+    "name",
+    ["keystream-131075", "periodic-131075", "biased-131075", "keystream-131072", "keystream-131074"],
+)
 def test_folded_pattern_counts_match_direct_counts(name):
     bits = _long_vector(name)
     folded = _pattern_counts(BitStream(bits), 16)
@@ -510,14 +517,16 @@ def test_trial_working_set_at_default_scale():
     # packed bytes and no unpacked copy (1.1 MB when it held one); runs,
     # longest-run and cusum peaked at 1.38, 1.76 and 2.13 MB of temporaries
     # when they indexed byte tables with intp arrays, and at 0.38, 0.76
-    # and 0.75 MB reading the packed bytes through translate and popcounts
+    # and 0.75 MB reading the packed bytes through translate and popcounts.
+    # Serial's peak is its one 16-bit pattern count: 2.55 MB with a bincount
+    # per bit offset, 0.93 MB counting pairs into one int32 accumulator
     n = 1_000_000
     tracemalloc.start()
     try:
         stream = generate_stream(SEED, ROOT, b"ws", n)
         held = tracemalloc.get_traced_memory()[0]
         peaks = {}
-        for name in ("runs", "longest-run", "cusum"):
+        for name in ("runs", "longest-run", "cusum", "serial"):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             ALL_TESTS[name](stream)
@@ -528,6 +537,7 @@ def test_trial_working_set_at_default_scale():
     assert peaks["runs"] <= 450_000, peaks
     assert peaks["longest-run"] <= 900_000, peaks
     assert peaks["cusum"] <= 900_000, peaks
+    assert peaks["serial"] < 2 << 20, peaks
 
 
 def test_generate_stream_rejects_short():
@@ -640,6 +650,18 @@ def test_battery_csv_is_pinned_at_default_scale():
     report = run_battery(DEMO_SEED, DEMO_ROOT, n_bits=1_000_000, trials=20)
     digest = hashlib.sha256(report.to_csv().encode("ascii")).hexdigest()
     assert digest == BATTERY_1M_CSV_SHA256
+
+
+# the same at an odd length, recorded before the pattern count moved to
+# pairs of windows at even bits; only an odd length runs the count's
+# correction for the pair that wraps from the last bit to the first
+BATTERY_200K_ODD_CSV_SHA256 = "7a7a052aeaa4febb155c90223bd658f620ec9b3a2e65daf75a0d7bd05cd3ab6c"
+
+
+def test_battery_csv_is_pinned_at_an_odd_length():
+    report = run_battery(DEMO_SEED, DEMO_ROOT, n_bits=200_001, trials=20)
+    digest = hashlib.sha256(report.to_csv().encode("ascii")).hexdigest()
+    assert digest == BATTERY_200K_ODD_CSV_SHA256
 
 
 def test_battery_flags_constant_source():
