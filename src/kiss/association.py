@@ -50,8 +50,9 @@ class ProvisionFile:
     assoc_id: bytes
     role: Role
     mode: Mode
-    seed: bytes
-    root: bytes
+    # kept out of repr, so a traceback or log line that shows one leaks neither
+    seed: bytes = field(repr=False)
+    root: bytes = field(repr=False)
     resync_window: int = DEFAULT_RESYNC_WINDOW
 
     def to_text(self) -> str:

@@ -28,8 +28,10 @@ The parsed header goes straight to ``_open_frame``, the verify-and-commit
 step that ``open_record`` also runs after its exact-length check.
 
 ``Record``, ``seal`` and ``encode_record`` are an inspection view of the
-same bytes (``seal`` slices what ``seal_wire`` returns), kept because
-``benchmark/`` calls them; no endpoint runs them.
+same bytes: ``seal`` slices what ``seal_wire`` returns and keeps it whole
+in ``Record.wire``, which ``encode_record`` returns. They stay only
+because ``benchmark/`` calls ``encode_record(seal(...))`` and its tracer
+wraps both; no endpoint runs them.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ assert _HEADER.size == HEADER_LEN
 # and tests modes with ``is``: hashing an Enum runs in Python.
 _AUTH_ONLY_WIRE, _AEAD_WIRE = 0x01, 0x02
 _WIRE_MODE = {_AUTH_ONLY_WIRE: (Mode.AUTH_ONLY, 32), _AEAD_WIRE: (Mode.AEAD, 16)}
-_MODE_WIRE = {mode: raw for raw, (mode, _) in _WIRE_MODE.items()}
 TAG_LEN = dict(_WIRE_MODE.values())
 
 HELLO_NONCE_LEN = 16
@@ -109,8 +110,12 @@ _DATA, _ALERT = MsgType.DATA, MsgType.ALERT
 _ESTABLISHED = ChannelState.ESTABLISHED
 
 
-# benchmark/ calls seal (which returns a Record), encode_record and
-# open_record, and writes Association.highest_accepted_seq: all of them stay.
+# A Record is made only by seal and keeps the wire bytes seal_wire made, so
+# encode_record packs nothing. Record, seal and encode_record keep their
+# names only because benchmark/ calls encode_record(seal(...)) in three
+# places and its tracer wraps both; they can go once it calls seal_wire.
+# benchmark/ also calls open_record and writes
+# Association.highest_accepted_seq: both stay.
 class Record(NamedTuple):
     msg_type: MsgType
     mode: Mode
@@ -118,22 +123,11 @@ class Record(NamedTuple):
     seq: int
     payload: bytes
     tag: bytes
+    wire: bytes
 
 
 def encode_record(record: Record) -> bytes:
-    msg_type, mode, assoc_id, seq, payload, tag = record
-    if len(payload) > MAX_PAYLOAD:
-        raise FrameError(
-            f"payload {len(payload)} exceeds cap {MAX_PAYLOAD}", field="payload_len"
-        )
-    if len(tag) != TAG_LEN[mode]:
-        raise FrameError(
-            f"tag must be {TAG_LEN[mode]} bytes in {mode.value} mode", field="tag"
-        )
-    header = _HEADER.pack(
-        MAGIC, VERSION, msg_type, _MODE_WIRE[mode], assoc_id, seq, len(payload)
-    )
-    return b"".join((header, payload, tag))
+    return record.wire
 
 
 def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
@@ -204,7 +198,7 @@ def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
     end = HEADER_LEN + len(payload)
     return Record(
         msg_type, assoc.mode, assoc.assoc_id, assoc.send_chain.counter,
-        wire[HEADER_LEN:end], wire[end:],
+        wire[HEADER_LEN:end], wire[end:], wire,
     )
 
 

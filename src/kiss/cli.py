@@ -141,24 +141,24 @@ def cmd_client(args) -> int:
         raise KissError(f"--count must be at least 1, got {args.count}")
     pf = read_provision_file(args.provision)
     host, port = _parse_addr(args.connect)
-    if args.send is not None:
-        payloads = [args.send.encode("utf-8")]
-    else:
-        payloads = [b"msg-%08d" % i for i in range(args.count)]
+    # --send is one record; otherwise each payload is made as it is sent
+    message = None if args.send is None else args.send.encode("utf-8")
+    count = args.count if message is None else 1
     with socket.create_connection((host, port), timeout=IO_TIMEOUT_S) as conn:
         endpoint = ChannelEndpoint(load_association(pf), conn)
         endpoint.handshake()
         log.info("handshake complete")
-        for i, payload in enumerate(payloads):
+        for i in range(count):
+            payload = b"msg-%08d" % i if message is None else message
             endpoint.send(payload)
             ack = endpoint.receive()
             if ack != payload:
                 raise KissError(f"acknowledgment mismatch on record {i}")
             log.debug("record %d acknowledged", i)
-        if args.send is not None:
-            print(payloads[0].decode("utf-8"))
+        if message is not None:
+            print(args.send)
         endpoint.close()
-    log.info("%d records exchanged, clean close", len(payloads))
+    log.info("%d records exchanged, clean close", count)
     return 0
 
 

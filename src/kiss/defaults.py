@@ -15,5 +15,6 @@ DEFAULT_ALPHA = 0.01
 DEFAULT_TRIALS = 100
 DEFAULT_STREAM_BITS = 1_000_000
 
-# kiss.bench: message sizes of the primitives suite
+# message sizes of `kiss bench --suite primitives` when --sizes is not
+# given; the command line reads it, kiss.bench itself does not
 DEFAULT_SIZES = (64, 512, 1500, 16384)

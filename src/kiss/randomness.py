@@ -115,14 +115,16 @@ class BitStream:
         return self._bits
 
     def pattern_counts(self, m: int) -> np.ndarray:
-        """Wrapped overlapping m-bit pattern counts.
+        """Wrapped overlapping m-bit pattern counts, for m up to serial's 16.
 
-        The widest count made so far is kept and folded down to shorter
-        widths, so one count serves every test that fits inside it.
+        The first call makes the stream's one count, at serial's width, and
+        keeps it; every call folds it down to m bits, which is exact.
         """
+        if not 0 <= m <= _SERIAL_M:
+            raise InvalidParameterError(f"pattern width must be 0..{_SERIAL_M}, got {m}")
         counts = self._counts
-        if counts is None or counts.size < 1 << m:
-            counts = self._counts = _pattern_counts(self, m)
+        if counts is None:
+            counts = self._counts = _pattern_counts(self, _SERIAL_M)
             counts.flags.writeable = False
         while counts.size > 1 << m:
             counts = _fold(counts)
@@ -589,12 +591,9 @@ def run_battery(
         def stream_factory(trial: int, length: int) -> BitStream:
             return generate_stream(seed, root, b"rs%04d" % trial, length)
 
-    # serial's 16-bit pattern count folds exactly to approximate entropy's
-    # 11-bit one, so serial runs first and makes each trial's only count
-    run_order = sorted(ALL_TESTS, key=lambda name: name != "serial")
     results: dict[str, list[TestResult]] = {name: [] for name in ALL_TESTS}
     for trial in range(trials):
         stream = stream_factory(trial, n_bits)
-        for name in run_order:
-            results[name].append(ALL_TESTS[name](stream, alpha=alpha))
+        for name, test in ALL_TESTS.items():
+            results[name].append(test(stream, alpha=alpha))
     return RandomnessReport(n_bits=n_bits, trials=trials, alpha=alpha, results=results)

@@ -214,6 +214,19 @@ def test_loaded_association_keeps_no_root():
         assert held != init_pf.root, f.name
 
 
+def test_reprs_hold_no_secret():
+    # a traceback, log line or test failure that renders one must not leak it
+    init_pf, _ = generate_provision()
+    assoc = load_association(init_pf)
+    chain_values = (assoc.send_chain.value, assoc.recv_chain.value)
+    for text in (repr(init_pf), str(init_pf), repr(assoc)):
+        for secret in (init_pf.seed, init_pf.root, *chain_values):
+            assert repr(secret) not in text and secret.hex() not in text, text
+    assert repr(init_pf.assoc_id) in repr(init_pf)  # the pair is still named
+    assert init_pf.seed.hex() in init_pf.to_text()  # the file still carries both secrets
+    assert init_pf.root.hex() in init_pf.to_text()
+
+
 def test_loaded_pair_chains_mirror():
     init_pf, resp_pf = generate_provision()
     init_assoc = load_association(init_pf)

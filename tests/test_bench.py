@@ -30,7 +30,7 @@ from kiss.bench import (
     _read_exact,
     _tls_contexts,
 )
-from kiss.channel import MAX_PAYLOAD, MsgType, Record, encode_record, open_record
+from kiss.channel import MAX_PAYLOAD, MsgType, open_record
 from kiss.defaults import DEFAULT_SIZES
 from kiss.errors import InvalidParameterError, TransportError
 
@@ -259,11 +259,12 @@ def test_loopback_plaintext_baseline_runs(monkeypatch):
     assert case.p50_us <= case.p99_us
     # one call per record
     assert len(reads) >= 16 and set(reads) == {25 + 256 + 32}
-    # the frames a sealed record would have, with a zeroed tag
+    # the frames a sealed record would have, with a zeroed tag: magic,
+    # version 1, DATA, auth-only, a zero assoc_id, seq, payload_len 256
     msg = bench_mod._counter_buffer(256)
     for seq, wire in enumerate(wires[:2], start=1):
-        record = Record(MsgType.DATA, Mode.AUTH_ONLY, bytes(8), seq, msg, bytes(32))
-        assert wire == encode_record(record)
+        header = b"KI\x01\x03\x01" + bytes(8) + seq.to_bytes(8, "big") + b"\x00\x00\x01\x00"
+        assert wire == header + msg + bytes(32)
 
 
 # a receive that fails mid-run must be raised, not leave the run blocked;

@@ -26,7 +26,6 @@ from kiss.channel import (
     ChannelEndpoint,
     ChannelState,
     MsgType,
-    Record,
     _parse_header,
     _read_frame,
     encode_record,
@@ -81,38 +80,15 @@ def test_empty_aead_record_is_41_bytes():
     assert len(wire) == 41 == HEADER_LEN + 0 + 16
 
 
-def test_record_header_is_fixed_length():
-    rec = Record(MsgType.DATA, Mode.AUTH_ONLY, ASSOC_ID, 1, b"xy", b"\0" * 32)
-    assert len(encode_record(rec)) == HEADER_LEN + 2 + 32
-
-
 def test_encode_decode_round_trip():
     sender, _ = _pair(Mode.AEAD)
-    for rec in (
-        Record(MsgType.CLOSE, Mode.AEAD, ASSOC_ID, 77, b"ct", b"\x11" * 16),
-        seal(sender, MsgType.CLOSE, b"ct"),
-    ):
-        wire = encode_record(rec)
-        msg_type, mode, assoc_id, seq, end, size = _parse_header(wire)
-        assert size == len(wire)
-        assert Record(msg_type, mode, assoc_id, seq, wire[HEADER_LEN:end], wire[end:]) == rec
-    assert rec[:4] == (MsgType.CLOSE, Mode.AEAD, ASSOC_ID, 1)
-
-
-def test_encode_rejects_oversized_payload():
-    rec = Record(
-        MsgType.DATA, Mode.AUTH_ONLY, ASSOC_ID, 1, b"\0" * (MAX_PAYLOAD + 1), b"\0" * 32
-    )
-    with pytest.raises(FrameError) as err:
-        encode_record(rec)
-    assert err.value.field == "payload_len"
-
-
-def test_encode_rejects_wrong_tag_length():
-    rec = Record(MsgType.DATA, Mode.AUTH_ONLY, ASSOC_ID, 1, b"", b"\0" * 16)
-    with pytest.raises(FrameError) as err:
-        encode_record(rec)
-    assert err.value.field == "tag"
+    rec = seal(sender, MsgType.CLOSE, b"ct")
+    wire = encode_record(rec)
+    assert wire == rec.wire
+    msg_type, mode, assoc_id, seq, end, size = _parse_header(wire)
+    assert size == len(wire) == HEADER_LEN + 2 + 16
+    assert (msg_type, mode, assoc_id, seq) == rec[:4] == (MsgType.CLOSE, Mode.AEAD, ASSOC_ID, 1)
+    assert (wire[HEADER_LEN:end], wire[end:]) == (rec.payload, rec.tag)
 
 
 def _wire(msg_type=MsgType.DATA, payload=b"hi"):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -323,6 +324,27 @@ def test_client_count_below_one_exits_one_before_connecting(tmp_path, count):
             listener.accept()  # the client never connected
     finally:
         listener.close()
+
+
+def test_client_makes_no_payload_before_connecting(tmp_path, capsys):
+    # a million payloads built up front would peak near 54 MB here
+    assert cli.main(["provision", "--out-dir", str(tmp_path)]) == 0
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]  # closed on leaving, so the connect is refused
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "client",
+            "--provision", str(tmp_path / "initiator.prov"),
+            "--connect", f"127.0.0.1:{port}",
+            "--count", "1000000",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "error: " in capsys.readouterr().err
+    assert peak < 5 * 2**20, peak
 
 
 # no port; ports that getaddrinfo would wrap mod 2**16 or that bind refuses

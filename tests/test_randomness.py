@@ -25,6 +25,7 @@ from oracles import (
     stream_bits_ref,
 )
 
+import kiss.randomness as randomness_mod
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import InvalidParameterError
 from kiss.randomness import (
@@ -229,12 +230,28 @@ def test_folded_pattern_counts_match_direct_counts(name):
         folded = _fold(folded)
 
 
-def test_stream_count_folds_from_its_widest_count():
+def _count_widths(monkeypatch):
+    """The width of every count ``_pattern_counts`` makes, in order."""
+    widths, count = [], randomness_mod._pattern_counts
+
+    def counting(stream, m):
+        widths.append(m)
+        return count(stream, m)
+
+    monkeypatch.setattr(randomness_mod, "_pattern_counts", counting)
+    return widths
+
+
+def test_stream_count_folds_from_its_widest_count(monkeypatch):
+    # the first read, at approximate entropy's width, makes the one count at serial's
+    widths = _count_widths(monkeypatch)
     bits = _long_vector("keystream-131075")
     stream = BitStream(bits)
-    assert np.array_equal(stream.pattern_counts(16), _direct_counts(bits, 16))
-    for m in (11, 10, 3):
+    for m in (11, 16, 10, 3):
         assert np.array_equal(stream.pattern_counts(m), _direct_counts(bits, m)), m
+    assert widths == [16]
+    with pytest.raises(InvalidParameterError):
+        stream.pattern_counts(17)  # wider than the one count a stream makes
 
 
 # -- packed kernels against the unpacked formulations they replace -------
@@ -464,7 +481,11 @@ def test_bitstream_is_read_only():
     with pytest.raises(ValueError):
         generated.bits[0] ^= 1
     with pytest.raises(ValueError):
-        generated.pattern_counts(4)[0] = 0
+        generated.pattern_counts(16)[0] = 0  # the one count the stream keeps
+    folded = generated.pattern_counts(4)  # a fresh array: writing it changes no later read
+    want = folded.copy()
+    folded[0] += 1
+    assert np.array_equal(generated.pattern_counts(4), want)
 
 
 def test_bitstream_packs_msb_first_with_a_zero_tail():
@@ -616,8 +637,10 @@ def test_battery_verdict_is_derived_from_its_trials():
     assert report.min_pass == min_pass_count(20, 0.1)
 
 
-def test_battery_full_suite_small_scale():
+def test_battery_full_suite_small_scale(monkeypatch):
+    widths = _count_widths(monkeypatch)
     report = run_battery(SEED, ROOT, n_bits=70_000, trials=20)
+    assert widths == [16] * 20  # one pattern count per trial, in table order
     assert set(report.results) == set(ALL_TESTS)
     csv = report.to_csv()
     lines = csv.strip().split("\n")
