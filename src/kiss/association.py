@@ -2,13 +2,14 @@
 
 An association is the provisioned relationship between two endpoints:
 identity, the seed/root secrets, one chain per direction, and the
-anti-replay policy. Key distribution is realized as a pair of
+receive position that refuses replays (the resync window is the record
+layer's, one for all). Key distribution is realized as a pair of
 out-of-band provisioning files; the generate/load split keeps the
 carrier replaceable by a networked distributor later.
 
-Provisioning file format (bit-exact): UTF-8, LF line endings, lines of
-``key = value`` in the order assoc_id, role, mode, seed, root,
-resync_window; hex lowercase with no spaces; ``#`` starts a comment line.
+Provisioning file format (bit-exact): UTF-8, exactly the five lines
+``key = value`` in the order assoc_id, role, mode, seed, root, each
+ending in LF, hex lowercase with no spaces, and nothing else.
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ProvisionError
-from .idvv import IdvvState, Root, Seed, idvv_init
+from .idvv import SECRET_LEN, IdvvState, Root, Seed, idvv_init
 
 LABEL_C2S = b"c2s"
 LABEL_S2C = b"s2c"
 
 ASSOC_ID_LEN = 8
-DEFAULT_RESYNC_WINDOW = 1024
-# A forged record makes the receiver walk its chain up to the window
-# before the tag check fails: about 0.15 s at 2**16 steps, hours at 2**32.
-MAX_RESYNC_WINDOW = 2**16
+# the most read_provision_file reads; to_text writes at most 201 bytes
+_MAX_PROVISION_BYTES = 1024
 
 
 class Role(enum.Enum):
@@ -40,7 +39,7 @@ class Mode(enum.Enum):
     AEAD = "aead"
 
 
-_FIELD_ORDER = ("assoc_id", "role", "mode", "seed", "root", "resync_window")
+_FIELD_ORDER = ("assoc_id", "role", "mode", "seed", "root")
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class ProvisionFile:
     # kept out of repr, so a traceback or log line that shows one leaks neither
     seed: bytes = field(repr=False)
     root: bytes = field(repr=False)
-    resync_window: int = DEFAULT_RESYNC_WINDOW
 
     def to_text(self) -> str:
         return (
@@ -62,54 +60,37 @@ class ProvisionFile:
             f"mode = {self.mode.value}\n"
             f"seed = {self.seed.hex()}\n"
             f"root = {self.root.hex()}\n"
-            f"resync_window = {self.resync_window}\n"
         )
 
     @classmethod
     def from_text(cls, text: str) -> "ProvisionFile":
-        seen: dict[str, str] = {}
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ProvisionError(f"line {lineno}: expected 'key = value'", field=line)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _FIELD_ORDER:
-                raise ProvisionError(f"unknown field {key!r}", field=key)
-            if key in seen:
-                raise ProvisionError(f"duplicate field {key!r}", field=key)
-            seen[key] = value
+        # only what to_text writes: the five lines in _FIELD_ORDER, each ending
+        # in LF, and nothing after. field is the key the bad line names, else
+        # the one expected; the line may hold a secret, so the message omits it
+        lines = text.split("\n")
+        for lineno, key in enumerate((*_FIELD_ORDER, None), start=1):
+            line = lines[lineno - 1] if lineno <= len(lines) else ""
+            if not (line.startswith(f"{key} = ") if key else not line and lineno == len(lines)):
+                raise ProvisionError(
+                    f"line {lineno}: expected {key or 'end of file'}; a .prov file is "
+                    "exactly the five lines kiss provision writes",
+                    field=line.partition("=")[0].strip() or key,
+                )
+        assoc_id, role, mode, seed, root = (line.partition(" = ")[2] for line in lines[:-1])
+        return cls(
+            parse_hex("assoc_id", assoc_id, ASSOC_ID_LEN),
+            _parse_enum(Role, "role", role),
+            _parse_enum(Mode, "mode", mode),
+            parse_hex("seed", seed, SECRET_LEN),
+            parse_hex("root", root, SECRET_LEN),
+        )
 
-        for key in ("assoc_id", "role", "mode", "seed", "root"):
-            if key not in seen:
-                raise ProvisionError(f"missing field {key!r}", field=key)
 
-        assoc_id = parse_hex("assoc_id", seen["assoc_id"], ASSOC_ID_LEN)
-        seed = parse_hex("seed", seen["seed"], 32)
-        root = parse_hex("root", seen["root"], 32)
-
-        try:
-            role = Role(seen["role"])
-        except ValueError:
-            raise ProvisionError(f"unknown role {seen['role']!r}", field="role") from None
-        try:
-            mode = Mode(seen["mode"])
-        except ValueError:
-            raise ProvisionError(f"unknown mode {seen['mode']!r}", field="mode") from None
-
-        window = seen.get("resync_window", str(DEFAULT_RESYNC_WINDOW))
-        # only as to_text writes it: int() would also take "1_024", "+1024",
-        # "01024" and non-ASCII digits; five digits hold 2**16
-        if not (window.isascii() and window.isdigit() and len(window) <= 5
-                and str(int(window)) == window and 1 <= int(window) <= MAX_RESYNC_WINDOW):
-            raise ProvisionError(
-                f"resync_window must be a decimal 1..{MAX_RESYNC_WINDOW}, got {window!r}",
-                field="resync_window",
-            )
-        return cls(assoc_id, role, mode, seed, root, int(window))
+def _parse_enum(kind, name: str, value: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ProvisionError(f"unknown {name} {value!r}", field=name) from None
 
 
 @dataclass
@@ -126,42 +107,33 @@ class Association:
     send_chain: IdvvState
     recv_chain: IdvvState
     mode: Mode
-    resync_window: int = DEFAULT_RESYNC_WINDOW
     # always equals recv_chain.counter, which is what gates incoming seqs
     highest_accepted_seq: int = field(default=0)
 
 
-def generate_provision(
-    rng=None,
-    mode: Mode = Mode.AUTH_ONLY,
-    resync_window: int = DEFAULT_RESYNC_WINDOW,
-) -> tuple[ProvisionFile, ProvisionFile]:
+def generate_provision(rng=None, mode: Mode = Mode.AUTH_ONLY) -> tuple[ProvisionFile, ProvisionFile]:
     """Draw fresh association material and return (initiator, responder) files.
 
     ``rng`` is a ``bytes = rng(n)`` entropy source, ``os.urandom`` by default.
     """
-    if not 1 <= resync_window <= MAX_RESYNC_WINDOW:
-        raise InvalidParameterError(
-            f"resync_window must be 1..{MAX_RESYNC_WINDOW}, got {resync_window}"
-        )
     if not isinstance(mode, Mode):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     if rng is None:
         rng = os.urandom
     try:
         assoc_id = bytes(rng(ASSOC_ID_LEN))
-        seed = bytes(rng(32))
-        root = bytes(rng(32))
+        seed = bytes(rng(SECRET_LEN))
+        root = bytes(rng(SECRET_LEN))
     except Exception as exc:
         raise ProvisionError(f"entropy source failed: {exc}") from exc
-    if len(assoc_id) != ASSOC_ID_LEN or len(seed) != 32 or len(root) != 32:
+    if len(assoc_id) != ASSOC_ID_LEN or len(seed) != SECRET_LEN or len(root) != SECRET_LEN:
         raise ProvisionError("entropy source returned wrong length")
     if seed == root:
         # 2^-256 from a sane source; a constant source must not slip through
         raise ProvisionError("entropy source produced seed == root")
     return (
-        ProvisionFile(assoc_id, Role.INITIATOR, mode, seed, root, resync_window),
-        ProvisionFile(assoc_id, Role.RESPONDER, mode, seed, root, resync_window),
+        ProvisionFile(assoc_id, Role.INITIATOR, mode, seed, root),
+        ProvisionFile(assoc_id, Role.RESPONDER, mode, seed, root),
     )
 
 
@@ -183,7 +155,6 @@ def load_association(pf: ProvisionFile) -> Association:
         send_chain=idvv_init(seed, root, send_label),
         recv_chain=idvv_init(seed, root, recv_label),
         mode=pf.mode,
-        resync_window=pf.resync_window,
     )
 
 
@@ -196,9 +167,13 @@ def write_provision_file(pf: ProvisionFile, path) -> None:
 
 
 def read_provision_file(path) -> ProvisionFile:
+    # a bounded read: a device or an endless file is refused, not held in memory
+    with open(path, "rb") as fh:
+        data = fh.read(_MAX_PROVISION_BYTES + 1)
+    if len(data) > _MAX_PROVISION_BYTES:
+        raise ProvisionError(f"provision file exceeds {_MAX_PROVISION_BYTES} bytes")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ProvisionFile.from_text(fh.read())
+        return ProvisionFile.from_text(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ProvisionError(f"provision file is not UTF-8 (byte {exc.start})") from None
 

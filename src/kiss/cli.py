@@ -18,8 +18,6 @@ import tempfile
 from pathlib import Path
 
 from .association import (
-    DEFAULT_RESYNC_WINDOW,
-    MAX_RESYNC_WINDOW,
     Mode,
     generate_provision,
     load_association,
@@ -31,7 +29,7 @@ from .channel import ChannelEndpoint
 from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import KissError
-from .idvv import idvv_init, idvv_step
+from .idvv import SECRET_LEN, idvv_init, idvv_step
 
 log = logging.getLogger("kiss")
 
@@ -80,7 +78,7 @@ def _parse_addr(text: str) -> tuple[str, int]:
 
 
 def cmd_provision(args) -> int:
-    init_pf, resp_pf = generate_provision(mode=Mode(args.mode), resync_window=args.window)
+    init_pf, resp_pf = generate_provision(mode=Mode(args.mode))
     out_dir = Path(args.out_dir)
     files = [(init_pf, out_dir / "initiator.prov"), (resp_pf, out_dir / "responder.prov")]
     temps = []
@@ -186,8 +184,8 @@ def cmd_bench(args) -> int:
 def cmd_randomness(args) -> int:
     from .randomness import run_battery  # NumPy, which only this subcommand runs
 
-    seed = parse_hex("--seed", args.seed, 32) if args.seed else DEMO_SEED
-    root = parse_hex("--root", args.root, 32) if args.root else DEMO_ROOT
+    seed = parse_hex("--seed", args.seed, SECRET_LEN) if args.seed else DEMO_SEED
+    root = parse_hex("--root", args.root, SECRET_LEN) if args.root else DEMO_ROOT
     report = run_battery(
         seed, root, n_bits=args.bits, trials=args.trials, alpha=args.alpha
     )
@@ -199,8 +197,8 @@ def cmd_randomness(args) -> int:
 
 
 def cmd_vectors(args) -> int:
-    seed = parse_hex("--seed", args.seed, 32) if args.seed else bytes(32)
-    root = parse_hex("--root", args.root, 32) if args.root else bytes(32)
+    seed = parse_hex("--seed", args.seed, SECRET_LEN) if args.seed else bytes(SECRET_LEN)
+    root = parse_hex("--root", args.root, SECRET_LEN) if args.root else bytes(SECRET_LEN)
     if args.count < 1:
         raise KissError(f"--count must be at least 1, got {args.count}")
     label = args.label.encode("utf-8")
@@ -227,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("provision", help="generate an association file pair")
     p.add_argument("--out-dir", default=".", help="directory for the two files")
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.AUTH_ONLY.value)
-    p.add_argument(
-        "--window", type=int, default=DEFAULT_RESYNC_WINDOW,
-        help=f"resync window, 1..{MAX_RESYNC_WINDOW}",
-    )
     p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("server", help="run the demo echo-acknowledging endpoint")

@@ -18,7 +18,7 @@ from oracles import RFC4231_CASES, chain_values_ref
 
 from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import HEADLINE_CASE, TLS_CASE, core_line_count, headline_summary, run_suite
-from kiss.channel import MsgType, encode_record, open_record, seal
+from kiss.channel import RESYNC_WINDOW, MsgType, encode_record, open_record, seal
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import KissError, OutOfWindowError
 from kiss.idvv import idvv_init, idvv_step
@@ -34,13 +34,12 @@ def _verdict(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _fixed_pair(mode=Mode.AUTH_ONLY, window=1024):
+def _fixed_pair(mode=Mode.AUTH_ONLY):
     common = dict(
         assoc_id=bytes.fromhex("ac5e9701ac5e9701"),
         mode=mode,
         seed=bytes(range(32)),
         root=bytes(range(32, 64)),
-        resync_window=window,
     )
     init_pf = ProvisionFile(role=Role.INITIATOR, **common)
     resp_pf = ProvisionFile(role=Role.RESPONDER, **common)
@@ -108,7 +107,7 @@ def test_acceptance_3_channel_integrity(capsys):
     round_trips = 0
     for mode in (Mode.AUTH_ONLY, Mode.AEAD):
         for size in sizes:
-            sender, receiver = _fixed_pair(mode, window=2048)
+            sender, receiver = _fixed_pair(mode)
             payload = bytes(i & 0xFF for i in range(size))
             for _ in range(1000):
                 wire = encode_record(seal(sender, MsgType.DATA, payload))
@@ -143,10 +142,11 @@ def test_acceptance_3_channel_integrity(capsys):
 
 
 def test_acceptance_4_antireplay_resync(capsys):
-    window = 16
-    sender, receiver = _fixed_pair(window=window)
+    window = RESYNC_WINDOW
+    sender, receiver = _fixed_pair()
     wires = {}
-    for seq in range(1, 64):
+    # gaps 1, 2 and the window land on seq 1, 3 and 3 + window; one past it on 4 + 2 * window
+    for seq in range(1, 4 + 2 * window + 1):
         wires[seq] = encode_record(seal(sender, MsgType.DATA, b"seq-%02d" % seq))
 
     outcomes = []

@@ -1,14 +1,13 @@
 """Provisioning format, loading, and the anti-replay gate."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
 from kiss.association import (
-    DEFAULT_RESYNC_WINDOW,
     LABEL_C2S,
     LABEL_S2C,
-    MAX_RESYNC_WINDOW,
     Mode,
     ProvisionFile,
     Role,
@@ -17,9 +16,8 @@ from kiss.association import (
     read_provision_file,
     write_provision_file,
 )
-from kiss.channel import MsgType, encode_record, open_record, seal
+from kiss.channel import RESYNC_WINDOW, MsgType, encode_record, open_record, seal
 from kiss.errors import (
-    InvalidParameterError,
     OutOfWindowError,
     ProvisionError,
     ReplayError,
@@ -35,7 +33,6 @@ def test_generate_pair_shares_material():
     assert init_pf.seed == resp_pf.seed
     assert init_pf.root == resp_pf.root
     assert init_pf.mode == resp_pf.mode
-    assert init_pf.resync_window == resp_pf.resync_window
     assert (init_pf.role, resp_pf.role) == (Role.INITIATOR, Role.RESPONDER)
     assert init_pf.seed != init_pf.root
 
@@ -67,57 +64,16 @@ def test_generate_constant_entropy_rejected():
         generate_provision(rng=lambda n: b"\x07" * n)
 
 
-def test_generate_bad_window():
-    with pytest.raises(InvalidParameterError):
-        generate_provision(resync_window=0)
-    with pytest.raises(InvalidParameterError):
-        generate_provision(resync_window=2**32)
-
-
-def test_window_cap_is_two_to_the_sixteen():
-    # the cap bounds the chain walk one forged record can cost a receiver
-    assert MAX_RESYNC_WINDOW == 2**16
-    assert generate_provision(resync_window=2**16)[0].resync_window == 2**16
-    with pytest.raises(InvalidParameterError):
-        generate_provision(resync_window=2**16 + 1)
-    text = generate_provision()[0].to_text()
-    at_cap = text.replace("resync_window = 1024", "resync_window = 65536")
-    assert ProvisionFile.from_text(at_cap).resync_window == 2**16
-    with pytest.raises(ProvisionError) as err:
-        ProvisionFile.from_text(text.replace("resync_window = 1024", "resync_window = 65537"))
-    assert err.value.field == "resync_window"
-
-
 def test_provision_text_canonical_layout():
-    init_pf, _ = generate_provision(mode=Mode.AEAD, resync_window=77)
+    init_pf, _ = generate_provision(mode=Mode.AEAD)
     text = init_pf.to_text()
     keys = [line.split(" = ")[0] for line in text.strip().split("\n")]
-    assert keys == ["assoc_id", "role", "mode", "seed", "root", "resync_window"]
+    assert keys == ["assoc_id", "role", "mode", "seed", "root"]
     assert "\r" not in text
     assert text.endswith("\n")
     hex_part = text.split("seed = ")[1].split("\n")[0]
     assert hex_part == hex_part.lower()
     assert "mode = aead" in text
-
-
-def test_provision_round_trip_is_byte_identical():
-    init_pf, resp_pf = generate_provision()
-    for pf in (init_pf, resp_pf):
-        text = pf.to_text()
-        assert ProvisionFile.from_text(text).to_text() == text
-
-
-def test_parse_tolerates_comments_and_blanks():
-    init_pf, _ = generate_provision()
-    text = "# provisioning for bench rig\n\n" + init_pf.to_text() + "\n# end\n"
-    assert ProvisionFile.from_text(text) == init_pf
-
-
-def test_parse_window_optional():
-    init_pf, _ = generate_provision()
-    lines = [l for l in init_pf.to_text().splitlines() if not l.startswith("resync_")]
-    parsed = ProvisionFile.from_text("\n".join(lines) + "\n")
-    assert parsed.resync_window == DEFAULT_RESYNC_WINDOW
 
 
 _FIXED_PF = ProvisionFile(
@@ -129,6 +85,39 @@ _FIXED_PF = ProvisionFile(
 )
 
 
+def test_provision_round_trip_is_byte_identical():
+    for pf in (*generate_provision(mode=Mode.AUTH_ONLY), *generate_provision(mode=Mode.AEAD)):
+        text = pf.to_text()
+        assert ProvisionFile.from_text(text) == pf
+        assert ProvisionFile.from_text(text).to_text() == text
+
+
+def _swap_first_lines(text):
+    first, second, rest = text.split("\n", 2)
+    return "\n".join((second, first, rest))
+
+
+@pytest.mark.parametrize(
+    "mangle,line",
+    [
+        pytest.param(lambda t: "# provisioning for bench rig\n" + t, 1, id="comment"),
+        pytest.param(lambda t: "\n" + t, 1, id="blank"),
+        pytest.param(lambda t: t + "\n", 6, id="trailing-blank"),
+        pytest.param(lambda t: t + "# end\n", 6, id="trailing-comment"),
+        pytest.param(_swap_first_lines, 1, id="swapped-order"),
+        pytest.param(lambda t: t.replace("\n", "\r\n"), None, id="crlf"),
+        pytest.param(lambda t: t[:-1], 6, id="no-final-lf"),
+    ],
+)
+def test_parse_refuses_any_other_layout(mangle, line):
+    with pytest.raises(ProvisionError) as err:
+        ProvisionFile.from_text(mangle(_FIXED_PF.to_text()))
+    if line is not None:
+        assert str(err.value).startswith(f"line {line}: ")
+    # the message never echoes a line, which may hold a secret
+    assert _FIXED_PF.seed.hex() not in str(err.value)
+
+
 @pytest.mark.parametrize(
     "mangle,field",
     [
@@ -136,30 +125,25 @@ _FIXED_PF = ProvisionFile(
         (lambda t: t.replace("seed = 00", "seed = 0000"), "seed"),  # 66 chars
         (lambda t: t.replace("seed = 00", "seed = zz"), "seed"),
         (lambda t: t.replace("root = 20", "root = abc"), "root"),
-        # hex and windows only as to_text writes them
+        # hex only as to_text writes it
         pytest.param(lambda t: t.replace("seed = 00", "seed = 00 "), "seed",
                      id="seed-with-space"),
         pytest.param(lambda t: t.replace(_FIXED_PF.root.hex(), _FIXED_PF.root.hex().upper()),
                      "root", id="uppercase-root"),
-        pytest.param(lambda t: t.replace("resync_window = 1024", "resync_window = 01024"),
+        # files written while the window was per association have a sixth
+        # resync_window line: refused whatever its value, naming that key
+        pytest.param(lambda t: t + "resync_window = 01024\n",
                      "resync_window", id="window-with-leading-zero"),
         (lambda t: t.replace("assoc_id = 00112233445566aa", "assoc_id = 11"),
          "assoc_id"),
         (lambda t: t.replace("role = initiator", "role = leader"), "role"),
         (lambda t: t.replace("mode = auth", "mode = plain"), "mode"),
-        (lambda t: t.replace("resync_window = 1024", "resync_window = soon"),
-         "resync_window"),
-        (lambda t: t.replace("resync_window = 1024", "resync_window = 0"),
-         "resync_window"),
-        (lambda t: t.replace("resync_window = 1024", "resync_window = 1_024"),
-         "resync_window"),
-        (lambda t: t.replace("resync_window = 1024", "resync_window = +1024"),
-         "resync_window"),
-        # Arabic-Indic digits, which int() reads as 10
-        (lambda t: t.replace("resync_window = 1024", "resync_window = \u0661\u0660"),
-         "resync_window"),
-        (lambda t: t.replace("resync_window = 1024", "resync_window = " + "9" * 5000),
-         "resync_window"),
+        (lambda t: t + "resync_window = 1024\n", "resync_window"),
+        (lambda t: t + "resync_window = 0\n", "resync_window"),
+        (lambda t: t + "resync_window = 65536\n", "resync_window"),
+        (lambda t: t + "resync_window = 1_024\n", "resync_window"),
+        (lambda t: t + "resync_window = \u0661\u0660\n", "resync_window"),
+        (lambda t: t + "resync_window = " + "9" * 5000 + "\n", "resync_window"),
         (lambda t: t + "seed = " + "00" * 32 + "\n", "seed"),  # duplicate
         (lambda t: t + "color = blue\n", "color"),  # unknown key
         (lambda t: t.replace("root = ", "rootless\nroot = "), "rootless"),
@@ -248,9 +232,9 @@ def test_generated_pair_survives_traffic_both_directions():
         assert open_record(init_assoc, wire) == (MsgType.DATA, reply)
 
 
-def _sealed_by_seq(window, n):
+def _sealed_by_seq(n):
     """A linked pair and the wire of each seq 1..n, indexed by seq."""
-    init_pf, resp_pf = generate_provision(resync_window=window)
+    init_pf, resp_pf = generate_provision()
     sender, receiver = load_association(init_pf), load_association(resp_pf)
     wires = [b""] + [
         encode_record(seal(sender, MsgType.DATA, b"seq-%d" % seq)) for seq in range(1, n + 1)
@@ -259,7 +243,7 @@ def _sealed_by_seq(window, n):
 
 
 def test_accept_seq_replay_boundary():
-    receiver, wires = _sealed_by_seq(DEFAULT_RESYNC_WINDOW, 10)
+    receiver, wires = _sealed_by_seq(10)
     assert open_record(receiver, wires[10]) == (MsgType.DATA, b"seq-10")
     for seq in (10, 1):
         with pytest.raises(ReplayError):
@@ -268,8 +252,8 @@ def test_accept_seq_replay_boundary():
 
 
 def test_accept_seq_window_boundary():
-    window = 16
-    receiver, wires = _sealed_by_seq(window, 10 + window + 1)
+    window = RESYNC_WINDOW
+    receiver, wires = _sealed_by_seq(10 + window + 1)
     open_record(receiver, wires[10])
     with pytest.raises(OutOfWindowError):
         open_record(receiver, wires[10 + window + 1])
@@ -284,6 +268,29 @@ def test_file_round_trip(tmp_path):
     write_provision_file(init_pf, path)
     assert read_provision_file(path) == init_pf
     assert path.read_bytes().decode() == init_pf.to_text()
+
+
+def test_read_is_bounded(tmp_path):
+    # a valid file with 1 MiB after it is refused after a read of about
+    # 1 KiB, not held in memory whole
+    path = tmp_path / "initiator.prov"
+    path.write_bytes(_FIXED_PF.to_text().encode() + bytes(2**20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProvisionError):
+            read_provision_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_read_keeps_crlf(tmp_path):
+    # the file is read as bytes, so CRLF endings reach the parser and fail
+    path = tmp_path / "initiator.prov"
+    path.write_bytes(_FIXED_PF.to_text().replace("\n", "\r\n").encode())
+    with pytest.raises(ProvisionError):
+        read_provision_file(path)
 
 
 def test_provision_file_is_private_to_its_owner(tmp_path):

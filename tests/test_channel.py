@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import kiss.channel as channel_mod
 import kiss.idvv as idvv_mod
 from kiss.association import (
-    MAX_RESYNC_WINDOW,
     Mode,
     ProvisionFile,
     Role,
@@ -23,6 +22,7 @@ from kiss.channel import (
     HEADER_LEN,
     MAX_PAYLOAD,
     READ_SIZE,
+    RESYNC_WINDOW,
     ChannelEndpoint,
     ChannelState,
     MsgType,
@@ -52,10 +52,10 @@ ROOT = bytes(range(32, 64))
 ASSOC_ID = bytes.fromhex("a1a2a3a4a5a6a7a8")
 
 
-def _pair(mode=Mode.AUTH_ONLY, window=1024):
+def _pair(mode=Mode.AUTH_ONLY):
     """Deterministic initiator/responder associations sharing material."""
-    init_pf = ProvisionFile(ASSOC_ID, Role.INITIATOR, mode, SEED, ROOT, window)
-    resp_pf = ProvisionFile(ASSOC_ID, Role.RESPONDER, mode, SEED, ROOT, window)
+    init_pf = ProvisionFile(ASSOC_ID, Role.INITIATOR, mode, SEED, ROOT)
+    resp_pf = ProvisionFile(ASSOC_ID, Role.RESPONDER, mode, SEED, ROOT)
     return load_association(init_pf), load_association(resp_pf)
 
 
@@ -310,26 +310,33 @@ def test_loss_resync_within_window():
 
 
 def test_gap_beyond_window_then_recovery():
-    sender, receiver = _pair(window=4)
-    wires = _sealed(sender, 10)
+    sender, receiver = _pair()
+    wires = _sealed(sender, RESYNC_WINDOW + 2)
     open_record(receiver, wires[0])  # seq 1
     with pytest.raises(OutOfWindowError):
-        open_record(receiver, wires[6])  # gap 6 > 4
-    # the failed attempt burned nothing: a gap of 4 still lands
-    assert open_record(receiver, wires[4])[1] == b"payload-04"
+        open_record(receiver, wires[RESYNC_WINDOW + 1])  # gap window + 1
+    # the failed attempt burned nothing: a gap of the window still lands
+    assert open_record(receiver, wires[RESYNC_WINDOW]) == (
+        MsgType.DATA, b"payload-%02d" % RESYNC_WINDOW
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_property_seq_gate_follows_highest_accepted(data):
     # the replay and window rules, stated against highest_accepted_seq,
-    # are exactly the receive chain's position
-    window = data.draw(st.integers(min_value=1, max_value=64), label="window")
-    gaps = data.draw(st.lists(st.integers(1, window), max_size=5), label="prefix gaps")
+    # are exactly the receive chain's position. Gaps are drawn near their
+    # edges: small ones, and those at and just past the window.
+    window = RESYNC_WINDOW
+    near_edges = st.one_of(st.integers(1, 8), st.integers(window - 2, window))
+    gaps = data.draw(st.lists(near_edges, max_size=5), label="prefix gaps")
     accepted = list(itertools.accumulate(gaps))
     highest = accepted[-1] if accepted else 0
-    seq = data.draw(st.integers(1, highest + window + 3), label="target seq")
-    sender, receiver = _pair(window=window)
+    near_gate = st.one_of(
+        st.integers(1, highest + 8), st.integers(highest + window - 2, highest + window + 3)
+    )
+    seq = data.draw(near_gate, label="target seq")
+    sender, receiver = _pair()
     wires = _sealed(sender, max(highest, seq))
     for s in accepted:
         assert open_record(receiver, wires[s - 1])[1] == b"payload-%02d" % (s - 1)
@@ -349,8 +356,8 @@ def test_property_seq_gate_follows_highest_accepted(data):
 
 
 def test_forged_record_at_the_window_cap_costs_one_chain_walk(monkeypatch):
-    window = MAX_RESYNC_WINDOW
-    sender, receiver = _pair(window=window)
+    window = RESYNC_WINDOW
+    sender, receiver = _pair()
     genuine = encode_record(seal(sender, MsgType.DATA, b"genuine"))
     calls = [0]
     real = idvv_mod._hmac_new

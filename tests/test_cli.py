@@ -63,14 +63,11 @@ def test_provision_writes_pair(tmp_path):
         assert p.stat().st_mode & 0o777 == 0o600, oct(p.stat().st_mode)
 
 
-def test_provision_honors_mode_and_window(tmp_path):
-    result = run_cli(
-        "provision", "--out-dir", str(tmp_path), "--mode", "aead", "--window", "64"
-    )
+def test_provision_honors_mode(tmp_path):
+    result = run_cli("provision", "--out-dir", str(tmp_path), "--mode", "aead")
     assert result.returncode == 0
     pf = read_provision_file(tmp_path / "initiator.prov")
     assert pf.mode is Mode.AEAD
-    assert pf.resync_window == 64
 
 
 def test_provision_writes_both_files_or_neither(tmp_path):
@@ -106,7 +103,7 @@ def test_provision_unwritable_path_exits_one():
         ["bench"],  # --suite is required
         ["client", "--provision", "x", "--connect", "y:1",
          "--send", "a", "--count", "2"],  # mutually exclusive
-        ["provision", "--window", "soon"],
+        ["provision", "--window", "64"],  # the window is the record layer's
         ["bench", "--suite", "tls", "--tls-command", "x"],  # no such flag
         ["bench", "--suite", "channel"],  # its rows are the first rows of tls
     ],
@@ -277,6 +274,19 @@ def test_server_refuses_provision_file_that_is_not_utf8(tmp_path):
     result = run_cli("server", "--provision", str(prov))
     assert result.returncode == 1
     assert result.stderr.startswith("error: ProvisionError")
+    assert "Traceback" not in result.stderr
+
+
+def test_server_refuses_a_six_line_provision_file(tmp_path):
+    # the layout written before the window became the record layer's:
+    # refused with one error line, so the pair is provisioned again
+    assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
+    prov = tmp_path / "responder.prov"
+    prov.write_bytes(prov.read_bytes() + b"resync_window = 1024\n")
+    result = run_cli("server", "--provision", str(prov))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ProvisionError")
+    assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
 
 
