@@ -70,6 +70,11 @@ class ProvisionFile:
         lines = text.split("\n")
         for lineno, key in enumerate((*_FIELD_ORDER, None), start=1):
             line = lines[lineno - 1] if lineno <= len(lines) else ""
+            if line.endswith("\r"):
+                raise ProvisionError(
+                    f"line {lineno}: CRLF line ending; kiss provision ends each line in LF alone",
+                    field=key,
+                )
             if not (line.startswith(f"{key} = ") if key else not line and lineno == len(lines)):
                 raise ProvisionError(
                     f"line {lineno}: expected {key or 'end of file'}; a .prov file is "

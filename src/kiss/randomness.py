@@ -15,8 +15,10 @@ Bit streams under test come from the deterministic key chain itself:
 one chain per trial, distinguished by direction label, each 32-byte
 value read most significant bit first. The tests read only the packed
 bytes: popcounts, 256-entry byte tables, and one pattern count per
-stream that the two pattern tests share. The battery is sequential and
-fully reproducible from (seed, root); reports carry no timestamps.
+stream that the two pattern tests share. The battery is ordered and
+reproducible from (seed, root): streams are drawn in trial order in the
+calling process, while one forked worker runs the tests on the stream
+drawn before, and reports carry no timestamps.
 
 The p-values need two special functions and no library beyond NumPy:
 the chi-square survival function at integer degrees of freedom, a
@@ -487,6 +489,10 @@ ALL_TESTS = {
     "approximate-entropy": approximate_entropy_test,
     "serial": serial_test,
 }
+# The table as defined here. ``run_battery`` forks its worker only while
+# ALL_TESTS holds these: a test the caller puts in (a spy, a timing wrapper)
+# runs in the calling process, as what it records in a worker is lost with it.
+_OWN_TESTS = tuple(ALL_TESTS.items())
 
 # The fewest bits per trial each test takes at its one configuration. Pattern
 # widths are fixed, not derived from the stream length, so a report never
@@ -573,9 +579,14 @@ def run_battery(
 
     Every trial draws a fresh stream (chain labeled ``rs%04d`` by
     default; ``stream_factory(trial, n_bits)`` overrides the source)
-    and runs each test on it at significance ``alpha``. An ``n_bits``
-    below the highest ``MIN_BITS`` (serial's) is refused before any
-    stream is drawn.
+    and runs each test on it at significance ``alpha``. Streams are drawn
+    in trial order in the calling process; one worker, forked for this
+    call and joined before it returns, tests each stream while the next
+    is drawn. While ``ALL_TESTS`` holds a test the caller put there, each
+    trial is tested in the calling process instead. An ``n_bits`` below
+    the highest ``MIN_BITS`` (serial's) is refused before any stream is
+    drawn, and a shorter stream from the factory before the next is
+    drawn.
     """
     if trials < 20:
         # below ~20 trials the proportion bound has no resolving power
@@ -592,8 +603,80 @@ def run_battery(
             return generate_stream(seed, root, b"rs%04d" % trial, length)
 
     results: dict[str, list[TestResult]] = {name: [] for name in ALL_TESTS}
-    for trial in range(trials):
-        stream = stream_factory(trial, n_bits)
-        for name, test in ALL_TESTS.items():
-            results[name].append(test(stream, alpha=alpha))
+
+    def record(tested: list[TestResult]) -> None:
+        for trial_results, result in zip(results.values(), tested):
+            trial_results.append(result)
+
+    if tuple(ALL_TESTS.items()) != _OWN_TESTS:
+        for trial in range(trials):
+            record(_test_trial(_stream(stream_factory(trial, n_bits), name), alpha))
+        return RandomnessReport(n_bits=n_bits, trials=trials, alpha=alpha, results=results)
+
+    # imported on the first call: a process that loads this module and runs
+    # no battery, as the benchmark's channel workloads do, loads neither
+    import multiprocessing
+    import signal
+
+    # forked, not spawned: the worker starts in milliseconds with the caller's
+    # imports, where a spawned one would import NumPy again on every call
+    fork = multiprocessing.get_context("fork")
+    caller, worker_end = fork.Pipe()
+    worker = fork.Process(target=_test_trials, args=(worker_end, caller, alpha))
+    # the worker is born with SIGINT blocked and keeps it so: an interrupt is
+    # the caller's, which then closes the worker's input
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        worker.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+    worker_end.close()
+
+    def collect() -> None:
+        try:
+            tested = caller.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(f"battery worker exited with code {worker.exitcode}") from None
+        if isinstance(tested, tuple):  # what a test raised, and where in the worker
+            exc, where = tested
+            raise exc from _WorkerTraceback(where)
+        record(tested)
+
+    try:
+        for trial in range(trials):
+            stream = _stream(stream_factory(trial, n_bits), name)
+            caller.send((stream.packed.tobytes(), len(stream)))
+            if trial:
+                collect()  # the trial before, tested while this one was drawn
+        collect()
+    finally:
+        caller.close()  # the worker reads the end of its input and exits
+        worker.join()
     return RandomnessReport(n_bits=n_bits, trials=trials, alpha=alpha, results=results)
+
+
+class _WorkerTraceback(Exception):
+    """The worker's traceback of an exception raised again in the caller."""
+
+
+def _test_trials(conn, caller, alpha: float) -> None:
+    """The worker: test each stream the caller sends, until it closes its end."""
+    caller.close()  # else the worker would hold the caller's end open itself
+    try:
+        while True:
+            packed, n_bits = conn.recv()
+            try:
+                tested = _test_trial(BitStream.from_bytes(packed, n_bits), alpha)
+            except Exception as exc:
+                import traceback
+
+                tested = exc, "".join(traceback.format_exception(exc))
+            conn.send(tested)
+    except (EOFError, OSError):  # the caller is done, or gone
+        pass
+
+
+def _test_trial(stream: BitStream, alpha: float) -> list[TestResult]:
+    """Every test of ``ALL_TESTS`` on one stream, in table order."""
+    return [test(stream, alpha=alpha) for test in ALL_TESTS.values()]

@@ -118,6 +118,16 @@ def test_parse_refuses_any_other_layout(mangle, line):
     assert _FIXED_PF.seed.hex() not in str(err.value)
 
 
+def test_parse_names_a_crlf_ending_and_its_line():
+    text = _FIXED_PF.to_text()
+    with pytest.raises(ProvisionError, match=r"^line 1: CRLF line ending") as err:
+        ProvisionFile.from_text(text.replace("\n", "\r\n"))
+    assert err.value.field == "assoc_id"
+    with pytest.raises(ProvisionError, match=r"^line 3: CRLF line ending") as err:
+        ProvisionFile.from_text(text.replace("\nseed", "\r\nseed"))
+    assert err.value.field == "mode"
+
+
 @pytest.mark.parametrize(
     "mangle,field",
     [
@@ -289,7 +299,7 @@ def test_read_keeps_crlf(tmp_path):
     # the file is read as bytes, so CRLF endings reach the parser and fail
     path = tmp_path / "initiator.prov"
     path.write_bytes(_FIXED_PF.to_text().replace("\n", "\r\n").encode())
-    with pytest.raises(ProvisionError):
+    with pytest.raises(ProvisionError, match="^line 1: CRLF line ending"):
         read_provision_file(path)
 
 

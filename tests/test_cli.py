@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through subprocesses."""
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -444,6 +445,27 @@ def test_randomness_rejects_bad_parameters():
         "randomness", "--bits", "70000", "--trials", "20", "--alpha", "0"
     ).returncode == 1
     assert run_cli("randomness", "--seed", "abc").returncode == 1
+
+
+def test_randomness_interrupt_exits_one_and_leaves_no_process():
+    # Ctrl-C reaches the whole foreground group: the caller and its worker
+    env = dict(os.environ, KISS_LOG="error")
+    proc = subprocess.Popen(
+        CLI + ["randomness", "--trials", "100000"], env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(0.5)  # into the battery, which 100,000 trials keep busy for minutes
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == "interrupted\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nothing of the group is left, worker included
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 # -- bench ----------------------------------------------------------------

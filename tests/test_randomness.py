@@ -3,7 +3,10 @@
 import functools
 import hashlib
 import math
+import multiprocessing
+import os
 import re
+import signal
 import tracemalloc
 from dataclasses import replace
 
@@ -37,6 +40,7 @@ from kiss.randomness import (
     _igamc,
     _longest_runs,
     _pattern_counts,
+    _test_trial,
     _walk_range,
     approximate_entropy_test,
     block_frequency_test,
@@ -607,6 +611,134 @@ def test_battery_refuses_bits_below_a_floor_before_drawing_a_stream():
     assert drawn == list(range(20))
 
 
+# -- the worker that tests each stream while the caller draws the next --
+
+
+def test_battery_draws_streams_in_order_in_the_caller():
+    drawn, streams = [], []
+
+    def factory(trial, n_bits):
+        drawn.append((trial, os.getpid()))
+        streams.append(generate_stream(SEED, ROOT, b"rs%04d" % trial, n_bits))
+        return streams[-1]
+
+    report = run_battery(SEED, ROOT, n_bits=65_537, trials=20, stream_factory=factory)
+    assert drawn == [(trial, os.getpid()) for trial in range(20)]
+    assert multiprocessing.active_children() == []
+    # the worker's results are what the tests give here on the same streams
+    for trial, stream in enumerate(streams):
+        for name, test in ALL_TESTS.items():
+            assert report.results[name][trial] == test(stream), (name, trial)
+
+
+def test_battery_tests_run_in_one_worker_that_leaves_interrupts_to_the_caller(monkeypatch, tmp_path):
+    # a helper of the table's own tests, called once per trial, notes where it ran
+    log, count = tmp_path / "where", randomness_mod._pattern_counts
+
+    def where(stream, m):
+        blocked = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {blocked}\n")
+        return count(stream, m)
+
+    monkeypatch.setattr(randomness_mod, "_pattern_counts", where)
+    run_battery(SEED, ROOT, n_bits=65_537, trials=20)
+    lines = log.read_text().splitlines()
+    assert len(lines) == 20
+    (pid, blocked), = {tuple(line.split()) for line in lines}
+    assert int(pid) != os.getpid()
+    assert blocked == "True"  # a Ctrl-C reaches the caller alone
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert multiprocessing.active_children() == []
+
+
+def test_battery_runs_a_test_the_caller_put_in_the_table_in_the_caller(monkeypatch):
+    # what a spy or a timing wrapper in ALL_TESTS records must reach the caller
+    calls, monobit = [], randomness_mod.monobit_test
+
+    def spy(stream, alpha):
+        calls.append(os.getpid())
+        return monobit(stream, alpha)
+
+    expected = run_battery(SEED, ROOT, n_bits=65_537, trials=20)
+    monkeypatch.setitem(ALL_TESTS, "monobit", spy)
+    assert run_battery(SEED, ROOT, n_bits=65_537, trials=20) == expected
+    assert calls == [os.getpid()] * 20
+    assert multiprocessing.active_children() == []
+
+
+def test_battery_refuses_a_short_stream_in_the_caller_before_the_next_draw():
+    drawn = []
+
+    def factory(trial, n_bits):
+        drawn.append(trial)
+        return generate_stream(SEED, ROOT, b"rs%04d" % trial, n_bits - (trial == 2))
+
+    with pytest.raises(InvalidParameterError, match="serial test needs at least 65,537 bits") as info:
+        run_battery(SEED, ROOT, n_bits=65_537, trials=20, stream_factory=factory)
+    assert info.traceback[-1].name == "_stream"  # raised here, not carried back from the worker
+    assert drawn == [0, 1, 2]
+    assert multiprocessing.active_children() == []
+
+
+def test_battery_passes_on_a_factory_error_and_draws_no_further():
+    drawn = []
+
+    class SourceFailed(Exception):
+        pass
+
+    def factory(trial, n_bits):
+        drawn.append(trial)
+        if trial == 3:
+            raise SourceFailed(trial)
+        return generate_stream(SEED, ROOT, b"rs%04d" % trial, n_bits)
+
+    with pytest.raises(SourceFailed):
+        run_battery(SEED, ROOT, n_bits=65_537, trials=20, stream_factory=factory)
+    assert drawn == [0, 1, 2, 3]
+    assert multiprocessing.active_children() == []
+
+
+def test_battery_raises_what_a_test_raised_in_the_worker(monkeypatch):
+    def failing(stream, m):
+        raise InvalidParameterError("no count of this stream")
+
+    monkeypatch.setattr(randomness_mod, "_pattern_counts", failing)
+    with pytest.raises(InvalidParameterError, match="no count of this stream") as info:
+        run_battery(SEED, ROOT, n_bits=65_537, trials=20)
+    # the worker's traceback comes along as the cause
+    cause = info.value.__cause__
+    assert type(cause).__name__ == "_WorkerTraceback"
+    assert "in failing" in str(cause)
+    assert multiprocessing.active_children() == []
+
+
+def test_battery_fails_when_the_worker_dies(monkeypatch):
+    # a worker killed mid-trial (say, by the OOM killer) ends the call with
+    # an OSError, from the send of the next stream or the read of the results
+    counted, count = [], randomness_mod._pattern_counts
+
+    def dying(stream, m):
+        os._exit(3)
+
+    monkeypatch.setattr(randomness_mod, "_pattern_counts", dying)
+    with pytest.raises(OSError):
+        run_battery(SEED, ROOT, n_bits=65_537, trials=20)
+    assert multiprocessing.active_children() == []
+    # dead on the last trial, with nothing left unread: the exit code is named
+
+    def dying_last(stream, m):
+        counted.append(m)  # counts in the worker's copy of the list
+        if len(counted) == 20:
+            os._exit(3)
+        return count(stream, m)
+
+    monkeypatch.setattr(randomness_mod, "_pattern_counts", dying_last)
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        run_battery(SEED, ROOT, n_bits=65_537, trials=20)
+    assert multiprocessing.active_children() == []
+
+
 def test_battery_deterministic_and_complete():
     kwargs = dict(n_bits=65_537, trials=20)
     a = run_battery(SEED, ROOT, **kwargs)
@@ -638,9 +770,15 @@ def test_battery_verdict_is_derived_from_its_trials():
 
 
 def test_battery_full_suite_small_scale(monkeypatch):
-    widths = _count_widths(monkeypatch)
     report = run_battery(SEED, ROOT, n_bits=70_000, trials=20)
-    assert widths == [16] * 20  # one pattern count per trial, in table order
+    # the worker's counts are out of the spy's sight, so each trial runs
+    # here again under it: one pattern count per trial, same results
+    widths = _count_widths(monkeypatch)
+    for trial in range(20):
+        stream = generate_stream(SEED, ROOT, b"rs%04d" % trial, 70_000)
+        tested = _test_trial(stream, report.alpha)
+        assert tested == [rs[trial] for rs in report.results.values()], trial
+    assert widths == [16] * 20
     assert set(report.results) == set(ALL_TESTS)
     csv = report.to_csv()
     lines = csv.strip().split("\n")
