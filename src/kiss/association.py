@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ProvisionError
-from .idvv import SECRET_LEN, IdvvState, Root, Seed, idvv_init
+from .idvv import SECRET_LEN, IdvvState, idvv_init
 
 LABEL_C2S = b"c2s"
 LABEL_S2C = b"s2c"
@@ -148,8 +148,6 @@ def load_association(pf: ProvisionFile) -> Association:
     The initiator sends on "c2s" and receives on "s2c"; the responder is
     the mirror. Loading the same file twice yields bit-identical chains.
     """
-    seed = Seed(pf.seed)
-    root = Root(pf.root)
     if pf.role is Role.INITIATOR:
         send_label, recv_label = LABEL_C2S, LABEL_S2C
     else:
@@ -157,8 +155,8 @@ def load_association(pf: ProvisionFile) -> Association:
     return Association(
         assoc_id=pf.assoc_id,
         role=pf.role,
-        send_chain=idvv_init(seed, root, send_label),
-        recv_chain=idvv_init(seed, root, recv_label),
+        send_chain=idvv_init(pf.seed, pf.root, send_label),
+        recv_chain=idvv_init(pf.seed, pf.root, recv_label),
         mode=pf.mode,
     )
 

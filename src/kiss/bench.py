@@ -18,8 +18,9 @@ case and size of a suite's row table and returns one ``BenchReport``:
 The ratio is derived, never stored: a report with a ``tls1.3`` row
 takes each row's ops/sec over the ``tls1.3`` row's at the same size
 (``BenchReport.ratios``). The CSV, the table and ``headline_summary``,
-which prints the ``channel-AUTH_ONLY`` row's ratio at each size beside
-the protocol core's line count, all read that one computation.
+which prints the ``channel-AUTH_ONLY`` and ``channel-AEAD`` rows' ratios
+at each size beside the protocol core's line count, all read that one
+computation.
 
 Signature primitives are included purely as comparison anchors; the
 channel itself never signs anything.
@@ -71,8 +72,9 @@ from .idvv import _hmac_new, idvv_init, idvv_step
 # its certificate's host
 TLS_CASE = "tls1.3"
 _TLS_HOST = "kiss-bench.test"
-# the kiss row whose ratio against TLS_CASE the headline names
-HEADLINE_CASE = "channel-AUTH_ONLY"
+# the kiss rows whose ratios against TLS_CASE the headline names: only
+# AEAD gives the confidentiality TLS does
+HEADLINE_CASES = ("channel-AUTH_ONLY", "channel-AEAD")
 
 CORE_MODULES = ("idvv.py", "association.py", "channel.py")
 
@@ -564,10 +566,10 @@ def core_line_count() -> int:
 
 
 def headline_summary(report: BenchReport) -> str:
-    """At each size, the ``HEADLINE_CASE`` row's ratio from
-    ``report.ratios()`` beside its and the ``tls1.3`` row's MB/s, then
-    the code size, with no verdict. A size whose ``tls1.3`` row is
-    missing or made no ops has no ratio and no line.
+    """At each size, each ``HEADLINE_CASES`` row's ratio from
+    ``report.ratios()`` beside its and the ``tls1.3`` row's MB/s, one line
+    per row in report order, then the code size, with no verdict. A size
+    whose ``tls1.3`` row is missing or made no ops has no ratio and no line.
 
     Both figures are environment-dependent; they are reported, not
     judged against a threshold.
@@ -578,12 +580,12 @@ def headline_summary(report: BenchReport) -> str:
         f"{c.case} {c.mb_per_sec:.2f} MB/s vs "
         f"{TLS_CASE} {tls[c.size_bytes].mb_per_sec:.2f} MB/s (ratio {ratio:.3f})"
         for c, ratio in zip(report.cases, report.ratios() or ())
-        if c.case == HEADLINE_CASE and ratio is not None
+        if c.case in HEADLINE_CASES and ratio is not None
     ]
     if not lines:
         lines.append(
             f"throughput ratio: not available (no size has both a "
-            f"{HEADLINE_CASE} row and a {TLS_CASE} row that made ops)"
+            f"{' or '.join(HEADLINE_CASES)} row and a {TLS_CASE} row that made ops)"
         )
     lines.append(f"protocol core: {core_line_count()} source lines")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,9 @@
 Every record, in either mode, is protected by keys derived from a fresh
 chain value: the sender steps its send chain once per record and the
 sequence number in the header tells the receiver how far to fast-forward
-its receive chain before verifying. No key ever covers two records.
+its receive chain before verifying. No key ever covers two records, and
+neither chain keeps the value of a record it has sealed or opened: each
+holds only its next, unused value (``kiss.idvv``).
 
 Wire layout: ``header(25) || payload || tag``. Header fields, big
 endian: magic ``KI``, version, msg_type, mode, assoc_id(8), seq(8),
@@ -14,9 +16,10 @@ header as associated data.
 
 Receive-side rule: nothing is committed until the tag verifies. The
 receiver computes the record's chain value from its live chain without
-moving it (``idvv_peek``), and overwrites the chain in place only once
-the tag is good, so a flood of garbage cannot desynchronize the endpoint
-or burn window state.
+moving it (``idvv_peek``; at the next seq, the value the chain holds),
+and commits it only once the tag is good, which replaces the held value
+with the one after. So a flood of garbage cannot desynchronize the
+endpoint or burn window state.
 
 Record path: ``seal_wire``, the only code that seals, packs the header
 once and returns the wire bytes. ``_parse_header`` is the one header
@@ -215,7 +218,7 @@ def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
 
 # The largest seq gap a receiver closes in one record; a stream transport
 # never leaves one above 1. A forged record costs the receiver this walk
-# before its tag check: 1026 HMAC calls, about 3.5 ms on a 2-vCPU Xeon.
+# before its tag check: 1025 HMAC calls, about 3.5 ms on a 2-vCPU Xeon.
 RESYNC_WINDOW = 1024
 
 

@@ -202,11 +202,12 @@ def cmd_vectors(args) -> int:
     if args.count < 1:
         raise KissError(f"--count must be at least 1, got {args.count}")
     label = args.label.encode("utf-8")
-    state = idvv_init(seed, root, label)
+    v0 = []  # the chain keeps only the value after it
+    state = idvv_init(seed, root, label, v0)
     print(f"seed = {seed.hex()}")
     print(f"root = {root.hex()}")
     print(f"label = {args.label}")
-    print(f"v0 = {state.value.hex()}")
+    print(f"v0 = {v0[0].hex()}")
     for i in range(1, args.count):
         print(f"v{i} = {idvv_step(state).hex()}")
     return 0

@@ -9,7 +9,9 @@ the fewest bits each test takes there; a test refuses a shorter stream.
 Each test returns its p-value; the battery runs every test across
 independent trial streams and applies the SP 800-22 proportion rule (a
 three-sigma confidence bound on the expected pass rate) to reach a
-verdict.
+verdict. Beside it, the report derives the standard's second criterion,
+that each test's p-values are uniform over the trials (section 4.2.2),
+and prints it without folding it into the verdict.
 
 Bit streams under test come from the deterministic key chain itself:
 one chain per trial, distinguished by direction label, each 32-byte
@@ -510,6 +512,10 @@ MIN_BITS = {
 
 # -- battery ----------------------------------------------------------
 
+# SP 800-22 section 4.2.2: a test's p-values are uniform when their
+# P-value_T is at least this, read from 55 trials on
+UNIFORMITY_ALPHA, UNIFORMITY_MIN_TRIALS = 0.0001, 55
+
 
 @dataclass
 class RandomnessReport:
@@ -531,6 +537,20 @@ class RandomnessReport:
     def passed(self) -> bool:
         return all(count >= self.min_pass for count in self.pass_counts.values())
 
+    @property
+    def uniformity(self) -> dict[str, float | None]:
+        """Each test's P-value_T: its p-values in ten equal bins, then
+        igamc(9/2, chi^2/2), the chi-square at 9 degrees of freedom; None
+        below ``UNIFORMITY_MIN_TRIALS``. Not part of ``passed``."""
+        if self.trials < UNIFORMITY_MIN_TRIALS:
+            return dict.fromkeys(self.results)
+        expected, p_t = self.trials / 10, {}
+        for name, rs in self.results.items():
+            # bin 9 takes p = 1.0, as the standard's reference code does
+            bins = np.bincount([min(int(r.p_value * 10), 9) for r in rs], minlength=10)
+            p_t[name] = _igamc(4.5, float(((bins - expected) ** 2).sum()) / expected / 2.0)
+        return p_t
+
     def to_csv(self) -> str:
         lines = ["test,trial,p_value,pass"]
         for name, trial_results in self.results.items():
@@ -541,12 +561,17 @@ class RandomnessReport:
     def format_table(self) -> str:
         width = max(len(name) for name in self.results)
         lines = [
-            f"{'test'.ljust(width)}  passed  required",
-            f"{'-' * width}  ------  --------",
+            f"{'test'.ljust(width)}  passed  required  P-value_T",
+            f"{'-' * width}  ------  --------  ---------",
         ]
+        uniformity = self.uniformity
         for name, count in self.pass_counts.items():
+            p = uniformity[name]
+            cell = "-" if p is None else f"{p:.6f}"
+            if p is not None and p < UNIFORMITY_ALPHA:
+                cell += " non-uniform"
             lines.append(
-                f"{name.ljust(width)}  {count:3d}/{self.trials:<3d} {self.min_pass:8d}"
+                f"{name.ljust(width)}  {count:3d}/{self.trials:<3d} {self.min_pass:8d}  {cell:>9}"
             )
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(

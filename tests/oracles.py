@@ -133,6 +133,17 @@ def igamc_ref(a: float, x: float) -> float:
     return float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
 
 
+def uniformity_p_ref(p_values) -> float:
+    """SP 800-22 section 4.2.2's P-value_T: the p-values in ten equal bins
+    by their exact value, then the chi-square with 9 degrees of freedom."""
+    bins = [0] * 10
+    for p in p_values:
+        bins[min(int(mpmath.floor(mpmath.mpf(p) * 10)), 9)] += 1
+    expected = mpmath.mpf(len(p_values)) / 10
+    chi_sq = mpmath.fsum((count - expected) ** 2 for count in bins) / expected
+    return float(mpmath.gammainc(mpmath.mpf(9) / 2, chi_sq / 2, mpmath.inf, regularized=True))
+
+
 def _phi_normal(x: float) -> float:
     # mpmath, not the libm erfc that the production normal CDF calls
     return float(mpmath.ncdf(x))

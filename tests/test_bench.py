@@ -648,6 +648,26 @@ def test_headline_reports_ratio_without_judgement():
         assert verdict_word not in lowered
 
 
+def test_headline_reports_the_aead_ratio_beside_auth_only():
+    # only AEAD has the confidentiality TLS gives: its ratio gets its own
+    # line, after the AUTH_ONLY lines, which keep their format
+    report = _report(
+        "tls",
+        _case("channel-AUTH_ONLY", 64, 30_000.0), _case("channel-AUTH_ONLY", 1500, 10_000.0),
+        _case("channel-AEAD", 64, 20_000.0), _case("channel-AEAD", 1500, 12_000.0),
+        _case("channel-plaintext-baseline", 64, 90_000.0),
+        _case(TLS_CASE, 64, 40_000.0), _case(TLS_CASE, 1500, 20_000.0),
+    )
+    assert headline_summary(report).splitlines()[:4] == [
+        "throughput at 64 B: channel-AUTH_ONLY 1.92 MB/s vs tls1.3 2.56 MB/s (ratio 0.750)",
+        "throughput at 1500 B: channel-AUTH_ONLY 15.00 MB/s vs tls1.3 30.00 MB/s "
+        "(ratio 0.500)",
+        "throughput at 64 B: channel-AEAD 1.28 MB/s vs tls1.3 2.56 MB/s (ratio 0.500)",
+        "throughput at 1500 B: channel-AEAD 18.00 MB/s vs tls1.3 30.00 MB/s (ratio 0.600)",
+    ]
+    assert headline_summary(report).splitlines()[4].startswith("protocol core: ")
+
+
 def test_headline_survives_missing_external_row():
     report = _report(
         "tls", _case("channel-AUTH_ONLY", 1500, 10_000.0), _case(TLS_CASE, 512, 20_000.0)

@@ -1,18 +1,22 @@
 """Record layer: framing, seal/open, tamper rejection, endpoints."""
 
 import hashlib
+import hmac
 import io
 import itertools
 import socket
 import threading
 
 import pytest
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kiss.channel as channel_mod
-import kiss.idvv as idvv_mod
 from kiss.association import (
+    LABEL_C2S,
+    LABEL_S2C,
     Mode,
     ProvisionFile,
     Role,
@@ -20,14 +24,19 @@ from kiss.association import (
 )
 from kiss.channel import (
     HEADER_LEN,
+    KEY_LABEL_ENC,
+    KEY_LABEL_MAC,
+    KEY_LABEL_NONCE,
     MAX_PAYLOAD,
     READ_SIZE,
     RESYNC_WINDOW,
     ChannelEndpoint,
     ChannelState,
     MsgType,
+    TAG_LEN,
     _parse_header,
     _read_frame,
+    _record_keys,
     encode_record,
     open_record,
     seal,
@@ -46,6 +55,8 @@ from kiss.errors import (
     ReplayError,
     TransportError,
 )
+
+from oracles import chain_values_ref, derive_key_ref
 
 SEED = bytes(range(32))
 ROOT = bytes(range(32, 64))
@@ -100,10 +111,10 @@ def _open_refused(wire):
     """The FrameError ``open_record`` raises for ``wire``, after checking
     that the receive chain's counter and value did not move."""
     _, receiver = _pair()
-    before = receiver.recv_chain.counter, receiver.recv_chain.value
+    before = receiver.recv_chain.snapshot()
     with pytest.raises(FrameError) as err:
         open_record(receiver, wire)
-    assert (receiver.recv_chain.counter, receiver.recv_chain.value) == before
+    assert receiver.recv_chain.snapshot() == before
     return err.value
 
 
@@ -210,7 +221,7 @@ def test_tamper_rejected_without_burning_state(mode):
 
 
 def _chain_position(assoc):
-    return assoc.recv_chain.value, assoc.recv_chain.counter, assoc.highest_accepted_seq
+    return assoc.recv_chain.snapshot(), assoc.highest_accepted_seq
 
 
 def _bad_tag(wire):
@@ -355,33 +366,23 @@ def test_property_seq_gate_follows_highest_accepted(data):
     assert receiver.highest_accepted_seq == receiver.recv_chain.counter
 
 
-def test_forged_record_at_the_window_cap_costs_one_chain_walk(monkeypatch):
+def test_forged_record_at_the_window_cap_costs_one_chain_walk(hmac_calls):
     window = RESYNC_WINDOW
     sender, receiver = _pair()
     genuine = encode_record(seal(sender, MsgType.DATA, b"genuine"))
-    calls = [0]
-    real = idvv_mod._hmac_new
-
-    def counted(key, message, digestmod):
-        calls[0] += 1
-        return real(key, message, digestmod)
-
-    # the record path calls OpenSSL's HMAC constructor directly
-    for mod in (idvv_mod, channel_mod):
-        monkeypatch.setattr(mod, "_hmac_new", counted)
     # a forger with no key copies a header, picks the seq, guesses a tag;
     # the receiver is at counter 0, so the seq is the gap. An auth-only
-    # forgery inside the window costs the gap's steps, one key and one
-    # tag; one past the window costs no HMAC at all.
-    cases = [(window, AuthenticationError, window + 2), (window + 1, OutOfWindowError, 0)]
+    # forgery inside the window costs the gap's steps less the one the
+    # chain holds, one key and one tag; one past the window costs no HMAC.
+    cases = [(window, AuthenticationError, window + 1), (window + 1, OutOfWindowError, 0)]
     for seq, error, cost in cases:
         forged = bytearray(_bad_tag(genuine))
         forged[13:21] = seq.to_bytes(8, "big")
         before = _chain_position(receiver)
-        calls[0] = 0
+        hmac_calls.clear()
         with pytest.raises(error):
             open_record(receiver, bytes(forged))
-        assert calls[0] == cost
+        assert len(hmac_calls) == cost
         assert _chain_position(receiver) == before
     assert open_record(receiver, genuine) == (MsgType.DATA, b"genuine")
 
@@ -853,3 +854,107 @@ def test_abrupt_eof_is_transport_error():
         assert resp_ep.state is ChannelState.CLOSED
     finally:
         s_resp.close()
+
+
+# -- forward secrecy and HMAC cost -------------------------------------
+
+
+def _held(chain):
+    """The value a chain state holds, as a capture of it would read it."""
+    return bytes.fromhex(chain.snapshot()["value"])
+
+
+def _opens(wire, value, mode):
+    """Whether the record keys derived from chain value ``value`` open ``wire``."""
+    key, nonce = _record_keys(value, mode)
+    end = len(wire) - TAG_LEN[mode]
+    if mode is Mode.AUTH_ONLY:
+        return hmac.compare_digest(hmac.new(key, wire[:end], "sha256").digest(), wire[end:])
+    try:
+        AESGCM(key).decrypt(nonce, wire[HEADER_LEN:], wire[:HEADER_LEN])
+    except InvalidTag:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_captured_chain_state_opens_no_record_already_sealed_or_opened(mode):
+    initiator, responder = _pair(mode)
+    for sender, receiver in ((initiator, responder), (responder, initiator)):
+        wire = seal_wire(sender, MsgType.DATA, b"sealed before the capture")
+        sent = _held(sender.send_chain)
+        assert open_record(receiver, wire)[1] == b"sealed before the capture"
+        received = _held(receiver.recv_chain)
+        assert not _opens(wire, sent, mode)
+        assert not _opens(wire, received, mode)
+        # what a capture does expose: the records from the next seq on
+        later = seal_wire(sender, MsgType.DATA, b"sealed after the capture")
+        assert _opens(later, sent, mode) and _opens(later, received, mode)
+        open_record(receiver, later)
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_hmac_calls_per_load_record_and_forgery(mode, hmac_calls):
+    init_pf = ProvisionFile(ASSOC_ID, Role.INITIATOR, mode, SEED, ROOT)
+    resp_pf = ProvisionFile(ASSOC_ID, Role.RESPONDER, mode, SEED, ROOT)
+    hmac_calls.clear()
+    sender = load_association(init_pf)
+    assert len(hmac_calls) == 4  # value_0 and value_1 of each direction
+    receiver = load_association(resp_pf)
+    hmac_calls.clear()
+    wire = seal_wire(sender, MsgType.DATA, b"x" * 64)
+    assert len(hmac_calls) == 3  # a chain step, then a key and a tag, or two keys
+    # a forgery at the next seq walks no chain step: a key or two, and a tag check
+    before = _chain_position(receiver)
+    hmac_calls.clear()
+    with pytest.raises(AuthenticationError):
+        open_record(receiver, _bad_tag(wire))
+    assert len(hmac_calls) == 2
+    assert not [msg for _, msg in hmac_calls if msg.startswith(SEED)]
+    assert _chain_position(receiver) == before
+    hmac_calls.clear()
+    assert open_record(receiver, wire) == (MsgType.DATA, b"x" * 64)
+    assert len(hmac_calls) == 3  # the same three, the chain step at commit
+
+
+def test_each_key_keys_one_message_domain(hmac_calls):
+    # the premise of the forward-secrecy argument in kiss.idvv, over a
+    # handshake, records both ways, a reject and a close in each mode:
+    # the seed keys only root || label, a chain value only the step
+    # after it or a record key label, a record MAC key only a record
+    for mode in (Mode.AUTH_ONLY, Mode.AEAD):
+        init_ep, resp_ep, s_init, s_resp = _endpoint_pair(mode)
+        try:
+            for i in range(3):
+                init_ep.send(b"c2s-%d" % i)
+                assert resp_ep.receive() == b"c2s-%d" % i
+                resp_ep.send(b"s2c-%d" % i)
+                assert init_ep.receive() == b"s2c-%d" % i
+            lost = seal_wire(init_ep.assoc, MsgType.DATA, b"forged on the way")
+            with pytest.raises(AuthenticationError):
+                open_record(resp_ep.assoc, _bad_tag(lost))
+            init_ep.close()
+            assert resp_ep.receive() is None
+        finally:
+            s_init.close()
+            s_resp.close()
+    steps = {
+        value: i
+        for label in (LABEL_C2S, LABEL_S2C)
+        for i, value in enumerate(chain_values_ref(SEED, ROOT, label, 12))
+    }
+    mac_keys = {derive_key_ref(value, KEY_LABEL_MAC, 32) for value in steps}
+    assert SEED not in steps and not mac_keys & {SEED, *steps}
+    domains = []
+    for key, msg in hmac_calls:
+        if key == SEED:
+            assert msg in (ROOT + LABEL_C2S, ROOT + LABEL_S2C)
+            domains.append("seed")
+        elif key in steps:
+            step = SEED + steps[key].to_bytes(8, "big")
+            assert msg in (step, KEY_LABEL_MAC, KEY_LABEL_ENC, KEY_LABEL_NONCE)
+            domains.append("value")
+        else:
+            assert key in mac_keys and msg.startswith(b"KI")
+            domains.append("mac")
+    assert set(domains) == {"seed", "value", "mac"}

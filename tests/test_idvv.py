@@ -26,7 +26,6 @@ from kiss.errors import (
 from kiss.idvv import (
     MAX_COUNTER,
     IdvvState,
-    Seed,
     idvv_init,
     idvv_peek,
     idvv_step,
@@ -50,36 +49,46 @@ def test_oracle_hmac_matches_rfc4231():
         assert got == case["mac"]
 
 
+def _held(state):
+    """The value a state holds: the next one it will hand out."""
+    return bytes.fromhex(state.snapshot()["value"])
+
+
 def test_init_deterministic():
     a = idvv_init(SEED, ROOT, b"c2s")
     b = idvv_init(SEED, ROOT, b"c2s")
-    assert a.value == b.value
+    assert a.snapshot() == b.snapshot()
     assert a.counter == b.counter == 0
 
 
 def test_init_value_is_prf_of_root_and_label():
-    state = idvv_init(SEED, ROOT, b"c2s")
-    assert state.value == hmac_sha256_ref(SEED, ROOT + b"c2s")
+    # value_0 goes only to out; the state holds value_1, one step on
+    v0 = []
+    state = idvv_init(SEED, ROOT, b"c2s", v0)
+    assert v0 == [hmac_sha256_ref(SEED, ROOT + b"c2s")]
+    assert _held(state) == hmac_sha256_ref(v0[0], SEED + bytes(8))
 
 
 def test_init_rfc4231_derived_seed():
     # case-1 key padded to the required 32 bytes; the oracle supplies the
     # expected value since the raw RFC message lengths cannot reach this API
     seed = RFC4231_CASES[0]["key"] + bytes(32 - len(RFC4231_CASES[0]["key"]))
-    state = idvv_init(seed, ROOT, b"c2s")
-    assert state.value == hmac_sha256_ref(seed, ROOT + b"c2s")
+    v0 = []
+    idvv_init(seed, ROOT, b"c2s", v0)
+    assert v0 == [hmac_sha256_ref(seed, ROOT + b"c2s")]
 
 
 def test_direction_labels_separate_chains():
     c2s = idvv_init(SEED, ROOT, b"c2s")
     s2c = idvv_init(SEED, ROOT, b"s2c")
-    assert c2s.value != s2c.value
+    assert _held(c2s) != _held(s2c)
 
 
 def test_next_matches_oracle_chain():
     ref = chain_values_ref(SEED, ROOT, b"c2s", 3)
-    state = idvv_init(SEED, ROOT, b"c2s")
-    assert state.value == ref[0]
+    v0 = []
+    state = idvv_init(SEED, ROOT, b"c2s", v0)
+    assert v0 == ref[:1]
     for i in (1, 2, 3):
         assert idvv_step(state) == ref[i]
         assert state.counter == i
@@ -93,12 +102,15 @@ def test_successive_values_differ():
 
 
 def test_state_does_not_retain_previous_value():
-    state = idvv_init(SEED, ROOT, b"c2s")
-    old = state.value
-    idvv_step(state)
-    assert state.value != old
-    snap = state.snapshot()
-    assert old.hex() not in snap.values()
+    # neither value_0 nor a value handed out stays in any slot of the state
+    v0 = []
+    state = idvv_init(SEED, ROOT, b"c2s", v0)
+    spent = [v0[0]]
+    for _ in range(3):
+        spent.append(idvv_step(state))
+        held = [getattr(state, slot) for slot in IdvvState.__slots__]
+        assert not set(spent) & set(held)
+        assert not {v.hex() for v in spent} & set(state.snapshot().values())
 
 
 def test_counter_exhaustion():
@@ -127,21 +139,23 @@ def test_fast_forward_equals_manual_steps():
     got = idvv_peek(state, 8, 1024)
     state.commit(got, 8)
     assert got == expected
-    assert (state.value, state.counter) == (manual.value, manual.counter) == (expected, 8)
+    assert state.snapshot() == manual.snapshot()
+    assert state.counter == 8
 
 
 def test_fast_forward_refuses_replay():
     state = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
         idvv_step(state)
-    value = state.value
+    before = state.snapshot()
     with pytest.raises(ReplayError):
         idvv_peek(state, 5, 1024)
     with pytest.raises(ReplayError):
         idvv_peek(state, 3, 1024)
     with pytest.raises(ReplayError):
-        state.commit(value, 3)
-    assert (state.value, state.counter) == (value, 5)
+        state.commit(_held(state), 3)
+    assert state.snapshot() == before
+    assert state.counter == 5
 
 
 def test_fast_forward_refuses_wide_gap():
@@ -150,14 +164,15 @@ def test_fast_forward_refuses_wide_gap():
         idvv_peek(state, 2000, 1024)
     # refusal must not move the state
     assert state.counter == 0
-    assert state.value == idvv_init(SEED, ROOT, b"c2s").value
+    assert state.snapshot() == idvv_init(SEED, ROOT, b"c2s").snapshot()
 
 
 def test_step_is_next_without_the_wrapper():
-    # the step returns exactly the value it leaves in the state
+    # the step hands out exactly the value the state held
     state = idvv_init(SEED, ROOT, b"c2s")
     for i, want in enumerate(chain_values_ref(SEED, ROOT, b"c2s", 3)[1:], start=1):
-        assert idvv_step(state) == want == state.value
+        held = _held(state)
+        assert idvv_step(state) == want == held
         assert state.counter == i
 
 
@@ -166,19 +181,22 @@ def test_step_is_next_without_the_wrapper():
 def test_peek_leaves_state_and_commit_lands_it(gap):
     state = idvv_init(SEED, ROOT, b"s2c")
     idvv_step(state)
-    before = state.value
+    before = state.snapshot()
     value = idvv_peek(state, 1 + gap, 1024)
-    assert (state.value, state.counter) == (before, 1)
-    assert value == chain_values_ref(SEED, ROOT, b"s2c", 1 + gap)[-1]
+    assert (state.snapshot(), state.counter) == (before, 1)
+    ref = chain_values_ref(SEED, ROOT, b"s2c", 2 + gap)
+    assert value == ref[1 + gap]
     state.commit(value, 1 + gap)
-    assert (state.value, state.counter) == (value, 1 + gap)
+    # the state moves past the committed value and holds the one after
+    assert (_held(state), state.counter) == (ref[2 + gap], 1 + gap)
+    landed = state.snapshot()
     with pytest.raises(ReplayError):
         state.commit(value, 1 + gap)
     with pytest.raises(ReplayError):
         idvv_peek(state, 1 + gap, 1024)
     with pytest.raises(OutOfWindowError):
         idvv_peek(state, 2 + gap + 1024, 1024)
-    assert (state.value, state.counter) == (value, 1 + gap)
+    assert state.snapshot() == landed
 
 
 _SNAP = {"counter": 5, "value": "00" * 32, "label": b"c2s".hex()}
@@ -217,6 +235,8 @@ def test_peek_refuses_past_the_last_counter():
     )
     with pytest.raises(ChainExhaustedError):
         idvv_peek(state, MAX_COUNTER + 1, 1024)
+    with pytest.raises(ChainExhaustedError):
+        state.commit(bytes(32), MAX_COUNTER + 1)
     assert state.counter == MAX_COUNTER - 1
 
 
@@ -284,18 +304,6 @@ def test_derive_key_deterministic_and_separated(record_keys):
     assert mac_a != enc
 
 
-def test_value_wipe_zeroes_buffer():
-    seed = Seed(SEED)
-    seed.wipe()
-    assert seed._buf == bytes(32)
-
-
-def test_secret_repr_redacted():
-    seed = Seed(SEED)
-    assert SEED.hex() not in repr(seed)
-    assert repr(Seed(SEED)) == repr(seed)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.binary(min_size=32, max_size=32),
@@ -305,8 +313,9 @@ def test_secret_repr_redacted():
 )
 def test_property_chain_matches_oracle(seed, root, label, steps):
     ref = chain_values_ref(seed, root, label, steps)
-    state = idvv_init(seed, root, label)
-    assert state.value == ref[0]
+    v0 = []
+    state = idvv_init(seed, root, label, v0)
+    assert v0 == ref[:1]
     for i in range(1, steps + 1):
         assert idvv_step(state) == ref[i]
 
@@ -324,5 +333,6 @@ def test_property_fast_forward_is_n_steps(skip, window):
     last = None
     for _ in range(skip):
         last = idvv_step(b)
-    assert got == last == a.value
+    assert got == last
+    assert a.snapshot() == b.snapshot()
     assert a.counter == b.counter == skip

@@ -26,6 +26,7 @@ from oracles import (
     runs_p_ref,
     serial_p_ref,
     stream_bits_ref,
+    uniformity_p_ref,
 )
 
 import kiss.randomness as randomness_mod
@@ -833,6 +834,49 @@ def test_battery_flags_constant_source():
                          stream_factory=dead_source)
     assert not report.passed
     assert all(count == 0 for count in report.pass_counts.values())
+
+
+def _report_of(p_values, alpha=0.01):
+    """A report whose every test saw ``p_values``, one per trial."""
+    results = [randomness_mod.TestResult("t", p, p >= alpha) for p in p_values]
+    return RandomnessReport(1000, len(p_values), alpha, {name: results for name in ALL_TESTS})
+
+
+@pytest.mark.parametrize("trials", [55, 100, 1000])
+def test_uniformity_matches_oracle(trials):
+    rng = np.random.default_rng(trials)
+    for p_values in (
+        rng.random(trials).tolist(),
+        (rng.random(trials) ** 2).tolist(),  # skewed towards 0
+        [0.0, 1.0, 0.05, 0.95, 0.999999] + rng.random(trials - 5).tolist(),
+    ):
+        got = _report_of(p_values).uniformity
+        assert set(got) == set(ALL_TESTS)
+        for value in got.values():
+            assert value == pytest.approx(uniformity_p_ref(p_values), rel=1e-9, abs=1e-300)
+
+
+def test_uniformity_needs_55_trials_and_stays_out_of_the_verdict():
+    few = _report_of([0.55] * 54)
+    assert set(few.uniformity.values()) == {None}
+    rows = few.format_table().splitlines()[2:-1]
+    assert all(row.split()[-1] == "-" for row in rows)
+    # every trial passes the proportion rule, and every p-value sits in one bin
+    skewed = _report_of([0.55] * 55)
+    assert skewed.passed and skewed.to_csv() == _report_of([0.55] * 55).to_csv()
+    assert all(p < 0.0001 for p in skewed.uniformity.values())
+    rows = skewed.format_table().splitlines()[2:-1]
+    assert all(row.endswith(" non-uniform") for row in rows)
+    assert skewed.format_table().splitlines()[-1].startswith("verdict: PASS")
+
+
+def test_chain_keystream_p_values_are_uniform_at_default_scale():
+    # the default battery, 100 trials of 1e6 bits from the demo secrets
+    report = run_battery(DEMO_SEED, DEMO_ROOT)
+    for name, rs in report.results.items():
+        p_t = report.uniformity[name]
+        assert p_t == pytest.approx(uniformity_p_ref([r.p_value for r in rs]), rel=1e-9)
+        assert p_t >= 0.0001, name
 
 
 def test_every_test_rejects_some_pathological_stream():
