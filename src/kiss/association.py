@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ProvisionError
-from .idvv import SECRET_LEN, IdvvState, idvv_init
+from .idvv import SECRET_LEN, IdvvState, _check_secret, idvv_init
 
 LABEL_C2S = b"c2s"
 LABEL_S2C = b"s2c"
@@ -52,6 +52,16 @@ class ProvisionFile:
     # kept out of repr, so a traceback or log line that shows one leaks neither
     seed: bytes = field(repr=False)
     root: bytes = field(repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.assoc_id, bytes) or len(self.assoc_id) != ASSOC_ID_LEN:
+            raise InvalidParameterError(f"assoc_id must be {ASSOC_ID_LEN} bytes")
+        if not isinstance(self.role, Role):
+            raise InvalidParameterError(f"unknown role {self.role!r}")
+        if not isinstance(self.mode, Mode):
+            raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        _check_secret("seed", self.seed)
+        _check_secret("root", self.root)
 
     def to_text(self) -> str:
         return (
@@ -121,8 +131,6 @@ def generate_provision(rng=None, mode: Mode = Mode.AUTH_ONLY) -> tuple[Provision
 
     ``rng`` is a ``bytes = rng(n)`` entropy source, ``os.urandom`` by default.
     """
-    if not isinstance(mode, Mode):
-        raise InvalidParameterError(f"unknown mode {mode!r}")
     if rng is None:
         rng = os.urandom
     try:

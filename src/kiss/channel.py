@@ -28,13 +28,13 @@ what its last ``recv`` left unread, asking ``recv(READ_SIZE)`` less that
 while a header is incomplete, then exactly what the record lacks; a
 record one ``recv`` brought whole is opened where it lies, with no copy.
 The parsed header goes straight to ``_open_frame``, the verify-and-commit
-step that ``open_record`` also runs after its exact-length check.
+step that ``open_record`` also runs after its exact-length check. It
+refuses a seq more than ``RESYNC_WINDOW`` past the last one accepted
+before any chain step; the chain walk itself has no window.
 
-``Record``, ``seal`` and ``encode_record`` are an inspection view of the
-same bytes: ``seal`` slices what ``seal_wire`` returns and keeps it whole
-in ``Record.wire``, which ``encode_record`` returns. They stay only
-because ``benchmark/`` calls ``encode_record(seal(...))`` and its tracer
-wraps both; no endpoint runs them.
+``seal`` and ``encode_record`` are the names the benchmark calls, as
+``encode_record(seal(...))``, and its tracer wraps: both give
+``seal_wire``'s bytes, and no endpoint runs them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import enum
 import hmac
 import os
 import struct
-from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -58,6 +57,7 @@ from .errors import (
     HandshakeError,
     InvalidParameterError,
     KissError,
+    OutOfWindowError,
     TransportError,
 )
 from .idvv import _hmac_new, idvv_peek, idvv_step
@@ -111,26 +111,6 @@ class ChannelState(enum.Enum):
 _AUTH_ONLY = Mode.AUTH_ONLY
 _DATA, _ALERT = MsgType.DATA, MsgType.ALERT
 _ESTABLISHED = ChannelState.ESTABLISHED
-
-
-# A Record is made only by seal and keeps the wire bytes seal_wire made, so
-# encode_record packs nothing. Record, seal and encode_record keep their
-# names only because benchmark/ calls encode_record(seal(...)) in three
-# places and its tracer wraps both; they can go once it calls seal_wire.
-# benchmark/ also calls open_record and writes
-# Association.highest_accepted_seq: both stay.
-class Record(NamedTuple):
-    msg_type: MsgType
-    mode: Mode
-    assoc_id: bytes
-    seq: int
-    payload: bytes
-    tag: bytes
-    wire: bytes
-
-
-def encode_record(record: Record) -> bytes:
-    return record.wire
 
 
 def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
@@ -195,14 +175,12 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
     return header + AESGCM(key).encrypt(nonce, payload, header)
 
 
-def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> Record:
-    """:func:`seal_wire` as a :class:`Record`, for inspection."""
-    wire = seal_wire(assoc, msg_type, payload)
-    end = HEADER_LEN + len(payload)
-    return Record(
-        msg_type, assoc.mode, assoc.assoc_id, assoc.send_chain.counter,
-        wire[HEADER_LEN:end], wire[end:], wire,
-    )
+def seal(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
+    return seal_wire(assoc, msg_type, payload)
+
+
+def encode_record(wire: bytes) -> bytes:
+    return wire
 
 
 def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
@@ -233,9 +211,11 @@ def _open_frame(assoc, wire, header):
             f"{assoc.mode.value}",
             field="mode",
         )
-    # refuses replays (seq <= counter) and gaps beyond the window
     chain = assoc.recv_chain
-    value = idvv_peek(chain, seq, RESYNC_WINDOW)
+    gap = seq - chain.counter
+    if gap > RESYNC_WINDOW:
+        raise OutOfWindowError(f"gap {gap} exceeds window {RESYNC_WINDOW}")
+    value = idvv_peek(chain, seq)  # refuses a replay: seq <= counter
     key, nonce = _record_keys(value, mode)
     if mode is _AUTH_ONLY:
         if not hmac.compare_digest(_hmac_new(key, wire[:end], "sha256").digest(), wire[end:]):

@@ -43,12 +43,7 @@ import struct
 
 from _hashlib import hmac_new as _hmac_new
 
-from .errors import (
-    ChainExhaustedError,
-    InvalidParameterError,
-    OutOfWindowError,
-    ReplayError,
-)
+from .errors import ChainExhaustedError, InvalidParameterError, ReplayError
 
 SECRET_LEN = 32
 MAX_LABEL_LEN = 16
@@ -155,20 +150,19 @@ def idvv_step(state: IdvvState) -> bytes:
     return value
 
 
-def idvv_peek(state: IdvvState, target_counter: int, max_steps: int, out=None) -> bytes:
+def idvv_peek(state: IdvvState, target_counter: int, out=None) -> bytes:
     """The value at ``target_counter``, computed without changing ``state``.
 
-    Refuses to go backwards or sideways (replay) and refuses gaps beyond
-    ``max_steps`` (out of window). Walks from the held value, so the next
-    counter costs no PRF call. Commit with :meth:`IdvvState.commit`.
-    If ``out`` is a list, every value walked, the held one first, is
-    appended to it.
+    Refuses to go backwards or sideways (replay). Walks from the held
+    value, so the next counter costs no PRF call and each one past it
+    costs one; the walk has no window, so a caller bounds the gap it
+    accepts (the record layer's ``RESYNC_WINDOW``). Commit with
+    :meth:`IdvvState.commit`. If ``out`` is a list, every value walked,
+    the held one first, is appended to it.
     """
     counter = state._counter
     if target_counter <= counter:
         raise ReplayError(f"target counter {target_counter} not beyond current {counter}")
-    if target_counter - counter > max_steps:
-        raise OutOfWindowError(f"gap {target_counter - counter} exceeds window {max_steps}")
     if target_counter > MAX_COUNTER:
         raise ChainExhaustedError("chain counter exhausted; re-provision the association")
     value, seed, pack = state._next, state._seed, _U64.pack

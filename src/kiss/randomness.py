@@ -143,7 +143,7 @@ def generate_stream(seed, root, label: bytes, n_bits: int) -> BitStream:
         )
     count = -(-n_bits // 256)
     values = []  # value_1 .. value_count, from one chain walk
-    idvv_peek(idvv_init(seed, root, label), count, count, values)
+    idvv_peek(idvv_init(seed, root, label), count, values)
     return BitStream.from_bytes(b"".join(values), n_bits)
 
 
@@ -560,9 +560,12 @@ class RandomnessReport:
 
     def format_table(self) -> str:
         width = max(len(name) for name in self.results)
+        # the pass cell is count/trials, each as wide as trials (at least 3)
+        digits = max(3, len(str(self.trials)))
+        cell_width = 2 * digits + 1
         lines = [
-            f"{'test'.ljust(width)}  passed  required  P-value_T",
-            f"{'-' * width}  ------  --------  ---------",
+            f"{'test'.ljust(width)}  {'passed'.ljust(cell_width)} required  P-value_T",
+            f"{'-' * width}  {'------'.ljust(cell_width)} --------  ---------",
         ]
         uniformity = self.uniformity
         for name, count in self.pass_counts.items():
@@ -571,7 +574,8 @@ class RandomnessReport:
             if p is not None and p < UNIFORMITY_ALPHA:
                 cell += " non-uniform"
             lines.append(
-                f"{name.ljust(width)}  {count:3d}/{self.trials:<3d} {self.min_pass:8d}  {cell:>9}"
+                f"{name.ljust(width)}  {count:{digits}d}/{self.trials:<{digits}d} "
+                f"{self.min_pass:8d}  {cell:>9}"
             )
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(

@@ -18,6 +18,7 @@ from kiss.association import (
 )
 from kiss.channel import RESYNC_WINDOW, MsgType, encode_record, open_record, seal
 from kiss.errors import (
+    InvalidParameterError,
     OutOfWindowError,
     ProvisionError,
     ReplayError,
@@ -83,6 +84,35 @@ _FIXED_PF = ProvisionFile(
     seed=bytes(range(32)),
     root=bytes(range(32, 64)),
 )
+
+
+# without these checks each would load: a 7- or 9-byte id padded or cut by
+# the header's 8s, "initiator" loading the responder's chains, and "auth"
+# sealing AEAD records the peer refuses
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("assoc_id", bytes(7)),
+        ("assoc_id", bytes(9)),
+        ("assoc_id", bytearray(8)),
+        ("assoc_id", "00112233445566aa"),
+        ("role", "initiator"),
+        ("role", None),
+        ("mode", "auth"),
+        ("mode", Mode.AEAD.value),
+        ("seed", bytes(31)),
+        ("seed", bytearray(32)),
+        ("root", bytes(33)),
+        ("root", "00" * 32),
+    ],
+    ids=lambda v: str(v) if len(str(v)) <= 16 else f"{type(v).__name__}{len(v)}",
+)
+def test_provision_file_is_checked_when_built(name, value):
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(_FIXED_PF, **{name: value})
+    if name == "mode":  # generate_provision builds its files through the same check
+        with pytest.raises(InvalidParameterError):
+            generate_provision(mode=value)
 
 
 def test_provision_round_trip_is_byte_identical():

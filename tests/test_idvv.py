@@ -20,7 +20,6 @@ from kiss.channel import (
 from kiss.errors import (
     ChainExhaustedError,
     InvalidParameterError,
-    OutOfWindowError,
     ReplayError,
 )
 from kiss.idvv import (
@@ -136,7 +135,7 @@ def test_fast_forward_equals_manual_steps():
         idvv_step(state)
     manual = IdvvState.from_snapshot(SEED, state.snapshot())
     expected = [idvv_step(manual) for _ in range(3)][-1]
-    got = idvv_peek(state, 8, 1024)
+    got = idvv_peek(state, 8)
     state.commit(got, 8)
     assert got == expected
     assert state.snapshot() == manual.snapshot()
@@ -149,20 +148,19 @@ def test_fast_forward_refuses_replay():
         idvv_step(state)
     before = state.snapshot()
     with pytest.raises(ReplayError):
-        idvv_peek(state, 5, 1024)
+        idvv_peek(state, 5)
     with pytest.raises(ReplayError):
-        idvv_peek(state, 3, 1024)
+        idvv_peek(state, 3)
     with pytest.raises(ReplayError):
         state.commit(_held(state), 3)
     assert state.snapshot() == before
     assert state.counter == 5
 
 
-def test_fast_forward_refuses_wide_gap():
+def test_peek_walks_a_gap_past_the_resync_window():
+    # the window is the record layer's; the chain walk takes any gap
     state = idvv_init(SEED, ROOT, b"c2s")
-    with pytest.raises(OutOfWindowError):
-        idvv_peek(state, 2000, 1024)
-    # refusal must not move the state
+    assert idvv_peek(state, 2000) == chain_values_ref(SEED, ROOT, b"c2s", 2000)[2000]
     assert state.counter == 0
     assert state.snapshot() == idvv_init(SEED, ROOT, b"c2s").snapshot()
 
@@ -176,13 +174,13 @@ def test_step_is_next_without_the_wrapper():
         assert state.counter == i
 
 
-# gap 1024 is the exact window edge: accepted, and 1025 refused below
+# gap 1024 is the record layer's window edge
 @pytest.mark.parametrize("gap", [1, 5, 1024])
 def test_peek_leaves_state_and_commit_lands_it(gap):
     state = idvv_init(SEED, ROOT, b"s2c")
     idvv_step(state)
     before = state.snapshot()
-    value = idvv_peek(state, 1 + gap, 1024)
+    value = idvv_peek(state, 1 + gap)
     assert (state.snapshot(), state.counter) == (before, 1)
     ref = chain_values_ref(SEED, ROOT, b"s2c", 2 + gap)
     assert value == ref[1 + gap]
@@ -193,9 +191,7 @@ def test_peek_leaves_state_and_commit_lands_it(gap):
     with pytest.raises(ReplayError):
         state.commit(value, 1 + gap)
     with pytest.raises(ReplayError):
-        idvv_peek(state, 1 + gap, 1024)
-    with pytest.raises(OutOfWindowError):
-        idvv_peek(state, 2 + gap + 1024, 1024)
+        idvv_peek(state, 1 + gap)
     assert state.snapshot() == landed
 
 
@@ -234,7 +230,7 @@ def test_peek_refuses_past_the_last_counter():
         SEED, {"counter": MAX_COUNTER - 1, "value": "00" * 32, "label": b"c2s".hex()}
     )
     with pytest.raises(ChainExhaustedError):
-        idvv_peek(state, MAX_COUNTER + 1, 1024)
+        idvv_peek(state, MAX_COUNTER + 1)
     with pytest.raises(ChainExhaustedError):
         state.commit(bytes(32), MAX_COUNTER + 1)
     assert state.counter == MAX_COUNTER - 1
@@ -321,14 +317,11 @@ def test_property_chain_matches_oracle(seed, root, label, steps):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    skip=st.integers(min_value=1, max_value=64),
-    window=st.integers(min_value=64, max_value=256),
-)
-def test_property_fast_forward_is_n_steps(skip, window):
+@given(skip=st.integers(min_value=1, max_value=64))
+def test_property_fast_forward_is_n_steps(skip):
     a = idvv_init(SEED, ROOT, b"s2c")
     b = idvv_init(SEED, ROOT, b"s2c")
-    got = idvv_peek(a, skip, window)
+    got = idvv_peek(a, skip)
     a.commit(got, skip)
     last = None
     for _ in range(skip):

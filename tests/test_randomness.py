@@ -842,6 +842,52 @@ def _report_of(p_values, alpha=0.01):
     return RandomnessReport(1000, len(p_values), alpha, {name: results for name in ALL_TESTS})
 
 
+# format_table at 20 and 100 trials, recorded before the pass cell was sized
+# from the trial count
+TABLE_20 = """\
+test                 passed  required  P-value_T
+-------------------  ------  --------  ---------
+monobit               20/20        18          -
+block-frequency       20/20        18          -
+runs                  20/20        18          -
+longest-run           20/20        18          -
+cusum                 20/20        18          -
+approximate-entropy   20/20        18          -
+serial                20/20        18          -
+verdict: PASS (alpha=0.01, 1000 bits x 20 trials)
+"""
+TABLE_100 = """\
+test                 passed  required  P-value_T
+-------------------  ------  --------  ---------
+monobit               90/100       96  0.000000 non-uniform
+block-frequency       90/100       96  0.000000 non-uniform
+runs                  90/100       96  0.000000 non-uniform
+longest-run           90/100       96  0.000000 non-uniform
+cusum                 90/100       96  0.000000 non-uniform
+approximate-entropy   90/100       96  0.000000 non-uniform
+serial                90/100       96  0.000000 non-uniform
+verdict: FAIL (alpha=0.01, 1000 bits x 100 trials)
+"""
+
+
+def test_format_table_is_pinned_at_20_and_100_trials():
+    assert _report_of([(i + 0.5) / 20 for i in range(20)]).format_table() == TABLE_20
+    assert _report_of([((i + 0.5) / 100) ** 2 for i in range(100)]).format_table() == TABLE_100
+
+
+@pytest.mark.parametrize("trials", [20, 100, 1000])
+def test_format_table_rows_line_up_with_the_header(trials):
+    table = _report_of([(i + 0.5) / trials for i in range(trials)]).format_table()
+    header, rule, *rows, _ = table.splitlines()
+    starts = [header.index(title) for title in ("passed", "required", "P-value_T")]
+    for row in (rule, *rows):
+        # each column's field ends in a space, so none runs into the next
+        fields = [row[a:b] for a, b in zip([0, *starts], [*starts, len(row)])]
+        assert all(f.endswith(" ") and f.strip() for f in fields[:-1]), (row, fields)
+        assert len(row) == len(header)
+    assert all(row.split()[1].endswith(f"/{trials}") for row in rows)
+
+
 @pytest.mark.parametrize("trials", [55, 100, 1000])
 def test_uniformity_matches_oracle(trials):
     rng = np.random.default_rng(trials)
