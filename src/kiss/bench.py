@@ -93,13 +93,16 @@ def _check_run(sizes, duration) -> None:
     # the record cap; checked before anything is set up or measured
     if not sizes:
         raise InvalidParameterError("sizes must hold at least one message size")
-    for size in sizes:
+    for i, size in enumerate(sizes):
         if not isinstance(size, int) or size <= 0:
             raise InvalidParameterError(f"message sizes must be > 0, got {size}")
         if size > MAX_PAYLOAD:
             raise InvalidParameterError(
                 f"msg_size must be <= {MAX_PAYLOAD} (the record cap), got {size}"
             )
+        # each size is one row per case, and the ratio pairs rows by size
+        if size in sizes[:i]:
+            raise InvalidParameterError(f"message sizes must not repeat, got {size} more than once")
     # a NaN or infinite budget is never spent
     if not isinstance(duration, (int, float)) or not 0 < duration < math.inf:
         raise InvalidParameterError(f"duration must be > 0 and finite, got {duration}")

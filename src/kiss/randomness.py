@@ -128,7 +128,7 @@ class BitStream:
             raise InvalidParameterError(f"pattern width must be 0..{_SERIAL_M}, got {m}")
         counts = self._counts
         if counts is None:
-            counts = self._counts = _pattern_counts(self, _SERIAL_M)
+            counts = self._counts = _pattern_counts(self)
             counts.flags.writeable = False
         while counts.size > 1 << m:
             counts = _fold(counts)
@@ -198,12 +198,9 @@ def _log_d(a: float, x: float) -> float:
     return -a * excess - 0.5 * math.log(2.0 * math.pi * a) - stirling
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _ndtr(x: np.ndarray) -> np.ndarray:
-    """The standard normal distribution function, elementwise."""
-    return 0.5 * _erfc(-x / math.sqrt(2.0)).astype(np.float64)
+def _ndtr(x: float) -> float:
+    """The standard normal distribution function at one point, from libm's erfc."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # -- byte tables -------------------------------------------------------
@@ -359,14 +356,11 @@ def cusum_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     # with an argument inside it are evaluated
     c = z / sqrt_n
     k_lo, k_hi = math.floor((-38.5 / c - 3) / 4), math.ceil((8.3 / c + 1) / 4)
-    k1 = np.arange(max(math.floor((-n / z + 1) / 4), k_lo), min(math.floor((n / z - 1) / 4), k_hi) + 1)
-    k2 = np.arange(max(math.floor((-n / z - 3) / 4), k_lo), min(math.floor((n / z - 1) / 4), k_hi) + 1)
-    term1 = np.sum(
-        _ndtr((4 * k1 + 1) * z / sqrt_n) - _ndtr((4 * k1 - 1) * z / sqrt_n)
-    )
-    term2 = np.sum(
-        _ndtr((4 * k2 + 3) * z / sqrt_n) - _ndtr((4 * k2 + 1) * z / sqrt_n)
-    )
+    k1 = range(max(math.floor((-n / z + 1) / 4), k_lo), min(math.floor((n / z - 1) / 4), k_hi) + 1)
+    k2 = range(max(math.floor((-n / z - 3) / 4), k_lo), min(math.floor((n / z - 1) / 4), k_hi) + 1)
+    # np.sum, not sum: its pairwise order is the one these p-values were pinned with
+    term1 = np.sum([_ndtr((4 * k + 1) * z / sqrt_n) - _ndtr((4 * k - 1) * z / sqrt_n) for k in k1])
+    term2 = np.sum([_ndtr((4 * k + 3) * z / sqrt_n) - _ndtr((4 * k + 1) * z / sqrt_n) for k in k2])
     p = float(min(max(1.0 - term1 + term2, 0.0), 1.0))
     return TestResult("cusum", p, p >= alpha, {"n": n, "z": z})
 
@@ -418,50 +412,48 @@ def serial_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     return TestResult("serial", p1, p1 >= alpha, {"n": n, "delta1": d1, "delta2": d2, "p2": p2})
 
 
-def _pattern_counts(s: BitStream, m: int) -> np.ndarray:
-    """Counts of all overlapping m-bit patterns, sequence wrapped around.
+def _pattern_counts(s: BitStream) -> np.ndarray:
+    """Counts of all overlapping 16-bit (``_SERIAL_M``) patterns, wrapped around.
 
-    Only the (m+1)-bit windows that start at even bits are counted, about
-    n/2 of them: each holds the m-bit window at its own bit and the one at
-    the next. The windows starting in byte k lie inside the big-endian word
-    of bytes k .. k+w-1 of the wrapped stream, so one shift and mask per
+    Only the 17-bit windows that start at even bits are counted, about n/2
+    of them: each holds the 16-bit window at its own bit and the one at the
+    next. The windows starting in byte k lie inside the big-endian uint32
+    word of bytes k .. k+2 of the wrapped stream, so one shift and mask per
     even offset reads them, ``_CHUNK`` bytes at a time, into one
-    accumulator. It is freed before the int64 copy is made, so a 16-bit
-    count of 1e6 bits peaks near 0.9 MB.
+    accumulator. It is freed before the int64 copy is made, so a count of
+    1e6 bits peaks near 0.9 MB.
     """
     n = len(s)
     whole = n // 8
     k = -(-n // 8)
-    w = (m + 14) // 8  # bytes that cover an (m+1)-bit window starting at offset 6
-    head = np.unpackbits(s.packed[:w], count=m)
-    # the wrapped stream repeats the first m bits after the last one
-    seam = np.hstack([np.unpackbits(s.packed[whole:], count=n % 8), head])
-    tail = np.concatenate([np.packbits(seam), np.zeros(w, np.uint8)])
-    word = np.empty(min(k, _CHUNK), np.uint32 if w <= 4 else np.int64)
+    # the wrapped stream repeats the first 16 bits, two whole bytes, after the last one
+    seam = np.hstack([np.unpackbits(s.packed[whole:], count=n % 8), np.unpackbits(s.packed[:2])])
+    tail = np.concatenate([np.packbits(seam), np.zeros(3, np.uint8)])
+    word = np.empty(min(k, _CHUNK), np.uint32)
     window = np.empty_like(word)
     acc = np.int32 if n < 1 << 31 else np.int64  # no bin counts more than n windows
-    pairs = np.zeros(2 << m, acc)
+    pairs = np.zeros(2 << _SERIAL_M, acc)
     for start in range(0, k, _CHUNK):
         end = min(start + _CHUNK, k)
-        x = s.packed[start : end + w - 1]
-        if end + w - 1 > whole:
+        x = s.packed[start : end + 2]
+        if end + 2 > whole:
             x = np.concatenate([s.packed[start:whole], tail])
         chunk = word[: end - start]
         chunk[:] = x[: chunk.size]
-        for j in range(1, w):
+        for j in (1, 2):
             chunk <<= 8
             chunk |= x[j : j + chunk.size]
         for offset in range(0, 8, 2):
             found = window[: min(end, (n - offset + 7) // 8) - start]
-            np.right_shift(chunk[: found.size], 8 * w - m - 1 - offset, out=found)
-            np.bitwise_and(found, (2 << m) - 1, out=found)
+            np.right_shift(chunk[: found.size], 24 - _SERIAL_M - 1 - offset, out=found)
+            np.bitwise_and(found, (2 << _SERIAL_M) - 1, out=found)
             np.add.at(pairs, found, acc(1))  # a NumPy scalar keeps add.at's fast path
     counts = _fold(pairs)  # the window at each pair's own bit: sum out the last bit
-    counts += pairs[: 1 << m]  # the window at its next bit: sum out the first
-    counts += pairs[1 << m :]
+    counts += pairs[: 1 << _SERIAL_M]  # the window at its next bit: sum out the first
+    counts += pairs[1 << _SERIAL_M :]
     del pairs
     if n % 2:  # the pair at bit n - 1 counted the window at bit 0 a second time
-        counts[int.from_bytes(np.packbits(head).tobytes(), "big") >> (-m % 8)] -= 1
+        counts[int.from_bytes(s.packed[:2].tobytes(), "big")] -= 1
     return counts.astype(np.int64)
 
 
@@ -476,8 +468,6 @@ def _phi(counts: np.ndarray, n: int) -> float:
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
-    if counts.size == 1:  # psi-squared of 0-bit patterns is 0 by definition
-        return 0.0
     # the integer sum of squares is below 2**53, so it converts exactly
     return counts.size / n * int(counts @ counts) - n
 

@@ -54,6 +54,7 @@ def test_config_defaults_are_valid():
         {"sizes": (-5,)},
         {"sizes": (64, MAX_PAYLOAD + 1)},  # above the record cap
         {"sizes": (64.0,)},
+        {"sizes": (64, 256, 64)},  # one size, two rows per case
         {"duration": 0.0},
         {"duration": -1.0},
         {"duration": float("nan")},  # a budget that is never spent
@@ -480,7 +481,7 @@ def test_tls_baseline_negotiates_tls13_and_measures():
     assert case.p50_us <= case.p99_us
 
 
-@pytest.mark.parametrize("sizes", [(), (0,), (64, -5), (64, MAX_PAYLOAD + 1)])
+@pytest.mark.parametrize("sizes", [(), (0,), (64, -5), (64, MAX_PAYLOAD + 1), (64, 64)])
 def test_tls_baseline_rejects_bad_sizes(sizes):
     with pytest.raises(InvalidParameterError):
         run_suite("tls", sizes, 1.0, cases=(TLS_CASE,))

@@ -517,7 +517,7 @@ def test_bench_primitive_sizes_above_record_cap_exit_one_before_measuring():
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("sizes", ["", ",", "64,x"])
+@pytest.mark.parametrize("sizes", ["", ",", "64,x", "64,64"])
 def test_bench_bad_sizes_exit_one_before_measuring(sizes):
     # a given but empty list is refused, not read as "use the defaults"
     result = run_cli(

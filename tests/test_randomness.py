@@ -227,34 +227,39 @@ def _direct_counts(bits: np.ndarray, m: int) -> np.ndarray:
 )
 def test_folded_pattern_counts_match_direct_counts(name):
     bits = _long_vector(name)
-    folded = _pattern_counts(BitStream(bits), 16)
+    folded = _pattern_counts(BitStream(bits))
     for m in range(16, 0, -1):
-        direct = _direct_counts(bits, m)
-        assert np.array_equal(_pattern_counts(BitStream(bits), m), direct), m
-        assert np.array_equal(folded, direct), m
+        assert np.array_equal(folded, _direct_counts(bits, m)), m
         folded = _fold(folded)
 
 
-def _count_widths(monkeypatch):
-    """The width of every count ``_pattern_counts`` makes, in order."""
-    widths, count = [], randomness_mod._pattern_counts
+# serial's floor, then one length ending at each bit of a byte
+@pytest.mark.parametrize("n", range(65_537, 65_545))
+def test_pattern_counts_match_direct_counts_at_each_last_byte_length(n):
+    for bits in (_chain_bits(b"pc%d" % n, n), np.resize(np.array([1, 1, 0], dtype=np.uint8), n)):
+        assert np.array_equal(_pattern_counts(BitStream(bits)), _direct_counts(bits, 16))
 
-    def counting(stream, m):
-        widths.append(m)
-        return count(stream, m)
+
+def _count_calls(monkeypatch):
+    """One entry per count ``_pattern_counts`` makes."""
+    calls, count = [], randomness_mod._pattern_counts
+
+    def counting(stream):
+        calls.append(len(stream))
+        return count(stream)
 
     monkeypatch.setattr(randomness_mod, "_pattern_counts", counting)
-    return widths
+    return calls
 
 
 def test_stream_count_folds_from_its_widest_count(monkeypatch):
     # the first read, at approximate entropy's width, makes the one count at serial's
-    widths = _count_widths(monkeypatch)
+    calls = _count_calls(monkeypatch)
     bits = _long_vector("keystream-131075")
     stream = BitStream(bits)
     for m in (11, 16, 10, 3):
         assert np.array_equal(stream.pattern_counts(m), _direct_counts(bits, m)), m
-    assert widths == [16]
+    assert calls == [bits.size]
     with pytest.raises(InvalidParameterError):
         stream.pattern_counts(17)  # wider than the one count a stream makes
 
@@ -636,11 +641,11 @@ def test_battery_tests_run_in_one_worker_that_leaves_interrupts_to_the_caller(mo
     # a helper of the table's own tests, called once per trial, notes where it ran
     log, count = tmp_path / "where", randomness_mod._pattern_counts
 
-    def where(stream, m):
+    def where(stream):
         blocked = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {blocked}\n")
-        return count(stream, m)
+        return count(stream)
 
     monkeypatch.setattr(randomness_mod, "_pattern_counts", where)
     run_battery(SEED, ROOT, n_bits=65_537, trials=20)
@@ -701,7 +706,7 @@ def test_battery_passes_on_a_factory_error_and_draws_no_further():
 
 
 def test_battery_raises_what_a_test_raised_in_the_worker(monkeypatch):
-    def failing(stream, m):
+    def failing(stream):
         raise InvalidParameterError("no count of this stream")
 
     monkeypatch.setattr(randomness_mod, "_pattern_counts", failing)
@@ -719,7 +724,7 @@ def test_battery_fails_when_the_worker_dies(monkeypatch):
     # an OSError, from the send of the next stream or the read of the results
     counted, count = [], randomness_mod._pattern_counts
 
-    def dying(stream, m):
+    def dying(stream):
         os._exit(3)
 
     monkeypatch.setattr(randomness_mod, "_pattern_counts", dying)
@@ -728,11 +733,11 @@ def test_battery_fails_when_the_worker_dies(monkeypatch):
     assert multiprocessing.active_children() == []
     # dead on the last trial, with nothing left unread: the exit code is named
 
-    def dying_last(stream, m):
-        counted.append(m)  # counts in the worker's copy of the list
+    def dying_last(stream):
+        counted.append(len(stream))  # counts in the worker's copy of the list
         if len(counted) == 20:
             os._exit(3)
-        return count(stream, m)
+        return count(stream)
 
     monkeypatch.setattr(randomness_mod, "_pattern_counts", dying_last)
     with pytest.raises(ChildProcessError, match="exited with code 3"):
@@ -774,12 +779,12 @@ def test_battery_full_suite_small_scale(monkeypatch):
     report = run_battery(SEED, ROOT, n_bits=70_000, trials=20)
     # the worker's counts are out of the spy's sight, so each trial runs
     # here again under it: one pattern count per trial, same results
-    widths = _count_widths(monkeypatch)
+    calls = _count_calls(monkeypatch)
     for trial in range(20):
         stream = generate_stream(SEED, ROOT, b"rs%04d" % trial, 70_000)
         tested = _test_trial(stream, report.alpha)
         assert tested == [rs[trial] for rs in report.results.values()], trial
-    assert widths == [16] * 20
+    assert calls == [70_000] * 20
     assert set(report.results) == set(ALL_TESTS)
     csv = report.to_csv()
     lines = csv.strip().split("\n")
