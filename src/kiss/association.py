@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ProvisionError
@@ -40,6 +41,16 @@ class Mode(enum.Enum):
 
 
 _FIELD_ORDER = ("assoc_id", "role", "mode", "seed", "root")
+# exactly the five lines to_text writes; it must accept just what _parse_lines does
+_PROVISION_TEXT = re.compile(
+    r"assoc_id = ([0-9a-f]{16})\n"
+    r"role = (initiator|responder)\n"
+    r"mode = (auth|aead)\n"
+    r"seed = ([0-9a-f]{64})\n"
+    r"root = ([0-9a-f]{64})\n"
+)
+_ROLES = {role.value: role for role in Role}
+_MODES = {mode.value: mode for mode in Mode}
 
 
 @dataclass(frozen=True)
@@ -74,31 +85,46 @@ class ProvisionFile:
 
     @classmethod
     def from_text(cls, text: str) -> "ProvisionFile":
-        # only what to_text writes: the five lines in _FIELD_ORDER, each ending
-        # in LF, and nothing after. field is the key the bad line names, else
-        # the one expected; the line may hold a secret, so the message omits it
-        lines = text.split("\n")
-        for lineno, key in enumerate((*_FIELD_ORDER, None), start=1):
-            line = lines[lineno - 1] if lineno <= len(lines) else ""
-            if line.endswith("\r"):
-                raise ProvisionError(
-                    f"line {lineno}: CRLF line ending; kiss provision ends each line in LF alone",
-                    field=key,
-                )
-            if not (line.startswith(f"{key} = ") if key else not line and lineno == len(lines)):
-                raise ProvisionError(
-                    f"line {lineno}: expected {key or 'end of file'}; a .prov file is "
-                    "exactly the five lines kiss provision writes",
-                    field=line.partition("=")[0].strip() or key,
-                )
-        assoc_id, role, mode, seed, root = (line.partition(" = ")[2] for line in lines[:-1])
+        # only what to_text writes, in one match; _parse_lines refuses the rest
+        match = _PROVISION_TEXT.fullmatch(text)
+        if match is None:
+            return _parse_lines(text)
+        assoc_id, role, mode, seed, root = match.groups()
         return cls(
-            parse_hex("assoc_id", assoc_id, ASSOC_ID_LEN),
-            _parse_enum(Role, "role", role),
-            _parse_enum(Mode, "mode", mode),
-            parse_hex("seed", seed, SECRET_LEN),
-            parse_hex("root", root, SECRET_LEN),
+            bytes.fromhex(assoc_id),
+            _ROLES[role],
+            _MODES[mode],
+            bytes.fromhex(seed),
+            bytes.fromhex(root),
         )
+
+
+def _parse_lines(text: str) -> ProvisionFile:
+    # only what to_text writes: the five lines in _FIELD_ORDER, each ending
+    # in LF, and nothing after. field is the key the bad line names, else
+    # the one expected; the line may hold a secret, so the message omits it
+    lines = text.split("\n")
+    for lineno, key in enumerate((*_FIELD_ORDER, None), start=1):
+        line = lines[lineno - 1] if lineno <= len(lines) else ""
+        if line.endswith("\r"):
+            raise ProvisionError(
+                f"line {lineno}: CRLF line ending; kiss provision ends each line in LF alone",
+                field=key,
+            )
+        if not (line.startswith(f"{key} = ") if key else not line and lineno == len(lines)):
+            raise ProvisionError(
+                f"line {lineno}: expected {key or 'end of file'}; a .prov file is "
+                "exactly the five lines kiss provision writes",
+                field=line.partition("=")[0].strip() or key,
+            )
+    assoc_id, role, mode, seed, root = (line.partition(" = ")[2] for line in lines[:-1])
+    return ProvisionFile(
+        parse_hex("assoc_id", assoc_id, ASSOC_ID_LEN),
+        _parse_enum(Role, "role", role),
+        _parse_enum(Mode, "mode", mode),
+        parse_hex("seed", seed, SECRET_LEN),
+        parse_hex("root", root, SECRET_LEN),
+    )
 
 
 def _parse_enum(kind, name: str, value: str):
@@ -178,13 +204,23 @@ def write_provision_file(pf: ProvisionFile, path) -> None:
 
 
 def read_provision_file(path) -> ProvisionFile:
-    # a bounded read: a device or an endless file is refused, not held in memory
-    with open(path, "rb") as fh:
-        data = fh.read(_MAX_PROVISION_BYTES + 1)
-    if len(data) > _MAX_PROVISION_BYTES:
+    # a bounded read: a device or an endless file is refused, not held in memory;
+    # short reads, as from a pipe, are joined
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks, size = [], 0
+        while size <= _MAX_PROVISION_BYTES:
+            chunk = os.read(fd, _MAX_PROVISION_BYTES + 1 - size)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+    finally:
+        os.close(fd)
+    if size > _MAX_PROVISION_BYTES:
         raise ProvisionError(f"provision file exceeds {_MAX_PROVISION_BYTES} bytes")
     try:
-        return ProvisionFile.from_text(data.decode("utf-8"))
+        return ProvisionFile.from_text(b"".join(chunks).decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ProvisionError(f"provision file is not UTF-8 (byte {exc.start})") from None
 

@@ -1,16 +1,23 @@
 """Provisioning format, loading, and the anti-replay gate."""
 
 import dataclasses
+import os
+import threading
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kiss.association import (
+    _PROVISION_TEXT,
     LABEL_C2S,
     LABEL_S2C,
     Mode,
     ProvisionFile,
     Role,
+    _parse_lines,
     generate_provision,
     load_association,
     read_provision_file,
@@ -195,6 +202,77 @@ def test_parse_errors_name_offending_field(mangle, field):
     assert field in (err.value.field or str(err.value))
 
 
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ProvisionError as exc:
+        return str(exc), exc.field
+
+
+_CHARS = st.sampled_from("0123456789abcdefABCDEF =\n\r\t#_gz\u0661")
+_EDITS = ("replace", "insert", "delete", "upper", "drop", "repeat", "swap", "cr", "lengthen")
+
+
+@st.composite
+def _edited_provision_text(draw):
+    """A valid to_text output with one to three random edits, each to one
+    line. A looser match would slip at the ends of keys and values, so
+    those places are drawn as often as all the others together."""
+    pf = dataclasses.replace(
+        _FIXED_PF, role=draw(st.sampled_from(Role)), mode=draw(st.sampled_from(Mode))
+    )
+    lines = pf.to_text().split("\n")  # the last is the empty one after the final LF
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, len(lines) - 1))
+        line = lines[n]
+        value_at = line.find(" = ") + 3 if " = " in line else 0
+        ends = (0, value_at - 3, value_at, len(line) - 1, len(line))
+        at = max(0, draw(st.sampled_from(ends) | st.integers(0, len(line))))
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "replace":
+            lines[n] = line[:at] + draw(_CHARS) + line[at + 1:]
+        elif edit == "insert":
+            lines[n] = line[:at] + draw(_CHARS) + line[at:]
+        elif edit == "delete":
+            lines[n] = line[:at] + line[at + 1:]
+        elif edit == "upper":
+            letters = [i for i in range(value_at, len(line)) if value_at and line[i] in "abcdef"]
+            if letters:
+                i = draw(st.sampled_from(letters))
+                lines[n] = line[:i] + line[i].upper() + line[i + 1:]
+        elif edit == "drop":
+            del lines[n]
+        elif edit == "repeat":
+            lines.insert(n, line)
+        elif edit == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[n], lines[other] = lines[other], line
+        elif edit == "cr":
+            lines[n] = line[:at] + "\r" + line[at:]
+        else:  # lengthen
+            lines[n] = line + draw(st.text(_CHARS, min_size=1, max_size=3))
+    return "\n".join(lines)
+
+
+_VALID = _FIXED_PF.to_text()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited_provision_text())
+@example(_VALID)
+@example(_VALID.replace("mode = auth\n", "mode = aut\n"))
+@example(_VALID.replace("role = initiator\n", "role = initiator\r\n"))
+@example(_VALID.replace(_FIXED_PF.seed.hex(), _FIXED_PF.seed.hex().upper()))
+@example(_VALID[:-1])
+@example(_VALID.replace("mode = auth\n", "mode = auth \n"))
+def test_one_match_agrees_with_the_line_parser(text):
+    # the compiled match accepts exactly what the line parser accepts, and
+    # a refusal carries the line parser's message and field
+    by_lines = _outcome(_parse_lines, text)
+    assert (_PROVISION_TEXT.fullmatch(text) is not None) == isinstance(by_lines, ProvisionFile)
+    assert _outcome(ProvisionFile.from_text, text) == by_lines
+
+
 def test_parse_missing_field():
     init_pf, _ = generate_provision()
     text = "\n".join(
@@ -335,6 +413,44 @@ def test_read_keeps_crlf(tmp_path):
     path.write_bytes(_FIXED_PF.to_text().replace("\n", "\r\n").encode())
     with pytest.raises(ProvisionError, match="^line 1: CRLF line ending"):
         read_provision_file(path)
+
+
+def test_read_joins_short_reads(tmp_path):
+    # a FIFO hands the file over in two writes; both are read, up to EOF
+    fifo = tmp_path / "initiator.prov"
+    os.mkfifo(fifo)
+    data = _FIXED_PF.to_text().encode()
+
+    def write():
+        with open(fifo, "wb", buffering=0) as fh:
+            fh.write(data[:40])
+            time.sleep(0.05)
+            fh.write(data[40:])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert read_provision_file(fifo) == _FIXED_PF
+    finally:
+        writer.join(5)
+    assert not writer.is_alive()
+
+
+def test_read_of_a_directory_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        read_provision_file(tmp_path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_read_of_an_endless_device_is_bounded():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProvisionError, match="exceeds 1024 bytes"):
+            read_provision_file("/dev/zero")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_provision_file_is_private_to_its_owner(tmp_path):

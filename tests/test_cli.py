@@ -291,6 +291,14 @@ def test_server_refuses_a_six_line_provision_file(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_server_refuses_a_directory_as_provision_file(tmp_path):
+    result = run_cli("server", "--provision", str(tmp_path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_server_times_out_silent_client(tmp_path, monkeypatch, capsys):
     # a client that connects and never sends must not hang the server
     assert run_cli("provision", "--out-dir", str(tmp_path)).returncode == 0
