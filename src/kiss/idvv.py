@@ -22,11 +22,15 @@ used: going back means recovering a PRF key from its output. Python
 cannot scrub immutable ``bytes``, so the module holds every secret in
 plain ``bytes``, pretends to wipe none, and uses no ctypes.
 
-Four calls make the chain: ``idvv_init`` starts it, the sender hands out
-values with ``idvv_step``, and the receiver computes a later value with
-``idvv_peek`` and lands it with ``IdvvState.commit``, the one place a
-chain moves forward; the battery's keystream is one ``idvv_peek`` walk
-(``out``). Record keys are derived from chain values in ``kiss.channel``.
+``idvv_init`` starts a chain. ``IdvvState.commit`` is the one place a
+chain moves forward: it lands a value that ``IdvvState.head`` (the next
+unused value and its counter, in one call) or ``idvv_peek`` (a later
+value) gave. The record layer seals with ``head`` then ``commit``, and
+opens with ``head`` at the next seq or ``idvv_peek`` past it, then
+``commit`` once the tag verifies. ``idvv_step`` is a sender's step as one
+call, for the vector printer and the bench's ``idvv-step`` row. The
+battery's keystream is one ``idvv_peek`` walk (``out``). Record keys are
+derived from chain values in ``kiss.channel``.
 
 The PRF is an OpenSSL HMAC context, called in one form everywhere,
 ``_hmac_new(key, msg, "sha256").digest()``, with no Python frame around
@@ -50,6 +54,8 @@ MAX_LABEL_LEN = 16
 MAX_COUNTER = 2**64 - 1
 
 _U64 = struct.Struct(">Q")
+# seed || BE64(counter), the message of a chain step, in one pack
+_STEP_MSG = struct.Struct(">32sQ")
 
 
 class IdvvState:
@@ -72,14 +78,20 @@ class IdvvState:
     def counter(self) -> int:
         return self._counter
 
+    def head(self) -> tuple[bytes, int]:
+        """The next unused value and its counter, in one call and without
+        moving the chain: what a record is keyed from before
+        :meth:`commit` lands it."""
+        return self._next, self._counter + 1
+
     def commit(self, value: bytes, counter: int) -> None:
-        """Move to ``counter``, whose value :func:`idvv_peek` computed,
-        keeping only the value after it."""
+        """Move to ``counter``, whose value :meth:`head` or :func:`idvv_peek`
+        gave, keeping only the value after it."""
         if counter <= self._counter:
             raise ReplayError(f"counter {counter} not beyond current {self._counter}")
         if counter > MAX_COUNTER:
             raise ChainExhaustedError("chain counter exhausted; re-provision the association")
-        self._next = _hmac_new(value, self._seed + _U64.pack(counter), "sha256").digest()
+        self._next = _hmac_new(value, _STEP_MSG.pack(self._seed, counter), "sha256").digest()
         self._counter = counter
 
     def snapshot(self) -> dict:

@@ -436,6 +436,22 @@ def test_read_joins_short_reads(tmp_path):
     assert not writer.is_alive()
 
 
+@pytest.mark.parametrize(
+    "size,refusal",
+    [(1025, "exceeds 1024 bytes"), (1024, "^line 1: expected assoc_id")],
+    ids=["1025-bytes", "1024-bytes"],
+)
+def test_read_bound_holds_over_short_reads(tmp_path, monkeypatch, size, refusal):
+    # os.read hands over 4 bytes a call, so the bound is met by joined
+    # reads: 1024 bytes pass it and reach the parser, 1025 do not
+    path = tmp_path / "initiator.prov"
+    path.write_bytes(b"x" * size)
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 4)))
+    with pytest.raises(ProvisionError, match=refusal):
+        read_provision_file(path)
+
+
 def test_read_of_a_directory_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_provision_file(tmp_path)

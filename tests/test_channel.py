@@ -6,6 +6,7 @@ import io
 import itertools
 import socket
 import threading
+import time
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -159,7 +160,7 @@ def test_seal_rejects_oversized_payload():
 
 
 @pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
-@pytest.mark.parametrize("size", [0, 1, 1500, 65536])
+@pytest.mark.parametrize("size", [0, 1, 1500, 65536, MAX_PAYLOAD])
 def test_round_trip_sizes(mode, size):
     sender, receiver = _pair(mode)
     payload = bytes(i & 0xFF for i in range(size))
@@ -530,6 +531,30 @@ def test_records_that_share_a_recv_are_opened_as_views_of_it(mode, monkeypatch):
     assert not ep._rest
 
 
+def test_a_handshake_reentered_from_the_transport_is_refused():
+    # a transport whose recv runs handshake() again, as a transport that
+    # drives its peer might: the inner call refuses and writes nothing
+    init_assoc, _ = _pair()
+    transport = _ScriptedTransport(b"")
+    ep = ChannelEndpoint(init_assoc, transport)
+    asked = []
+
+    def recv(n):
+        asked.append(n)
+        if len(asked) == 1:
+            written = len(transport.sent)
+            with pytest.raises(ChannelStateError):
+                ep.handshake()
+            assert len(transport.sent) == written
+        return b""
+
+    transport.recv = recv
+    with pytest.raises(TransportError):
+        ep.handshake()
+    assert [_parse_header(w)[0] for w in transport.sent] == [MsgType.HELLO, MsgType.ALERT]
+    assert ep.state is ChannelState.CLOSED
+
+
 def test_handshake_answers_a_peer_alert_by_closing_silently():
     init_assoc, resp_assoc = _pair()
     transport = _ScriptedTransport(seal_wire(init_assoc, MsgType.ALERT, b""))
@@ -604,6 +629,104 @@ def test_endpoint_eof_mid_record(cut):
     with pytest.raises(TransportError):
         ep.receive()
     assert receiver.recv_chain.counter == 0
+
+
+# -- a deadline per record ----------------------------------------------
+
+
+class _SlowTransport:
+    """A peer that sends ``chunk`` bytes of ``data`` every ``gap`` seconds
+    of a fake clock, behind a socket's timeout: a ``recv`` that would wait
+    longer than the timeout moves the clock on by the timeout and raises
+    ``socket.timeout``. No call sleeps."""
+
+    def __init__(self, data, gap, timeout, chunk=1):
+        self.data, self.gap, self.timeout, self.chunk = data, gap, timeout, chunk
+        self.now, self.pos, self.set, self.sent = 0.0, 0, [], []
+
+    def clock(self):
+        return self.now
+
+    def gettimeout(self):
+        return self.timeout
+
+    def settimeout(self, timeout):
+        self.set.append(timeout)
+        self.timeout = timeout
+
+    def recv(self, n):
+        if self.gap > self.timeout:
+            self.now += self.timeout
+            raise socket.timeout("timed out")
+        self.now += self.gap
+        chunk = self.data[self.pos : self.pos + min(n, self.chunk)]
+        self.pos += len(chunk)
+        return chunk
+
+    def sendall(self, data):
+        self.sent.append(data)
+
+
+def test_a_record_gets_the_transport_timeout_from_its_first_byte(monkeypatch):
+    sender, receiver = _pair()
+    wire = seal_wire(sender, MsgType.DATA, b"\0" * 1000)
+    transport = _SlowTransport(wire, gap=0.3, timeout=1.0)
+    monkeypatch.setattr(channel_mod, "monotonic", transport.clock)
+    ep = _established(receiver, transport)
+    with pytest.raises(TransportError):
+        ep.receive()
+    # the first byte, at 0.3 s, starts a 1-s deadline: bytes come at 0.6,
+    # 0.9 and 1.2 s, and the recv given the 0.1 s left times out at 1.3 s
+    assert transport.now == pytest.approx(1.3)
+    assert transport.pos == 4
+    assert transport.set[:3] == pytest.approx([1.0, 0.7, 0.4])
+    assert transport.timeout == 1.0  # put back
+    assert [_parse_header(w)[0] for w in transport.sent] == [MsgType.ALERT]
+    assert ep.state is ChannelState.CLOSED
+
+
+def test_a_record_one_recv_brings_whole_leaves_the_timeout_alone(monkeypatch):
+    sender, receiver = _pair()
+    wire = seal_wire(sender, MsgType.DATA, b"whole")
+    transport = _SlowTransport(wire, gap=0.3, timeout=1.0, chunk=READ_SIZE)
+    monkeypatch.setattr(channel_mod, "monotonic", transport.clock)
+    assert _established(receiver, transport).receive() == b"whole"
+    assert transport.set == []
+
+
+def test_a_slow_peer_fails_within_the_record_timeout():
+    # a real socket with a 0.5-s timeout, fed a header announcing 1000
+    # bytes and then one byte every 0.3 s, each within the timeout
+    sender, receiver = _pair()
+    wire = seal_wire(sender, MsgType.DATA, b"\0" * 1000)
+    s_peer, s_ep = socket.socketpair()
+    s_ep.settimeout(0.5)
+    stop = threading.Event()
+
+    def dribble():
+        s_peer.sendall(wire[:HEADER_LEN])
+        for i in range(HEADER_LEN, HEADER_LEN + 12):
+            if stop.wait(0.3):
+                return
+            s_peer.sendall(wire[i : i + 1])
+        s_peer.shutdown(socket.SHUT_WR)
+
+    writer = threading.Thread(target=dribble)
+    ep = _established(receiver, s_ep)
+    writer.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            ep.receive()
+        elapsed = time.monotonic() - start
+        assert s_ep.gettimeout() == 0.5
+    finally:
+        stop.set()
+        writer.join(timeout=5)
+        s_peer.close()
+        s_ep.close()
+    assert not writer.is_alive()
+    assert elapsed < 2, elapsed
 
 
 # -- endpoints over a live transport ------------------------------------

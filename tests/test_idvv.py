@@ -236,6 +236,39 @@ def test_peek_refuses_past_the_last_counter():
     assert state.counter == MAX_COUNTER - 1
 
 
+def test_chain_reaches_the_last_counter_and_stops():
+    # both ways forward land exactly on MAX_COUNTER and refuse a step past it
+    receiver = IdvvState.from_snapshot(
+        SEED, {"counter": MAX_COUNTER - 2, "value": "00" * 32, "label": b"c2s".hex()}
+    )
+    receiver.commit(idvv_peek(receiver, MAX_COUNTER), MAX_COUNTER)
+    sender = IdvvState.from_snapshot(
+        SEED, {"counter": MAX_COUNTER - 1, "value": "00" * 32, "label": b"c2s".hex()}
+    )
+    sender.commit(*sender.head())
+    for state in (receiver, sender):
+        assert state.counter == MAX_COUNTER
+        with pytest.raises(ChainExhaustedError):
+            idvv_peek(state, MAX_COUNTER + 1)
+        with pytest.raises(ChainExhaustedError):
+            state.commit(*state.head())
+        assert state.counter == MAX_COUNTER
+
+
+@pytest.mark.parametrize("seed", [bytes(31), bytes(33), "00" * 32], ids=["31-bytes", "33-bytes", "hex"])
+def test_from_snapshot_refuses_a_seed_that_is_not_32_bytes(seed):
+    with pytest.raises(InvalidParameterError):
+        IdvvState.from_snapshot(seed, _SNAP)
+
+
+def test_a_fresh_chain_snapshot_round_trips():
+    # counter 0 is a valid position: the one a chain starts at
+    state = idvv_init(SEED, ROOT, b"c2s")
+    restored = IdvvState.from_snapshot(SEED, state.snapshot())
+    assert restored.snapshot() == state.snapshot()
+    assert restored.head() == state.head() == (chain_values_ref(SEED, ROOT, b"c2s", 1)[1], 1)
+
+
 @pytest.mark.parametrize(
     "seed,root,label",
     [
