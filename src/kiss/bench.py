@@ -4,7 +4,8 @@ One runner, ``run_suite(suite, sizes, duration)``, times one row per
 case and size of a suite's row table and returns one ``BenchReport``:
 
 * ``primitives`` times raw crypto operations (hashing, MAC, AEAD,
-  signatures, chain stepping, record sealing, and a record sealed and
+  signatures, the chain step ``head`` then ``commit`` that
+  ``seal_wire`` makes, record sealing, and a record sealed and
   opened in memory in each mode) over counter-filled buffers so runs
   are byte-comparable.
 * ``tls`` times loopback pairs whose op sends one message and receives
@@ -12,8 +13,9 @@ case and size of a suite's row table and returns one ``BenchReport``:
   that packs the frames ``seal_wire`` would send, zero-tagged, and
   reads them through the endpoint's own framing reader, isolating the
   cost of the cryptography, and in-process TLS 1.3 (stdlib ``ssl``, a
-  fresh self-signed P-256 certificate that the client verifies), so
-  both sides of the channel-vs-TLS ratio come from one harness.
+  fresh self-signed P-256 certificate that the client verifies), read
+  through the channel's ``_read_to``, so both sides of the
+  channel-vs-TLS ratio come from one harness.
 
 The ratio is derived, never stored: a report with a ``tls1.3`` row
 takes each row's ops/sec over the ``tls1.3`` row's at the same size
@@ -63,10 +65,10 @@ from cryptography.x509.oid import NameOID
 
 from .association import Association, Mode, ProvisionFile, Role, load_association
 from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
-from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, seal_wire
+from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, _read_to, seal_wire
 from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import InvalidParameterError, TransportError
-from .idvv import _hmac_new, idvv_init, idvv_step
+from .idvv import _hmac_new, idvv_init
 
 # the TLS baseline's case name, which every ratio is taken against, and
 # its certificate's host
@@ -329,7 +331,7 @@ def _ecdsa_op(msg: bytes, stack: contextlib.ExitStack):
 
 def _step_op(msg: bytes, stack: contextlib.ExitStack):
     state = idvv_init(DEMO_SEED, DEMO_ROOT, b"bench")
-    return (lambda: idvv_step(state)), ""
+    return (lambda: state.commit(*state.head())), ""
 
 
 def _seal_op(msg: bytes, stack: contextlib.ExitStack):
@@ -413,7 +415,7 @@ def _tls_op(msg: bytes, stack: contextlib.ExitStack):
 
     def op():
         tx.sendall(msg)
-        _read_exact(rx.recv, size)
+        _read_to(rx.recv, rx.recv(size), size)
 
     return op, f"{tx.version()} {tx.cipher()[0]}"
 
@@ -451,21 +453,6 @@ class _PeerHandshake:
         if self._responder.state is ChannelState.NEW:
             self._responder.handshake()
         return self._recv(n)
-
-
-def _read_exact(read, n: int) -> bytes:
-    """Exactly ``n`` bytes from ``read(n) -> bytes``; EOF raises TransportError."""
-    chunk = read(n)
-    if len(chunk) == n:  # the usual case: one recv delivers it all
-        return chunk
-    chunks, got = [], 0
-    while chunk:
-        chunks.append(chunk)
-        got += len(chunk)
-        if got >= n:
-            return b"".join(chunks)
-        chunk = read(n - got)
-    raise TransportError(f"connection closed mid-message ({got}/{n} bytes)")
 
 
 def _tls_contexts() -> tuple[ssl.SSLContext, ssl.SSLContext]:

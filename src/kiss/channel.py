@@ -317,8 +317,10 @@ class ChannelEndpoint:
     """One side of an established channel over a stream transport.
 
     ``transport`` needs ``sendall(data)`` and ``recv(n)``; a connected
-    TCP socket fits. The endpoint owns the association state but not
-    the transport lifetime.
+    TCP socket fits. It gets the per-record deadline (``_read_rest``)
+    when ``recv`` is its own method and it has ``gettimeout`` and
+    ``settimeout``; a wrapper keeps the deadline by forwarding both. The
+    endpoint owns the association state but not the transport lifetime.
     """
 
     def __init__(self, assoc: Association, transport, rng=os.urandom):

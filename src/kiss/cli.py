@@ -29,7 +29,7 @@ from .channel import ChannelEndpoint
 from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import KissError
-from .idvv import SECRET_LEN, idvv_init, idvv_step
+from .idvv import SECRET_LEN, idvv_init
 
 log = logging.getLogger("kiss")
 
@@ -208,8 +208,10 @@ def cmd_vectors(args) -> int:
     print(f"root = {root.hex()}")
     print(f"label = {args.label}")
     print(f"v0 = {v0[0].hex()}")
-    for i in range(1, args.count):
-        print(f"v{i} = {idvv_step(state).hex()}")
+    for _ in range(args.count - 1):
+        value, seq = state.head()
+        print(f"v{seq} = {value.hex()}")
+        state.commit(value, seq)
     return 0
 
 

@@ -27,8 +27,8 @@ chain moves forward: it lands a value that ``IdvvState.head`` (the next
 unused value and its counter, in one call) or ``idvv_peek`` (a later
 value) gave. The record layer seals with ``head`` then ``commit``, and
 opens with ``head`` at the next seq or ``idvv_peek`` past it, then
-``commit`` once the tag verifies. ``idvv_step`` is a sender's step as one
-call, for the vector printer and the bench's ``idvv-step`` row. The
+``commit`` once the tag verifies. ``kiss vectors`` and the bench's
+``idvv-step`` row step the same way, ``head`` then ``commit``. The
 battery's keystream is one ``idvv_peek`` walk (``out``). Record keys are
 derived from chain values in ``kiss.channel``.
 
@@ -53,8 +53,7 @@ SECRET_LEN = 32
 MAX_LABEL_LEN = 16
 MAX_COUNTER = 2**64 - 1
 
-_U64 = struct.Struct(">Q")
-# seed || BE64(counter), the message of a chain step, in one pack
+# seed || BE64(counter), the message of every chain step, in one pack
 _STEP_MSG = struct.Struct(">32sQ")
 
 
@@ -151,15 +150,8 @@ def idvv_init(seed: bytes, root: bytes, direction_label: bytes, out=None) -> Idv
     value = _hmac_new(seed, root + direction_label, "sha256").digest()
     if out is not None:
         out.append(value)
-    next_value = _hmac_new(value, seed + _U64.pack(0), "sha256").digest()
+    next_value = _hmac_new(value, _STEP_MSG.pack(seed, 0), "sha256").digest()
     return IdvvState(seed, next_value, 0, bytes(direction_label))
-
-
-def idvv_step(state: IdvvState) -> bytes:
-    """Hand out the next value and commit it: the sender's step."""
-    value = state._next
-    state.commit(value, state._counter + 1)
-    return value
 
 
 def idvv_peek(state: IdvvState, target_counter: int, out=None) -> bytes:
@@ -177,13 +169,13 @@ def idvv_peek(state: IdvvState, target_counter: int, out=None) -> bytes:
         raise ReplayError(f"target counter {target_counter} not beyond current {counter}")
     if target_counter > MAX_COUNTER:
         raise ChainExhaustedError("chain counter exhausted; re-provision the association")
-    value, seed, pack = state._next, state._seed, _U64.pack
+    value, seed, pack = state._next, state._seed, _STEP_MSG.pack
     if out is not None:
         out.append(value)
     counter += 1
     # not a range loop: building the range costs a tenth of a one-step walk
     while counter < target_counter:
-        value = _hmac_new(value, seed + pack(counter), "sha256").digest()
+        value = _hmac_new(value, pack(seed, counter), "sha256").digest()
         counter += 1
         if out is not None:
             out.append(value)

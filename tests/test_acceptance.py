@@ -21,7 +21,7 @@ from kiss.bench import HEADLINE_CASES, TLS_CASE, core_line_count, headline_summa
 from kiss.channel import RESYNC_WINDOW, MsgType, encode_record, open_record, seal
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import KissError, OutOfWindowError
-from kiss.idvv import idvv_init, idvv_step
+from kiss.idvv import idvv_init
 from kiss.randomness import ALL_TESTS, generate_stream, run_battery
 
 CLI = [sys.executable, "-m", "kiss.cli"]
@@ -56,8 +56,10 @@ def test_acceptance_1_chain_synchronization(capsys):
         (initiator.recv_chain, responder.send_chain),
     ):
         for _ in range(steps):
-            va = idvv_step(a_chain)
-            vb = idvv_step(b_chain)
+            va, sa = a_chain.head()
+            a_chain.commit(va, sa)
+            vb, sb = b_chain.head()
+            b_chain.commit(vb, sb)
             if va != vb or a_chain.counter != b_chain.counter:
                 mismatches += 1
     elapsed = time.perf_counter() - started
@@ -90,7 +92,8 @@ def test_acceptance_2_oracle_equivalence(capsys):
         if v0 != ref[:1]:
             mismatches += 1
         for i in range(1, steps + 1):
-            value = idvv_step(state)
+            value, seq = state.head()
+            state.commit(value, seq)
             if value != ref[i] or state.counter != i:
                 mismatches += 1
     ok = mismatches == 0

@@ -415,6 +415,20 @@ def test_read_keeps_crlf(tmp_path):
         read_provision_file(path)
 
 
+def test_read_refuses_a_file_that_is_not_utf8(tmp_path):
+    # the CLI's bad.prov: a UTF-16 byte order mark where assoc_id should start
+    path = tmp_path / "initiator.prov"
+    path.write_bytes(b"\xff\xfeassoc_id")
+    with pytest.raises(ProvisionError, match=r"^provision file is not UTF-8 \(byte 0\)$"):
+        read_provision_file(path)
+    # a Latin-1 byte inside a valid file is named by its offset
+    text = _FIXED_PF.to_text()
+    at = text.index("role = ") + len("role = ")
+    path.write_bytes(text[:at].encode() + b"\xe9" + text[at:].encode())
+    with pytest.raises(ProvisionError, match=rf"^provision file is not UTF-8 \(byte {at}\)$"):
+        read_provision_file(path)
+
+
 def test_read_joins_short_reads(tmp_path):
     # a FIFO hands the file over in two writes; both are read, up to EOF
     fifo = tmp_path / "initiator.prov"

@@ -27,10 +27,9 @@ from kiss.bench import (
     _TLS_HOST,
     _check_run,
     _measure_cases,
-    _read_exact,
     _tls_contexts,
 )
-from kiss.channel import MAX_PAYLOAD, MsgType, open_record
+from kiss.channel import MAX_PAYLOAD, MsgType, _read_to, open_record
 from kiss.defaults import DEFAULT_SIZES
 from kiss.errors import InvalidParameterError, TransportError
 
@@ -307,7 +306,7 @@ def _short_id(value):
         ("channel-AUTH_ONLY", "kiss.channel._open_frame"),
         ("channel-AEAD", "kiss.channel._open_frame"),
         ("channel-plaintext-baseline", "kiss.bench._read_frame"),
-        (TLS_CASE, "kiss.bench._read_exact"),
+        (TLS_CASE, "kiss.bench._read_to"),
     ],
     ids=_short_id,
 )
@@ -321,14 +320,18 @@ def test_failed_receiver_is_raised_instead_of_hanging(case, target):
     assert "Traceback" not in result.stderr
 
 
-def test_read_exact_joins_pieces_and_raises_on_eof():
+def test_read_to_joins_pieces_and_raises_on_eof():
+    # the tls1.3 row's read: one recv, then _read_to for what it lacks
     pieces = [b"ab", b"c", b"def", b""]
     read = lambda n: pieces.pop(0)[:n]
-    assert _read_exact(read, 3) == b"abc"
+    assert _read_to(read, read(3), 3) == b"abc"
     with pytest.raises(TransportError):
-        _read_exact(read, 4)  # "def", then EOF inside the message
+        _read_to(read, read(4), 4)  # "def", then EOF inside the message
+    eof = lambda n: b""
     with pytest.raises(TransportError):
-        _read_exact(lambda n: b"", 4)  # EOF between messages
+        _read_to(eof, eof(4), 4)  # EOF between messages
+    whole = bytes(range(5))
+    assert _read_to(eof, whole, 5) is whole  # one recv brought it all: no copy
 
 
 def test_loopback_rows_start_no_thread(monkeypatch):

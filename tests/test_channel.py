@@ -631,6 +631,55 @@ def test_endpoint_eof_mid_record(cut):
     assert receiver.recv_chain.counter == 0
 
 
+# -- failures on the send side ------------------------------------------
+
+
+class _BrokenSend(_ScriptedTransport):
+    """A transport whose ``sendall`` logs the bytes, then raises as a
+    reset socket does: ``sent`` holds what was tried, and none went out."""
+
+    def sendall(self, data):
+        self.sent.append(data)
+        raise ConnectionResetError("peer reset")
+
+
+def _sent_types(transport):
+    return [_parse_header(w)[0] for w in transport.sent]
+
+
+def test_an_oversized_send_closes_with_one_alert():
+    sender, _ = _pair()
+    transport = _ScriptedTransport(b"")
+    ep = _established(sender, transport)
+    with pytest.raises(InvalidParameterError):
+        ep.send(bytes(MAX_PAYLOAD + 1))
+    assert ep.state is ChannelState.CLOSED
+    assert _sent_types(transport) == [MsgType.ALERT]
+    assert _parse_header(transport.sent[0])[3] == 1  # the refused payload took no seq
+
+
+def test_a_send_the_transport_fails_closes_as_a_transport_error():
+    sender, _ = _pair()
+    transport = _BrokenSend(b"")
+    ep = _established(sender, transport)
+    with pytest.raises(TransportError, match="^transport failed: peer reset$") as err:
+        ep.send(b"lost")
+    assert isinstance(err.value.__cause__, ConnectionResetError)
+    assert ep.state is ChannelState.CLOSED
+    # the record, then one alert, which the transport refused as well
+    assert _sent_types(transport) == [MsgType.DATA, MsgType.ALERT]
+
+
+def test_a_close_the_transport_fails_sends_no_alert():
+    sender, _ = _pair()
+    transport = _BrokenSend(b"")
+    ep = _established(sender, transport)
+    with pytest.raises(TransportError):
+        ep.close()
+    assert ep.state is ChannelState.CLOSED
+    assert _sent_types(transport) == [MsgType.CLOSE]
+
+
 # -- a deadline per record ----------------------------------------------
 
 
@@ -682,6 +731,57 @@ def test_a_record_gets_the_transport_timeout_from_its_first_byte(monkeypatch):
     assert transport.set[:3] == pytest.approx([1.0, 0.7, 0.4])
     assert transport.timeout == 1.0  # put back
     assert [_parse_header(w)[0] for w in transport.sent] == [MsgType.ALERT]
+    assert ep.state is ChannelState.CLOSED
+
+
+def test_a_byte_at_the_deadline_ends_the_record(monkeypatch):
+    sender, receiver = _pair()
+    wire = seal_wire(sender, MsgType.DATA, b"\0" * 1000)
+    transport = _SlowTransport(wire, gap=0.5, timeout=1.0)
+    monkeypatch.setattr(channel_mod, "monotonic", transport.clock)
+    ep = _established(receiver, transport)
+    # the first byte, at 0.5 s, starts a 1-s deadline: bytes come at 1.0
+    # and 1.5 s, and with no time left the next recv is not made
+    with pytest.raises(TransportError, match="^record not complete 1.0 s after its first byte$"):
+        ep.receive()
+    assert (transport.now, transport.pos) == (1.5, 3)
+    assert transport.set == [1.0, 0.5, 1.0]  # the last puts the timeout back
+    assert _sent_types(transport) == [MsgType.ALERT]
+    assert ep.state is ChannelState.CLOSED
+
+
+class _Forwarding:
+    """A transport that wraps another, as a caller's own class would: its
+    own ``recv`` method, with ``gettimeout`` and ``settimeout`` forwarded."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def recv(self, n):
+        return self.inner.recv(n)
+
+    def sendall(self, data):
+        self.inner.sendall(data)
+
+    def gettimeout(self):
+        return self.inner.gettimeout()
+
+    def settimeout(self, timeout):
+        self.inner.settimeout(timeout)
+
+
+def test_a_wrapper_that_forwards_the_timeout_keeps_the_deadline(monkeypatch):
+    sender, receiver = _pair()
+    wire = seal_wire(sender, MsgType.DATA, b"\0" * 1000)
+    inner = _SlowTransport(wire, gap=0.3, timeout=1.0)
+    monkeypatch.setattr(channel_mod, "monotonic", inner.clock)
+    ep = _established(receiver, _Forwarding(inner))
+    with pytest.raises(TransportError):
+        ep.receive()
+    # as for the bare transport: the recv given the 0.1 s left times out at 1.3 s
+    assert inner.now == pytest.approx(1.3)
+    assert inner.timeout == 1.0
+    assert _sent_types(inner) == [MsgType.ALERT]
     assert ep.state is ChannelState.CLOSED
 
 

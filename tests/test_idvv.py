@@ -27,7 +27,6 @@ from kiss.idvv import (
     IdvvState,
     idvv_init,
     idvv_peek,
-    idvv_step,
 )
 
 from oracles import (
@@ -51,6 +50,14 @@ def test_oracle_hmac_matches_rfc4231():
 def _held(state):
     """The value a state holds: the next one it will hand out."""
     return bytes.fromhex(state.snapshot()["value"])
+
+
+def _step(state):
+    """The sender's step, as ``seal_wire`` makes it: ``head``, then
+    ``commit`` of what it gave."""
+    value, seq = state.head()
+    state.commit(value, seq)
+    return value
 
 
 def test_init_deterministic():
@@ -89,14 +96,14 @@ def test_next_matches_oracle_chain():
     state = idvv_init(SEED, ROOT, b"c2s", v0)
     assert v0 == ref[:1]
     for i in (1, 2, 3):
-        assert idvv_step(state) == ref[i]
+        assert _step(state) == ref[i]
         assert state.counter == i
 
 
 def test_successive_values_differ():
     state = idvv_init(SEED, ROOT, b"c2s")
-    a = idvv_step(state)
-    b = idvv_step(state)
+    a = _step(state)
+    b = _step(state)
     assert a != b
 
 
@@ -106,7 +113,7 @@ def test_state_does_not_retain_previous_value():
     state = idvv_init(SEED, ROOT, b"c2s", v0)
     spent = [v0[0]]
     for _ in range(3):
-        spent.append(idvv_step(state))
+        spent.append(_step(state))
         held = [getattr(state, slot) for slot in IdvvState.__slots__]
         assert not set(spent) & set(held)
         assert not {v.hex() for v in spent} & set(state.snapshot().values())
@@ -118,23 +125,23 @@ def test_counter_exhaustion():
     snap["counter"] = MAX_COUNTER
     worn = IdvvState.from_snapshot(SEED, snap)
     with pytest.raises(ChainExhaustedError):
-        idvv_step(worn)
+        _step(worn)
 
 
 def test_snapshot_restore_continues_sequence():
     a = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
-        idvv_step(a)
+        _step(a)
     b = IdvvState.from_snapshot(SEED, a.snapshot())
-    assert idvv_step(a) == idvv_step(b)
+    assert _step(a) == _step(b)
 
 
 def test_fast_forward_equals_manual_steps():
     state = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
-        idvv_step(state)
+        _step(state)
     manual = IdvvState.from_snapshot(SEED, state.snapshot())
-    expected = [idvv_step(manual) for _ in range(3)][-1]
+    expected = [_step(manual) for _ in range(3)][-1]
     got = idvv_peek(state, 8)
     state.commit(got, 8)
     assert got == expected
@@ -145,7 +152,7 @@ def test_fast_forward_equals_manual_steps():
 def test_fast_forward_refuses_replay():
     state = idvv_init(SEED, ROOT, b"c2s")
     for _ in range(5):
-        idvv_step(state)
+        _step(state)
     before = state.snapshot()
     with pytest.raises(ReplayError):
         idvv_peek(state, 5)
@@ -170,7 +177,7 @@ def test_step_is_next_without_the_wrapper():
     state = idvv_init(SEED, ROOT, b"c2s")
     for i, want in enumerate(chain_values_ref(SEED, ROOT, b"c2s", 3)[1:], start=1):
         held = _held(state)
-        assert idvv_step(state) == want == held
+        assert _step(state) == want == held
         assert state.counter == i
 
 
@@ -178,7 +185,7 @@ def test_step_is_next_without_the_wrapper():
 @pytest.mark.parametrize("gap", [1, 5, 1024])
 def test_peek_leaves_state_and_commit_lands_it(gap):
     state = idvv_init(SEED, ROOT, b"s2c")
-    idvv_step(state)
+    _step(state)
     before = state.snapshot()
     value = idvv_peek(state, 1 + gap)
     assert (state.snapshot(), state.counter) == (before, 1)
@@ -283,6 +290,12 @@ def test_init_rejects_bad_lengths(seed, root, label):
         idvv_init(seed, root, label)
 
 
+def test_init_rejects_a_str_label():
+    # "c2s" is the right length, but a label is bytes, never text
+    with pytest.raises(InvalidParameterError, match="^direction label must be bytes$"):
+        idvv_init(SEED, ROOT, "c2s")
+
+
 def _record_pair(mode):
     common = dict(assoc_id=bytes(8), mode=mode, seed=SEED, root=ROOT)
     return (
@@ -346,7 +359,7 @@ def test_property_chain_matches_oracle(seed, root, label, steps):
     state = idvv_init(seed, root, label, v0)
     assert v0 == ref[:1]
     for i in range(1, steps + 1):
-        assert idvv_step(state) == ref[i]
+        assert _step(state) == ref[i]
 
 
 @settings(max_examples=25, deadline=None)
@@ -358,7 +371,7 @@ def test_property_fast_forward_is_n_steps(skip):
     a.commit(got, skip)
     last = None
     for _ in range(skip):
-        last = idvv_step(b)
+        last = _step(b)
     assert got == last
     assert a.snapshot() == b.snapshot()
     assert a.counter == b.counter == skip
