@@ -8,7 +8,7 @@ out-of-band provisioning files; the generate/load split keeps the
 carrier replaceable by a networked distributor later.
 
 Provisioning file format (bit-exact): UTF-8, exactly the five lines
-``key = value`` in the order assoc_id, role, mode, seed, root, each
+``key = value`` that the table ``_LINES`` states, in its order, each
 ending in LF, hex lowercase with no spaces, and nothing else.
 """
 
@@ -40,15 +40,23 @@ class Mode(enum.Enum):
     AEAD = "aead"
 
 
-_FIELD_ORDER = ("assoc_id", "role", "mode", "seed", "root")
-# exactly the five lines to_text writes; it must accept just what _parse_lines does
-_PROVISION_TEXT = re.compile(
-    r"assoc_id = ([0-9a-f]{16})\n"
-    r"role = (initiator|responder)\n"
-    r"mode = (auth|aead)\n"
-    r"seed = ([0-9a-f]{64})\n"
-    r"root = ([0-9a-f]{64})\n"
+# the .prov format, one line per row: its key, then its value as a byte
+# length (written in lowercase hex) or as an enum (written as its value).
+# to_text writes from it, the one match is compiled from it, and _refuse
+# walks it to word the refusal of any other text
+_LINES = (
+    ("assoc_id", ASSOC_ID_LEN),
+    ("role", Role),
+    ("mode", Mode),
+    ("seed", SECRET_LEN),
+    ("root", SECRET_LEN),
 )
+# exactly what to_text writes, in one match
+_PROVISION_TEXT = re.compile("".join(
+    rf"{key} = ([0-9a-f]{{{2 * kind}}})\n" if type(kind) is int
+    else rf"{key} = ({'|'.join(member.value for member in kind)})\n"
+    for key, kind in _LINES
+))
 _ROLES = {role.value: role for role in Role}
 _MODES = {mode.value: mode for mode in Mode}
 
@@ -75,20 +83,17 @@ class ProvisionFile:
         _check_secret("root", self.root)
 
     def to_text(self) -> str:
-        return (
-            f"assoc_id = {self.assoc_id.hex()}\n"
-            f"role = {self.role.value}\n"
-            f"mode = {self.mode.value}\n"
-            f"seed = {self.seed.hex()}\n"
-            f"root = {self.root.hex()}\n"
+        values = (getattr(self, key) for key, _ in _LINES)
+        return "".join(
+            f"{key} = {value.hex() if type(kind) is int else value.value}\n"
+            for (key, kind), value in zip(_LINES, values)
         )
 
     @classmethod
     def from_text(cls, text: str) -> "ProvisionFile":
-        # only what to_text writes, in one match; _parse_lines refuses the rest
         match = _PROVISION_TEXT.fullmatch(text)
         if match is None:
-            return _parse_lines(text)
+            _refuse(text)  # raises: the match and the walk read one table
         assoc_id, role, mode, seed, root = match.groups()
         return cls(
             bytes.fromhex(assoc_id),
@@ -99,12 +104,13 @@ class ProvisionFile:
         )
 
 
-def _parse_lines(text: str) -> ProvisionFile:
-    # only what to_text writes: the five lines in _FIELD_ORDER, each ending
-    # in LF, and nothing after. field is the key the bad line names, else
-    # the one expected; the line may hold a secret, so the message omits it
+def _refuse(text: str) -> None:
+    """Raise the ProvisionError for a text that ``_PROVISION_TEXT`` refuses:
+    walk ``_LINES`` over its line structure first, then over its values."""
+    # field is the key the bad line names, else the one expected; the line
+    # may hold a secret, so the message omits it
     lines = text.split("\n")
-    for lineno, key in enumerate((*_FIELD_ORDER, None), start=1):
+    for lineno, (key, _) in enumerate((*_LINES, (None, None)), start=1):
         line = lines[lineno - 1] if lineno <= len(lines) else ""
         if line.endswith("\r"):
             raise ProvisionError(
@@ -117,21 +123,12 @@ def _parse_lines(text: str) -> ProvisionFile:
                 "exactly the five lines kiss provision writes",
                 field=line.partition("=")[0].strip() or key,
             )
-    assoc_id, role, mode, seed, root = (line.partition(" = ")[2] for line in lines[:-1])
-    return ProvisionFile(
-        parse_hex("assoc_id", assoc_id, ASSOC_ID_LEN),
-        _parse_enum(Role, "role", role),
-        _parse_enum(Mode, "mode", mode),
-        parse_hex("seed", seed, SECRET_LEN),
-        parse_hex("root", root, SECRET_LEN),
-    )
-
-
-def _parse_enum(kind, name: str, value: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ProvisionError(f"unknown {name} {value!r}", field=name) from None
+    for (key, kind), line in zip(_LINES, lines):
+        value = line.partition(" = ")[2]
+        if type(kind) is int:
+            parse_hex(key, value, kind)
+        elif value not in [member.value for member in kind]:
+            raise ProvisionError(f"unknown {key} {value!r}", field=key)
 
 
 @dataclass

@@ -381,7 +381,7 @@ def _plaintext_op(msg: bytes, stack: contextlib.ExitStack):
         nonlocal rest
         header = pack(MAGIC, VERSION, data, _AUTH_ONLY_WIRE, assoc_id, next(seq), size)
         left.sendall(b"".join((header, msg, zero_tag)))
-        frame = _read_frame(right.recv, rest)
+        frame = _read_frame(right, rest)
         if frame is None:
             raise TransportError("loopback pair closed")
         rest = frame[2]

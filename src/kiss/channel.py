@@ -157,8 +157,10 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
     """Protect one outgoing record and return its wire bytes, advancing the
     send chain by one step.
 
-    In AEAD mode the payload field carries the ciphertext.
+    In AEAD mode the payload field carries the ciphertext. A payload that
+    is not a contiguous buffer raises TypeError before the chain moves.
     """
+    payload = memoryview(payload).cast("B")  # bytes, not items, for payload_len and both modes
     size = len(payload)
     if size > MAX_PAYLOAD:
         raise InvalidParameterError(f"payload {size} exceeds cap {MAX_PAYLOAD}")
@@ -242,24 +244,24 @@ def _open_frame(assoc, wire, header):
     return msg_type, plaintext
 
 
-def _read_frame(recv, rest):
+def _read_frame(transport, rest):
     """Cut the next record out of ``rest``, the unread end of the last
-    ``recv``, calling ``recv(n)`` for what it lacks. With no bytes in
-    hand it asks for ``READ_SIZE``; a record one ``recv`` brought whole
-    is not copied: it is that ``recv``'s bytes, or a memoryview of them.
-    A record that needs more goes to :func:`_read_rest`. Returns the wire
-    bytes and parsed header that :func:`_open_frame` takes and the new
-    ``rest``, or None on a clean EOF at a record boundary; EOF anywhere
-    else raises TransportError.
+    ``transport.recv``, calling ``transport.recv(n)`` for what it lacks.
+    With no bytes in hand it asks for ``READ_SIZE``; a record one ``recv``
+    brought whole is not copied: it is that ``recv``'s bytes, or a
+    memoryview of them. A record that needs more goes to
+    :func:`_read_rest`. Returns the wire bytes and parsed header that
+    :func:`_open_frame` takes and the new ``rest``, or None on a clean EOF
+    at a record boundary; EOF anywhere else raises TransportError.
     """
     if not rest:
         # waiting for a record's first byte keeps the transport's own timeout
-        rest = recv(READ_SIZE)
+        rest = transport.recv(READ_SIZE)
         if not rest:
             return None
     have = len(rest)
     if have < HEADER_LEN:
-        return _read_rest(recv, rest, None)
+        return _read_rest(transport, rest, None)
     header = _parse_header(rest)
     size = header[5]
     if have == size:
@@ -267,20 +269,19 @@ def _read_frame(recv, rest):
     if have > size:
         view = memoryview(rest)
         return view[:size], header, view[size:]
-    return _read_rest(recv, rest, header)
+    return _read_rest(transport, rest, header)
 
 
-def _read_rest(recv, rest, header):
+def _read_rest(transport, rest, header):
     """Finish a record that starts with ``rest``, given its parsed header
-    or None while that is incomplete: ``recv`` exactly what the header
-    lacks, then what the record lacks. Where ``recv`` is the method of a
-    transport with a timeout, that timeout bounds the rest of the record:
-    each ``recv`` gets the time left, past it TransportError is raised, and
-    the timeout is put back. So a slow peer gets one timeout per record,
-    not one per byte."""
-    transport = getattr(recv, "__self__", None)
+    or None while that is incomplete: ``transport.recv`` exactly what the
+    header lacks, then what the record lacks. Where the transport has a
+    timeout (``gettimeout()`` not None), that timeout bounds the rest of
+    the record: each ``recv`` gets the time left through ``settimeout``,
+    past it TransportError is raised, and the timeout is put back. So a
+    slow peer gets one timeout per record, not one per byte."""
     timeout = transport.gettimeout() if hasattr(transport, "gettimeout") else None
-    read = recv
+    recv = read = transport.recv
     if timeout is not None:
         deadline = monotonic() + timeout
 
@@ -317,10 +318,10 @@ class ChannelEndpoint:
     """One side of an established channel over a stream transport.
 
     ``transport`` needs ``sendall(data)`` and ``recv(n)``; a connected
-    TCP socket fits. It gets the per-record deadline (``_read_rest``)
-    when ``recv`` is its own method and it has ``gettimeout`` and
-    ``settimeout``; a wrapper keeps the deadline by forwarding both. The
-    endpoint owns the association state but not the transport lifetime.
+    TCP socket fits. With ``gettimeout`` and ``settimeout`` as well it
+    gets the per-record deadline (``_read_rest``); a wrapper keeps the
+    deadline by forwarding both, however it holds ``recv``. The endpoint
+    owns the association state but not the transport lifetime.
     """
 
     def __init__(self, assoc: Association, transport, rng=os.urandom):
@@ -348,7 +349,7 @@ class ChannelEndpoint:
             if initiator:
                 nonce = bytes(self._rng(HELLO_NONCE_LEN))
                 self.transport.sendall(seal_wire(assoc, MsgType.HELLO, nonce))
-            frame = _read_frame(self.transport.recv, self._rest)
+            frame = _read_frame(self.transport, self._rest)
             if frame is None:
                 raise TransportError("connection closed during the handshake")
             wire, header, self._rest = frame
@@ -388,7 +389,7 @@ class ChannelEndpoint:
             raise ChannelStateError(f"receive in state {self.state.value}")
         try:
             # the transport is looked up per record: callers may swap it
-            frame = _read_frame(self.transport.recv, self._rest)
+            frame = _read_frame(self.transport, self._rest)
             if frame is None:
                 raise TransportError("connection closed without a close record")
             wire, header, self._rest = frame

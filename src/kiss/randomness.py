@@ -640,6 +640,7 @@ def run_battery(
     # forked, not spawned: the worker starts in milliseconds with the caller's
     # imports, where a spawned one would import NumPy again on every call
     fork = multiprocessing.get_context("fork")
+    # not a ProcessPoolExecutor: its threads slow the draw, and it loses a dead worker's exit code
     caller, worker_end = fork.Pipe()
     worker = fork.Process(target=_test_trials, args=(worker_end, caller, alpha))
     # the worker is born with SIGINT blocked and keeps it so: an interrupt is

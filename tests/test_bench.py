@@ -243,8 +243,8 @@ def test_loopback_plaintext_baseline_runs(monkeypatch):
     # the channel modes is the cryptography alone
     reads, wires = [], []
 
-    def counting_read_frame(read, rest):
-        frame = channel_mod._read_frame(read, rest)
+    def counting_read_frame(transport, rest):
+        frame = channel_mod._read_frame(transport, rest)
         reads.append(len(frame[0]))
         wires.append(frame[0])
         return frame

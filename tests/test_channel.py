@@ -5,6 +5,8 @@ import hmac
 import io
 import itertools
 import socket
+import types
+from array import array
 import threading
 import time
 
@@ -46,6 +48,7 @@ from kiss.channel import (
 from kiss.errors import (
     AssociationError,
     AuthenticationError,
+    ChainExhaustedError,
     ChannelAlert,
     ChannelStateError,
     FrameError,
@@ -56,6 +59,8 @@ from kiss.errors import (
     ReplayError,
     TransportError,
 )
+
+from kiss.idvv import MAX_COUNTER, IdvvState
 
 from oracles import chain_values_ref, derive_key_ref
 
@@ -154,6 +159,46 @@ def test_seal_rejects_oversized_payload():
     sender, _ = _pair()
     with pytest.raises(InvalidParameterError):
         seal(sender, MsgType.DATA, b"\0" * (MAX_PAYLOAD + 1))
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_a_payload_that_cannot_be_sealed_leaves_the_send_chain(mode):
+    # refused before the chain moves: a str, no buffer at all, a strided view
+    sender, receiver = _pair(mode)
+    before = sender.send_chain.snapshot()
+    for payload in ("text", None, memoryview(bytes(8))[::2]):
+        with pytest.raises(TypeError):
+            seal_wire(sender, MsgType.DATA, payload)
+        assert sender.send_chain.snapshot() == before
+    transport = _ScriptedTransport(b"")
+    ep = _established(sender, transport)
+    with pytest.raises(TypeError):
+        ep.send("text")
+    assert sender.send_chain.snapshot() == before and not transport.sent
+    assert ep.state is ChannelState.ESTABLISHED
+    ep.send(b"next")
+    (wire,) = transport.sent
+    assert _parse_header(wire)[3] == 1
+    assert open_record(receiver, wire) == (MsgType.DATA, b"next")
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_a_buffer_of_wider_items_is_sealed_as_its_bytes(mode):
+    sender, receiver = _pair(mode)
+    payload = array("I", [1, 2, 3])
+    wire = seal_wire(sender, MsgType.DATA, payload)
+    assert _parse_header(wire)[4] == HEADER_LEN + payload.itemsize * 3
+    assert open_record(receiver, wire) == (MsgType.DATA, payload.tobytes())
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_sealing_at_the_last_counter_raises_chain_exhausted(mode):
+    sender, _ = _pair(mode)
+    worn = {**sender.send_chain.snapshot(), "counter": MAX_COUNTER}
+    sender.send_chain = IdvvState.from_snapshot(SEED, worn)
+    with pytest.raises(ChainExhaustedError):
+        seal_wire(sender, MsgType.DATA, b"one too many")
+    assert sender.send_chain.snapshot() == worn
 
 
 # -- seal/open ---------------------------------------------------------
@@ -409,17 +454,19 @@ def test_read_record_splits_stream():
     sender, receiver = _pair()
     wires = _sealed(sender, 3)
     stream, rest = io.BytesIO(b"".join(wires)), b""
+    transport = types.SimpleNamespace(recv=stream.read)
     for expected in wires:
-        wire, header, rest = _read_frame(stream.read, rest)
+        wire, header, rest = _read_frame(transport, rest)
         assert (wire, header) == (expected, _parse_header(expected))
-    assert _read_frame(stream.read, rest) is None  # clean EOF at a boundary
+    assert _read_frame(transport, rest) is None  # clean EOF at a boundary
 
 
 def test_read_record_handles_dribble():
     sender, _ = _pair()
     wire = encode_record(seal(sender, MsgType.DATA, b"slow network"))
     stream = io.BytesIO(wire)
-    assert _read_frame(lambda n: stream.read(min(n, 1)), b"")[0] == wire
+    transport = types.SimpleNamespace(recv=lambda n: stream.read(min(n, 1)))
+    assert _read_frame(transport, b"")[0] == wire
 
 
 def test_read_record_whole_record_in_one_recv_then_eof():
@@ -432,10 +479,11 @@ def test_read_record_whole_record_in_one_recv_then_eof():
         asked.append(n)
         return stream.read(n)
 
-    got, _, rest = _read_frame(read, b"")
+    transport = types.SimpleNamespace(recv=read)
+    got, _, rest = _read_frame(transport, b"")
     assert got == wire and type(got) is bytes
     assert asked == [READ_SIZE] and not rest
-    assert _read_frame(read, rest) is None
+    assert _read_frame(transport, rest) is None
 
 
 def test_read_record_mid_record_eof():
@@ -443,13 +491,13 @@ def test_read_record_mid_record_eof():
     wire = encode_record(seal(sender, MsgType.DATA, b"cut short"))
     stream = io.BytesIO(wire[:-3])
     with pytest.raises(TransportError):
-        _read_frame(stream.read, b"")
+        _read_frame(types.SimpleNamespace(recv=stream.read), b"")
 
 
 def test_read_record_eof_inside_header():
     stream = io.BytesIO(b"KI\x01")
     with pytest.raises(TransportError):
-        _read_frame(stream.read, b"")
+        _read_frame(types.SimpleNamespace(recv=stream.read), b"")
 
 
 # -- the endpoint's read-ahead -----------------------------------------
@@ -794,9 +842,11 @@ def test_a_record_one_recv_brings_whole_leaves_the_timeout_alone(monkeypatch):
     assert transport.set == []
 
 
-def test_a_slow_peer_fails_within_the_record_timeout():
-    # a real socket with a 0.5-s timeout, fed a header announcing 1000
-    # bytes and then one byte every 0.3 s, each within the timeout
+def _slow_peer_seconds(wrap):
+    """Seconds until ``receive`` raises TransportError on an endpoint over
+    ``wrap(sock)``, where ``sock`` is a real socket with a 0.5-s timeout,
+    fed a header announcing 1000 bytes and then one byte every 0.3 s,
+    each within the timeout; the peer stops after 3.6 s."""
     sender, receiver = _pair()
     wire = seal_wire(sender, MsgType.DATA, b"\0" * 1000)
     s_peer, s_ep = socket.socketpair()
@@ -812,7 +862,7 @@ def test_a_slow_peer_fails_within_the_record_timeout():
         s_peer.shutdown(socket.SHUT_WR)
 
     writer = threading.Thread(target=dribble)
-    ep = _established(receiver, s_ep)
+    ep = _established(receiver, wrap(s_ep))
     writer.start()
     try:
         start = time.monotonic()
@@ -826,7 +876,33 @@ def test_a_slow_peer_fails_within_the_record_timeout():
         s_peer.close()
         s_ep.close()
     assert not writer.is_alive()
+    return elapsed
+
+
+def test_a_slow_peer_fails_within_the_record_timeout():
+    elapsed = _slow_peer_seconds(lambda sock: sock)
     assert elapsed < 2, elapsed
+
+
+class _HeldRecv:
+    """A wrapper, as a tracing layer builds one, that holds its ``recv`` as
+    an attribute: a plain function that calls the socket's, so not a method
+    of any transport. It forwards both timeout methods to the socket."""
+
+    def __init__(self, sock):
+        self.sock, self.sendall = sock, sock.sendall
+        self.recv = lambda n: sock.recv(n)
+
+    def gettimeout(self):
+        return self.sock.gettimeout()
+
+    def settimeout(self, timeout):
+        self.sock.settimeout(timeout)
+
+
+def test_a_slow_peer_fails_at_the_timeout_through_a_wrapper_holding_recv():
+    elapsed = _slow_peer_seconds(_HeldRecv)
+    assert elapsed < 1.5, elapsed
 
 
 # -- endpoints over a live transport ------------------------------------
@@ -984,7 +1060,7 @@ def test_handshake_tampered_echo():
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def evil_responder():
-        wire, _, _ = _read_frame(s_resp.recv, b"")
+        wire, _, _ = _read_frame(s_resp, b"")
         _, nonce = open_record(resp_assoc, wire)
         mangled = bytes([nonce[0] ^ 0x01]) + nonce[1:]
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.HELLO_ACK, mangled)))
@@ -1007,7 +1083,7 @@ def test_handshake_wrong_ack_type():
     init_ep = ChannelEndpoint(init_assoc, s_init)
 
     def confused_responder():
-        wire, _, _ = _read_frame(s_resp.recv, b"")
+        wire, _, _ = _read_frame(s_resp, b"")
         open_record(resp_assoc, wire)
         s_resp.sendall(encode_record(seal(resp_assoc, MsgType.DATA, b"eager")))
 

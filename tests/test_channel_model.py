@@ -4,6 +4,7 @@ directions, driven through ``seal_wire``, ``_read_frame`` and
 every step."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -24,13 +25,13 @@ from kiss.errors import KissError
 
 from test_channel import _held, _opens, _pair
 
-# the sizes a scripted recv cuts a record into, then the rest at once
+# the sizes a scripted transport cuts a record into, then the rest at once
 CUTS = st.lists(st.integers(1, 80), max_size=6)
 
 
-def _scripted_recv(wire, cuts):
-    """A recv that hands out ``wire`` in pieces of the sizes in ``cuts``,
-    never more than it is asked for, then EOF."""
+def _scripted_transport(wire, cuts):
+    """A transport whose recv hands out ``wire`` in pieces of the sizes in
+    ``cuts``, never more than it is asked for, then EOF."""
     pos, cuts = 0, list(cuts)
 
     def recv(n):
@@ -39,7 +40,7 @@ def _scripted_recv(wire, cuts):
         pos += len(chunk)
         return chunk
 
-    return recv
+    return SimpleNamespace(recv=recv)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class RecordLayer(RuleBasedStateMachine):
         channel_mod._record_keys = self.derive
 
     def _deliver(self, record, wire, cuts, genuine=True):
-        """Frame ``wire`` out of a scripted recv and open it at the
+        """Frame ``wire`` out of a scripted transport and open it at the
         receiver of ``record``'s way: a genuine record is accepted exactly
         when its seq is past the receiver's and inside the window, and a
         refused one leaves the receiver as it was."""
@@ -84,7 +85,7 @@ class RecordLayer(RuleBasedStateMachine):
         before = chain.snapshot(), receiver.highest_accepted_seq
         in_window = chain.counter < record.seq <= chain.counter + RESYNC_WINDOW
         try:
-            frame, header, rest = _read_frame(_scripted_recv(wire, cuts), b"")
+            frame, header, rest = _read_frame(_scripted_transport(wire, cuts), b"")
             _, payload = _open_frame(receiver, frame, header)
         except KissError:
             assert (chain.snapshot(), receiver.highest_accepted_seq) == before
