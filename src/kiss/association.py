@@ -112,17 +112,20 @@ def _refuse(text: str) -> None:
     lines = text.split("\n")
     for lineno, (key, _) in enumerate((*_LINES, (None, None)), start=1):
         line = lines[lineno - 1] if lineno <= len(lines) else ""
-        if line.endswith("\r"):
+        last = lineno == len(lines)  # the text ends in this line, with no LF after it
+        if line.endswith("\r") and not last:
             raise ProvisionError(
                 f"line {lineno}: CRLF line ending; kiss provision ends each line in LF alone",
                 field=key,
             )
-        if not (line.startswith(f"{key} = ") if key else not line and lineno == len(lines)):
+        if not (line.startswith(f"{key} = ") if key else not line and last):
             raise ProvisionError(
                 f"line {lineno}: expected {key or 'end of file'}; a .prov file is "
                 "exactly the five lines kiss provision writes",
                 field=line.partition("=")[0].strip() or key,
             )
+        if key and last:
+            raise ProvisionError(f"line {lineno}: the {key} line lacks its LF", field=key)
     for (key, kind), line in zip(_LINES, lines):
         value = line.partition(" = ")[2]
         if type(kind) is int:

@@ -32,7 +32,9 @@ class OutOfWindowError(KissError):
 class ProvisionError(KissError):
     """Provisioning failed or a provisioning file is malformed.
 
-    ``field`` names the offending key when the error came from parsing.
+    ``field`` names the offending key when the error came from parsing. It
+    is None there only for content after the five lines, where no key is
+    expected, unless that content names one.
     """
 
     def __init__(self, message: str, field: str | None = None):

@@ -6,6 +6,8 @@ approximate entropy, and serial. Each test runs at one configuration:
 block frequency over 128-bit blocks, approximate entropy at m = 10,
 serial at m = 16, and the forward cumulative sums. ``MIN_BITS`` holds
 the fewest bits each test takes there; a test refuses a shorter stream.
+A test is added as one decorated function: ``_battery_test(name,
+min_bits)`` states its name and floor once, and puts it in ``ALL_TESTS``.
 Each test returns its p-value; the battery runs every test across
 independent trial streams and applies the SP 800-22 proportion rule (a
 three-sigma confidence bound on the expected pass rate) to reach a
@@ -244,40 +246,58 @@ _LO_BELOW_HI = _byte_table(lambda b: min(_walk(b)[:8]) - max(_walk(b)[:8]))
 
 # -- individual tests ------------------------------------------------
 
+ALL_TESTS: dict = {}  # name -> test, in the order registered below
+# The fewest bits per trial each test takes at its one configuration. Pattern
+# widths are fixed, not derived from the stream length, so a report never
+# changes its tests' parameters with n_bits.
+MIN_BITS: dict[str, int] = {}
 
-def monobit_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "monobit")
-    n = len(s)
+
+def _battery_test(name: str, min_bits: int):
+    """Register ``body(s, n) -> (p, params)`` as the battery test ``name``:
+    the test returned takes ``(bits, alpha=DEFAULT_ALPHA)``, refuses a stream
+    under ``min_bits`` and passes at ``p >= alpha``. It goes into ``ALL_TESTS``,
+    and its floor into ``MIN_BITS``."""
+
+    def register(body):
+        def test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
+            s = _stream(bits, name)
+            p, params = body(s, len(s))
+            return TestResult(name, p, p >= alpha, params)
+
+        # not functools.wraps: its __wrapped__ would show the body's signature
+        test.__name__, test.__qualname__, test.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        ALL_TESTS[name], MIN_BITS[name] = test, min_bits
+        return test
+
+    return register
+
+
+@_battery_test("monobit", MIN_STREAM_BITS)
+def monobit_test(s: BitStream, n: int):
     s_n = 2 * _ones(s.packed) - n
     s_obs = abs(s_n) / math.sqrt(n)
-    p = math.erfc(s_obs / math.sqrt(2))
-    return TestResult("monobit", p, p >= alpha, {"n": n, "s_n": s_n})
+    return math.erfc(s_obs / math.sqrt(2)), {"n": n, "s_n": s_n}
 
 
-def block_frequency_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "block-frequency")
-    n = len(s)
+@_battery_test("block-frequency", _BLOCK)  # one block
+def block_frequency_test(s: BitStream, n: int):
     n_blocks = n // _BLOCK
     ones = np.bitwise_count(_words(s.packed)[: 2 * n_blocks]).reshape(n_blocks, 2).sum(axis=1)
     pi = ones / _BLOCK
     chi_sq = 4.0 * _BLOCK * float(np.sum((pi - 0.5) ** 2))
-    p = _igamc(n_blocks / 2.0, chi_sq / 2.0)
-    return TestResult(
-        "block-frequency", p, p >= alpha, {"n": n, "n_blocks": n_blocks, "chi_sq": chi_sq}
-    )
+    return _igamc(n_blocks / 2.0, chi_sq / 2.0), {"n": n, "n_blocks": n_blocks, "chi_sq": chi_sq}
 
 
-def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "runs")
-    n = len(s)
+@_battery_test("runs", MIN_STREAM_BITS)
+def runs_test(s: BitStream, n: int):
     pi = _ones(s.packed) / n
     # the test presumes the monobit statistic is unremarkable; outside
-    # that band the run count is meaningless and the result is a hard fail
+    # that band the run count is meaningless and the result is a hard fail:
+    # p = 0, which no alpha in (0, 1) passes
     tau = 2.0 / math.sqrt(n)
     if abs(pi - 0.5) >= tau:
-        return TestResult(
-            "runs", 0.0, False, {"n": n, "pi": pi, "prerequisite_failed": True}
-        )
+        return 0.0, {"n": n, "pi": pi, "prerequisite_failed": True}
     # each bit of x ^ (x shifted left one bit) marks a change to the next bit;
     # the zero bits past the end add one mark exactly when the last bit is 1
     x = s.packed
@@ -287,13 +307,11 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     v_n = changes + 1
     num = abs(v_n - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    p = math.erfc(num / den)
-    return TestResult("runs", p, p >= alpha, {"n": n, "pi": pi, "v_n": v_n})
+    return math.erfc(num / den), {"n": n, "pi": pi, "v_n": v_n}
 
 
-def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "longest-run")
-    n = len(s)
+@_battery_test("longest-run", _LONGEST_RUN_TIERS[-1][0])  # the smallest tier of the SP 800-22 table
+def longest_run_test(s: BitStream, n: int):
     _, block_size, lo, hi, ref = next(tier for tier in _LONGEST_RUN_TIERS if n >= tier[0])
     n_blocks = n // block_size
     longest = _longest_runs(s.packed, block_size // 8, n_blocks)
@@ -302,19 +320,13 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     expected = n_blocks * np.asarray(ref)
     chi_sq = float(np.sum((counts - expected) ** 2 / expected))
     k = len(ref) - 1
-    p = _igamc(k / 2.0, chi_sq / 2.0)
-    return TestResult(
-        "longest-run",
-        p,
-        p >= alpha,
-        {
-            "n": n,
-            "block_size": block_size,
-            "n_blocks": n_blocks,
-            "counts": counts.astype(int).tolist(),
-            "chi_sq": chi_sq,
-        },
-    )
+    return _igamc(k / 2.0, chi_sq / 2.0), {
+        "n": n,
+        "block_size": block_size,
+        "n_blocks": n_blocks,
+        "counts": counts.astype(int).tolist(),
+        "chi_sq": chi_sq,
+    }
 
 
 def _longest_runs(packed: np.ndarray, block_bytes: int, n_blocks: int) -> np.ndarray:
@@ -345,9 +357,8 @@ def _longest_runs(packed: np.ndarray, block_bytes: int, n_blocks: int) -> np.nda
     return best.reshape(n_blocks, block_bytes).max(axis=1)
 
 
-def cusum_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "cusum")
-    n = len(s)
+@_battery_test("cusum", MIN_STREAM_BITS)
+def cusum_test(s: BitStream, n: int):
     hi, lo, total = _walk_range(s)
     z = max(hi, -lo, abs(total))  # the walk visits S_1 .. S_n, and S_0 = 0
     sqrt_n = math.sqrt(n)
@@ -361,8 +372,7 @@ def cusum_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     # np.sum, not sum: its pairwise order is the one these p-values were pinned with
     term1 = np.sum([_ndtr((4 * k + 1) * z / sqrt_n) - _ndtr((4 * k - 1) * z / sqrt_n) for k in k1])
     term2 = np.sum([_ndtr((4 * k + 3) * z / sqrt_n) - _ndtr((4 * k + 1) * z / sqrt_n) for k in k2])
-    p = float(min(max(1.0 - term1 + term2, 0.0), 1.0))
-    return TestResult("cusum", p, p >= alpha, {"n": n, "z": z})
+    return float(min(max(1.0 - term1 + term2, 0.0), 1.0)), {"n": n, "z": z}
 
 
 def _walk_range(s: BitStream) -> tuple[int, int, int]:
@@ -385,21 +395,16 @@ def _walk_range(s: BitStream) -> tuple[int, int, int]:
     return hi, lo, level
 
 
-def approximate_entropy_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "approximate-entropy")
-    n = len(s)
+@_battery_test("approximate-entropy", (1 << (_APEN_M + 1)) + 1)  # more bits than (m+1)-bit patterns
+def approximate_entropy_test(s: BitStream, n: int):
     counts = s.pattern_counts(_APEN_M + 1)
     ap_en = _phi(_fold(counts), n) - _phi(counts, n)
     chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
-    p = _igamc(2.0 ** (_APEN_M - 1), chi_sq / 2.0)
-    return TestResult(
-        "approximate-entropy", p, p >= alpha, {"n": n, "ap_en": ap_en, "chi_sq": chi_sq}
-    )
+    return _igamc(2.0 ** (_APEN_M - 1), chi_sq / 2.0), {"n": n, "ap_en": ap_en, "chi_sq": chi_sq}
 
 
-def serial_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
-    s = _stream(bits, "serial")
-    n = len(s)
+@_battery_test("serial", (1 << _SERIAL_M) + 1)  # more bits than m-bit patterns
+def serial_test(s: BitStream, n: int):
     counts = s.pattern_counts(_SERIAL_M)
     counts1 = _fold(counts)
     psi_m = _psi_sq(counts, n)
@@ -409,7 +414,7 @@ def serial_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = _igamc(2.0 ** (_SERIAL_M - 2), d1 / 2.0)
     p2 = _igamc(2.0 ** (_SERIAL_M - 3), d2 / 2.0)
-    return TestResult("serial", p1, p1 >= alpha, {"n": n, "delta1": d1, "delta2": d2, "p2": p2})
+    return p1, {"n": n, "delta1": d1, "delta2": d2, "p2": p2}
 
 
 def _pattern_counts(s: BitStream) -> np.ndarray:
@@ -472,32 +477,10 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return counts.size / n * int(counts @ counts) - n
 
 
-ALL_TESTS = {
-    "monobit": monobit_test,
-    "block-frequency": block_frequency_test,
-    "runs": runs_test,
-    "longest-run": longest_run_test,
-    "cusum": cusum_test,
-    "approximate-entropy": approximate_entropy_test,
-    "serial": serial_test,
-}
-# The table as defined here. ``run_battery`` forks its worker only while
+# The table as registered above. ``run_battery`` forks its worker only while
 # ALL_TESTS holds these: a test the caller puts in (a spy, a timing wrapper)
 # runs in the calling process, as what it records in a worker is lost with it.
 _OWN_TESTS = tuple(ALL_TESTS.items())
-
-# The fewest bits per trial each test takes at its one configuration. Pattern
-# widths are fixed, not derived from the stream length, so a report never
-# changes its tests' parameters with n_bits.
-MIN_BITS = {
-    "monobit": MIN_STREAM_BITS,
-    "block-frequency": _BLOCK,  # one block
-    "runs": MIN_STREAM_BITS,
-    "longest-run": _LONGEST_RUN_TIERS[-1][0],  # the smallest tier of the SP 800-22 table
-    "cusum": MIN_STREAM_BITS,
-    "approximate-entropy": (1 << (_APEN_M + 1)) + 1,  # more bits than (m+1)-bit patterns
-    "serial": (1 << _SERIAL_M) + 1,  # more bits than m-bit patterns
-}
 
 
 # -- battery ----------------------------------------------------------

@@ -143,7 +143,7 @@ def _swap_first_lines(text):
         pytest.param(lambda t: t + "# end\n", 6, id="trailing-comment"),
         pytest.param(_swap_first_lines, 1, id="swapped-order"),
         pytest.param(lambda t: t.replace("\n", "\r\n"), None, id="crlf"),
-        pytest.param(lambda t: t[:-1], 6, id="no-final-lf"),
+        pytest.param(lambda t: t[:-1], 5, id="no-final-lf"),
     ],
 )
 def test_parse_refuses_any_other_layout(mangle, line):
@@ -153,6 +153,17 @@ def test_parse_refuses_any_other_layout(mangle, line):
         assert str(err.value).startswith(f"line {line}: ")
     # the message never echoes a line, which may hold a secret
     assert _FIXED_PF.seed.hex() not in str(err.value)
+
+
+def test_parse_names_the_line_that_lacks_its_lf():
+    text = _FIXED_PF.to_text()
+    with pytest.raises(ProvisionError, match=r"^line 5: the root line lacks its LF") as err:
+        ProvisionFile.from_text(text[:-1])
+    assert err.value.field == "root"
+    # a lone CR after the last LF ends no line: it is content past the end
+    with pytest.raises(ProvisionError, match=r"^line 6: expected end of file") as err:
+        ProvisionFile.from_text(text + "\r")
+    assert err.value.field is None
 
 
 def test_parse_names_a_crlf_ending_and_its_line():
@@ -291,7 +302,7 @@ def test_from_text_accepts_exactly_what_round_trips(text):
     else:
         message, field = outcome
         assert not re.search("[0-9a-fA-F]{16}", message), message
-        # line 6, where the file should end, has no key to name unless it holds one
+        # only content past line 5, where the file should end, can leave no key to name
         assert field or message.startswith("line 6: "), outcome
 
 

@@ -2,9 +2,11 @@
 
 import functools
 import hashlib
+import inspect
 import math
 import multiprocessing
 import os
+import random
 import re
 import signal
 import tracemalloc
@@ -31,6 +33,7 @@ from oracles import (
 
 import kiss.randomness as randomness_mod
 from kiss.cli import DEMO_ROOT, DEMO_SEED
+from kiss.defaults import DEFAULT_ALPHA
 from kiss.errors import InvalidParameterError
 from kiss.randomness import (
     ALL_TESTS,
@@ -592,11 +595,28 @@ def test_battery_parameter_validation():
         run_battery(SEED, ROOT, n_bits=2000, trials=20, alpha=0.0)
 
 
+def test_each_test_takes_bits_and_alpha_and_passes_at_p_from_alpha_up():
+    for test in ALL_TESTS.values():
+        params = inspect.signature(test).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("bits", inspect.Parameter.empty),
+            ("alpha", DEFAULT_ALPHA),
+        ], test.__name__
+        assert getattr(randomness_mod, test.__name__) is test
+    stream = generate_stream(SEED, ROOT, b"rule", MIN_BITS["serial"])
+    for test in ALL_TESTS.values():
+        p = test(stream).p_value
+        assert test(stream, alpha=p).passed and not test(stream, math.nextafter(p, 1)).passed
+
+
 def test_min_bits_is_each_tests_own_floor():
-    assert list(MIN_BITS) == list(ALL_TESTS)
+    assert list(ALL_TESTS) == [
+        "monobit", "block-frequency", "runs", "longest-run", "cusum", "approximate-entropy", "serial",
+    ]
+    assert list(MIN_BITS.items()) == list(zip(ALL_TESTS, [100, 128, 100, 128, 100, 2049, 65537]))
     bits = generate_stream(SEED, ROOT, b"floor", max(MIN_BITS.values())).bits
     for name, test in ALL_TESTS.items():
-        test(bits[: MIN_BITS[name]])
+        assert test(bits[: MIN_BITS[name]]).name == name
         floor = re.escape(f"{name} test needs at least {MIN_BITS[name]:,} bits")
         with pytest.raises(InvalidParameterError, match=floor):
             test(bits[: MIN_BITS[name] - 1])
@@ -941,3 +961,45 @@ def test_every_test_rejects_some_pathological_stream():
         rejected = [label for label, bits in pathological.items()
                     if not fn(bits).passed]
         assert rejected, f"{name} accepted every pathological stream"
+
+
+# -- the control panel: what the battery catches at its own settings, and what it does not --
+
+
+def _biased(trial, n_bits):  # P(1) = 0.501
+    return BitStream(np.random.default_rng(trial).random(n_bits) < 0.501)
+
+
+def _lcg_low_byte(trial, n_bits):  # x = 1664525 x + 1013904223 mod 2^32
+    x, out = trial, bytearray()
+    for _ in range(-(-n_bits // 8)):
+        x = (1664525 * x + 1013904223) & 0xFFFFFFFF
+        out.append(x & 0xFF)
+    return BitStream.from_bytes(bytes(out), n_bits)
+
+
+def _repeated_sha256(trial, n_bits):  # 4 KiB of SHA-256 output, over and over
+    block = b"".join(hashlib.sha256(b"%d %d" % (trial, i)).digest() for i in range(128))
+    return BitStream.from_bytes(block * -(-n_bits // (8 * len(block))), n_bits)
+
+
+def _mt19937(trial, n_bits):  # statistically sound, but not a cryptographic generator
+    return BitStream.from_bytes(random.Random(trial).randbytes(-(-n_bits // 8)), n_bits)
+
+
+@pytest.mark.parametrize(
+    "factory, passed, counts",
+    [
+        (_biased, False, [16, 20, 19, 20, 17, 20, 20]),
+        (_lcg_low_byte, False, [20, 20, 20, 0, 20, 0, 0]),
+        (_repeated_sha256, False, [9, 15, 5, 0, 9, 0, 0]),
+        # a pass finds no gross defect; it proves nothing about the source
+        (_mt19937, True, [20, 20, 20, 20, 20, 20, 19]),
+    ],
+    ids=["biased-0.501", "lcg-low-byte", "repeated-sha256", "mt19937"],
+)
+def test_control_panel(factory, passed, counts):
+    report = run_battery(SEED, ROOT, n_bits=1_000_000, trials=20, stream_factory=factory)
+    assert report.min_pass == 18
+    assert report.pass_counts == dict(zip(ALL_TESTS, counts))
+    assert report.passed == passed
