@@ -50,9 +50,6 @@ import os
 import struct
 from time import monotonic
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from .association import Association, Mode, Role
 from .errors import (
     AssociationError,
@@ -145,10 +142,30 @@ def _parse_header(buf) -> tuple[MsgType, Mode, bytes, int, int, int]:
     return msg_type, mode, assoc_id, seq, end, end + tag_len
 
 
+# AES-GCM comes from `cryptography`, which only AEAD mode needs, so it is
+# not imported here: the first AEAD record keyed binds AESGCM and
+# InvalidTag through load_aead (the CLI calls it before it opens a
+# socket), and an auth-only endpoint runs on the standard library alone.
+# AESGCM is the name the AEAD path calls; the benchmark's tracer swaps it.
+AESGCM = InvalidTag = None
+
+
+def load_aead() -> None:
+    """Bind ``AESGCM`` and ``InvalidTag`` here; KissError without ``cryptography``."""
+    global AESGCM, InvalidTag
+    try:
+        from cryptography.exceptions import InvalidTag
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    except ImportError:
+        raise KissError("AEAD needs the cryptography package: pip install cryptography") from None
+
+
 def _record_keys(value: bytes, mode: Mode):
     """This record's key and nonce (None in auth-only mode) from its chain value."""
     if mode is _AUTH_ONLY:
         return _hmac_new(value, KEY_LABEL_MAC, "sha256").digest(), None
+    if AESGCM is None:
+        load_aead()
     nonce = _hmac_new(value, KEY_LABEL_NONCE, "sha256").digest()[:12]
     return _hmac_new(value, KEY_LABEL_ENC, "sha256").digest(), nonce
 
@@ -157,8 +174,8 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
     """Protect one outgoing record and return its wire bytes, advancing the
     send chain by one step.
 
-    In AEAD mode the payload field carries the ciphertext. A payload that
-    is not a contiguous buffer raises TypeError before the chain moves.
+    In AEAD mode the payload field carries the ciphertext. A payload that is not
+    a contiguous buffer, or AEAD without ``cryptography``, raises before the chain moves.
     """
     payload = memoryview(payload).cast("B")  # bytes, not items, for payload_len and both modes
     size = len(payload)
@@ -166,8 +183,8 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
         raise InvalidParameterError(f"payload {size} exceeds cap {MAX_PAYLOAD}")
     mode, chain = assoc.mode, assoc.send_chain
     value, seq = chain.head()
-    chain.commit(value, seq)
     key, nonce = _record_keys(value, mode)
+    chain.commit(value, seq)
     auth_only = mode is _AUTH_ONLY
     raw_mode = _AUTH_ONLY_WIRE if auth_only else _AEAD_WIRE
     # Ciphertext length equals plaintext length in GCM, so the header

@@ -25,7 +25,7 @@ from .association import (
     read_provision_file,
     write_provision_file,
 )
-from .channel import ChannelEndpoint
+from .channel import ChannelEndpoint, load_aead
 from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import KissError
@@ -74,6 +74,23 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, number
 
 
+def _load_association(path):
+    # an AEAD association loads AES-GCM here: without cryptography, one
+    # error before any socket is opened
+    assoc = load_association(read_provision_file(path))
+    if assoc.mode is Mode.AEAD:
+        load_aead()
+    return assoc
+
+
+def _check_csv_path(path) -> None:
+    """Refuse, before any trial or row runs, a ``--csv`` path that cannot be written."""
+    if path and Path(path).is_dir():
+        raise KissError(f"--csv {path} is a directory")
+    if path and not Path(path).parent.is_dir():
+        raise KissError(f"--csv {path}: {Path(path).parent} is not an existing directory")
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -108,7 +125,7 @@ def cmd_provision(args) -> int:
 
 
 def cmd_server(args) -> int:
-    pf = read_provision_file(args.provision)
+    assoc = _load_association(args.provision)
     host, port = _parse_addr(args.listen)
     # no host name has a colon, so a host with one is an IPv6 literal
     family = socket.AF_INET6 if ":" in host else socket.AF_INET
@@ -119,7 +136,7 @@ def cmd_server(args) -> int:
         conn.settimeout(IO_TIMEOUT_S)
         log.info("connection from %s", peer)
         with conn:
-            endpoint = ChannelEndpoint(load_association(pf), conn)
+            endpoint = ChannelEndpoint(assoc, conn)
             endpoint.handshake()
             log.info("handshake complete")
             served = 0
@@ -137,13 +154,13 @@ def cmd_server(args) -> int:
 def cmd_client(args) -> int:
     if args.count < 1:
         raise KissError(f"--count must be at least 1, got {args.count}")
-    pf = read_provision_file(args.provision)
+    assoc = _load_association(args.provision)
     host, port = _parse_addr(args.connect)
     # --send is one record; otherwise each payload is made as it is sent
     message = None if args.send is None else args.send.encode("utf-8")
     count = args.count if message is None else 1
     with socket.create_connection((host, port), timeout=IO_TIMEOUT_S) as conn:
-        endpoint = ChannelEndpoint(load_association(pf), conn)
+        endpoint = ChannelEndpoint(assoc, conn)
         endpoint.handshake()
         log.info("handshake complete")
         for i in range(count):
@@ -168,6 +185,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_bench(args) -> int:
+    _check_csv_path(args.csv)
     from . import bench as bench_mod  # the TLS and X.509 stack only this subcommand runs
 
     sizes = _BENCH_SIZES[args.suite] if args.sizes is None else _parse_sizes(args.sizes)
@@ -182,7 +200,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_randomness(args) -> int:
-    from .randomness import run_battery  # NumPy, which only this subcommand runs
+    _check_csv_path(args.csv)
+    try:
+        from .randomness import run_battery  # NumPy, which only this subcommand runs
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise KissError("kiss randomness needs NumPy: pip install 'kiss-toolkit[battery]'") from None
 
     seed = parse_hex("--seed", args.seed, SECRET_LEN) if args.seed else DEMO_SEED
     root = parse_hex("--root", args.root, SECRET_LEN) if args.root else DEMO_ROOT

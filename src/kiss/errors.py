@@ -10,7 +10,11 @@ from __future__ import annotations
 
 
 class KissError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. ``field``, if given, names the bad input."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidParameterError(KissError, ValueError):
@@ -37,17 +41,9 @@ class ProvisionError(KissError):
     expected, unless that content names one.
     """
 
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
-
 
 class FrameError(KissError):
     """Wire bytes do not form a valid record. ``field`` names the bad part."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
 
 
 class AssociationError(KissError):

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import chain_values_ref
 
-from kiss import cli
+from kiss import bench, cli, randomness
 from kiss.association import Mode, ProvisionFile, Role, read_provision_file
 from kiss.defaults import DEFAULT_ALPHA, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from kiss.randomness import MIN_BITS
@@ -551,6 +551,28 @@ def test_bench_suite_refuses_flag_it_does_not_use(flag, value, suite):
     assert result.returncode == 2
     assert flag in result.stderr
     assert result.stdout == ""  # refused before measuring anything
+
+
+@pytest.mark.parametrize("where", ["no-parent", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["randomness", "--bits", "70000", "--trials", "20"],
+        ["bench", "--suite", "primitives", "--sizes", "64", "--duration", "0.05"],
+    ],
+    ids=["randomness", "bench"],
+)
+def test_csv_path_refused_before_any_trial_or_row(tmp_path, monkeypatch, capsys, argv, where):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the --csv path was checked")
+
+    monkeypatch.setattr(randomness, "run_battery", never)
+    monkeypatch.setattr(bench, "run_suite", never)
+    csv_path = tmp_path / "missing" / "out.csv" if where == "no-parent" else tmp_path
+    assert cli.main([*argv, "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: KissError: --csv {csv_path}")
 
 
 def test_bench_tls_cli(tmp_path):

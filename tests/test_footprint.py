@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: an endpoint only the record layer,
-and the randomness battery NumPy but never SciPy."""
+AES-GCM only in AEAD mode, and the randomness battery NumPy but never
+SciPy."""
 
 import json
 import subprocess
@@ -7,8 +8,56 @@ import sys
 
 import pytest
 
-# loaded only by `kiss randomness` (numpy) and `kiss bench` (ssl, x509)
-HEAVY = ("numpy", "ssl", "cryptography.x509")
+# loaded only by `kiss randomness` (numpy), `kiss bench` (ssl, x509) and
+# AEAD mode (cryptography)
+HEAVY = ("numpy", "ssl", "cryptography.x509", "cryptography")
+
+# defines session(mode, trace=None): a handshake, 100 records echoed and a
+# close between two endpoints over a socketpair, the responder on a
+# thread; trace, if given, is set on both threads once the endpoints exist
+SESSION = """
+import socket, threading
+from kiss.association import Mode, generate_provision, load_association
+from kiss.channel import ChannelEndpoint
+def session(mode, trace=None):
+    init_pf, resp_pf = generate_provision(mode=Mode[mode])
+    a, b = socket.socketpair()
+    a.settimeout(5.0), b.settimeout(5.0)  # a dead responder fails the run
+    client = ChannelEndpoint(load_association(init_pf), a)
+    server = ChannelEndpoint(load_association(resp_pf), b)
+    errors = []
+    def serve():
+        try:
+            server.handshake()
+            while (payload := server.receive()) is not None:
+                server.send(payload)
+        except BaseException as exc:
+            errors.append(repr(exc))
+    if trace:
+        threading.settrace(trace)
+        sys.settrace(trace)
+    responder = threading.Thread(target=serve)
+    responder.start()
+    client.handshake()
+    for i in range(100):
+        client.send(b'%03d' % i * 20)
+        assert client.receive() == b'%03d' % i * 20
+    client.close()
+    responder.join(timeout=30)
+    sys.settrace(None)
+    threading.settrace(None)
+    a.close(), b.close()
+    assert not responder.is_alive() and not errors, errors
+"""
+
+# runs kiss.cli.main on each argv with stderr captured; defines codes and err
+CLI_RUNS = """
+import contextlib, io, kiss.cli
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    codes = [kiss.cli.main(argv) for argv in ARGVS]
+err = err.getvalue()
+"""
 
 
 def _fresh(code: str):
@@ -53,43 +102,18 @@ SESSION_MODULES = {"idvv.py", "association.py", "channel.py", "errors.py"}
 @pytest.mark.parametrize("mode", ["AUTH_ONLY", "AEAD"])
 def test_session_executes_only_the_protocol_core(mode):
     ran, view_lines = _fresh(
-        "import inspect, os, socket, threading\n"
+        "import inspect, os\n"
         "import kiss\n"
-        "from kiss.association import Mode, generate_provision, load_association\n"
         "from kiss import channel\n"
-        "from kiss.channel import ChannelEndpoint\n"
-        f"init_pf, resp_pf = generate_provision(mode=Mode.{mode})\n"
-        "a, b = socket.socketpair()\n"
-        "a.settimeout(5.0), b.settimeout(5.0)  # a dead responder fails the run\n"
-        "client = ChannelEndpoint(load_association(init_pf), a)\n"
-        "server = ChannelEndpoint(load_association(resp_pf), b)\n"
-        "pkg, lines, errors = os.path.dirname(kiss.__file__), set(), []\n"
+        + SESSION +
+        "pkg, lines = os.path.dirname(kiss.__file__), set()\n"
         "def local(frame, event, arg):\n"
         "    if event == 'line':\n"
         "        lines.add((os.path.relpath(frame.f_code.co_filename, pkg), frame.f_lineno))\n"
         "    return local\n"
         "def trace(frame, event, arg):\n"
         "    return local if frame.f_code.co_filename.startswith(pkg) else None\n"
-        "def serve():\n"
-        "    try:\n"
-        "        server.handshake()\n"
-        "        while (payload := server.receive()) is not None:\n"
-        "            server.send(payload)\n"
-        "    except BaseException as exc:\n"
-        "        errors.append(repr(exc))\n"
-        "threading.settrace(trace)\n"
-        "sys.settrace(trace)\n"
-        "responder = threading.Thread(target=serve)\n"
-        "responder.start()\n"
-        "client.handshake()\n"
-        "for i in range(100):\n"
-        "    client.send(b'%03d' % i * 20)\n"
-        "    assert client.receive() == b'%03d' % i * 20\n"
-        "client.close()\n"
-        "responder.join(timeout=30)\n"
-        "sys.settrace(None)\n"
-        "threading.settrace(None)\n"
-        "assert not responder.is_alive() and not errors, errors\n"
+        f"session({mode!r}, trace)\n"
         "view = set()\n"
         "for f in (channel.seal, channel.encode_record):\n"
         "    source, first = inspect.getsourcelines(f)\n"
@@ -99,3 +123,65 @@ def test_session_executes_only_the_protocol_core(mode):
     assert {"idvv.py", "channel.py"} <= set(ran) <= SESSION_MODULES
     # the inspection view (seal, encode_record) serves benchmark/ and tests only
     assert view_lines == []
+
+
+def test_auth_only_session_loads_neither_cryptography_nor_numpy():
+    loaded = _fresh(
+        "import kiss.cli, kiss.channel, kiss.association, kiss.idvv\n"
+        + SESSION +
+        "session('AUTH_ONLY')\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+def test_without_numpy_sessions_run_and_the_battery_names_its_extra():
+    codes, err = _fresh(
+        "sys.modules['numpy'] = None  # as if NumPy were not installed\n"
+        + SESSION +
+        "session('AUTH_ONLY')\n"
+        "session('AEAD')\n"
+        "ARGVS = [['randomness', '--bits', '70000', '--trials', '20']]\n"
+        + CLI_RUNS +
+        "print(json.dumps([codes, err]))"
+    )
+    # one error line, and no traceback: _fresh requires exit status 0
+    assert codes == [1]
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: KissError: ") and "pip install 'kiss-toolkit[battery]'" in err
+
+
+def test_without_cryptography_auth_only_runs_and_aead_is_refused(tmp_path):
+    init, resp = tmp_path / "initiator.prov", tmp_path / "responder.prov"
+    refusals, counters, codes, err = _fresh(
+        "sys.modules['cryptography'] = None  # as if cryptography were not installed\n"
+        + SESSION +
+        "session('AUTH_ONLY')\n"
+        "from kiss import channel\n"
+        "from kiss.association import write_provision_file\n"
+        "from kiss.errors import KissError\n"
+        "refusals = []\n"
+        "assoc = load_association(generate_provision(mode=Mode.AEAD)[0])\n"
+        "counters = [assoc.send_chain.counter]\n"
+        "for load in (channel.load_aead, lambda: channel.seal_wire(assoc, channel.MsgType.DATA, b'x')):\n"
+        "    try:\n"
+        "        load()\n"
+        "    except KissError as exc:\n"
+        "        refusals.append(str(exc))\n"
+        "counters.append(assoc.send_chain.counter)\n"
+        "def no_socket(*args, **kwargs):\n"
+        "    raise AssertionError('a socket was opened')\n"
+        "socket.create_server = socket.create_connection = no_socket\n"
+        f"for pf, path in zip(generate_provision(mode=Mode.AEAD), ({str(init)!r}, {str(resp)!r})):\n"
+        "    write_provision_file(pf, path)\n"
+        f"ARGVS = [['server', '--provision', {str(resp)!r}],\n"
+        f"         ['client', '--provision', {str(init)!r}, '--connect', '127.0.0.1:9']]\n"
+        + CLI_RUNS +
+        "print(json.dumps([refusals, counters, codes, err]))"
+    )
+    message = "AEAD needs the cryptography package: pip install cryptography"
+    assert refusals == [message, message]
+    assert counters[0] == counters[1]  # the refused record left the chain where it was
+    # both endpoints refuse before any socket: no_socket would have raised
+    assert codes == [1, 1]
+    assert err.splitlines() == [f"error: KissError: {message}"] * 2
