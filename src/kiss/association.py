@@ -2,8 +2,8 @@
 
 An association is the provisioned relationship between two endpoints:
 identity, the seed/root secrets, one chain per direction, and the
-receive position that refuses replays (the resync window is the record
-layer's, one for all). Key distribution is realized as a pair of
+receive position that refuses replays (the seq bound is the record
+layer's, one per receive path). Key distribution is realized as a pair of
 out-of-band provisioning files; the generate/load split keeps the
 carrier replaceable by a networked distributor later.
 

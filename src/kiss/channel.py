@@ -14,12 +14,15 @@ over header and payload; in AEAD mode the payload field carries the
 AES-256-GCM ciphertext and the tag field its 16-byte GCM tag, with the
 header as associated data.
 
-Receive-side rule: nothing is committed until the tag verifies. The
+Receive-side rules. Nothing is committed until the tag verifies: the
 receiver gets the record's chain value from its live chain without
-moving it (``IdvvState.head`` at the next seq, ``idvv_peek`` past it),
-and commits it only once the tag is good, which replaces the held value
-with the one after. So a flood of garbage cannot desynchronize the
-endpoint or burn window state.
+moving it (``IdvvState.head`` at the next seq, ``idvv_peek`` past it)
+and commits it only once the tag is good, so a flood of garbage cannot
+desynchronize the endpoint or burn window state. Each receive path has
+one seq bound: an endpoint takes only the next seq, as a stream cannot
+lose a record without failing; ``open_record``, for datagrams, takes
+one up to ``RESYNC_WINDOW`` past the last accepted. A seq past the bound
+is refused before any HMAC call, an old one by ``idvv_peek``.
 
 Record path, one call per layer per record. ``ChannelEndpoint.send``
 calls ``seal_wire``, the only code that seals: it takes the send chain's
@@ -32,10 +35,7 @@ is opened where it lies, with no copy. A record that needs more reads is
 finished by ``_read_rest``, within the transport's timeout from its
 first byte. ``_parse_header`` is the one header parser. The parsed header
 goes straight to ``_open_frame``, the verify-and-commit step that
-``open_record`` also runs after its exact-length check. At the next seq
-it keys the record from ``head``; past it, it refuses a seq more than
-``RESYNC_WINDOW`` past the last one accepted before any chain step, and
-walks the chain with ``idvv_peek``, which has no window.
+``open_record`` also runs after its exact-length check.
 
 ``seal`` and ``encode_record`` are the names the benchmark calls, as
 ``encode_record(seal(...))``, and its tracer wraps: both give
@@ -157,7 +157,7 @@ def load_aead() -> None:
         from cryptography.exceptions import InvalidTag
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
     except ImportError:
-        raise KissError("AEAD needs the cryptography package: pip install cryptography") from None
+        raise KissError("AEAD needs cryptography: pip install 'kiss-toolkit[aead]'") from None
 
 
 def _record_keys(value: bytes, mode: Mode):
@@ -214,18 +214,20 @@ def open_record(assoc: Association, wire: bytes) -> tuple[MsgType, bytes]:
             f"record length {len(wire)} does not match header (want {header[5]})",
             field="payload_len",
         )
-    return _open_frame(assoc, wire, header)
+    return _open_frame(assoc, wire, header, RESYNC_WINDOW)
 
 
-# The largest seq gap a receiver closes in one record; a stream transport
-# never leaves one above 1. A forged record costs the receiver this walk
-# before its tag check: 1025 HMAC calls, about 1.4 ms for an 89-B
-# auth-only record on a 2-vCPU Xeon VM (Python 3.11.7, OpenSSL 3.0.19).
+# The largest seq gap open_record closes in one record, for datagrams,
+# which may be lost; an endpoint passes _open_frame 1, the next seq only,
+# since its stream cannot lose a record. A forged record costs
+# open_record this walk before its tag check: 1025 HMAC calls, about 1.4
+# ms for an 89-B auth-only record on a 2-vCPU Xeon VM (Python 3.11.7,
+# OpenSSL 3.0.19); an endpoint refuses it before any HMAC call.
 RESYNC_WINDOW = 1024
 
 
-def _open_frame(assoc, wire, header):
-    """:func:`open_record` for a record whose header is already parsed."""
+def _open_frame(assoc, wire, header, window):
+    """:func:`open_record` for a parsed header; refuses a seq over ``window`` past the last."""
     msg_type, mode, assoc_id, seq, end, _ = header
     if assoc_id != assoc.assoc_id:
         raise AssociationError("record addressed to a different association")
@@ -239,8 +241,8 @@ def _open_frame(assoc, wire, header):
     value, next_seq = chain.head()
     if seq != next_seq:
         gap = seq - next_seq + 1
-        if gap > RESYNC_WINDOW:
-            raise OutOfWindowError(f"gap {gap} exceeds window {RESYNC_WINDOW}")
+        if gap > window:
+            raise OutOfWindowError(f"gap {gap} exceeds window {window}")
         value = idvv_peek(chain, seq)  # refuses a replay: seq <= counter
     key, nonce = _record_keys(value, mode)
     if mode is _AUTH_ONLY:
@@ -370,7 +372,7 @@ class ChannelEndpoint:
             if frame is None:
                 raise TransportError("connection closed during the handshake")
             wire, header, self._rest = frame
-            msg_type, payload = _open_frame(assoc, wire, header)
+            msg_type, payload = _open_frame(assoc, wire, header, 1)  # the next seq only
             if msg_type is _ALERT:
                 self.state = ChannelState.CLOSED  # so _fail sends no alert back
                 raise ChannelAlert("peer reported a protocol failure")
@@ -410,7 +412,7 @@ class ChannelEndpoint:
             if frame is None:
                 raise TransportError("connection closed without a close record")
             wire, header, self._rest = frame
-            msg_type, payload = _open_frame(self.assoc, wire, header)
+            msg_type, payload = _open_frame(self.assoc, wire, header, 1)  # the next seq only
         except (KissError, OSError) as exc:
             raise self._fail(exc)
         if msg_type is _DATA:

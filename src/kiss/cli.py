@@ -10,6 +10,7 @@ controlled by the KISS_LOG environment variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import socket
@@ -81,6 +82,19 @@ def _load_association(path):
     if assoc.mode is Mode.AEAD:
         load_aead()
     return assoc
+
+
+def _import_extra(subcommand: str, package: str, extra: str):
+    """Import ``kiss.<subcommand>``; without ``package``, which only that
+    subcommand needs, raise one KissError naming the extra that brings it."""
+    try:
+        return importlib.import_module(f"{__package__}.{subcommand}")
+    except ModuleNotFoundError as exc:
+        if exc.name != package:
+            raise
+        raise KissError(
+            f"kiss {subcommand} needs {package}: pip install 'kiss-toolkit[{extra}]'"
+        ) from None
 
 
 def _check_csv_path(path) -> None:
@@ -186,7 +200,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 def cmd_bench(args) -> int:
     _check_csv_path(args.csv)
-    from . import bench as bench_mod  # the TLS and X.509 stack only this subcommand runs
+    bench_mod = _import_extra("bench", "cryptography", "aead")
 
     sizes = _BENCH_SIZES[args.suite] if args.sizes is None else _parse_sizes(args.sizes)
     report = bench_mod.run_suite(args.suite, sizes, args.duration)
@@ -201,12 +215,7 @@ def cmd_bench(args) -> int:
 
 def cmd_randomness(args) -> int:
     _check_csv_path(args.csv)
-    try:
-        from .randomness import run_battery  # NumPy, which only this subcommand runs
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise KissError("kiss randomness needs NumPy: pip install 'kiss-toolkit[battery]'") from None
+    run_battery = _import_extra("randomness", "numpy", "battery").run_battery
 
     seed = parse_hex("--seed", args.seed, SECRET_LEN) if args.seed else DEMO_SEED
     root = parse_hex("--root", args.root, SECRET_LEN) if args.root else DEMO_ROOT

@@ -160,7 +160,7 @@ def idvv_peek(state: IdvvState, target_counter: int, out=None) -> bytes:
     Refuses to go backwards or sideways (replay). Walks from the held
     value, so the next counter costs no PRF call and each one past it
     costs one; the walk has no window, so a caller bounds the gap it
-    accepts (the record layer's ``RESYNC_WINDOW``). Commit with
+    accepts (the record layer's seq bound). Commit with
     :meth:`IdvvState.commit`. If ``out`` is a list, every value walked,
     the held one first, is appended to it.
     """

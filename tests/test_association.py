@@ -509,6 +509,30 @@ def test_read_bound_holds_over_short_reads(tmp_path, monkeypatch, size, refusal)
         read_provision_file(path)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_reads_close_their_file_whether_refused_or_not(tmp_path):
+    # a read that kept its descriptor would hold one more open per call
+    good = _FIXED_PF.to_text().encode()
+    cases = [
+        (good, None),
+        (good + bytes(2048), "exceeds 1024 bytes"),
+        (b"\xff\xfeassoc_id", "not UTF-8"),
+        (b"# comment\n" + good, "^line 1: expected assoc_id"),
+    ]
+    for i, (data, _) in enumerate(cases):
+        (tmp_path / f"{i}.prov").write_bytes(data)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(100):
+        for i, (_, refusal) in enumerate(cases):
+            path = tmp_path / f"{i}.prov"
+            if refusal is None:
+                assert read_provision_file(path) == _FIXED_PF
+                continue
+            with pytest.raises(ProvisionError, match=refusal):
+                read_provision_file(path)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_read_of_a_directory_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_provision_file(tmp_path)

@@ -27,6 +27,7 @@ from kiss.association import (
 )
 from kiss.channel import (
     HEADER_LEN,
+    HELLO_NONCE_LEN,
     KEY_LABEL_ENC,
     KEY_LABEL_MAC,
     KEY_LABEL_NONCE,
@@ -559,11 +560,12 @@ def test_records_that_share_a_recv_are_opened_as_views_of_it(mode, monkeypatch):
     chunks = iter([shared, alone])
     transport = _ScriptedTransport(b"")
     transport.recv = lambda n: next(chunks)
-    opened = []
+    opened, windows = [], []
 
-    def spy(assoc, wire, header):
+    def spy(assoc, wire, header, window):
         opened.append(wire)
-        return open_frame(assoc, wire, header)
+        windows.append(window)
+        return open_frame(assoc, wire, header, window)
 
     open_frame = channel_mod._open_frame
     monkeypatch.setattr(channel_mod, "_open_frame", spy)
@@ -577,6 +579,7 @@ def test_records_that_share_a_recv_are_opened_as_views_of_it(mode, monkeypatch):
     assert all(w.obj is shared for w in opened[:3])
     assert opened[3] is alone
     assert not ep._rest
+    assert windows == [1] * 4  # an endpoint takes the next seq only
 
 
 def test_a_handshake_reentered_from_the_transport_is_refused():
@@ -1002,6 +1005,8 @@ def test_close_is_idempotent_and_final():
 def test_traffic_requires_established_state():
     init_assoc, _ = _pair()
     s_a, s_b = socket.socketpair()
+    for sock in (s_a, s_b):
+        sock.settimeout(2.0)  # a receive that lost its state check fails, not hangs
     try:
         ep = ChannelEndpoint(init_assoc, s_a)
         with pytest.raises(ChannelStateError):
@@ -1130,6 +1135,58 @@ def test_tamper_in_transit_alerts_peer():
         s_resp.close()
 
 
+def _refused_before_any_hmac(ep, step, error, hmac_calls, monkeypatch):
+    """Run ``step``, which must raise ``error``, and check that it left the
+    receive chain where it was and sent one ALERT, with no HMAC call
+    before that ALERT's seal; ``ep.transport`` is a _ScriptedTransport."""
+    before, sent = _chain_position(ep.assoc), len(ep.transport.sent)
+    hmac_at_seal, real_seal = [], channel_mod.seal_wire
+
+    def seal(*args):
+        hmac_at_seal.append(len(hmac_calls))
+        return real_seal(*args)
+
+    monkeypatch.setattr(channel_mod, "seal_wire", seal)
+    hmac_calls.clear()
+    with pytest.raises(error):
+        step()
+    assert hmac_at_seal == [0]
+    assert _chain_position(ep.assoc) == before
+    assert _sent_types(ep.transport)[sent:] == [MsgType.ALERT]
+    assert ep.state is ChannelState.CLOSED
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+@pytest.mark.parametrize(
+    "offer,error",
+    [(2, OutOfWindowError), (RESYNC_WINDOW, OutOfWindowError), (0, ReplayError)],
+    ids=["next+1", "next+window-1", "replay"],
+)
+def test_an_endpoint_takes_only_the_next_seq(mode, offer, error, hmac_calls, monkeypatch):
+    # over a stream no record goes missing, so an established endpoint
+    # refuses a gap, and an old seq, with the one generic alert and no
+    # chain walk; open_record, for datagrams, takes the same gap
+    init_ep, resp_ep, s_init, s_resp = _endpoint_pair(mode)
+    s_init.close()
+    s_resp.close()
+    # once wires[0] is accepted, wires[i] is at the next seq + i - 1
+    wires = [seal_wire(init_ep.assoc, MsgType.DATA, b"%d" % i) for i in range(RESYNC_WINDOW + 1)]
+    resp_ep.transport = _ScriptedTransport(wires[0] + wires[offer])
+    assert resp_ep.receive() == b"0"
+    _refused_before_any_hmac(resp_ep, resp_ep.receive, error, hmac_calls, monkeypatch)
+    if error is OutOfWindowError:
+        assert open_record(resp_ep.assoc, wires[offer]) == (MsgType.DATA, b"%d" % offer)
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
+def test_a_responder_takes_only_a_hello_at_seq_1(mode, hmac_calls, monkeypatch):
+    init_assoc, resp_assoc = _pair(mode)
+    seal_wire(init_assoc, MsgType.HELLO, bytes(HELLO_NONCE_LEN))  # seq 1, never sent
+    hello = seal_wire(init_assoc, MsgType.HELLO, bytes(HELLO_NONCE_LEN))
+    ep = ChannelEndpoint(resp_assoc, _ScriptedTransport(hello))
+    _refused_before_any_hmac(ep, ep.handshake, OutOfWindowError, hmac_calls, monkeypatch)
+
+
 def test_unexpected_hello_on_established_channel():
     init_ep, resp_ep, s_init, s_resp = _endpoint_pair()
     try:
@@ -1228,11 +1285,20 @@ def test_each_key_keys_one_message_domain(hmac_calls):
                 assert resp_ep.receive() == b"c2s-%d" % i
                 resp_ep.send(b"s2c-%d" % i)
                 assert init_ep.receive() == b"s2c-%d" % i
-            lost = seal_wire(init_ep.assoc, MsgType.DATA, b"forged on the way")
-            with pytest.raises(AuthenticationError):
-                open_record(resp_ep.assoc, _bad_tag(lost))
             init_ep.close()
             assert resp_ep.receive() is None
+        finally:
+            s_init.close()
+            s_resp.close()
+        # the reject travels the stream of a pair of its own, since it
+        # closes the endpoint that refuses it with an alert
+        init_ep, resp_ep, s_init, s_resp = _endpoint_pair(mode)
+        try:
+            s_init.sendall(_bad_tag(seal_wire(init_ep.assoc, MsgType.DATA, b"forged on the way")))
+            with pytest.raises(AuthenticationError):
+                resp_ep.receive()
+            with pytest.raises(ChannelAlert):
+                init_ep.receive()
         finally:
             s_init.close()
             s_resp.close()

@@ -27,6 +27,8 @@ from test_channel import _held, _opens, _pair
 
 # the sizes a scripted transport cuts a record into, then the rest at once
 CUTS = st.lists(st.integers(1, 80), max_size=6)
+# the seq bound of a delivery: an endpoint's, or open_record's
+WINDOWS = st.sampled_from((1, RESYNC_WINDOW))
 
 
 def _scripted_transport(wire, cuts):
@@ -75,18 +77,18 @@ class RecordLayer(RuleBasedStateMachine):
     def teardown(self):
         channel_mod._record_keys = self.derive
 
-    def _deliver(self, record, wire, cuts, genuine=True):
+    def _deliver(self, record, wire, cuts, window, genuine=True):
         """Frame ``wire`` out of a scripted transport and open it at the
-        receiver of ``record``'s way: a genuine record is accepted exactly
-        when its seq is past the receiver's and inside the window, and a
-        refused one leaves the receiver as it was."""
+        receiver of ``record``'s way with seq bound ``window``: a genuine
+        record is accepted exactly when its seq is past the receiver's and
+        inside the window, and a refused one leaves the receiver as it was."""
         receiver = self.ways[record.way][1]
         chain = receiver.recv_chain
         before = chain.snapshot(), receiver.highest_accepted_seq
-        in_window = chain.counter < record.seq <= chain.counter + RESYNC_WINDOW
+        in_window = chain.counter < record.seq <= chain.counter + window
         try:
             frame, header, rest = _read_frame(_scripted_transport(wire, cuts), b"")
-            _, payload = _open_frame(receiver, frame, header)
+            _, payload = _open_frame(receiver, frame, header, window)
         except KissError:
             assert (chain.snapshot(), receiver.highest_accepted_seq) == before
             assert not (genuine and in_window)
@@ -108,9 +110,9 @@ class RecordLayer(RuleBasedStateMachine):
         return record
 
     # which record goes next covers drops and reordering
-    @rule(record=sealed, cuts=CUTS)
-    def deliver(self, record, cuts):
-        self._deliver(record, record.wire, cuts)
+    @rule(record=sealed, cuts=CUTS, window=WINDOWS)
+    def deliver(self, record, cuts, window):
+        self._deliver(record, record.wire, cuts, window)
 
     @precondition(lambda self: self.accepted[0] or self.accepted[1])
     @rule(data=st.data())
@@ -118,18 +120,19 @@ class RecordLayer(RuleBasedStateMachine):
         way = data.draw(st.sampled_from([w for w in (0, 1) if self.accepted[w]]))
         seq = data.draw(st.sampled_from(sorted(self.accepted[way])))
         record = self.records[way][seq - 1]
-        self._deliver(record, record.wire, data.draw(CUTS))
+        self._deliver(record, record.wire, data.draw(CUTS), data.draw(WINDOWS))
 
-    @rule(record=sealed, bit=st.integers(0), cuts=CUTS)
-    def flip(self, record, bit, cuts):
+    @rule(record=sealed, bit=st.integers(0), cuts=CUTS, window=WINDOWS)
+    def flip(self, record, bit, cuts, window):
         wire = bytearray(record.wire)
         bit %= 8 * len(wire)
         wire[bit // 8] ^= 0x80 >> (bit % 8)
-        self._deliver(record, bytes(wire), cuts, genuine=False)
+        self._deliver(record, bytes(wire), cuts, window, genuine=False)
 
-    @rule(record=sealed, keep=st.integers(0), cuts=CUTS)
-    def truncate(self, record, keep, cuts):
-        self._deliver(record, record.wire[: 1 + keep % (len(record.wire) - 1)], cuts, genuine=False)
+    @rule(record=sealed, keep=st.integers(0), cuts=CUTS, window=WINDOWS)
+    def truncate(self, record, keep, cuts, window):
+        wire = record.wire[: 1 + keep % (len(record.wire) - 1)]
+        self._deliver(record, wire, cuts, window, genuine=False)
 
     # a forger rewrites the seq (header bytes 13-20) past the receiver's,
     # near both ends of the window and just beyond it, and guesses a tag
@@ -137,12 +140,13 @@ class RecordLayer(RuleBasedStateMachine):
         record=sealed,
         gap=st.one_of(st.integers(1, 4), st.integers(RESYNC_WINDOW - 1, RESYNC_WINDOW + 1)),
         bit=st.integers(0, 8 * 16 - 1),  # the last 16 bytes are tag in both modes
+        window=WINDOWS,
     )
-    def forge(self, record, gap, bit):
+    def forge(self, record, gap, bit, window):
         wire = bytearray(record.wire)
         wire[13:21] = (self.ways[record.way][1].recv_chain.counter + gap).to_bytes(8, "big")
         wire[-1 - bit // 8] ^= 1 << (bit % 8)
-        self._deliver(record, bytes(wire), [], genuine=False)
+        self._deliver(record, bytes(wire), [], window, genuine=False)
 
     @invariant()
     def no_sealing_key_repeats(self):

@@ -175,13 +175,16 @@ def test_without_cryptography_auth_only_runs_and_aead_is_refused(tmp_path):
         f"for pf, path in zip(generate_provision(mode=Mode.AEAD), ({str(init)!r}, {str(resp)!r})):\n"
         "    write_provision_file(pf, path)\n"
         f"ARGVS = [['server', '--provision', {str(resp)!r}],\n"
-        f"         ['client', '--provision', {str(init)!r}, '--connect', '127.0.0.1:9']]\n"
+        f"         ['client', '--provision', {str(init)!r}, '--connect', '127.0.0.1:9'],\n"
+        "         ['bench', '--suite', 'tls']]\n"
         + CLI_RUNS +
         "print(json.dumps([refusals, counters, codes, err]))"
     )
-    message = "AEAD needs the cryptography package: pip install cryptography"
+    message = "AEAD needs cryptography: pip install 'kiss-toolkit[aead]'"
     assert refusals == [message, message]
     assert counters[0] == counters[1]  # the refused record left the chain where it was
-    # both endpoints refuse before any socket: no_socket would have raised
-    assert codes == [1, 1]
-    assert err.splitlines() == [f"error: KissError: {message}"] * 2
+    # both endpoints refuse before any socket: no_socket would have raised;
+    # kiss bench, which needs cryptography throughout, names its extra
+    assert codes == [1, 1, 1]
+    bench = "kiss bench needs cryptography: pip install 'kiss-toolkit[aead]'"
+    assert err.splitlines() == [f"error: KissError: {message}"] * 2 + [f"error: KissError: {bench}"]
