@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, ProvisionError
-from .idvv import SECRET_LEN, IdvvState, _check_secret, idvv_init
+from .idvv import SECRET_LEN, IdvvState, _check_secret, idvv_init, idvv_peek
 
 LABEL_C2S = b"c2s"
 LABEL_S2C = b"s2c"
@@ -138,18 +138,25 @@ def _refuse(text: str) -> None:
 class Association:
     """Live endpoint state for one provisioned pair.
 
-    Single-owner mutation contract, same as the chains it holds: one
-    connection, one logical thread of control per direction. The chains
-    hold the seed; the root only derives value_0 and is not kept.
-    """
+    Single-owner, as are the chains it holds: one connection, one thread
+    of control per direction. The chains hold the seed; the root only
+    derives value_0 and is not kept. The receive position is stored once,
+    as ``recv_chain.counter``: ``highest_accepted_seq`` reads it."""
 
     assoc_id: bytes
     role: Role
     send_chain: IdvvState
     recv_chain: IdvvState
     mode: Mode
-    # always equals recv_chain.counter, which is what gates incoming seqs
-    highest_accepted_seq: int = field(default=0)
+
+    @property
+    def highest_accepted_seq(self) -> int:
+        return self.recv_chain.counter
+
+    @highest_accepted_seq.setter
+    def highest_accepted_seq(self, seq: int) -> None:
+        # forward only, as a record moves it; the benchmark's leaky-reject check writes it
+        self.recv_chain.commit(idvv_peek(self.recv_chain, seq), seq)
 
 
 def generate_provision(rng=None, mode: Mode = Mode.AUTH_ONLY) -> tuple[ProvisionFile, ProvisionFile]:

@@ -28,14 +28,12 @@ Record path, one call per layer per record. ``ChannelEndpoint.send``
 calls ``seal_wire``, the only code that seals: it takes the send chain's
 next value and seq in one ``head`` call, lands them with ``commit``,
 packs the header once and returns the wire bytes for one ``sendall``.
-``ChannelEndpoint.receive`` calls ``_read_frame``, which cuts the next
-record out of what the last ``recv`` left unread, asking
-``recv(READ_SIZE)`` when nothing is; a record one ``recv`` brought whole
-is opened where it lies, with no copy. A record that needs more reads is
-finished by ``_read_rest``, within the transport's timeout from its
-first byte. ``_parse_header`` is the one header parser. The parsed header
-goes straight to ``_open_frame``, the verify-and-commit step that
-``open_record`` also runs after its exact-length check.
+``handshake`` and ``receive`` read only through ``_next_record``. Its
+``_read_frame`` cuts the next record out of what the last ``recv`` left
+unread, asking ``recv(READ_SIZE)`` when nothing is, and copies no record
+one ``recv`` brought whole; ``_read_rest`` finishes any other within one
+transport timeout. The header, parsed once, goes straight to
+``_open_frame``, the verify-and-commit step ``open_record`` also runs.
 
 ``seal`` and ``encode_record`` are the names the benchmark calls, as
 ``encode_record(seal(...))``, and its tracer wraps: both give
@@ -259,7 +257,6 @@ def _open_frame(assoc, wire, header, window):
             raise AuthenticationError("record tag verification failed") from None
 
     chain.commit(value, seq)
-    assoc.highest_accepted_seq = seq
     return msg_type, plaintext
 
 
@@ -361,21 +358,13 @@ class ChannelEndpoint:
         if self.state is not ChannelState.NEW:
             raise ChannelStateError(f"handshake in state {self.state.value}")
         self.state = ChannelState.HANDSHAKING
-        assoc = self.assoc
-        initiator = assoc.role is Role.INITIATOR
+        initiator = self.assoc.role is Role.INITIATOR
         expected = MsgType.HELLO_ACK if initiator else MsgType.HELLO
         try:
             if initiator:
                 nonce = bytes(self._rng(HELLO_NONCE_LEN))
-                self.transport.sendall(seal_wire(assoc, MsgType.HELLO, nonce))
-            frame = _read_frame(self.transport, self._rest)
-            if frame is None:
-                raise TransportError("connection closed during the handshake")
-            wire, header, self._rest = frame
-            msg_type, payload = _open_frame(assoc, wire, header, 1)  # the next seq only
-            if msg_type is _ALERT:
-                self.state = ChannelState.CLOSED  # so _fail sends no alert back
-                raise ChannelAlert("peer reported a protocol failure")
+                self.transport.sendall(seal_wire(self.assoc, MsgType.HELLO, nonce))
+            msg_type, payload = self._next_record("during the handshake")
             if msg_type is not expected:
                 raise HandshakeError(
                     f"expected {expected.name.lower().replace('_', '-')}, "
@@ -387,7 +376,7 @@ class ChannelEndpoint:
             else:
                 if len(payload) != HELLO_NONCE_LEN:
                     raise HandshakeError(f"hello payload must be {HELLO_NONCE_LEN} bytes")
-                self.transport.sendall(seal_wire(assoc, MsgType.HELLO_ACK, payload))
+                self.transport.sendall(seal_wire(self.assoc, MsgType.HELLO_ACK, payload))
         except (KissError, OSError) as exc:
             raise self._fail(exc)
         self.state = _ESTABLISHED
@@ -407,25 +396,17 @@ class ChannelEndpoint:
         if self.state is not _ESTABLISHED:
             raise ChannelStateError(f"receive in state {self.state.value}")
         try:
-            # the transport is looked up per record: callers may swap it
-            frame = _read_frame(self.transport, self._rest)
-            if frame is None:
-                raise TransportError("connection closed without a close record")
-            wire, header, self._rest = frame
-            msg_type, payload = _open_frame(self.assoc, wire, header, 1)  # the next seq only
+            msg_type, payload = self._next_record("without a close record")
+            if msg_type is _DATA:
+                return payload
+            if msg_type is MsgType.CLOSE:
+                self.state = ChannelState.CLOSED
+                return None
+            raise ChannelStateError(
+                f"unexpected {msg_type.name.lower()} record on established channel"
+            )
         except (KissError, OSError) as exc:
             raise self._fail(exc)
-        if msg_type is _DATA:
-            return payload
-        if msg_type is MsgType.CLOSE:
-            self.state = ChannelState.CLOSED
-            return None
-        if msg_type is _ALERT:
-            self.state = ChannelState.CLOSED  # so no alert goes back
-            raise ChannelAlert("peer reported a protocol failure")
-        raise self._fail(ChannelStateError(
-            f"unexpected {msg_type.name.lower()} record on established channel"
-        ))
 
     def close(self) -> None:
         """Announce an orderly shutdown. Idempotent once closed."""
@@ -440,6 +421,18 @@ class ChannelEndpoint:
             raise self._fail(exc)
 
     # -- internals ---------------------------------------------------
+
+    def _next_record(self, eof: str):
+        """The next record's type and payload, at the next seq only."""
+        frame = _read_frame(self.transport, self._rest)  # callers may swap the transport
+        if frame is None:
+            raise TransportError(f"connection closed {eof}")
+        wire, header, self._rest = frame
+        msg_type, payload = _open_frame(self.assoc, wire, header, 1)
+        if msg_type is _ALERT:
+            self.state = ChannelState.CLOSED  # so _fail sends no alert back
+            raise ChannelAlert("peer reported a protocol failure")
+        return msg_type, payload
 
     def _fail(self, exc: Exception) -> KissError:
         """Best-effort generic alert, unless closed, then close; return the

@@ -8,23 +8,21 @@ criterion is visible in both the live output and the pytest summary.
 import hashlib
 import os
 import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from oracles import RFC4231_CASES, chain_values_ref
+from test_cli import CLI, _start_server
 
 from kiss.association import Mode, ProvisionFile, Role, load_association
 from kiss.bench import HEADLINE_CASES, TLS_CASE, core_line_count, headline_summary, run_suite
-from kiss.channel import RESYNC_WINDOW, MsgType, encode_record, open_record, seal
+from kiss.channel import RESYNC_WINDOW, MsgType, open_record, seal_wire
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import KissError, OutOfWindowError
 from kiss.idvv import idvv_init
 from kiss.randomness import ALL_TESTS, generate_stream, run_battery
-
-CLI = [sys.executable, "-m", "kiss.cli"]
 
 
 def _verdict(capsys, name, ok, detail):
@@ -114,7 +112,7 @@ def test_acceptance_3_channel_integrity(capsys):
             sender, receiver = _fixed_pair(mode)
             payload = bytes(i & 0xFF for i in range(size))
             for _ in range(1000):
-                wire = encode_record(seal(sender, MsgType.DATA, payload))
+                wire = seal_wire(sender, MsgType.DATA, payload)
                 got_type, got = open_record(receiver, wire)
                 assert got_type is MsgType.DATA and got == payload
                 round_trips += 1
@@ -122,7 +120,7 @@ def test_acceptance_3_channel_integrity(capsys):
     flips = rejected = 0
     for mode in (Mode.AUTH_ONLY, Mode.AEAD):
         sender, receiver = _fixed_pair(mode)
-        wire = encode_record(seal(sender, MsgType.DATA, bytes(range(64))))
+        wire = seal_wire(sender, MsgType.DATA, bytes(range(64)))
         for bit in range(len(wire) * 8):
             mutated = bytearray(wire)
             mutated[bit // 8] ^= 1 << (bit % 8)
@@ -151,7 +149,7 @@ def test_acceptance_4_antireplay_resync(capsys):
     wires = {}
     # gaps 1, 2 and the window land on seq 1, 3 and 3 + window; one past it on 4 + 2 * window
     for seq in range(1, 4 + 2 * window + 1):
-        wires[seq] = encode_record(seal(sender, MsgType.DATA, b"seq-%02d" % seq))
+        wires[seq] = seal_wire(sender, MsgType.DATA, b"seq-%02d" % seq)
 
     outcomes = []
     for gap in (1, 2, window):
@@ -273,14 +271,10 @@ def test_acceptance_8_end_to_end_smoke(capsys, tmp_path):
     )
     assert provision.returncode == 0, provision.stderr
 
-    server = subprocess.Popen(
-        CLI + ["server", "--provision", str(tmp_path / "responder.prov"),
-               "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    server, port = _start_server(
+        tmp_path / "responder.prov", "--listen", "127.0.0.1:0", env=env
     )
     try:
-        banner = server.stderr.readline().strip()
-        port = int(banner.rpartition(":")[2])
         client = subprocess.run(
             CLI + ["client", "--provision", str(tmp_path / "initiator.prov"),
                    "--connect", f"127.0.0.1:{port}", "--count", "1000"],

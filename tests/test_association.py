@@ -23,7 +23,7 @@ from kiss.association import (
     read_provision_file,
     write_provision_file,
 )
-from kiss.channel import RESYNC_WINDOW, MsgType, encode_record, open_record, seal
+from kiss.channel import RESYNC_WINDOW, MsgType, open_record, seal_wire
 from kiss.errors import (
     InvalidParameterError,
     OutOfWindowError,
@@ -390,10 +390,10 @@ def test_generated_pair_survives_traffic_both_directions():
     resp_assoc = load_association(resp_pf)
     for i in range(100):
         payload = b"fwd-%04d" % i
-        wire = encode_record(seal(init_assoc, MsgType.DATA, payload))
+        wire = seal_wire(init_assoc, MsgType.DATA, payload)
         assert open_record(resp_assoc, wire) == (MsgType.DATA, payload)
         reply = b"rev-%04d" % i
-        wire = encode_record(seal(resp_assoc, MsgType.DATA, reply))
+        wire = seal_wire(resp_assoc, MsgType.DATA, reply)
         assert open_record(init_assoc, wire) == (MsgType.DATA, reply)
 
 
@@ -402,7 +402,7 @@ def _sealed_by_seq(n):
     init_pf, resp_pf = generate_provision()
     sender, receiver = load_association(init_pf), load_association(resp_pf)
     wires = [b""] + [
-        encode_record(seal(sender, MsgType.DATA, b"seq-%d" % seq)) for seq in range(1, n + 1)
+        seal_wire(sender, MsgType.DATA, b"seq-%d" % seq) for seq in range(1, n + 1)
     ]
     return receiver, wires
 

@@ -79,7 +79,7 @@ def _pair(mode=Mode.AUTH_ONLY):
 
 def _sealed(sender, n, mode_payload=b"payload-%02d"):
     return [
-        encode_record(seal(sender, MsgType.DATA, mode_payload % i)) for i in range(n)
+        seal_wire(sender, MsgType.DATA, mode_payload % i) for i in range(n)
     ]
 
 
@@ -88,13 +88,13 @@ def _sealed(sender, n, mode_payload=b"payload-%02d"):
 
 def test_empty_auth_record_is_57_bytes():
     sender, _ = _pair()
-    wire = encode_record(seal(sender, MsgType.DATA, b""))
+    wire = seal_wire(sender, MsgType.DATA, b"")
     assert len(wire) == 57 == HEADER_LEN + 0 + 32
 
 
 def test_empty_aead_record_is_41_bytes():
     sender, _ = _pair(Mode.AEAD)
-    wire = encode_record(seal(sender, MsgType.DATA, b""))
+    wire = seal_wire(sender, MsgType.DATA, b"")
     assert len(wire) == 41 == HEADER_LEN + 0 + 16
 
 
@@ -110,7 +110,7 @@ def test_encode_decode_round_trip():
 
 def _wire(msg_type=MsgType.DATA, payload=b"hi"):
     sender, _ = _pair()
-    return encode_record(seal(sender, msg_type, payload))
+    return seal_wire(sender, msg_type, payload)
 
 
 def _open_refused(wire):
@@ -210,7 +210,7 @@ def test_sealing_at_the_last_counter_raises_chain_exhausted(mode):
 def test_round_trip_sizes(mode, size):
     sender, receiver = _pair(mode)
     payload = bytes(i & 0xFF for i in range(size))
-    wire = encode_record(seal(sender, MsgType.DATA, payload))
+    wire = seal_wire(sender, MsgType.DATA, payload)
     assert open_record(receiver, wire) == (MsgType.DATA, payload)
 
 
@@ -218,7 +218,7 @@ def test_round_trip_sizes(mode, size):
 @given(payload=st.binary(max_size=300), mode=st.sampled_from([Mode.AUTH_ONLY, Mode.AEAD]))
 def test_property_round_trip(payload, mode):
     sender, receiver = _pair(mode)
-    wire = encode_record(seal(sender, MsgType.DATA, payload))
+    wire = seal_wire(sender, MsgType.DATA, payload)
     assert open_record(receiver, wire) == (MsgType.DATA, payload)
 
 
@@ -240,21 +240,21 @@ def test_same_payload_never_repeats_tag():
 def test_aead_hides_payload():
     sender, receiver = _pair(Mode.AEAD)
     secret = b"attack at dawn, again and again"
-    wire = encode_record(seal(sender, MsgType.DATA, secret))
+    wire = seal_wire(sender, MsgType.DATA, secret)
     assert secret not in wire
     assert open_record(receiver, wire) == (MsgType.DATA, secret)
 
 
 def test_auth_only_payload_in_clear():
     sender, _ = _pair(Mode.AUTH_ONLY)
-    wire = encode_record(seal(sender, MsgType.DATA, b"broadcast telemetry"))
+    wire = seal_wire(sender, MsgType.DATA, b"broadcast telemetry")
     assert b"broadcast telemetry" in wire
 
 
 @pytest.mark.parametrize("mode", [Mode.AUTH_ONLY, Mode.AEAD])
 def test_tamper_rejected_without_burning_state(mode):
     sender, receiver = _pair(mode)
-    wire = encode_record(seal(sender, MsgType.DATA, b"genuine-payload"))
+    wire = seal_wire(sender, MsgType.DATA, b"genuine-payload")
     for offset in (0, 2, 3, 4, 5, 12, 20, HEADER_LEN, len(wire) - 1):
         flipped = bytearray(wire)
         flipped[offset] ^= 0x01
@@ -335,7 +335,7 @@ def test_wrong_assoc_id():
         bytes.fromhex("ffffffffffffffff"), Role.RESPONDER, Mode.AUTH_ONLY, SEED, ROOT
     )
     receiver = load_association(other_pf)
-    wire = encode_record(seal(sender, MsgType.DATA, b"hi"))
+    wire = seal_wire(sender, MsgType.DATA, b"hi")
     with pytest.raises(AssociationError):
         open_record(receiver, wire)
 
@@ -343,7 +343,7 @@ def test_wrong_assoc_id():
 def test_mode_mismatch():
     sender, _ = _pair(Mode.AEAD)
     _, receiver = _pair(Mode.AUTH_ONLY)
-    wire = encode_record(seal(sender, MsgType.DATA, b"hi"))
+    wire = seal_wire(sender, MsgType.DATA, b"hi")
     with pytest.raises(FrameError) as err:
         open_record(receiver, wire)
     assert err.value.field == "mode"
@@ -351,7 +351,7 @@ def test_mode_mismatch():
 
 def test_replay_rejected():
     sender, receiver = _pair()
-    wire = encode_record(seal(sender, MsgType.DATA, b"once"))
+    wire = seal_wire(sender, MsgType.DATA, b"once")
     assert open_record(receiver, wire)[1] == b"once"
     with pytest.raises(ReplayError):
         open_record(receiver, wire)
@@ -415,7 +415,7 @@ def test_property_seq_gate_follows_highest_accepted(data):
 def test_forged_record_at_the_window_cap_costs_one_chain_walk(hmac_calls):
     window = RESYNC_WINDOW
     sender, receiver = _pair()
-    genuine = encode_record(seal(sender, MsgType.DATA, b"genuine"))
+    genuine = seal_wire(sender, MsgType.DATA, b"genuine")
     # a forger with no key copies a header, picks the seq, guesses a tag;
     # the receiver is at counter 0, so the seq is the gap. An auth-only
     # forgery inside the window costs the gap's steps less the one the
@@ -464,7 +464,7 @@ def test_read_record_splits_stream():
 
 def test_read_record_handles_dribble():
     sender, _ = _pair()
-    wire = encode_record(seal(sender, MsgType.DATA, b"slow network"))
+    wire = seal_wire(sender, MsgType.DATA, b"slow network")
     stream = io.BytesIO(wire)
     transport = types.SimpleNamespace(recv=lambda n: stream.read(min(n, 1)))
     assert _read_frame(transport, b"")[0] == wire
@@ -472,7 +472,7 @@ def test_read_record_handles_dribble():
 
 def test_read_record_whole_record_in_one_recv_then_eof():
     sender, _ = _pair()
-    wire = encode_record(seal(sender, MsgType.DATA, b"all at once"))
+    wire = seal_wire(sender, MsgType.DATA, b"all at once")
     stream = io.BytesIO(wire)
     asked = []
 
@@ -489,7 +489,7 @@ def test_read_record_whole_record_in_one_recv_then_eof():
 
 def test_read_record_mid_record_eof():
     sender, _ = _pair()
-    wire = encode_record(seal(sender, MsgType.DATA, b"cut short"))
+    wire = seal_wire(sender, MsgType.DATA, b"cut short")
     stream = io.BytesIO(wire[:-3])
     with pytest.raises(TransportError):
         _read_frame(types.SimpleNamespace(recv=stream.read), b"")
@@ -606,12 +606,13 @@ def test_a_handshake_reentered_from_the_transport_is_refused():
     assert ep.state is ChannelState.CLOSED
 
 
-def test_handshake_answers_a_peer_alert_by_closing_silently():
+@pytest.mark.parametrize("step", ["handshake", "receive"])
+def test_an_endpoint_answers_a_peer_alert_by_closing_silently(step):
     init_assoc, resp_assoc = _pair()
     transport = _ScriptedTransport(seal_wire(init_assoc, MsgType.ALERT, b""))
-    ep = ChannelEndpoint(resp_assoc, transport)
+    ep = (_established if step == "receive" else ChannelEndpoint)(resp_assoc, transport)
     with pytest.raises(ChannelAlert):
-        ep.handshake()
+        getattr(ep, step)()
     assert ep.state is ChannelState.CLOSED
     assert transport.sent == []  # an alert is not answered with an alert
 
@@ -1068,7 +1069,7 @@ def test_handshake_tampered_echo():
         wire, _, _ = _read_frame(s_resp, b"")
         _, nonce = open_record(resp_assoc, wire)
         mangled = bytes([nonce[0] ^ 0x01]) + nonce[1:]
-        s_resp.sendall(encode_record(seal(resp_assoc, MsgType.HELLO_ACK, mangled)))
+        s_resp.sendall(seal_wire(resp_assoc, MsgType.HELLO_ACK, mangled))
 
     t = threading.Thread(target=evil_responder)
     t.start()
@@ -1090,7 +1091,7 @@ def test_handshake_wrong_ack_type():
     def confused_responder():
         wire, _, _ = _read_frame(s_resp, b"")
         open_record(resp_assoc, wire)
-        s_resp.sendall(encode_record(seal(resp_assoc, MsgType.DATA, b"eager")))
+        s_resp.sendall(seal_wire(resp_assoc, MsgType.DATA, b"eager"))
 
     t = threading.Thread(target=confused_responder)
     t.start()
@@ -1106,7 +1107,7 @@ def test_handshake_wrong_ack_type():
 def test_responder_rejects_short_hello():
     init_assoc, resp_assoc = _pair()
     s_init, s_resp = _timed_socketpair()
-    s_init.sendall(encode_record(seal(init_assoc, MsgType.HELLO, b"tiny")))
+    s_init.sendall(seal_wire(init_assoc, MsgType.HELLO, b"tiny"))
     resp_ep = ChannelEndpoint(resp_assoc, s_resp)
     try:
         with pytest.raises(HandshakeError):
@@ -1120,7 +1121,7 @@ def test_responder_rejects_short_hello():
 def test_tamper_in_transit_alerts_peer():
     init_ep, resp_ep, s_init, s_resp = _endpoint_pair()
     try:
-        wire = bytearray(encode_record(seal(init_ep.assoc, MsgType.DATA, b"real")))
+        wire = bytearray(seal_wire(init_ep.assoc, MsgType.DATA, b"real"))
         wire[HEADER_LEN] ^= 0x01  # corrupt the payload in transit
         s_init.sendall(bytes(wire))
         with pytest.raises(AuthenticationError):
@@ -1190,7 +1191,7 @@ def test_a_responder_takes_only_a_hello_at_seq_1(mode, hmac_calls, monkeypatch):
 def test_unexpected_hello_on_established_channel():
     init_ep, resp_ep, s_init, s_resp = _endpoint_pair()
     try:
-        s_init.sendall(encode_record(seal(init_ep.assoc, MsgType.HELLO, b"\0" * 16)))
+        s_init.sendall(seal_wire(init_ep.assoc, MsgType.HELLO, b"\0" * 16))
         with pytest.raises(ChannelStateError):
             resp_ep.receive()
         with pytest.raises(ChannelAlert):

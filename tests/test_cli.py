@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through subprocesses."""
 
 import os
+import selectors
 import signal
 import socket
 import subprocess
@@ -31,18 +32,29 @@ def run_cli(*args, env_extra=None, timeout=120):
     )
 
 
-def _start_server(provision_path, *args):
-    """Spawn the echo server; return (process, bound_port)."""
+def _start_server(provision_path, *args, env=None):
+    """Spawn the echo server; return (process, bound_port) once its banner
+    names the port. A server with no banner within 30 s, or a wrong one,
+    is killed and reaped before the test fails."""
     proc = subprocess.Popen(
         CLI + ["server", "--provision", str(provision_path), *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=env,
     )
-    line = proc.stderr.readline().strip()
-    assert line.startswith("listening "), f"unexpected server banner: {line!r}"
-    port = int(line.rpartition(":")[2])
-    return proc, port
+    try:
+        with selectors.DefaultSelector() as banner:
+            banner.register(proc.stderr, selectors.EVENT_READ)
+            if not banner.select(timeout=30):
+                pytest.fail("no server banner within 30 s")
+        line = proc.stderr.readline().strip()
+        assert line.startswith("listening "), f"unexpected server banner: {line!r}"
+        return proc, int(line.rpartition(":")[2])
+    except BaseException:
+        proc.kill()
+        proc.communicate()
+        raise
 
 
 # -- provision ----------------------------------------------------------

@@ -13,9 +13,8 @@ from kiss.channel import (
     KEY_LABEL_MAC,
     KEY_LABEL_NONCE,
     MsgType,
-    encode_record,
     open_record,
-    seal,
+    seal_wire,
 )
 from kiss.errors import (
     ChainExhaustedError,
@@ -311,7 +310,7 @@ def _traced_record_keys(keys, mode, records):
     sender, receiver = _record_pair(mode)
     wires = []
     for seq in range(1, records + 1):
-        wire = encode_record(seal(sender, MsgType.DATA, b"record-%d" % seq))
+        wire = seal_wire(sender, MsgType.DATA, b"record-%d" % seq)
         trace["seal", seq] = keys[-1]
         assert open_record(receiver, wire) == (MsgType.DATA, b"record-%d" % seq)
         trace["open", seq] = keys[-1]
