@@ -4,7 +4,7 @@ One runner, ``run_suite(suite, sizes, duration)``, times one row per
 case and size of a suite's row table and returns one ``BenchReport``:
 
 * ``primitives`` times raw crypto operations (hashing, MAC, AEAD,
-  signatures, the chain step ``head`` then ``commit`` that
+  signatures, the chain step ``idvv_peek`` then ``commit`` that
   ``seal_wire`` makes, record sealing, and a record sealed and
   opened in memory in each mode) over counter-filled buffers so runs
   are byte-comparable.
@@ -68,7 +68,7 @@ from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LE
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, _read_to, seal_wire
 from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import InvalidParameterError, TransportError
-from .idvv import _hmac_new, idvv_init
+from .idvv import _hmac_new, idvv_init, idvv_peek
 
 # the TLS baseline's case name, which every ratio is taken against, and
 # its certificate's host
@@ -287,7 +287,7 @@ def _summarise(case: str, size: int, note: str, batch: int, times: list[float]) 
 
 
 def _counter_buffer(size: int) -> bytes:
-    return bytes(i & 0xFF for i in range(size))
+    return (bytes(range(256)) * (size // 256 + 1))[:size]
 
 
 def _bench_assoc(role: Role = Role.INITIATOR, mode: Mode = Mode.AUTH_ONLY) -> Association:
@@ -331,7 +331,12 @@ def _ecdsa_op(msg: bytes, stack: contextlib.ExitStack):
 
 def _step_op(msg: bytes, stack: contextlib.ExitStack):
     state = idvv_init(DEMO_SEED, DEMO_ROOT, b"bench")
-    return (lambda: state.commit(*state.head())), ""
+
+    def step():
+        seq = state.counter + 1
+        state.commit(idvv_peek(state, seq), seq)
+
+    return step, ""
 
 
 def _seal_op(msg: bytes, stack: contextlib.ExitStack):

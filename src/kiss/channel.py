@@ -14,19 +14,18 @@ over header and payload; in AEAD mode the payload field carries the
 AES-256-GCM ciphertext and the tag field its 16-byte GCM tag, with the
 header as associated data.
 
-Receive-side rules. Nothing is committed until the tag verifies: the
-receiver gets the record's chain value from its live chain without
-moving it (``IdvvState.head`` at the next seq, ``idvv_peek`` past it)
-and commits it only once the tag is good, so a flood of garbage cannot
-desynchronize the endpoint or burn window state. Each receive path has
-one seq bound: an endpoint takes only the next seq, as a stream cannot
-lose a record without failing; ``open_record``, for datagrams, takes
-one up to ``RESYNC_WINDOW`` past the last accepted. A seq past the bound
-is refused before any HMAC call, an old one by ``idvv_peek``.
+Receive-side rules. Nothing is committed until the tag verifies: one
+``idvv_peek`` at the record's seq reads its value off the live chain,
+and ``commit`` lands it only once the tag is good, so a flood of garbage
+cannot desynchronize the endpoint or burn window state. Each receive
+path has one seq bound: an endpoint takes only the next seq, as a stream
+cannot lose a record without failing; ``open_record``, for datagrams,
+takes one up to ``RESYNC_WINDOW`` past the last accepted. A seq past the
+bound is refused before any HMAC call, an old one by ``idvv_peek``.
 
 Record path, one call per layer per record. ``ChannelEndpoint.send``
-calls ``seal_wire``, the only code that seals: it takes the send chain's
-next value and seq in one ``head`` call, lands them with ``commit``,
+calls ``seal_wire``, the only code that seals: it reads the send chain's
+next value with ``idvv_peek`` at ``counter + 1``, lands it with ``commit``,
 packs the header once and returns the wire bytes for one ``sendall``.
 ``handshake`` and ``receive`` read only through ``_next_record``. Its
 ``_read_frame`` cuts the next record out of what the last ``recv`` left
@@ -180,7 +179,8 @@ def seal_wire(assoc: Association, msg_type: MsgType, payload: bytes) -> bytes:
     if size > MAX_PAYLOAD:
         raise InvalidParameterError(f"payload {size} exceeds cap {MAX_PAYLOAD}")
     mode, chain = assoc.mode, assoc.send_chain
-    value, seq = chain.head()
+    seq = chain.counter + 1
+    value = idvv_peek(chain, seq)
     key, nonce = _record_keys(value, mode)
     chain.commit(value, seq)
     auth_only = mode is _AUTH_ONLY
@@ -236,12 +236,10 @@ def _open_frame(assoc, wire, header, window):
             field="mode",
         )
     chain = assoc.recv_chain
-    value, next_seq = chain.head()
-    if seq != next_seq:
-        gap = seq - next_seq + 1
-        if gap > window:
-            raise OutOfWindowError(f"gap {gap} exceeds window {window}")
-        value = idvv_peek(chain, seq)  # refuses a replay: seq <= counter
+    gap = seq - chain.counter
+    if gap > window:
+        raise OutOfWindowError(f"gap {gap} exceeds window {window}")
+    value = idvv_peek(chain, seq)  # refuses a replay: seq <= counter
     key, nonce = _record_keys(value, mode)
     if mode is _AUTH_ONLY:
         if not hmac.compare_digest(_hmac_new(key, wire[:end], "sha256").digest(), wire[end:]):

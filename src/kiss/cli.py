@@ -30,7 +30,7 @@ from .channel import ChannelEndpoint, load_aead
 from .defaults import DEFAULT_ALPHA, DEFAULT_SIZES, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
 from .defaults import DEMO_ROOT, DEMO_SEED
 from .errors import KissError
-from .idvv import SECRET_LEN, idvv_init
+from .idvv import SECRET_LEN, idvv_init, idvv_peek
 
 log = logging.getLogger("kiss")
 
@@ -241,8 +241,8 @@ def cmd_vectors(args) -> int:
     print(f"root = {root.hex()}")
     print(f"label = {args.label}")
     print(f"v0 = {v0[0].hex()}")
-    for _ in range(args.count - 1):
-        value, seq = state.head()
+    for seq in range(1, args.count):
+        value = idvv_peek(state, seq)
         print(f"v{seq} = {value.hex()}")
         state.commit(value, seq)
     return 0

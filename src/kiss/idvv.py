@@ -22,15 +22,14 @@ used: going back means recovering a PRF key from its output. Python
 cannot scrub immutable ``bytes``, so the module holds every secret in
 plain ``bytes``, pretends to wipe none, and uses no ctypes.
 
-``idvv_init`` starts a chain. ``IdvvState.commit`` is the one place a
-chain moves forward: it lands a value that ``IdvvState.head`` (the next
-unused value and its counter, in one call) or ``idvv_peek`` (a later
-value) gave. The record layer seals with ``head`` then ``commit``, and
-opens with ``head`` at the next seq or ``idvv_peek`` past it, then
-``commit`` once the tag verifies. ``kiss vectors`` and the bench's
-``idvv-step`` row step the same way, ``head`` then ``commit``. The
-battery's keystream is one ``idvv_peek`` walk (``out``). Record keys are
-derived from chain values in ``kiss.channel``.
+``idvv_init`` starts a chain, which then has one read and one move:
+``idvv_peek`` gives the value at a later counter (the next, ``counter +
+1``, with no PRF call) and ``IdvvState.commit`` lands it. The record
+layer seals with both at ``counter + 1`` and opens with both at the
+record's seq, committing once the tag verifies; ``kiss vectors`` and the
+bench's ``idvv-step`` row step as sealing does. The battery's keystream
+is one ``idvv_peek`` walk (``out``). Record keys are derived from chain
+values in ``kiss.channel``.
 
 The PRF is an OpenSSL HMAC context, called in one form everywhere,
 ``_hmac_new(key, msg, "sha256").digest()``, with no Python frame around
@@ -77,14 +76,8 @@ class IdvvState:
     def counter(self) -> int:
         return self._counter
 
-    def head(self) -> tuple[bytes, int]:
-        """The next unused value and its counter, in one call and without
-        moving the chain: what a record is keyed from before
-        :meth:`commit` lands it."""
-        return self._next, self._counter + 1
-
     def commit(self, value: bytes, counter: int) -> None:
-        """Move to ``counter``, whose value :meth:`head` or :func:`idvv_peek`
+        """The chain's one move: to ``counter``, whose value :func:`idvv_peek`
         gave, keeping only the value after it."""
         if counter <= self._counter:
             raise ReplayError(f"counter {counter} not beyond current {self._counter}")

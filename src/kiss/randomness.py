@@ -586,15 +586,18 @@ def run_battery(
     call and joined before it returns, tests each stream while the next
     is drawn. While ``ALL_TESTS`` holds a test the caller put there, each
     trial is tested in the calling process instead. An ``n_bits`` below
-    the highest ``MIN_BITS`` (serial's) is refused before any stream is
-    drawn, and a shorter stream from the factory before the next is
-    drawn.
+    the highest ``MIN_BITS`` (serial's), or an ``alpha`` whose pass floor
+    over ``trials`` is 0, is refused before any stream is drawn, and a
+    shorter stream from the factory before the next is drawn.
     """
     if trials < 20:
         # below ~20 trials the proportion bound has no resolving power
         raise InvalidParameterError(f"trials must be >= 20, got {trials}")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
+    if min_pass_count(trials, alpha) == 0:
+        # a pass floor of 0 passes a test that no trial passed
+        raise InvalidParameterError(f"alpha {alpha} over {trials} trials sets a pass floor of 0")
     floor, name = max((bits, name) for name, bits in MIN_BITS.items())
     if n_bits < floor:
         raise InvalidParameterError(

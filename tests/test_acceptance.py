@@ -21,7 +21,7 @@ from kiss.bench import HEADLINE_CASES, TLS_CASE, core_line_count, headline_summa
 from kiss.channel import RESYNC_WINDOW, MsgType, open_record, seal_wire
 from kiss.cli import DEMO_ROOT, DEMO_SEED
 from kiss.errors import KissError, OutOfWindowError
-from kiss.idvv import idvv_init
+from kiss.idvv import idvv_init, idvv_peek
 from kiss.randomness import ALL_TESTS, generate_stream, run_battery
 
 
@@ -54,9 +54,11 @@ def test_acceptance_1_chain_synchronization(capsys):
         (initiator.recv_chain, responder.send_chain),
     ):
         for _ in range(steps):
-            va, sa = a_chain.head()
+            sa = a_chain.counter + 1
+            va = idvv_peek(a_chain, sa)
             a_chain.commit(va, sa)
-            vb, sb = b_chain.head()
+            sb = b_chain.counter + 1
+            vb = idvv_peek(b_chain, sb)
             b_chain.commit(vb, sb)
             if va != vb or a_chain.counter != b_chain.counter:
                 mismatches += 1
@@ -90,8 +92,8 @@ def test_acceptance_2_oracle_equivalence(capsys):
         if v0 != ref[:1]:
             mismatches += 1
         for i in range(1, steps + 1):
-            value, seq = state.head()
-            state.commit(value, seq)
+            value = idvv_peek(state, i)
+            state.commit(value, i)
             if value != ref[i] or state.counter != i:
                 mismatches += 1
     ok = mismatches == 0

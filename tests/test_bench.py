@@ -140,6 +140,11 @@ def _primitive_op(name):
     return op
 
 
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 65_539])
+def test_counter_buffer_counts_bytes_0_to_255_and_round_again(size):
+    assert bench_mod._counter_buffer(size) == bytes(i & 0xFF for i in range(size))
+
+
 @pytest.mark.parametrize("name", _SUITES["primitives"])
 def test_every_primitive_op_runs(name):
     op = _primitive_op(name)

@@ -164,6 +164,15 @@ def test_vectors_custom_inputs():
     assert "v2" not in got
 
 
+def test_vectors_count_one_prints_v0_and_no_step():
+    result = run_cli("vectors", "--count", "1")
+    assert result.returncode == 0
+    v0 = chain_values_ref(bytes(32), bytes(32), b"c2s", 0)[0]
+    assert result.stdout == (
+        f"seed = {'00' * 32}\nroot = {'00' * 32}\nlabel = c2s\nv0 = {v0.hex()}\n"
+    )
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_vectors_count_below_one_exits_one(count):
     result = run_cli("vectors", "--count", count)
@@ -465,6 +474,14 @@ def test_randomness_rejects_bad_parameters():
         "randomness", "--bits", "70000", "--trials", "20", "--alpha", "0"
     ).returncode == 1
     assert run_cli("randomness", "--seed", "abc").returncode == 1
+
+
+def test_randomness_refuses_an_alpha_whose_pass_floor_is_0():
+    result = run_cli("randomness", "--bits", "70000", "--trials", "20", "--alpha", "0.999999")
+    assert result.returncode == 1
+    assert "alpha 0.999999 over 20 trials sets a pass floor of 0" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_randomness_interrupt_exits_one_and_leaves_no_process():

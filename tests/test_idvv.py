@@ -52,9 +52,10 @@ def _held(state):
 
 
 def _step(state):
-    """The sender's step, as ``seal_wire`` makes it: ``head``, then
-    ``commit`` of what it gave."""
-    value, seq = state.head()
+    """The sender's step, as ``seal_wire`` makes it: ``idvv_peek`` at
+    ``counter + 1``, then ``commit`` of what it gave."""
+    seq = state.counter + 1
+    value = idvv_peek(state, seq)
     state.commit(value, seq)
     return value
 
@@ -251,13 +252,13 @@ def test_chain_reaches_the_last_counter_and_stops():
     sender = IdvvState.from_snapshot(
         SEED, {"counter": MAX_COUNTER - 1, "value": "00" * 32, "label": b"c2s".hex()}
     )
-    sender.commit(*sender.head())
+    _step(sender)
     for state in (receiver, sender):
         assert state.counter == MAX_COUNTER
         with pytest.raises(ChainExhaustedError):
             idvv_peek(state, MAX_COUNTER + 1)
         with pytest.raises(ChainExhaustedError):
-            state.commit(*state.head())
+            state.commit(bytes(32), MAX_COUNTER + 1)
         assert state.counter == MAX_COUNTER
 
 
@@ -272,7 +273,8 @@ def test_a_fresh_chain_snapshot_round_trips():
     state = idvv_init(SEED, ROOT, b"c2s")
     restored = IdvvState.from_snapshot(SEED, state.snapshot())
     assert restored.snapshot() == state.snapshot()
-    assert restored.head() == state.head() == (chain_values_ref(SEED, ROOT, b"c2s", 1)[1], 1)
+    assert restored.counter == state.counter == 0
+    assert idvv_peek(restored, 1) == idvv_peek(state, 1) == chain_values_ref(SEED, ROOT, b"c2s", 1)[1]
 
 
 @pytest.mark.parametrize(

@@ -637,6 +637,24 @@ def test_battery_refuses_bits_below_a_floor_before_drawing_a_stream():
     assert drawn == list(range(20))
 
 
+def test_battery_refuses_an_alpha_whose_pass_floor_is_0_before_drawing_a_stream():
+    drawn = []
+
+    def factory(trial, n_bits):
+        drawn.append(trial)
+        return generate_stream(SEED, ROOT, b"rs%04d" % trial, n_bits)
+
+    # a floor of 0 would pass a test that failed every trial
+    assert (min_pass_count(20, 0.65), min_pass_count(20, 0.6)) == (0, 1)
+    for alpha in (0.65, 0.999999):
+        with pytest.raises(InvalidParameterError, match=f"alpha {alpha} over 20 trials sets a pass floor of 0"):
+            run_battery(SEED, ROOT, n_bits=65_537, trials=20, alpha=alpha, stream_factory=factory)
+    assert drawn == []
+    report = run_battery(SEED, ROOT, n_bits=65_537, trials=20, alpha=0.6, stream_factory=factory)
+    assert drawn == list(range(20))
+    assert report.min_pass == 1
+
+
 # -- the worker that tests each stream while the caller draws the next --
 
 
