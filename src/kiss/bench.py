@@ -66,7 +66,7 @@ from cryptography.x509.oid import NameOID
 from .association import Association, Mode, ProvisionFile, Role, load_association
 from .channel import MAX_PAYLOAD, ChannelEndpoint, ChannelState, MsgType, TAG_LEN, open_record
 from .channel import _AUTH_ONLY_WIRE, _HEADER, MAGIC, VERSION, _read_frame, _read_to, seal_wire
-from .defaults import DEMO_ROOT, DEMO_SEED
+from .defaults import DEMO_ROOT, DEMO_SEED, markdown_table
 from .errors import InvalidParameterError, TransportError
 from .idvv import _hmac_new, idvv_init, idvv_peek
 
@@ -158,43 +158,23 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def format_markdown(self) -> str:
+        rows = [["case", "size", "ops/sec", "MB/sec", "p50 us", "p99 us", "note"]]
+        rows += [
+            [c.case, str(c.size_bytes), f"{c.ops_per_sec:.1f}", f"{c.mb_per_sec:.3f}", f"{c.p50_us:.3f}",
+             f"{c.p99_us:.3f}", " ".join(filter(None, (c.note, ",".join(c.flags))))]
+            for c in self.cases
+        ]
         ratios = self.ratios()
-        # (header, cell of a case and its ratio); case and note align left,
-        # widths fit the content
-        columns = [
-            ("case", lambda c, r: c.case),
-            ("size", lambda c, r: str(c.size_bytes)),
-            ("ops/sec", lambda c, r: f"{c.ops_per_sec:.1f}"),
-            ("MB/sec", lambda c, r: f"{c.mb_per_sec:.3f}"),
-            ("p50 us", lambda c, r: f"{c.p50_us:.3f}"),
-            ("p99 us", lambda c, r: f"{c.p99_us:.3f}"),
-            ("note", lambda c, r: " ".join(filter(None, (c.note, ",".join(c.flags))))),
-        ]
-        if ratios is not None:
-            columns.insert(-1, (
-                f"vs {TLS_CASE}", lambda c, r: "-" if r is None else f"{r:.2f}x"
-            ))
-        table = [[head for head, _ in columns]]
-        table += [
-            [cell(c, r) for _, cell in columns]
-            for c, r in zip(self.cases, ratios or itertools.repeat(None))
-        ]
-        widths = [max(map(len, column)) for column in zip(*table)]
-        lines = [
-            "| " + " | ".join(
-                text.ljust(w) if head in ("case", "note") else text.rjust(w)
-                for text, w, head in zip(row, widths, table[0])
-            ) + " |"
-            for row in table
-        ]
-        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
+        if ratios is not None:  # the ratio column goes before the note
+            cells = [f"vs {TLS_CASE}"] + ["-" if r is None else f"{r:.2f}x" for r in ratios]
+            for row, cell in zip(rows, cells):
+                row.insert(-1, cell)
         env = self.environment
-        lines.append("")
-        lines.append(
-            f"suite: {self.suite}; cpu: {env.get('cpu', 'unknown')}; "
-            f"python: {env.get('python', '?')}; at: {env.get('timestamp', '?')}"
+        return (
+            markdown_table(rows, left=("case", "note"))
+            + f"\nsuite: {self.suite}; cpu: {env.get('cpu', 'unknown')}; "
+            f"python: {env.get('python', '?')}; at: {env.get('timestamp', '?')}\n"
         )
-        return "\n".join(lines) + "\n"
 
 
 def environment_fingerprint() -> dict:

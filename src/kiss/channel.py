@@ -1,9 +1,9 @@
 """Authenticated record layer over per-record chain keys.
 
 Every record, in either mode, is protected by keys derived from a fresh
-chain value: the sender steps its send chain once per record and the
-sequence number in the header tells the receiver how far to fast-forward
-its receive chain before verifying. No key ever covers two records, and
+chain value: the sender steps its send chain once per record. An
+endpoint opens only the next seq; ``open_record`` alone walks the
+receive chain to a later seq. No key ever covers two records, and
 neither chain keeps the value of a record it has sealed or opened: each
 holds only its next, unused value (``kiss.idvv``).
 

@@ -222,7 +222,7 @@ def cmd_randomness(args) -> int:
     report = run_battery(
         seed, root, n_bits=args.bits, trials=args.trials, alpha=args.alpha
     )
-    print(report.format_table())
+    print(report.format_markdown())
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
         log.info("wrote CSV to %s", args.csv)

@@ -38,7 +38,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .defaults import DEFAULT_ALPHA, DEFAULT_STREAM_BITS, DEFAULT_TRIALS
+from .defaults import DEFAULT_ALPHA, DEFAULT_STREAM_BITS, DEFAULT_TRIALS, markdown_table
 from .errors import InvalidParameterError
 from .idvv import idvv_init, idvv_peek
 
@@ -531,31 +531,22 @@ class RandomnessReport:
                 lines.append(f"{name},{i},{r.p_value:.10g},{int(r.passed)}")
         return "\n".join(lines) + "\n"
 
-    def format_table(self) -> str:
-        width = max(len(name) for name in self.results)
-        # the pass cell is count/trials, each as wide as trials (at least 3)
-        digits = max(3, len(str(self.trials)))
-        cell_width = 2 * digits + 1
-        lines = [
-            f"{'test'.ljust(width)}  {'passed'.ljust(cell_width)} required  P-value_T",
-            f"{'-' * width}  {'------'.ljust(cell_width)} --------  ---------",
-        ]
+    def format_markdown(self) -> str:
+        rows = [("test", "passed", "required", "P-value_T")]
         uniformity = self.uniformity
         for name, count in self.pass_counts.items():
             p = uniformity[name]
             cell = "-" if p is None else f"{p:.6f}"
             if p is not None and p < UNIFORMITY_ALPHA:
                 cell += " non-uniform"
-            lines.append(
-                f"{name.ljust(width)}  {count:{digits}d}/{self.trials:<{digits}d} "
-                f"{self.min_pass:8d}  {cell:>9}"
-            )
+            rows.append((name, f"{count}/{self.trials}", str(self.min_pass), cell))
         verdict = "PASS" if self.passed else "FAIL"
-        lines.append(
-            f"verdict: {verdict} "
-            f"(alpha={self.alpha:g}, {self.n_bits} bits x {self.trials} trials)"
+        # P-value_T aligns left, so its figures line up before any mark
+        return (
+            markdown_table(rows, left=("test", "P-value_T"))
+            + f"\nverdict: {verdict} "
+            f"(alpha={self.alpha:g}, {self.n_bits} bits x {self.trials} trials)\n"
         )
-        return "\n".join(lines) + "\n"
 
 
 def min_pass_count(trials: int, alpha: float) -> int:

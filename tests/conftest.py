@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import signal
+
 import pytest
 
 import kiss.channel as channel_mod
@@ -37,3 +39,22 @@ def hmac_calls(monkeypatch):
     for mod in (idvv_mod, channel_mod):
         monkeypatch.setattr(mod, "_hmac_new", recording)
     return calls
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test with ``TimeoutError`` if it runs past 60 s, where it
+    would otherwise block the suite: for tests that read, in this process,
+    sockets that have no timeout, as ``kiss.bench._loopback_pair``'s. The
+    slowest test takes about 5 s. A forked child does not inherit the
+    timer."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

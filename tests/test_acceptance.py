@@ -169,6 +169,11 @@ def test_acceptance_4_antireplay_resync(capsys):
     _verdict(capsys, "antireplay-resync", ok, "; ".join(outcomes))
 
 
+# sha256 of the CSV that `kiss randomness` writes at its defaults, the
+# digest the CI workflow pins for the installed script
+DEFAULT_BATTERY_CSV_SHA256 = "571636a87cf048fe9233074b8c3a8099de49f91f40ebc3f6819e219d58c2254a"
+
+
 def test_acceptance_5_randomness_battery(capsys):
     started = time.perf_counter()
     report = run_battery(DEMO_SEED, DEMO_ROOT)  # 7 tests x 100 x 1e6 bits
@@ -201,6 +206,8 @@ def test_acceptance_5_randomness_battery(capsys):
         ok,
         f"min required {report.min_pass}/100; {counts}; {patho}; {elapsed:.1f} s",
     )
+    digest = hashlib.sha256(report.to_csv().encode("ascii")).hexdigest()
+    assert digest == DEFAULT_BATTERY_CSV_SHA256
 
 
 def test_acceptance_6_primitive_ordering(capsys):
@@ -240,6 +247,8 @@ def test_acceptance_6_primitive_ordering(capsys):
     )
 
 
+# its loopback sockets have no timeout: a lost send fails the gate, not the suite
+@pytest.mark.usefixtures("time_limit")
 def test_acceptance_7_headline_reporting(capsys):
     report = run_suite("tls", (1500,), duration=1.0, cases=(*HEADLINE_CASES, TLS_CASE))
     summary = headline_summary(report)

@@ -227,6 +227,7 @@ def test_hash_latency_grows_with_size():
 # -- loopback rows ------------------------------------------------------
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_run_suite_validates_arguments():
     with pytest.raises(InvalidParameterError, match="unknown suite"):
         run_suite("nope", (1500,), 1.0)
@@ -242,6 +243,7 @@ def test_run_suite_validates_arguments():
         run_suite("tls", (1500,), 0.0, cases=("channel-AEAD",))
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_loopback_plaintext_baseline_runs(monkeypatch):
     # the baseline must frame with the endpoint's own reader, keeping its
     # read-ahead across records as an endpoint does, so that its gap to
@@ -339,6 +341,7 @@ def test_read_to_joins_pieces_and_raises_on_eof():
     assert _read_to(eof, whole, 5) is whole  # one recv brought it all: no copy
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_loopback_rows_start_no_thread(monkeypatch):
     def no_threads(self):
         raise AssertionError("a loopback row started a thread")
@@ -349,6 +352,7 @@ def test_loopback_rows_start_no_thread(monkeypatch):
         assert case.ops_per_sec > 0
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
     # calibration, warmup, then timed batches, one of them twice as slow
     calls = itertools.count()
@@ -363,6 +367,7 @@ def test_loopback_row_is_summarised_like_a_primitive(monkeypatch):
     assert case.p50_us < case.p99_us
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_loopback_rows_share_one_round_robin_call(monkeypatch):
     real, calls = bench_mod._measure_cases, []
 
@@ -429,6 +434,7 @@ except ssl.SSLCertVerificationError as exc:
 """
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_tls_handshake_that_does_not_finish_raises(monkeypatch):
     monkeypatch.setattr(bench_mod, "_TLS_ROUNDS", 1)  # TLS 1.3 needs two
     with pytest.raises(TransportError, match="unfinished"):
@@ -479,6 +485,7 @@ def test_tls_client_verifies_certificate_and_host_name(host, own_client):
     assert not thread.is_alive()
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_tls_baseline_negotiates_tls13_and_measures():
     report = run_suite("tls", (256,), 0.3, cases=(TLS_CASE,))
     assert report.suite == "tls"
@@ -489,6 +496,7 @@ def test_tls_baseline_negotiates_tls13_and_measures():
     assert case.p50_us <= case.p99_us
 
 
+@pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("sizes", [(), (0,), (64, -5), (64, MAX_PAYLOAD + 1), (64, 64)])
 def test_tls_baseline_rejects_bad_sizes(sizes):
     with pytest.raises(InvalidParameterError):

@@ -173,6 +173,34 @@ def test_vectors_count_one_prints_v0_and_no_step():
     )
 
 
+# the published vectors, byte for byte as the CI workflow pins them for the
+# installed script: the defaults, --count 1 (v0 and no step), and other
+# secrets, label and count
+_V0 = "v0 = 5ac933b82c4f159d360dee04f9b8f6eefe9eccb856df1e08e81a9563aba5aa0a\n"
+_ZERO_HEAD = f"seed = {'00' * 32}\nroot = {'00' * 32}\nlabel = c2s\n"
+PINNED_VECTORS = {
+    (): _ZERO_HEAD + _V0 + (
+        "v1 = 659fa1ad94352ec5125c44affc7fd62ea40b66172c61224176c6386dc79750aa\n"
+        "v2 = f13ac22379f9cacf5bd36494920fb8b7b23d276ab4224b8a95d4850d268709e1\n"
+        "v3 = 3e21c7be127af74f9de692e7d84a697f7dcaba5a3bf62a2f5b930e094edc7c7f\n"
+    ),
+    ("--count", "1"): _ZERO_HEAD + _V0,
+    ("--seed", "11" * 32, "--root", "22" * 32, "--label", "s2c", "--count", "3"): (
+        f"seed = {'11' * 32}\nroot = {'22' * 32}\nlabel = s2c\n"
+        "v0 = 26f1181debd759e1e48f9e8cd992605255f0240695851f74b6b5c017dd33707f\n"
+        "v1 = fdfddf927ba8dcf5f77bb774e791b75dd9b25b0ca97337ef3c58529b5fcfb4a1\n"
+        "v2 = e0b1aa0e541804b23f6e6caed32706de686bbb4bf1ec583e08931cc4ae687276\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_VECTORS, ids=["defaults", "count-1", "s2c"])
+def test_vectors_output_is_pinned(argv):
+    result = run_cli("vectors", *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == PINNED_VECTORS[argv]
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_vectors_count_below_one_exits_one(count):
     result = run_cli("vectors", "--count", count)

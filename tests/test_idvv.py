@@ -119,6 +119,19 @@ def test_state_does_not_retain_previous_value():
         assert not {v.hex() for v in spent} & set(state.snapshot().values())
 
 
+def test_counter_moves_only_with_its_value():
+    # a counter set apart from the value the chain holds would key every
+    # later record off a value that is not its seq's, so only commit moves it
+    state = idvv_init(SEED, ROOT, b"c2s")
+    _step(state)
+    counter = state.counter
+    ahead = idvv_peek(state, counter + 1)
+    with pytest.raises(AttributeError):
+        state.counter = counter + 5
+    assert state.counter == counter
+    assert idvv_peek(state, counter + 1) == ahead
+
+
 def test_counter_exhaustion():
     state = idvv_init(SEED, ROOT, b"c2s")
     snap = state.snapshot()

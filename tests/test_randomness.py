@@ -828,7 +828,7 @@ def test_battery_full_suite_small_scale(monkeypatch):
     lines = csv.strip().split("\n")
     assert lines[0] == "test,trial,p_value,pass"
     assert len(lines) == 1 + len(ALL_TESTS) * 20
-    table = report.format_table()
+    table = report.format_markdown()
     assert "verdict:" in table
     assert report.passed  # keystreams at this scale sail through
 
@@ -885,50 +885,65 @@ def _report_of(p_values, alpha=0.01):
     return RandomnessReport(1000, len(p_values), alpha, {name: results for name in ALL_TESTS})
 
 
-# format_table at 20 and 100 trials, recorded before the pass cell was sized
-# from the trial count
+# format_markdown at 20 trials, below the uniformity floor, and at 100,
+# where every test is non-uniform and its P-value_T cell widest
 TABLE_20 = """\
-test                 passed  required  P-value_T
--------------------  ------  --------  ---------
-monobit               20/20        18          -
-block-frequency       20/20        18          -
-runs                  20/20        18          -
-longest-run           20/20        18          -
-cusum                 20/20        18          -
-approximate-entropy   20/20        18          -
-serial                20/20        18          -
+| test                | passed | required | P-value_T |
+|---------------------|--------|----------|-----------|
+| monobit             |  20/20 |       18 | -         |
+| block-frequency     |  20/20 |       18 | -         |
+| runs                |  20/20 |       18 | -         |
+| longest-run         |  20/20 |       18 | -         |
+| cusum               |  20/20 |       18 | -         |
+| approximate-entropy |  20/20 |       18 | -         |
+| serial              |  20/20 |       18 | -         |
+
 verdict: PASS (alpha=0.01, 1000 bits x 20 trials)
 """
 TABLE_100 = """\
-test                 passed  required  P-value_T
--------------------  ------  --------  ---------
-monobit               90/100       96  0.000000 non-uniform
-block-frequency       90/100       96  0.000000 non-uniform
-runs                  90/100       96  0.000000 non-uniform
-longest-run           90/100       96  0.000000 non-uniform
-cusum                 90/100       96  0.000000 non-uniform
-approximate-entropy   90/100       96  0.000000 non-uniform
-serial                90/100       96  0.000000 non-uniform
+| test                | passed | required | P-value_T            |
+|---------------------|--------|----------|----------------------|
+| monobit             | 90/100 |       96 | 0.000000 non-uniform |
+| block-frequency     | 90/100 |       96 | 0.000000 non-uniform |
+| runs                | 90/100 |       96 | 0.000000 non-uniform |
+| longest-run         | 90/100 |       96 | 0.000000 non-uniform |
+| cusum               | 90/100 |       96 | 0.000000 non-uniform |
+| approximate-entropy | 90/100 |       96 | 0.000000 non-uniform |
+| serial              | 90/100 |       96 | 0.000000 non-uniform |
+
 verdict: FAIL (alpha=0.01, 1000 bits x 100 trials)
 """
 
 
 def test_format_table_is_pinned_at_20_and_100_trials():
-    assert _report_of([(i + 0.5) / 20 for i in range(20)]).format_table() == TABLE_20
-    assert _report_of([((i + 0.5) / 100) ** 2 for i in range(100)]).format_table() == TABLE_100
+    assert _report_of([(i + 0.5) / 20 for i in range(20)]).format_markdown() == TABLE_20
+    assert _report_of([((i + 0.5) / 100) ** 2 for i in range(100)]).format_markdown() == TABLE_100
 
 
-@pytest.mark.parametrize("trials", [20, 100, 1000])
+def _table_cells(row):
+    return [cell.strip() for cell in row.split("|")[1:-1]]
+
+
+@pytest.mark.parametrize("trials", [20, 55, 100, 1000])
 def test_format_table_rows_line_up_with_the_header(trials):
-    table = _report_of([(i + 0.5) / trials for i in range(trials)]).format_table()
-    header, rule, *rows, _ = table.splitlines()
-    starts = [header.index(title) for title in ("passed", "required", "P-value_T")]
-    for row in (rule, *rows):
-        # each column's field ends in a space, so none runs into the next
-        fields = [row[a:b] for a, b in zip([0, *starts], [*starts, len(row)])]
-        assert all(f.endswith(" ") and f.strip() for f in fields[:-1]), (row, fields)
-        assert len(row) == len(header)
-    assert all(row.split()[1].endswith(f"/{trials}") for row in rows)
+    # p-values spread over every bin, then all in one bin: non-uniform
+    # from 55 trials on, which widens the P-value_T column
+    for p_values, non_uniform in (
+        ([(i + 0.5) / trials for i in range(trials)], False),
+        ([0.55] * trials, trials >= 55),
+    ):
+        table = _report_of(p_values).format_markdown().split("\n\n")[0].splitlines()
+        header, rule, *rows = table
+        assert len(rows) == len(ALL_TESTS) and set(rule) == {"|", "-"}
+        bars = [[i for i, ch in enumerate(line) if ch == "|"] for line in table]
+        assert all(len(line) == len(header) for line in table)
+        assert all(b == bars[0] for b in bars)
+        for row in (header, *rows):
+            # each cell is padded on both sides, so none runs into the next
+            cells = row.split("|")[1:-1]
+            assert all(c.startswith(" ") and c.endswith(" ") and c.strip() for c in cells), row
+        assert all(_table_cells(row)[1].endswith(f"/{trials}") for row in rows)
+        assert all(_table_cells(row)[-1].endswith(" non-uniform") is non_uniform for row in rows)
 
 
 @pytest.mark.parametrize("trials", [55, 100, 1000])
@@ -948,15 +963,15 @@ def test_uniformity_matches_oracle(trials):
 def test_uniformity_needs_55_trials_and_stays_out_of_the_verdict():
     few = _report_of([0.55] * 54)
     assert set(few.uniformity.values()) == {None}
-    rows = few.format_table().splitlines()[2:-1]
-    assert all(row.split()[-1] == "-" for row in rows)
+    rows = few.format_markdown().splitlines()[2:-2]
+    assert all(_table_cells(row)[-1] == "-" for row in rows)
     # every trial passes the proportion rule, and every p-value sits in one bin
     skewed = _report_of([0.55] * 55)
     assert skewed.passed and skewed.to_csv() == _report_of([0.55] * 55).to_csv()
     assert all(p < 0.0001 for p in skewed.uniformity.values())
-    rows = skewed.format_table().splitlines()[2:-1]
-    assert all(row.endswith(" non-uniform") for row in rows)
-    assert skewed.format_table().splitlines()[-1].startswith("verdict: PASS")
+    rows = skewed.format_markdown().splitlines()[2:-2]
+    assert all(_table_cells(row)[-1].endswith(" non-uniform") for row in rows)
+    assert skewed.format_markdown().splitlines()[-1].startswith("verdict: PASS")
 
 
 def test_chain_keystream_p_values_are_uniform_at_default_scale():
